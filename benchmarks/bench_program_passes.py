@@ -1,17 +1,16 @@
-"""Program-level pass pipeline vs the PR 5 adjacent peephole (ablation).
+"""Global graph fusion vs unfused replay (ablation).
 
-The graph pass pipeline (:mod:`repro.ir.program`) sees the whole
-captured program: global fusion merges launches *non-adjacently* by
-hopping over independent nodes, which the peephole (``peephole`` passes
-mode — exactly the PR 5 behavior) cannot.  The showcase is the CG
-update segment of HPCCG's iteration::
+The graph pass (:mod:`repro.ir.program`) sees the whole captured
+program: global fusion merges launches *non-adjacently* by hopping over
+independent nodes.  The baseline is ``passes=none`` — the same captured
+graph replayed node for node.  The showcase is the CG update segment of
+HPCCG's iteration::
 
     r -= alpha s ; rr = r.r ; x += alpha p
 
 The x-axpy is independent of the dot between them: global fusion hops
 it backwards over the reduce and merges all three launches into one
-node (3 → 1); the peephole merges only the adjacent axpy+dot pair and
-is then stuck behind the reduce (3 → 2).
+node (3 → 1).
 
 Timings are steady-state ``replay()`` calls of the captured segment —
 per solver iteration, after capture + instantiation — on the HPCCG
@@ -24,8 +23,8 @@ Standalone usage (the CI smoke job)::
     python benchmarks/bench_program_passes.py --tiny --json out.json
 
 writes ``{"timings": {...}, "passes": {...}}`` — the smoke job asserts
-the update-segment replay is ≥1.2x faster under the full pipeline than
-under the peephole, with ≥1 non-adjacent fusion recorded.
+the update-segment replay is ≥1.2x faster fused than unfused, with ≥1
+non-adjacent fusion recorded.
 """
 
 import time
@@ -44,7 +43,7 @@ NX = 4  # HPCCG lattice edge (n = NX^3 rows)
 REPS = 2000  # replays per timing sample
 SAMPLES = 5  # best-of samples
 
-#: The acceptance gate: update-segment replay speedup, all vs peephole.
+#: The acceptance gate: update-segment replay speedup, all vs none.
 GATE_RATIO = 1.2
 
 
@@ -112,7 +111,7 @@ def _best(fn, reps, samples):
 # -- pytest-benchmark entries ------------------------------------------------
 
 
-@pytest.fixture(params=["peephole", "all"])
+@pytest.fixture(params=["none", "all"])
 def passes_mode(request):
     _passes_leg(request.param)
     yield request.param
@@ -148,17 +147,16 @@ def test_full_iteration_replay(benchmark, passes_mode):
 
 
 def test_program_passes_speedup_hpccg():
-    """The full pipeline must replay the HPCCG update segment ≥1.2x
-    faster per iteration than the PR 5 adjacent peephole (typically
-    ~1.5x: 3 launches fused into 1 vs 2), with the non-adjacent merge
-    recorded in the pass counters."""
+    """Fusion must replay the HPCCG update segment ≥1.2x faster per
+    iteration than the unfused graph (3 launches fused into 1), with
+    the non-adjacent merge recorded in the pass counters."""
     doc = run_program_passes(nx=NX, reps=REPS // 2, samples=3)
     row = doc["timings"]["hpccg_update"]
-    ratio = row["peephole"] / row["all"]
+    ratio = row["none"] / row["all"]
     assert doc["passes"]["all"]["fuse"]["nonadjacent"] >= 1, doc["passes"]
     assert ratio >= GATE_RATIO, (
         f"update-segment replay: all {row['all'] * 1e6:.1f}us/iter vs "
-        f"peephole {row['peephole'] * 1e6:.1f}us/iter ({ratio:.2f}x)"
+        f"none {row['none'] * 1e6:.1f}us/iter ({ratio:.2f}x)"
     )
 
 
@@ -168,7 +166,7 @@ def test_program_passes_speedup_hpccg():
 
 
 def run_program_passes(nx=NX, reps=REPS, samples=SAMPLES):
-    """Steady-state replay timings, peephole vs full pipeline.
+    """Steady-state replay timings, unfused vs fused.
 
     ``hpccg_update`` is the gated row (where non-adjacent fusion
     fires); ``hpccg_iteration`` is the full captured iteration body for
@@ -182,7 +180,7 @@ def run_program_passes(nx=NX, reps=REPS, samples=SAMPLES):
         "hpccg_iteration": {"nx": nx, "n": n, "nodes": {}},
     }
     passes = {}
-    for mode in ("peephole", "all"):
+    for mode in ("none", "all"):
         _passes_leg(mode)
         try:
             ctx = current_context()
@@ -192,7 +190,7 @@ def run_program_passes(nx=NX, reps=REPS, samples=SAMPLES):
                 reps,
                 samples,
             )
-            timings["hpccg_update"]["nodes"][mode] = update.n_active_nodes
+            timings["hpccg_update"]["nodes"][mode] = update.n_nodes
             a_dev = (repro.array(a.cols), repro.array(a.vals))
             mv, upd, direction = _capture_iteration(
                 ctx, n, a_dev, _vectors(n, b)
@@ -207,9 +205,7 @@ def run_program_passes(nx=NX, reps=REPS, samples=SAMPLES):
                 one_iter, max(1, reps // 3), samples
             )
             timings["hpccg_iteration"]["nodes"][mode] = (
-                mv.n_active_nodes
-                + upd.n_active_nodes
-                + direction.n_active_nodes
+                mv.n_nodes + upd.n_nodes + direction.n_nodes
             )
             passes[mode] = repro.graph_stats()["passes"]
         finally:
@@ -222,7 +218,7 @@ def main(argv=None) -> int:
     import json
 
     parser = argparse.ArgumentParser(
-        description="program pass pipeline vs adjacent peephole"
+        description="global graph fusion vs unfused replay"
     )
     parser.add_argument(
         "--tiny",
@@ -238,10 +234,10 @@ def main(argv=None) -> int:
         doc = run_program_passes()
 
     for name, row in doc["timings"].items():
-        ratio = row["peephole"] / row["all"]
+        ratio = row["none"] / row["all"]
         print(
-            f"{name:>16}: peephole {row['peephole'] * 1e6:7.1f}us/iter "
-            f"({row['nodes']['peephole']} nodes)  "
+            f"{name:>16}: none {row['none'] * 1e6:7.1f}us/iter "
+            f"({row['nodes']['none']} nodes)  "
             f"all {row['all'] * 1e6:7.1f}us/iter "
             f"({row['nodes']['all']} nodes)  ({ratio:.2f}x)"
         )

@@ -200,8 +200,7 @@ def cg_solve_operator(
                 # is independent of both.  Issuing it *after* the dot
                 # exercises the graph pipeline's global (non-adjacent)
                 # fusion: the x-axpy hops back over the reduce to merge
-                # with the r-axpy, which adjacent-only peephole fusion
-                # cannot do.
+                # with the r-axpy.
                 parallel_for(n, axpy_kernel_1d, neg_alpha, dr, ds)
                 rr_new = parallel_reduce(n, dot_kernel_1d, dr, dr)
                 parallel_for(n, axpy_kernel_1d, alpha, dx, dp)

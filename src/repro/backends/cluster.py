@@ -807,10 +807,6 @@ class ClusterBackend(Backend):
 
     name = "cluster"
     device_kind = "cpu"
-    #: Shard splits move with worker membership (losses, rejoins), so a
-    #: pinned schedule could name a dead worker's chunk — decline pins,
-    #: like the multi-device backend.
-    supports_schedule_pin = False
 
     def __init__(
         self,
@@ -986,9 +982,9 @@ class ClusterBackend(Backend):
         try:
             write_ids = set(plan.written_ids or ())
             if not write_ids:
-                from ..core.api import plan_access_ids
+                from ..core.api import plan_written_ids
 
-                write_ids = set(plan_access_ids(plan)[0])
+                write_ids = set(plan_written_ids(plan))
         except Exception:
             write_ids = {id(a) for a in nds}  # conservative: commit all
         descs = []

@@ -74,7 +74,6 @@ class ThreadsBackend(Backend):
 
     name = "threads"
     device_kind = "cpu"
-    supports_schedule_pin = True
 
     def __init__(
         self,
@@ -134,14 +133,7 @@ class ThreadsBackend(Backend):
         interpreter-fallback kernel.  Otherwise one contiguous chunk of
         the leading axis per worker (``Threads.@threads``' static
         schedule).
-
-        A pinned schedule (``plan.schedule_pin``, set by the graph pass
-        pipeline's perfmodel-driven scheduler) takes precedence — the
-        pass's decision must survive recompiles and replay
-        re-scheduling.
         """
-        if plan.schedule_pin is not None:
-            return plan.schedule_pin
         dims = plan.dims
         lanes = int(np.prod(dims))
         if (

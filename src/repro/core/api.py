@@ -153,35 +153,22 @@ def _schedule(plan: LaunchPlan, ctx: ExecutionContext) -> LaunchPlan:
     return plan
 
 
-def plan_access_ids(plan: LaunchPlan) -> tuple:
-    """``(written_ids, read_ids)`` storage-id tuples for a staged plan.
+def plan_written_ids(plan: LaunchPlan) -> tuple:
+    """Storage ids of the arrays a staged plan stores to.
 
-    Traced kernels report exactly the arrays their stores/loads touch;
-    opaque (interpreter-tier) kernels conservatively count every resolved
-    ndarray on both sides.  Also used by :mod:`repro.ir.program` to build
-    the dataflow graph's def-use edges.
+    Traced kernels report exactly the arrays their stores touch; opaque
+    (interpreter-tier) kernels conservatively count every resolved
+    ndarray.
     """
     kernel = plan.kernel
     trace = kernel.trace if kernel is not None else None
     if trace is None:
-        every = tuple(
+        return tuple(
             id(a) for a in plan.resolved_args if isinstance(a, np.ndarray)
         )
-        return every, every
-    from ..ir import nodes as N
-
-    written = tuple(
+    return tuple(
         dict.fromkeys(id(plan.resolved_args[st.array.pos]) for st in trace.stores)
     )
-    read = tuple(
-        dict.fromkeys(
-            id(plan.resolved_args[node.array.pos])
-            for expr in trace.expressions()
-            for node in N.walk(expr)
-            if isinstance(node, N.Load)
-        )
-    )
-    return written, read
 
 
 def _execute(plan: LaunchPlan, ctx: ExecutionContext) -> LaunchPlan:
@@ -199,16 +186,8 @@ def _execute(plan: LaunchPlan, ctx: ExecutionContext) -> LaunchPlan:
     ctx.fire_launch(plan)
     backend.account_portable_dispatch(plan.construct, plan.dims)
     written = plan.written_ids
-    read = plan.read_ids
-    if written is None or read is None:
-        written, read = plan_access_ids(plan)
-        plan.written_ids = written
-        plan.read_ids = read
-    # Fire external-access guards *before* the kernel runs: a launch
-    # touching an array some graph optimistically optimized (sunk into an
-    # arena buffer, dead-store-eliminated) must see the materialized,
-    # unoptimized state — see repro.ir.writes / repro.ir.program.
-    writes.note_access(read + written)
+    if written is None:
+        written = plan.written_ids = plan_written_ids(plan)
     plan.result = faults.execute_plan(plan, ctx)
     # Failover may have demoted plan.backend; read the clock that ran.
     plan.sim_time_after = plan.backend.accounting.sim_time

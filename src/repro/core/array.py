@@ -19,7 +19,6 @@ from typing import Any
 
 import numpy as np
 
-from ..ir import writes
 from . import api
 
 __all__ = ["array", "zeros", "ones", "to_host", "is_backend_array"]
@@ -48,17 +47,7 @@ def ones(shape, dtype=np.float64) -> Any:
 def to_host(arr: Any) -> np.ndarray:
     """Copy a backend array back to host memory (device→host transfer on
     GPU backends, cheap pass-through on CPU backends)."""
-    backend = api.active_backend()
-    # A host readback is an external observation: fire access guards so
-    # graphs holding optimistic state for this storage (sunk buffers,
-    # eliminated stores — see repro.ir.program) materialize it first.
-    try:
-        raw = backend.unwrap(arr)
-    except Exception:
-        raw = None
-    if raw is not None:
-        writes.note_access((id(raw),))
-    return backend.to_host(arr)
+    return api.active_backend().to_host(arr)
 
 
 def is_backend_array(obj: Any) -> bool:

@@ -103,12 +103,6 @@ class Backend(ABC):
     name: str = "?"
     #: ``"cpu"`` or ``"gpu"`` — decides coarse vs fine decomposition.
     device_kind: str = "cpu"
-    #: True when ``schedule()`` honors ``plan.schedule_pin`` (set by the
-    #: graph pass pipeline's perfmodel-driven scheduler).  Backends whose
-    #: decomposition is stateful (multi-device failover re-splits) must
-    #: leave this False so the pass declines instead of pinning a stale
-    #: split.
-    supports_schedule_pin: bool = False
 
     def __init__(self) -> None:
         self.accounting = Accounting()

@@ -108,8 +108,8 @@ class KernelVerificationError(PyACCError):
 class TranslationValidationError(PyACCError):
     """The translation validator rejected an applied program rewrite.
 
-    Raised under ``validate=error`` when a fusion/DSE/sinking rewrite
-    the pass pipeline applied cannot be independently re-derived from
+    Raised under ``validate=error`` when a fusion rewrite the graph
+    pass applied cannot be independently re-derived from
     the memory-effects summaries, or when a program-level analysis
     finds an error-severity hazard (V603).  Carries the structured
     diagnostics (see :class:`repro.ir.diagnostics.Diagnostic`).

@@ -114,11 +114,6 @@ class LaunchPlan:
 
     # -- filled by the schedule stage ----------------------------------------
     schedule: Optional[LaunchSchedule] = None
-    #: A schedule pinned by the graph pass pipeline's perfmodel-driven
-    #: scheduler (repro.ir.program).  Backends that support pinning
-    #: (threads) return it verbatim from ``schedule()`` so recompiles and
-    #: replay re-scheduling cannot silently discard the pass's decision.
-    schedule_pin: Optional[LaunchSchedule] = None
 
     # -- filled by the execute stage (observability) ---------------------------
     #: Backend modeled time immediately before/after execution; the
@@ -136,11 +131,6 @@ class LaunchPlan:
     #: cached here — graph replays reuse the plan, and array identities
     #: never change across replays (only scalar slots rebind).
     written_ids: Optional[tuple] = None
-    #: Storage ids this plan's kernel loads from, computed alongside
-    #: ``written_ids`` — feeds the pre-execution access notification
-    #: (guards for sunk/DSE-optimized graph state) and the program IR's
-    #: def-use edges.
-    read_ids: Optional[tuple] = None
     #: Memory-effects summary (:class:`repro.ir.effects.EffectsSummary`)
     #: computed lazily by :func:`repro.ir.effects.plan_effects` — affine
     #: read/write regions per array, the foundation for the translation

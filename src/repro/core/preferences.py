@@ -37,7 +37,6 @@ __all__ = [
     "DEFAULT_VERIFY_MODE",
     "EXECUTOR_MODES",
     "GRAPH_MODES",
-    "PASS_NAMES",
     "PASSES_PRESETS",
     "VALIDATE_MODES",
     "VERIFY_MODES",
@@ -84,19 +83,16 @@ DEFAULT_EXECUTOR = "codegen"
 #: dispatches every construct through the full staged pipeline.
 GRAPH_MODES = ("on", "off")
 
-#: Optimization passes the graph pipeline can run at instantiate time
-#: (see repro.ir.program), in pipeline order.
-PASS_NAMES = ("fuse", "dse", "sink", "schedule")
-
-#: Preset values for the passes knob besides explicit comma lists.
-PASSES_PRESETS = ("all", "none", "peephole")
+#: Values of the passes knob (see repro.ir.program): ``all`` runs global
+#: fusion at instantiate time, ``none`` replays the capture unfused.
+PASSES_PRESETS = ("all", "none")
 
 #: Default: graphs enabled (the fastest steady-state path; the staged
 #: pipeline stays bit-identical, so opting out is a pure perf knob).
 DEFAULT_GRAPH_MODE = "on"
 
-#: Default: the full pass pipeline (bit-identical by construction; every
-#: unsafe program declines per pass and degrades to unoptimized replay).
+#: Default: fusion on (bit-identical by construction; an unsafe merge
+#: declines and that launch replays unfused).
 DEFAULT_PASSES_MODE = "all"
 
 _ENV_FILE = "PYACC_PREFERENCES"
@@ -185,6 +181,19 @@ def resolve_backend_name() -> str:
     return backend
 
 
+def _resolve_mode(env_name: str, prefs_key: str, valid: tuple, default: str) -> str:
+    """One knob, one rule: env var > preferences file > default, then a
+    membership check against ``valid``."""
+    mode = os.environ.get(env_name)
+    if not mode:
+        mode = read_preferences().get(prefs_key, default)
+    if mode not in valid:
+        raise PreferencesError(
+            f"{prefs_key} mode must be one of {valid}, got {mode!r}"
+        )
+    return mode
+
+
 def resolve_verify_mode() -> str:
     """Decide the verifier enforcement mode: env var > file > default.
 
@@ -194,15 +203,7 @@ def resolve_verify_mode() -> str:
     the default) and ``error`` (raise ``KernelVerificationError`` on
     error-severity findings).
     """
-    mode = os.environ.get(_ENV_VERIFY)
-    if not mode:
-        prefs = read_preferences()
-        mode = prefs.get("verify", DEFAULT_VERIFY_MODE)
-    if mode not in VERIFY_MODES:
-        raise PreferencesError(
-            f"verify mode must be one of {VERIFY_MODES}, got {mode!r}"
-        )
-    return mode
+    return _resolve_mode(_ENV_VERIFY, "verify", VERIFY_MODES, DEFAULT_VERIFY_MODE)
 
 
 def resolve_validate_mode() -> str:
@@ -210,20 +211,14 @@ def resolve_validate_mode() -> str:
 
     The environment variable is ``PYACC_VALIDATE``; the preferences key
     is ``validate`` under ``[repro]``.  Valid values are ``off`` (trust
-    the pass pipeline, skip re-derivation), ``warn`` (undo unconfirmed
+    the fusion pass, skip re-derivation), ``warn`` (undo unconfirmed
     rewrites and warn, the default) and ``error`` (raise
     ``TranslationValidationError`` on any unconfirmed rewrite or
     error-severity program diagnostic).
     """
-    mode = os.environ.get(_ENV_VALIDATE)
-    if not mode:
-        prefs = read_preferences()
-        mode = prefs.get("validate", DEFAULT_VALIDATE_MODE)
-    if mode not in VALIDATE_MODES:
-        raise PreferencesError(
-            f"validate mode must be one of {VALIDATE_MODES}, got {mode!r}"
-        )
-    return mode
+    return _resolve_mode(
+        _ENV_VALIDATE, "validate", VALIDATE_MODES, DEFAULT_VALIDATE_MODE
+    )
 
 
 def resolve_executor_mode() -> str:
@@ -237,15 +232,9 @@ def resolve_executor_mode() -> str:
     IR per launch) and ``interpreter`` (scalar reference execution, no
     tracing) — the ablation axis for the executor benchmarks.
     """
-    mode = os.environ.get(_ENV_EXECUTOR)
-    if not mode:
-        prefs = read_preferences()
-        mode = prefs.get("executor", DEFAULT_EXECUTOR)
-    if mode not in EXECUTOR_MODES:
-        raise PreferencesError(
-            f"executor mode must be one of {EXECUTOR_MODES}, got {mode!r}"
-        )
-    return mode
+    return _resolve_mode(
+        _ENV_EXECUTOR, "executor", EXECUTOR_MODES, DEFAULT_EXECUTOR
+    )
 
 
 def resolve_graph_mode() -> str:
@@ -257,41 +246,17 @@ def resolve_graph_mode() -> str:
     graphs, the default) and ``off`` (every construct goes through the
     full staged dispatch pipeline — the differential-testing baseline).
     """
-    mode = os.environ.get(_ENV_GRAPH)
-    if not mode:
-        prefs = read_preferences()
-        mode = prefs.get("graph", DEFAULT_GRAPH_MODE)
-    if mode not in GRAPH_MODES:
-        raise PreferencesError(
-            f"graph mode must be one of {GRAPH_MODES}, got {mode!r}"
-        )
-    return mode
+    return _resolve_mode(_ENV_GRAPH, "graph", GRAPH_MODES, DEFAULT_GRAPH_MODE)
 
 
 def resolve_passes_mode() -> str:
-    """Decide the graph pass-pipeline mode: env var > file > default.
+    """Decide the graph fusion-pass mode: env var > file > default.
 
     The environment variable is ``PYACC_PASSES``; the preferences key is
-    ``passes`` under ``[repro]``.  Valid values:
-
-    * ``all`` (default) — the full program-level pipeline (global fusion,
-      dead-store elimination, allocation sinking, perfmodel scheduler);
-    * ``peephole`` — PR-5-style adjacent-pair fusion only (the
-      differential baseline for the program passes);
-    * ``none`` — no optimization at instantiate time;
-    * a comma-separated subset of pass names from :data:`PASS_NAMES`,
-      e.g. ``fuse,dse``.
+    ``passes`` under ``[repro]``.  Valid values are ``all`` (default —
+    global fusion runs at instantiate time) and ``none`` (captured
+    launches replay unfused; the differential suites' reference path).
     """
-    mode = os.environ.get(_ENV_PASSES)
-    if not mode:
-        prefs = read_preferences()
-        mode = prefs.get("passes", DEFAULT_PASSES_MODE)
-    if mode in PASSES_PRESETS:
-        return mode
-    parts = tuple(p.strip() for p in mode.split(",") if p.strip())
-    if parts and all(p in PASS_NAMES for p in parts):
-        return ",".join(parts)
-    raise PreferencesError(
-        f"passes mode must be one of {PASSES_PRESETS} or a comma-separated "
-        f"subset of {PASS_NAMES}, got {mode!r}"
+    return _resolve_mode(
+        _ENV_PASSES, "passes", PASSES_PRESETS, DEFAULT_PASSES_MODE
     )

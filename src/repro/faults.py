@@ -230,6 +230,8 @@ class InjectedFault:
     With ``device_id`` the ``index`` counts probes *of that device* at
     the site; without, it counts all probes at the site.  Explicit
     schedules compose with the probabilistic rates (both are checked).
+    Each entry fires at most once, so a retried pool chunk (which
+    re-probes its fixed ordinal) sees the fault on one attempt only.
 
     ``kind="kill"`` entries are the hard-termination schedule: they are
     ignored by :meth:`FaultPlan.check` (no exception is raised) and
@@ -363,16 +365,23 @@ class FaultPlan:
             )
         index = k_site if ordinal is None else ordinal
         kind = None
-        for f in self.scheduled:
+        for k, f in enumerate(self.scheduled):
             if f.site != site or f.kind == "kill":
                 continue  # kills are consumed by take_kill, never raised
             if f.device_id is not None:
-                if f.device_id == device_id and f.index == k_dev:
-                    kind = f.kind
-                    break
-            elif f.index == index:
-                kind = f.kind
-                break
+                if f.device_id != device_id or f.index != k_dev:
+                    continue
+            elif f.index != index:
+                continue
+            # A scheduled entry fires once: a pool chunk re-probes the
+            # *same* ordinal on every retry, and re-raising there would
+            # exhaust the retry budget on a fault asked for once.
+            with self._lock:
+                if self._counts.get(("fired", k)):
+                    continue
+                self._counts[("fired", k)] = 1
+            kind = f.kind
+            break
         counted = False
         if kind is None and self._site_enabled(site):
             if ordinal is None:

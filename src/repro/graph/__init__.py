@@ -11,9 +11,9 @@ amortizes the *orchestration* the same way CUDA Graphs do:
   :class:`~repro.core.plan.LaunchPlan`\\ s a code region issues (the
   region still executes eagerly — relaxed capture);
 * :meth:`~repro.graph.capture.LaunchGraph.instantiate` freezes them:
-  adjacent launches fuse into single codegen programs
-  (:mod:`repro.ir.fuse`), arena pools are pre-sized, and all per-launch
-  decisions are hoisted;
+  compatible launches fuse into single programs
+  (:mod:`repro.ir.program`), arena pools are pre-sized, and all
+  per-launch decisions are hoisted;
 * :meth:`~repro.graph.capture.InstantiatedGraph.replay` re-executes the
   sequence with only scalar-slot rebinding, through the same execute
   stage as normal dispatch (bit-identical results, identical fault
@@ -34,7 +34,6 @@ from typing import Optional
 from ..core.exceptions import GraphError, PreferencesError
 from ..core.preferences import (
     GRAPH_MODES,
-    PASS_NAMES,
     PASSES_PRESETS,
     resolve_graph_mode,
     resolve_passes_mode,
@@ -63,7 +62,6 @@ __all__ = [
     "reset_graph_stats",
     "passes_mode",
     "set_passes_mode",
-    "enabled_passes",
 ]
 
 
@@ -112,7 +110,7 @@ def graphs_enabled() -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Pass-pipeline mode (the PYACC_PASSES opt-out), same shape as graph_mode
+# Fusion-pass mode (the PYACC_PASSES opt-out), same shape as graph_mode
 # ---------------------------------------------------------------------------
 
 _passes_override: Optional[str] = None
@@ -120,11 +118,10 @@ _passes_resolved: Optional[str] = None
 
 
 def passes_mode() -> str:
-    """The active instantiate-time pass-pipeline mode.
-
-    ``all`` | ``none`` | ``peephole`` | a comma list of pass names
-    (see :data:`repro.core.preferences.PASS_NAMES`).  Resolved once from
-    ``PYACC_PASSES`` / the preferences ``passes`` key and cached.
+    """The active instantiate-time pass mode: ``all`` (global fusion
+    runs) or ``none`` (captures replay unfused — the differential
+    suites' reference path).  Resolved once from ``PYACC_PASSES`` / the
+    preferences ``passes`` key and cached.
     """
     global _passes_resolved
     if _passes_override is not None:
@@ -135,39 +132,19 @@ def passes_mode() -> str:
 
 
 def set_passes_mode(mode: Optional[str]) -> None:
-    """Override the pass-pipeline mode process-wide (tests / bench).
+    """Override the pass mode process-wide (tests / bench).
 
     ``None`` drops the override so the next check re-reads
     ``PYACC_PASSES``/preferences.  Takes effect at the next
-    ``instantiate()`` — already-instantiated graphs keep their pipeline.
+    ``instantiate()`` — already-instantiated graphs keep their program.
     """
     global _passes_override, _passes_resolved
     if mode is not None and mode not in PASSES_PRESETS:
-        parts = tuple(p.strip() for p in mode.split(",") if p.strip())
-        if not parts or any(p not in PASS_NAMES for p in parts):
-            raise PreferencesError(
-                f"passes mode must be one of {PASSES_PRESETS} or a "
-                f"comma-separated subset of {PASS_NAMES}, got {mode!r}"
-            )
-        mode = ",".join(parts)
+        raise PreferencesError(
+            f"passes mode must be one of {PASSES_PRESETS}, got {mode!r}"
+        )
     _passes_override = mode
     _passes_resolved = None
-
-
-def enabled_passes(mode: Optional[str] = None) -> tuple:
-    """Decode a passes mode into ``(frozenset_of_passes, peephole)``.
-
-    ``peephole`` restricts the fusion pass to adjacent pairs (the PR-5
-    baseline the bench gate compares against).
-    """
-    m = passes_mode() if mode is None else mode
-    if m == "all":
-        return frozenset(PASS_NAMES), False
-    if m == "none":
-        return frozenset(), False
-    if m == "peephole":
-        return frozenset(("fuse",)), True
-    return frozenset(p.strip() for p in m.split(",") if p.strip()), False
 
 
 # ---------------------------------------------------------------------------
@@ -190,21 +167,26 @@ def _bump(key: str, n: int = 1) -> None:
         _COUNTS[key] += n
 
 
+#: ``graph_stats()["passes"]`` has one live row, ``fuse``.  These three
+#: are constant zero rows kept because the frozen benchmark
+#: (benchmarks/perf/probes.counters → per-layer metrics
+#: ``graph.passes.{dse,sink,schedule}_applied``) indexes them by name.
+_FROZEN_PASS_ROWS = ("dse", "sink", "schedule")
+
+
 def _fresh_pass_counts() -> dict:
-    return {
-        name: {"applied": 0, "declined": {}, "demoted": 0}
-        for name in PASS_NAMES
-    }
+    # ``nonadjacent``: merges that hopped over an independent node.
+    out = {"fuse": {"applied": 0, "declined": {}, "nonadjacent": 0}}
+    for name in _FROZEN_PASS_ROWS:
+        out[name] = {"applied": 0, "declined": {}, "demoted": 0}
+    return out
 
 
 _PASS_COUNTS = _fresh_pass_counts()
-#: Non-adjacent fusions (merges the PR-5 adjacent peephole could not do).
-_NONADJACENT_KEY = "nonadjacent"
-_PASS_COUNTS["fuse"][_NONADJACENT_KEY] = 0
 
-#: Translation-validator kinds (repro.ir.validate): fuse/dse/sink
-#: rewrite re-derivations plus the program-level hazard analyses.
-_VALIDATE_KINDS = ("fuse", "dse", "sink")
+#: Translation-validator kinds (repro.ir.validate): the fuse rewrite
+#: re-derivation; program-level hazard analyses are tallied by rule.
+_VALIDATE_KINDS = ("fuse",)
 
 
 def _fresh_validate_counts() -> dict:
@@ -225,21 +207,17 @@ def _record_pass(
     *,
     applied: int = 0,
     declined: Optional[str] = None,
-    demoted: int = 0,
     nonadjacent: int = 0,
 ) -> None:
-    """Account one pass decision (applied / declined-with-reason / demoted).
+    """Account one fusion decision (applied / declined-with-reason).
 
-    This is the fix for PR 5's silent declines: every decision the
-    pipeline takes — including the ``CodegenError`` and fault-plan drops
-    that used to vanish — lands in ``graph_stats()["passes"]``.
+    Every decision the pass takes — including the ``CodegenError`` drops
+    — lands in ``graph_stats()["passes"]``, never silently vanishes.
     """
     with _STATS_LOCK:
         entry = _PASS_COUNTS[name]
         entry["applied"] += applied
-        entry["demoted"] += demoted
-        if nonadjacent:
-            entry[_NONADJACENT_KEY] = entry.get(_NONADJACENT_KEY, 0) + nonadjacent
+        entry["nonadjacent"] += nonadjacent
         if declined is not None:
             reasons = entry["declined"]
             reasons[declined] = reasons.get(declined, 0) + 1
@@ -271,12 +249,12 @@ def _record_validate(
 def graph_stats() -> dict:
     """Process-wide launch-graph activity since start (or last reset).
 
-    Besides the capture/replay counters, ``"passes"`` holds per-pass
-    applied/declined/demoted counts (declines keyed by reason — the
+    Besides the capture/replay counters, ``"passes"`` holds the fusion
+    pass's applied/declined counts (declines keyed by reason — the
     decline taxonomy is documented in docs/API.md), ``"validate"`` the
-    translation validator's per-kind confirmed/rejected counts plus
-    program-level diagnostic tallies, and ``"passes_mode"`` the pipeline
-    configuration they ran under.
+    translation validator's confirmed/rejected counts plus
+    program-level diagnostic tallies, and ``"passes_mode"`` the mode
+    they ran under.
     """
     with _STATS_LOCK:
         out = dict(_COUNTS)
@@ -303,5 +281,4 @@ def reset_graph_stats() -> None:
         for key in _COUNTS:
             _COUNTS[key] = 0
         _PASS_COUNTS = _fresh_pass_counts()
-        _PASS_COUNTS["fuse"][_NONADJACENT_KEY] = 0
         _VALIDATE_COUNTS = _fresh_validate_counts()

@@ -11,7 +11,7 @@ The CUDA-Graphs model, transplanted to the staged dispatch pipeline
   is recorded.  Scalar arguments wrapped in :class:`ScalarSlot` become
   graph-level symbolic slots.
 * **instantiate** — :meth:`LaunchGraph.instantiate` freezes the
-  recording: adjacent plans are fused (see :mod:`repro.ir.fuse`), arena
+  recording: compatible plans are fused (see :mod:`repro.ir.program`), arena
   pools are pre-sized for every scratch buffer replay will draw
   (:meth:`repro.ir.arena.ScratchArena.reserve`), and the
   verify/cache/executor decisions already attached to each plan are
@@ -103,12 +103,9 @@ class GraphNode:
     (filled at instantiation) lists the positions whose value the
     compiled kernel *baked in* (value-specialized traces, interpreter
     fallbacks): rebinding one of those forces a recompile on replay.
-    ``disabled`` marks a node the pass pipeline eliminated entirely
-    (dead-store elimination left it effect-free): replay skips it, and
-    pass demotion re-enables it.
     """
 
-    __slots__ = ("plan", "slot_map", "const_slots", "hoist", "disabled")
+    __slots__ = ("plan", "slot_map", "const_slots", "hoist")
 
     def __init__(self, plan: LaunchPlan, slot_map: Optional[dict] = None):
         self.plan = plan
@@ -117,7 +114,6 @@ class GraphNode:
         # _HoistState when the node's program was re-lowered with
         # const-array assumptions that need per-replay validation.
         self.hoist: Optional[_HoistState] = None
-        self.disabled = False
 
     def bake_const_slots(self) -> None:
         kernel = self.plan.kernel
@@ -267,9 +263,8 @@ class LaunchGraph:
         error-severity finding; ``warn`` (default) warns and — when a
         rewrite itself is unconfirmed or an error-severity hazard is
         present — degrades to the unoptimized program, which is always
-        correct.  Degrading works because the pipeline mutates the
-        recorded plans in place (``ProgramNode.restore`` undoes it) and
-        fusion builds *new* plans, leaving the recorded ones intact.
+        correct.  Degrading is a rebuild from the recording: fusion
+        builds *new* plans and leaves the recorded ones intact.
         """
         import warnings
 
@@ -316,10 +311,8 @@ class LaunchGraph:
         for d in diags:
             warnings.warn(str(d), KernelVerificationWarning, stacklevel=3)
         if fatal or any(d.rule == "V610" for d in diags):
-            # Undo the rewrites: restore every mutated plan, then
-            # rebuild the program from fresh nodes with no passes run.
-            for pn in program.nodes:
-                pn.restore()
+            # Undo the rewrites: rebuild the program from fresh nodes
+            # over the recorded plans, with no pass run.
             nodes = [GraphNode(n.plan, n.slot_map) for n in self.nodes]
             for node in nodes:
                 node.bake_const_slots()
@@ -350,8 +343,6 @@ class LaunchGraph:
         nodes = [pn.gnode for pn in program.nodes]
         written: set[int] = set()
         for node in nodes:
-            if node.disabled:
-                continue
             kernel = node.plan.kernel
             trace = kernel.trace if kernel is not None else None
             rargs = node.plan.resolved_args
@@ -366,8 +357,7 @@ class LaunchGraph:
         for node in nodes:
             kernel = node.plan.kernel
             if (
-                node.disabled
-                or kernel is None
+                kernel is None
                 or kernel.codegen is None
                 or kernel.trace is None
                 or kernel.native is not None  # C loop is the replay main
@@ -420,10 +410,9 @@ class LaunchGraph:
         """Freeze the recording into a replayable program.
 
         Builds the dataflow :class:`~repro.ir.program.Program` over the
-        recorded plans and runs the instantiate-time pass pipeline
-        (global fusion, DSE, allocation sinking, perfmodel scheduling —
-        see :mod:`repro.ir.program`).  ``fuse=False`` forces the
-        pipeline off (used under an active fault plan so replayed launch
+        recorded plans and runs global fusion over it (see
+        :mod:`repro.ir.program`).  ``fuse=False`` forces the pass off
+        (used under an active fault plan so replayed launch
         counts — and therefore fault-injection ordinals — match
         uncaptured dispatch).  Then pre-sizes the context arena for
         every scratch buffer replay will draw and records the backend's
@@ -431,31 +420,23 @@ class LaunchGraph:
         """
         from ..ir import compilecache
         from ..ir.program import Program, run_passes
-        from . import _bump, _record_pass, enabled_passes
+        from . import _bump, _record_pass, passes_mode
 
         nodes = [GraphNode(n.plan, n.slot_map) for n in self.nodes]
         for node in nodes:
             node.bake_const_slots()
-        # Every slot the recording mentions stays part of the replay
-        # signature even if a pass disables its node — computed *before*
-        # the pipeline so DSE cannot change the user-facing contract.
-        slot_names = frozenset(
-            name for node in nodes for name in node.slot_map.values()
-        )
 
-        enabled, peephole = enabled_passes(None if fuse else "none")
+        fuse = fuse and passes_mode() == "all"
         # Persistent program tier: the member-plan key tuple identifies
-        # this instantiation across processes; inside the scope the pass
-        # pipeline's derived artifacts (fused/DSE kernels, the validate
-        # certificate, hoisted prologue sources) are served from the
-        # entry and anything newly derived is published on exit.
-        gdigest = compilecache.graph_digest(
-            nodes, ctx.backend(), enabled, peephole
-        )
+        # this instantiation across processes; inside the scope the
+        # derived artifacts (fused kernels, the validate certificate,
+        # hoisted prologue sources) are served from the entry and
+        # anything newly derived is published on exit.
+        gdigest = compilecache.graph_digest(nodes, ctx.backend(), fuse)
         with compilecache.program_scope(gdigest):
             program = Program(self.name, nodes)
-            if enabled:
-                run_passes(program, ctx, enabled, peephole, _record_pass)
+            if fuse:
+                run_passes(program, _record_pass)
                 program = self._validate(program, ctx)
             self._hoist(program)
         nodes = [pn.gnode for pn in program.nodes]
@@ -484,7 +465,7 @@ class LaunchGraph:
         need: dict[tuple, int] = {}
         for node in nodes:
             kernel = node.plan.kernel
-            if node.disabled or kernel is None or kernel.codegen is None:
+            if kernel is None or kernel.codegen is None:
                 continue
             per_node: dict[tuple, int] = {}
             for dom in node.plan.schedule.domains:
@@ -507,17 +488,14 @@ class LaunchGraph:
         _bump("captures")
         if fused_pairs:
             _bump("fused_pairs", fused_pairs)
-        inst = InstantiatedGraph(
+        return InstantiatedGraph(
             self.name,
             ctx,
             nodes,
             return_convention,
             fused_pairs,
             program=program,
-            slot_names=slot_names,
         )
-        inst.register_guards()
-        return inst
 
 
 def _graph_handle_fn(name: str):
@@ -540,7 +518,6 @@ class InstantiatedGraph:
         return_convention: tuple,
         fused_pairs: int,
         program=None,
-        slot_names: Optional[frozenset] = None,
     ):
         self.name = name
         self.ctx = ctx
@@ -554,90 +531,17 @@ class InstantiatedGraph:
         #: The dataflow program this instantiation was optimized through
         #: (None for directly constructed instantiations in tests).
         self.program = program
-        #: Set by an external-access guard: the next replay restores the
-        #: pre-pass plans before running (degrade to today's behavior).
-        self._passes_dirty = False
-        self.slot_names = (
-            slot_names
-            if slot_names is not None
-            else frozenset(
-                name for node in nodes for name in node.slot_map.values()
-            )
+        self.slot_names = frozenset(
+            name for node in nodes for name in node.slot_map.values()
         )
 
     @property
     def n_nodes(self) -> int:
         return len(self.nodes)
 
-    @property
-    def n_active_nodes(self) -> int:
-        """Nodes replay actually executes (disabled nodes excluded)."""
-        return sum(1 for node in self.nodes if not node.disabled)
-
-    def register_guards(self) -> None:
-        """Install the external-access guards the pass pipeline requested.
-
-        ``dse`` guards mark the instantiation dirty — the next replay
-        restores the unoptimized plans.  ``sink`` guards must act
-        *immediately* (the external toucher is about to observe the real
-        storage): materialize the leased buffer back into the real array
-        if a replay has run, swap the arguments back, and mark dirty so
-        bookkeeping resets.
-        """
-        prog = self.program
-        if prog is None:
-            return
-        for ids, kind, rec in prog.pending_guards:
-            if kind == "sink":
-                writes.guard_ids(ids, self, self._make_sink_demoter(rec))
-            else:
-                writes.guard_ids(ids, self, self._mark_passes_dirty)
-        prog.pending_guards = []
-
-    def _mark_passes_dirty(self) -> None:
-        from . import _record_pass
-
-        if not self._passes_dirty:
-            self._passes_dirty = True
-            _record_pass("dse", demoted=1)
-
-    def _make_sink_demoter(self, rec):
-        def _demote() -> None:
-            from . import _record_pass
-
-            if not rec.active:
-                return
-            rec.active = False
-            if self.replays > 0:
-                # Replays wrote the leased buffer; the real storage is
-                # stale.  Before a first replay the real array still
-                # holds the (correct) eager-capture values.
-                np.copyto(rec.real, rec.buf)
-            for plan, pos in rec.swaps:
-                plan.resolved_args[pos] = rec.real
-                plan.written_ids = None
-                plan.read_ids = None
-                plan.effects = None
-            _record_pass("sink", demoted=1)
-
-        return _demote
-
-    def _demote_passes(self) -> None:
-        """Restore every pass-mutated node to its pre-pipeline state."""
-        self._passes_dirty = False
-        writes.unguard(self)
-        prog = self.program
-        if prog is None:
-            return
-        for rec in prog.sink_records:
-            if rec.active:
-                rec.active = False
-                if self.replays > 0:
-                    np.copyto(rec.real, rec.buf)
-        for pn in prog.nodes:
-            if pn.saved is not None or pn.gnode.disabled:
-                pn.restore()
-                pn.gnode.hoist = None
+    #: Every node executes on replay; the name is read by
+    #: ``benchmarks/perf/probes.graph_lifecycle`` (graph.replay_us_per_node).
+    n_active_nodes = n_nodes
 
     def invalidate(self) -> None:
         """Mark this instantiation dead (backend demoted, arrays
@@ -745,27 +649,14 @@ class InstantiatedGraph:
 
     # -- the hot path -------------------------------------------------------
     def _replay(self, slots: dict):
-        if self._passes_dirty:
-            # An external access tripped a pass guard between replays:
-            # degrade to the unoptimized capture before running.
-            self._demote_passes()
-        ctx = self.ctx
-        with writes.suppress_guards(self):
-            return self._replay_guarded(slots, ctx)
-
-    def _replay_guarded(self, slots: dict, ctx):
         from ..core.api import _execute
         from ..ir.compile import compile_kernel
         from . import _bump
 
+        ctx = self.ctx
         results: list[Any] = []
         demoted = None
         for node in self.nodes:
-            if node.disabled:
-                # Eliminated by dead-store elimination; keep the result
-                # slot so the return convention's indices stay aligned.
-                results.append(None)
-                continue
             plan = node.plan
             epoch = self.backend.schedule_epoch()
             if epoch != self.epoch:
@@ -827,7 +718,7 @@ class InstantiatedGraph:
 
         self.replays += 1
         _bump("replays")
-        _bump("nodes_replayed", self.n_active_nodes)
+        _bump("nodes_replayed", len(self.nodes))
         if demoted is not None:
             self.invalidate()
 

@@ -191,19 +191,6 @@ class ScratchArena:
                 created += 1
         return created
 
-    def lease(self, shape: tuple, dtype=np.float64) -> np.ndarray:
-        """Check a buffer out of the arena *permanently* (no frame).
-
-        The allocation-sinking pass (:mod:`repro.ir.program`) demotes a
-        graph-local intermediate into a leased buffer: the buffer lives
-        as long as the holder keeps a reference and never returns to the
-        pool — returning it would let an unrelated launch scribble over
-        state a replaying graph still depends on.  Draws from the pool
-        when a buffer of the right key is free, else allocates.
-        """
-        key = (tuple(shape), np.dtype(dtype).str)
-        return self._pop(key, tuple(shape), dtype)
-
     # -- pool mechanics (called by frames) ---------------------------------
     def _pop(self, key: tuple, shape: tuple, dtype) -> np.ndarray:
         with self._lock:

@@ -25,9 +25,9 @@ Two entry kinds share one directory (``PYACC_COMPILE_CACHE``, default
 * **program entries** (``g<sha256>.pkl``) — one per instantiated launch
   graph, keyed on the member-plan key tuple (each node's kernel digest,
   canonical array-aliasing pattern, dims, scalar values, slot maps,
-  backend shape, enabled passes, validate mode).  The payload persists
-  the pass pipeline's derived artifacts — fused kernels, DSE-rewritten
-  kernels, hoisted-program prologue/main sources — plus the translation
+  backend shape, fusion on/off, validate mode).  The payload persists
+  the derived artifacts — fused kernels, hoisted-program prologue/main
+  sources — plus the translation
   validator's clean certificate, so a warm
   ``LaunchGraph.instantiate()`` replays the recorded decisions without
   re-lowering anything and skips validation entirely.
@@ -84,8 +84,6 @@ __all__ = [
     "program_scope",
     "fused_lookup",
     "fused_record",
-    "dse_lookup",
-    "dse_record",
     "hoist_lookup",
     "hoist_record",
     "validated_lookup",
@@ -775,17 +773,17 @@ def kernel_digest_of(kernel) -> Optional[str]:
 
 
 def set_kernel_digest(kernel, parts: tuple) -> str:
-    """Assign a synthetic content digest to a derived (fused/DSE) kernel
+    """Assign a synthetic content digest to a derived (fused) kernel
     so chained rewrites and hoist entries key on it stably."""
     digest = _digest(("derived",) + parts)
     object.__setattr__(kernel, "_pcc_digest", digest)
     return digest
 
 
-def graph_digest(gnodes, backend, enabled_passes: frozenset, peephole: bool):
+def graph_digest(gnodes, backend, fuse: bool):
     """The member-plan key tuple, hashed — or ``None`` when any member
     cannot be content-addressed (its kernel has no digest, or a scalar
-    argument is exotic)."""
+    argument is exotic).  ``fuse`` is whether the fusion pass runs."""
     if not enabled():
         return None
     from .validate import active_validate_mode
@@ -831,17 +829,9 @@ def graph_digest(gnodes, backend, enabled_passes: frozenset, peephole: bool):
             "backend",
             type(backend).__name__,
             getattr(backend, "n_threads", None),
-            bool(getattr(backend, "supports_schedule_pin", False)),
         )
     )
-    parts.append(
-        (
-            "modes",
-            tuple(sorted(enabled_passes)),
-            bool(peephole),
-            active_validate_mode(),
-        )
-    )
+    parts.append(("modes", bool(fuse), active_validate_mode()))
     parts.append(_env_tag())
     return _digest(tuple(parts))
 
@@ -991,43 +981,6 @@ def fused_record(a_plan, b_plan, fused_kernel, fused_name: str = "") -> None:
     payload = kernel_payload(fused_kernel, "derived")
     payload["meta"] = {"fused_name": fused_name}
     scope.put(sub, payload)
-
-
-def dse_lookup(kernel, drop_positions: tuple):
-    """Cached DSE rewrite of ``kernel`` with stores to ``drop_positions``
-    removed; same sentinel protocol as :func:`fused_lookup` (``None`` =
-    cached lowering decline).  A hit returns the rebuilt kernel, which
-    keeps the original ``fn``."""
-    scope = _scope()
-    if scope is None:
-        return _MISSING
-    dg = kernel_digest_of(kernel)
-    if dg is None:
-        return _MISSING
-    sub = ("dse", dg, tuple(drop_positions))
-    got = scope.get(sub)
-    if got is _MISSING or got is None:
-        return got
-    ck = rebuild_kernel(got, kernel.fn)
-    if ck is None:
-        return _MISSING
-    set_kernel_digest(ck, sub)
-    return ck
-
-
-def dse_record(kernel, drop_positions: tuple, new_kernel) -> None:
-    scope = _scope()
-    if scope is None:
-        return
-    dg = kernel_digest_of(kernel)
-    if dg is None:
-        return
-    sub = ("dse", dg, tuple(drop_positions))
-    if new_kernel is None:
-        scope.put(sub, None)
-        return
-    set_kernel_digest(new_kernel, sub)
-    scope.put(sub, kernel_payload(new_kernel, "derived"))
 
 
 def hoist_lookup(kernel, const_arrays: tuple, const_scalars: tuple):

@@ -1,17 +1,17 @@
-"""Shared dead-store analysis for the verifier and the DSE pass.
-
-One question, asked at two scopes:
+"""Dead-store analysis for the verifier and the program IR.
 
 * **intra-trace** (:func:`trace_dead_stores`, behind lint rule V401) —
   is a store inside one kernel trace overwritten by a later store to the
   same element before anything can read it?
-* **cross-node** (:func:`loaded_positions` / :func:`overwritten_positions`,
-  consumed by :mod:`repro.ir.program`'s dead-store-elimination pass) —
-  is an array written by one captured launch fully overwritten by a
-  later launch in the same program before any launch reads it?
+* **per-node access sets** (:func:`loaded_positions` /
+  :func:`overwritten_positions` / :func:`fully_overwritten_positions`) —
+  which array arguments a trace loads, stores to, and fully overwrites;
+  :mod:`repro.ir.program` builds its def-use edges from them and
+  :mod:`repro.ir.effects` the V602 graph-level dead-store diagnostic.
 
-Both scopes share the soundness core below, which is deliberately
-stricter than the heuristic V401 used before this module existed.  A
+The intra-trace scope rests on the soundness core below, which is
+deliberately stricter than the heuristic V401 used before this module
+existed.  A
 later store ``kill`` only kills an earlier store ``dead`` to the same
 element when one of these holds:
 
@@ -87,8 +87,8 @@ def loaded_positions(trace: N.Trace) -> frozenset[int]:
     """Array argument positions this trace loads from (anywhere: store
     indices, values, guards, and the result expression).
 
-    The walk is linear in trace size but runs per graph pass per node,
-    so the result is memoized on the trace itself — and, because the
+    The walk is linear in trace size but runs per program node per
+    instantiate, so the result is memoized on the trace itself — and, because the
     memo slot pickles with the trace, a kernel rebuilt from the
     persistent compile cache inherits the analysis for free.
     """
@@ -189,8 +189,8 @@ def fully_overwritten_positions(trace: N.Trace) -> set[int]:
     ``a[i, j] = ...`` on the launch axes).
 
     Combined with a launch domain that covers the array extent, such a
-    store makes every prior value of the array unobservable — the
-    cross-node DSE precondition.
+    store makes every prior value of the array unobservable — what the
+    V602 diagnostic looks for.
     """
     return {
         st.array.pos

@@ -120,7 +120,7 @@ RULES: dict[str, tuple[str, str]] = {
     ),
     "V610": (
         "error",
-        "translation validation failure: an applied fusion/DSE/sinking "
+        "translation validation failure: an applied fusion "
         "rewrite is not independently provable from the memory-effects "
         "summaries alone",
     ),

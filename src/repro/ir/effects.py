@@ -1,14 +1,13 @@
 """Per-plan memory-effects summaries and cross-launch hazard analysis.
 
-Every optimization PR 6 introduced — global fusion, dead-store
-elimination, allocation sinking — reasons about *what a launch touches*.
-Until now that reasoning lived inside each pass; this module reifies it
-as data.  An :class:`EffectsSummary` condenses one staged
+Global fusion (:mod:`repro.ir.program`) reasons about *what a launch
+touches*; this module reifies that reasoning as data, independent of
+the pass.  An :class:`EffectsSummary` condenses one staged
 :class:`~repro.core.plan.LaunchPlan` into affine read/write regions per
 array argument, derived from the same guard-refined index-distance
 lattice the kernel verifier uses (:func:`repro.ir.verify.
 abstract_accesses`), plus storage-id read/write sets consistent with
-:func:`repro.core.api.plan_access_ids`.
+:func:`repro.core.api.plan_written_ids`.
 
 The summaries are the shared foundation for:
 
@@ -102,7 +101,7 @@ class EffectsSummary:
     ``arrays`` holds one :class:`ArrayEffect` per accessed array
     argument position; the ``*_ids`` sets are storage ids (``id()`` of
     the resolved ndarray), the same key space as
-    :func:`repro.core.api.plan_access_ids` and the write-version table
+    :func:`repro.core.api.plan_written_ids` and the write-version table
     (:mod:`repro.ir.writes`).  ``opaque`` plans (no trace) read and
     write everything.
     """
@@ -321,9 +320,9 @@ def summarize_trace(
 def snapshot_effects(plan) -> EffectsSummary:
     """The effects summary of a staged plan, computed fresh (uncached).
 
-    The pass pipeline uses this to snapshot pre-rewrite effects at
-    apply time — the plans mutate in place afterwards, so the cached
-    :func:`plan_effects` entry would be stale evidence.
+    The fusion pass uses this to snapshot pre-rewrite effects at apply
+    time, so the validator's evidence never depends on a cache entry a
+    later stage (hoisting, recompiles) may have refreshed.
     """
     kernel = plan.kernel
     trace = kernel.trace if kernel is not None else None
@@ -414,12 +413,12 @@ def async_hazards(plan, pending_plans) -> list:
 def program_dead_stores(labeled_summaries: Sequence[tuple]) -> list:
     """V602: stores fully overwritten by a later launch, never read.
 
-    ``labeled_summaries`` is the instantiated program's enabled nodes in
+    ``labeled_summaries`` is the instantiated program's nodes in
     execution order as ``(label, EffectsSummary)`` pairs.  A write to
     storage ``s`` by node *i* is graph-level dead when no later node (or
     opaque plan) reads ``s`` before some node *j* fully overwrites it.
-    Fires only for stores the DSE pass left behind (declined or
-    disabled), as a visibility aid — it is a warning, never fatal.
+    Nothing eliminates such a store; the diagnostic tells the user
+    about it instead — it is a warning, never fatal.
     """
     diags = []
     for i, (label_i, si) in enumerate(labeled_summaries):

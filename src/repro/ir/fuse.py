@@ -108,7 +108,7 @@ def fuse_decline_reason(a: LaunchPlan, b: LaunchPlan) -> Optional[str]:
     still decline with ``"lowering"``, which :func:`fuse_plans` reports
     by returning ``None``).  Ordering safety — whether ``b`` may *move*
     next to ``a`` — is the caller's responsibility (the program pass
-    checks def-use conflicts; the old peephole used adjacency).
+    checks def-use conflicts).
 
     Reasons: ``"reduce-producer"``, ``"dims"``, ``"backend"``,
     ``"no-kernel"``, ``"tier"``, ``"no-trace"``, ``"non-element-local"``.

@@ -23,10 +23,10 @@ is on ``report.source`` — print it to see exactly what a launch runs.
 Run as a module for the *program-level* view (the dataflow IR the graph
 pass pipeline optimizes, see :mod:`repro.ir.program`)::
 
-    python -m repro.ir.inspect --program [--passes all|peephole|none|...]
+    python -m repro.ir.inspect --program [--passes all|none]
 
 captures a CG-style iteration body, prints its dataflow graph before
-any pass runs, then the optimized program with the per-pass trail.
+fusion runs, then the fused program with the pass trail.
 
 ``python -m repro.ir.inspect --native`` compiles the CG matvec and LBM
 collide kernels under the native executor and prints the generated C
@@ -260,10 +260,9 @@ def _demo_program_describe(
     """Capture the CG update body and return the program dump.
 
     The body is the reordered ``cg_solve_operator`` update segment —
-    r-axpy, r·r dot, x-axpy — chosen because it distinguishes the fusion
-    strategies: the trailing x-axpy can only merge with the r-axpy by
-    hopping backwards over the reduce, which adjacent-only peephole
-    fusion cannot do.
+    r-axpy, r·r dot, x-axpy — chosen because it exercises the global
+    scan: the trailing x-axpy can only merge with the r-axpy by hopping
+    backwards over the reduce.
 
     ``analysis=True`` appends the static-analysis view: per-node
     memory-effects summaries and the translation validator's verdict on
@@ -301,8 +300,6 @@ def _demo_program_describe(
 
             out += ["", "--- memory-effects summaries ---"]
             for pn in inst.program.nodes:
-                if pn.gnode.disabled:
-                    continue
                 out.append(plan_effects(pn.gnode.plan).describe())
             out += ["", "--- translation validation ---"]
             rewrites = list(inst.program.rewrites)
@@ -382,18 +379,20 @@ def _demo_native_describe() -> str:
 def main(argv=None) -> int:
     import argparse
 
+    from ..core.preferences import PASSES_PRESETS
+
     parser = argparse.ArgumentParser(
         prog="python -m repro.ir.inspect",
         description=(
-            "Dump the dataflow program IR the graph pass pipeline "
-            "optimizes (library use: repro.inspect_kernel)."
+            "Dump the dataflow program IR that graph fusion optimizes "
+            "(library use: repro.inspect_kernel)."
         ),
     )
     parser.add_argument(
         "--program",
         action="store_true",
         help="capture a CG iteration body and dump its dataflow program "
-        "before and after the pass pipeline",
+        "before and after fusion",
     )
     parser.add_argument(
         "--native",
@@ -405,9 +404,8 @@ def main(argv=None) -> int:
     parser.add_argument(
         "--passes",
         default="all",
-        metavar="MODE",
-        help="pass mode for the optimized dump: all | peephole | none | "
-        "comma-list of fuse,dse,sink,schedule (default: all)",
+        choices=PASSES_PRESETS,
+        help="pass mode for the optimized dump (default: all)",
     )
     parser.add_argument(
         "--seed-unsound",

@@ -1,7 +1,6 @@
 """The dataflow program IR over captured launch sequences.
 
-PR 5's fusion was a peephole: it looked at *adjacent* pairs of captured
-plans.  The paper's whole thesis — and the JaCe/DaCe staged-translation
+The paper's whole thesis — and the JaCe/DaCe staged-translation
 architecture ROADMAP points at — is that a JIT which can see the *whole
 program* can optimize across launches.  This module is that program
 view: a captured :class:`~repro.graph.capture.LaunchGraph` becomes a
@@ -9,44 +8,20 @@ view: a captured :class:`~repro.graph.capture.LaunchGraph` becomes a
 def-use dependencies over array storage (read/write sets derived from
 each node's trace, the same identities :mod:`repro.ir.writes` versions).
 
-On top of the Program runs a pass pipeline (:func:`run_passes`), invoked
-by ``LaunchGraph.instantiate()``:
+On top of the Program runs one pass (:func:`run_passes`), invoked by
+``LaunchGraph.instantiate()``: **global fusion**.  A node may merge into
+*any* earlier compatible node — not just its predecessor — provided it
+can legally move there: the scan hops backwards over every node it does
+not conflict with (no write-read, read-write, or write-write overlap)
+and merges into the first candidate the element-local safety rule
+(:func:`repro.ir.fuse.fuse_decline_reason`) accepts.  A trailing
+reduction then inlines into the nearest legal producer the same way.
 
-``fuse``
-    Global fusion.  A node may merge into *any* earlier compatible node
-    — not just its predecessor — provided it can legally move there: the
-    scan hops backwards over every node it does not conflict with
-    (no write-read, read-write, or write-write overlap) and merges into
-    the first candidate the element-local safety rule
-    (:func:`repro.ir.fuse.fuse_decline_reason`) accepts.  A trailing
-    reduction then inlines into the nearest legal producer the same way.
-``dse``
-    Cross-node dead-store elimination.  An array written by node *n*
-    and fully overwritten by a later node *m* (unconditional identity
-    store covering the extent) with no intervening reader is dead in
-    *n*: its stores are dropped and the node's program re-lowered; a
-    node left with no effects is disabled outright.  External readers
-    are covered by an access guard that demotes the optimization.
-``sink``
-    Allocation sinking.  A graph-local intermediate — first touched by
-    a full overwrite, user-visible only through a device handle — is
-    demoted into a leased :class:`~repro.ir.arena.ScratchArena` buffer;
-    the original storage is no longer written by replays.  Any external
-    touch fires a guard that materializes the buffer back into the real
-    array and permanently unsinks it.
-``schedule``
-    Perfmodel-driven scheduling.  For-nodes on a pin-capable backend
-    get their worker split chosen by the roofline model
-    (:func:`repro.perfmodel.schedule.choose_workers`) instead of the
-    backend's fixed size heuristic.  Reductions decline — changing the
-    chunk count would change the partial-fold order and break the
-    bit-identical differential guarantee.
-
-Every decision is recorded: applied counts, declines *with reasons*,
-and demotions land in ``graph_stats()["passes"]`` (the fix for PR 5's
-silent ``CodegenError`` drops), and a human-readable trail is kept for
-``python -m repro.ir.inspect --program``.  A program where nothing is
-provably safe simply declines every pass and replays exactly as today.
+Every decision is recorded: applied counts and declines *with reasons*
+land in ``graph_stats()["passes"]["fuse"]``, and a human-readable trail
+is kept for ``python -m repro.ir.inspect --program``.  A program where
+nothing is provably safe declines every merge and replays the capture
+as recorded.
 """
 
 from __future__ import annotations
@@ -55,23 +30,14 @@ from typing import TYPE_CHECKING, Callable, Optional
 
 import numpy as np
 
-from ..core.plan import LaunchSchedule
-from .codegen import CodegenError, lower_trace
-from .deadstore import (
-    fully_overwritten_positions,
-    loaded_positions,
-    overwritten_positions,
-)
+from .deadstore import loaded_positions, overwritten_positions
 from .effects import snapshot_effects
 from .fuse import fuse_decline_reason, fuse_plans
-from .stats import analyze
-from .vectorizer import IndexDomain
 
 if TYPE_CHECKING:  # pragma: no cover - types only
-    from ..core.context import ExecutionContext
     from ..graph.capture import GraphNode
 
-__all__ = ["ProgramNode", "Program", "SinkRecord", "run_passes"]
+__all__ = ["ProgramNode", "Program", "run_passes"]
 
 #: Scan hop limit for the global fusion pass — a backstop, not a tuning
 #: knob (captured bodies are short; the scan is quadratic worst-case).
@@ -94,19 +60,12 @@ class ProgramNode:
     convention across passes.
     """
 
-    __slots__ = ("gnode", "reads", "writes", "opaque", "origin", "saved")
+    __slots__ = ("gnode", "reads", "writes", "opaque", "origin")
 
     def __init__(self, gnode: "GraphNode", origin: list[int]):
         self.gnode = gnode
         self.origin = list(origin)
-        #: ``(kernel, resolved_args, schedule, schedule_pin)`` snapshot
-        #: taken before the first pass mutates this node — the demotion
-        #: restore point.
-        self.saved: Optional[tuple] = None
-        self.refresh_rw()
-
-    def refresh_rw(self) -> None:
-        plan = self.gnode.plan
+        plan = gnode.plan
         kernel = plan.kernel
         trace = kernel.trace if kernel is not None else None
         rargs = plan.resolved_args
@@ -128,30 +87,6 @@ class ProgramNode:
         )
         self.opaque = False
 
-    def snapshot(self) -> None:
-        """Save the pre-pass restore point (idempotent)."""
-        if self.saved is None:
-            plan = self.gnode.plan
-            self.saved = (
-                plan.kernel,
-                list(plan.resolved_args),
-                plan.schedule,
-                plan.schedule_pin,
-            )
-
-    def restore(self) -> None:
-        """Demote: put the node back to its pre-pass state."""
-        if self.saved is not None:
-            plan = self.gnode.plan
-            plan.kernel, rargs, plan.schedule, plan.schedule_pin = self.saved
-            plan.resolved_args[:] = rargs
-            plan.written_ids = None
-            plan.read_ids = None
-            plan.effects = None
-            self.saved = None
-        self.gnode.disabled = False
-        self.refresh_rw()
-
     @property
     def label(self) -> str:
         return self.gnode.plan.label
@@ -166,25 +101,11 @@ class ProgramNode:
         )
 
 
-class SinkRecord:
-    """Bookkeeping for one sunk array: the real storage, the leased
-    buffer standing in for it, and every ``(plan, position)`` whose
-    resolved argument was swapped."""
-
-    __slots__ = ("real", "buf", "swaps", "active")
-
-    def __init__(self, real: np.ndarray, buf: np.ndarray, swaps: list):
-        self.real = real
-        self.buf = buf
-        self.swaps = swaps
-        self.active = True
-
-
 class Program:
     """A captured launch sequence as a dataflow program.
 
-    Built over the instantiation's :class:`GraphNode` copies; passes
-    mutate ``self.nodes`` (merging, reordering, disabling) and record a
+    Built over the instantiation's :class:`GraphNode` copies; fusion
+    rebuilds ``self.nodes`` (merging, reordering) and records a
     human-readable ``trail``.  ``index_map()`` maps recorded node
     indices to final positions for the return convention.
     """
@@ -198,10 +119,6 @@ class Program:
         self.trail: list[str] = []
         self.fused_pairs = 0
         self.nonadjacent_fusions = 0
-        self.sink_records: list[SinkRecord] = []
-        #: ``(storage_ids, kind, record)`` guard requests the
-        #: instantiation registers once it exists (kind: "dse"/"sink").
-        self.pending_guards: list[tuple] = []
         #: One record per *applied* rewrite, carrying pre-rewrite
         #: :class:`repro.ir.effects.EffectsSummary` snapshots — the
         #: evidence the translation validator (:mod:`repro.ir.validate`)
@@ -249,16 +166,7 @@ class Program:
         lines = [f"program {self.name!r}: {len(self.nodes)} node(s)"]
         for pos, pn in enumerate(self.nodes):
             plan = pn.gnode.plan
-            flags = []
-            if pn.gnode.disabled:
-                flags.append("disabled")
-            if pn.opaque:
-                flags.append("opaque")
-            if plan.schedule_pin is not None:
-                flags.append(
-                    f"pinned({plan.schedule_pin.n_chunks} chunk(s))"
-                )
-            suffix = f"  [{', '.join(flags)}]" if flags else ""
+            suffix = "  [opaque]" if pn.opaque else ""
             lines.append(f"  [{pos}] {plan.label}{suffix}")
             lines.append(
                 f"       reads={{{', '.join(sorted(nm(i) for i in pn.reads))}}} "
@@ -276,7 +184,7 @@ class Program:
 
 
 # ---------------------------------------------------------------------------
-# Pass 1: global fusion
+# Global fusion
 # ---------------------------------------------------------------------------
 
 
@@ -297,19 +205,17 @@ def _merge_nodes(
     return ProgramNode(combined, a.origin + b.origin)
 
 
-def _fuse_pass(
-    prog: Program, record: Callable, peephole: bool
-) -> None:
-    """Merge compatible launches; global (reordering) or adjacent-only.
+def run_passes(prog: Program, record: Callable) -> Program:
+    """Run global fusion over ``prog``: merge compatible launches,
+    reordering where legal.  Mutates and returns ``prog``.
 
     Phase A rebuilds the node list, merging each incoming for-node into
     the nearest earlier candidate it can legally reach: the backward
     scan stops at the first node the mover conflicts with.  Phase B
     inlines each reduction into the nearest legal for-producer the same
-    way.  ``peephole`` restricts both to adjacency (scan depth 1) — the
-    PR 5 baseline.
+    way.  ``record("fuse", applied=..., declined=reason, ...)`` accounts
+    every decision into ``graph_stats()["passes"]``.
     """
-    max_hops = 1 if peephole else _MAX_FUSE_HOPS
 
     def try_merge(out: list[ProgramNode], pn: ProgramNode) -> bool:
         if pn.gnode.const_slots:
@@ -319,9 +225,9 @@ def _fuse_pass(
         first_reason = None
         hops = 0
         j = len(out) - 1
-        while j >= 0 and hops < max_hops:
+        while j >= 0 and hops < _MAX_FUSE_HOPS:
             cand = out[j]
-            if cand.gnode.const_slots or cand.gnode.disabled:
+            if cand.gnode.const_slots:
                 reason = "const-slots"
             else:
                 reason = fuse_decline_reason(cand.gnode.plan, pn.gnode.plan)
@@ -337,7 +243,6 @@ def _fuse_pass(
                             "skipped": tuple(
                                 snapshot_effects(n.gnode.plan)
                                 for n in out[j + 1 :]
-                                if not n.gnode.disabled
                             ),
                         }
                     )
@@ -368,21 +273,10 @@ def _fuse_pass(
             prog.log(f"fuse: decline {pn.label}: {first_reason}")
         return False
 
-    if peephole:
-        # The PR 5 baseline: one pass, every node (for or reduce) may
-        # merge into its immediate predecessor only.
-        out: list[ProgramNode] = []
-        for pn in prog.nodes:
-            if out and try_merge(out, pn):
-                continue
-            out.append(pn)
-        prog.nodes = out
-        return
-
     # Phase A: for-nodes merge globally (reduces pass through untouched —
     # inlining them too early would terminate fusion chains that a later
     # independent for-node could still join).
-    out = []
+    out: list[ProgramNode] = []
     for pn in prog.nodes:
         if pn.gnode.plan.construct == "for" and out and try_merge(out, pn):
             continue
@@ -402,399 +296,4 @@ def _fuse_pass(
                 changed = True
                 break
 
-
-# ---------------------------------------------------------------------------
-# Pass 2: cross-node dead-store elimination
-# ---------------------------------------------------------------------------
-
-
-def _drop_stores(pn: ProgramNode, sid: int) -> Optional[str]:
-    """Rewrite ``pn``'s trace without its stores to array ``sid``.
-
-    Returns a decline reason, or ``None`` on success.  A node left with
-    no stores and no result is disabled instead of re-lowered.
-    """
-    import dataclasses
-
-    plan = pn.gnode.plan
-    kernel = plan.kernel
-    trace = kernel.trace
-    keep = tuple(
-        st
-        for st in trace.stores
-        if id(plan.resolved_args[st.array.pos]) != sid
-    )
-    if len(keep) == len(trace.stores):  # pragma: no cover - caller checks
-        return "no-store"
-    pn.snapshot()
-    if not keep and trace.result is None:
-        pn.gnode.disabled = True
-        pn.refresh_rw()
-        return None
-
-    # Persistent program tier: the same rewrite (original kernel digest ×
-    # dropped store positions) may already be on disk from an earlier
-    # instantiate — including a recorded lowering decline.
-    from . import compilecache
-
-    dropped = tuple(
-        sorted(
-            {
-                st.array.pos
-                for st in trace.stores
-                if id(plan.resolved_args[st.array.pos]) == sid
-            }
-        )
-    )
-    cached = compilecache.dse_lookup(kernel, dropped)
-    if cached is None:
-        pn.saved = None
-        return "lowering"
-    if cached is not compilecache.MISSING:
-        plan.kernel = cached
-        plan.written_ids = None
-        plan.read_ids = None
-        plan.effects = None
-        pn.refresh_rw()
-        return None
-
-    new_trace = _trace_with_stores(trace, keep)
-    try:
-        program = lower_trace(new_trace, plan.resolved_args)
-    except CodegenError:
-        pn.saved = None  # nothing was mutated; drop the snapshot
-        compilecache.dse_record(kernel, dropped, None)
-        return "lowering"
-    # The native rung was compiled from the *old* trace; re-lower it
-    # from the rewritten one (or drop to codegen on decline) — carrying
-    # the stale compiled loop would replay the eliminated stores.
-    native = None
-    if kernel.native is not None:
-        from .cgen import try_lower_native
-
-        native, _ = try_lower_native(new_trace, plan.resolved_args)
-    mode = kernel.mode
-    if kernel.native is not None and native is None:
-        mode = mode.replace("native", "codegen", 1)
-    plan.kernel = dataclasses.replace(
-        kernel,
-        trace=new_trace,
-        stats=analyze(new_trace),
-        codegen=program,
-        native=native,
-        mode=mode if mode.endswith("-dse") else mode + "-dse",
-    )
-    compilecache.dse_record(kernel, dropped, plan.kernel)
-    plan.written_ids = None
-    plan.read_ids = None
-    plan.effects = None
-    pn.refresh_rw()
-    return None
-
-
-def _trace_with_stores(trace, keep_stores):
-    from . import nodes as N
-
-    return N.Trace(
-        ndim=trace.ndim,
-        stores=tuple(keep_stores),
-        result=trace.result,
-        array_args=trace.array_args,
-        scalar_args=trace.scalar_args,
-        const_args=trace.const_args,
-        n_paths=trace.n_paths,
-        shape_dependent=trace.shape_dependent,
-        implicit_return_paths=trace.implicit_return_paths,
-    )
-
-
-def _dse_pass(prog: Program, record: Callable) -> None:
-    """Drop stores to arrays fully overwritten before any read."""
-    nodes = prog.nodes
-    for i, pn in enumerate(nodes):
-        if pn.gnode.disabled:
-            continue
-        if pn.opaque or pn.gnode.const_slots:
-            continue
-        plan = pn.gnode.plan
-        kernel = plan.kernel
-        if kernel is None or kernel.trace is None or kernel.codegen is None:
-            continue
-        trace = kernel.trace
-        loaded = {
-            id(plan.resolved_args[pos]) for pos in loaded_positions(trace)
-        }
-        for pos in sorted(overwritten_positions(trace)):
-            arr = plan.resolved_args[pos]
-            sid = id(arr)
-            if sid in loaded:
-                continue  # the node reads the array itself: not dead here
-            killer = None
-            decline = None
-            between: list[ProgramNode] = []
-            for m in nodes[i + 1 :]:
-                if m.gnode.disabled:
-                    continue
-                mplan = m.gnode.plan
-                if sid in m.reads or m.opaque:
-                    decline = "read-before-kill"
-                    break
-                if sid not in m.writes:
-                    between.append(m)
-                    continue
-                mkernel = mplan.kernel
-                mtrace = mkernel.trace if mkernel is not None else None
-                if mtrace is None:
-                    decline = "read-before-kill"
-                    break
-                full = {
-                    id(mplan.resolved_args[p])
-                    for p in fully_overwritten_positions(mtrace)
-                }
-                if sid in full and tuple(mplan.dims) == arr.shape:
-                    killer = m
-                else:
-                    decline = "partial-overwrite"
-                break
-            if killer is None:
-                if decline is not None:
-                    record("dse", declined=decline)
-                continue
-            victim_summary = snapshot_effects(plan)
-            reason = _drop_stores(pn, sid)
-            if reason is not None:
-                record("dse", declined=reason)
-                prog.log(f"dse: decline {pn.label}: {reason}")
-                continue
-            prog.rewrites.append(
-                {
-                    "kind": "dse",
-                    "label": pn.label,
-                    "sid": sid,
-                    "victim": victim_summary,
-                    "killer": snapshot_effects(killer.gnode.plan),
-                    "between": tuple(
-                        snapshot_effects(m.gnode.plan) for m in between
-                    ),
-                }
-            )
-            record("dse", applied=1)
-            prog.pending_guards.append(((sid,), "dse", None))
-            prog.log(
-                f"dse: dropped dead store(s) to arg{pos} of {pn.label} "
-                f"(killed by {killer.label})"
-                + (" — node disabled" if pn.gnode.disabled else "")
-            )
-            if pn.gnode.disabled:
-                break  # nothing left to eliminate in this node
-
-
-# ---------------------------------------------------------------------------
-# Pass 3: allocation sinking
-# ---------------------------------------------------------------------------
-
-
-def _sink_pass(
-    prog: Program, ctx: "ExecutionContext", record: Callable
-) -> None:
-    """Demote graph-local intermediates into leased arena buffers."""
-    from ..core.array import is_backend_array
-
-    # Collect candidate arrays: written by at least one enabled node.
-    candidates: dict[int, np.ndarray] = {}
-    order: list[int] = []
-    for pn in prog.nodes:
-        if pn.gnode.disabled:
-            continue
-        plan = pn.gnode.plan
-        for a in plan.resolved_args:
-            if isinstance(a, np.ndarray) and id(a) in pn.writes:
-                if id(a) not in candidates:
-                    candidates[id(a)] = a
-                    order.append(id(a))
-    for sid in order:
-        arr = candidates[sid]
-        touchers: list[tuple[ProgramNode, list[int]]] = []
-        legal = True
-        host_visible = False
-        for pn in prog.nodes:
-            if pn.gnode.disabled:
-                continue
-            plan = pn.gnode.plan
-            positions = [
-                pos
-                for pos, a in enumerate(plan.resolved_args)
-                if a is arr
-            ]
-            if not positions:
-                continue
-            kernel = plan.kernel
-            if (
-                pn.opaque
-                or kernel is None
-                or kernel.trace is None
-                or kernel.codegen is None
-            ):
-                legal = False
-                break
-            # The user-visible reference must be a device handle: host
-            # code cannot then observe the storage except via to_host,
-            # which fires the materialization guard.  A raw ndarray in
-            # user hands could be read at any time without a seam.
-            for pos in positions:
-                if pos < len(plan.args) and not is_backend_array(
-                    plan.args[pos]
-                ):
-                    host_visible = True
-            touchers.append((pn, positions))
-        if not legal:
-            record("sink", declined="tier")
-            continue
-        if host_visible:
-            record("sink", declined="host-visible")
-            continue
-        if not touchers:  # pragma: no cover - candidates come from nodes
-            continue
-        first, first_pos = touchers[0]
-        fplan = first.gnode.plan
-        ftrace = fplan.kernel.trace
-        full = fully_overwritten_positions(ftrace)
-        loaded = loaded_positions(ftrace)
-        if (
-            not all(pos in full for pos in first_pos)
-            or any(pos in loaded for pos in first_pos)
-            or tuple(fplan.dims) != arr.shape
-        ):
-            record("sink", declined="no-overwrite-first")
-            prog.log(f"sink: decline {first.label}: no-overwrite-first")
-            continue
-        prog.rewrites.append(
-            {
-                "kind": "sink",
-                "label": first.label,
-                "sid": sid,
-                "first": snapshot_effects(fplan),
-                "touchers": tuple(
-                    snapshot_effects(pn.gnode.plan) for pn, _ in touchers
-                ),
-            }
-        )
-        buf = ctx.arena.lease(arr.shape, arr.dtype)
-        swaps: list[tuple] = []
-        for pn, positions in touchers:
-            pn.snapshot()
-            plan = pn.gnode.plan
-            for pos in positions:
-                plan.resolved_args[pos] = buf
-                swaps.append((plan, pos))
-            plan.written_ids = None
-            plan.read_ids = None
-            plan.effects = None
-            pn.refresh_rw()
-        rec = SinkRecord(arr, buf, swaps)
-        prog.sink_records.append(rec)
-        prog.pending_guards.append(((sid,), "sink", rec))
-        record("sink", applied=1)
-        prog.log(
-            f"sink: array of shape {arr.shape} demoted to an arena "
-            f"buffer ({len(touchers)} node(s))"
-        )
-
-
-# ---------------------------------------------------------------------------
-# Pass 4: perfmodel-driven scheduling
-# ---------------------------------------------------------------------------
-
-
-def _schedule_pass(prog: Program, record: Callable) -> None:
-    """Pin modeled worker splits on pin-capable for-nodes."""
-    from ..perfmodel.schedule import choose_workers
-
-    for pn in prog.nodes:
-        if pn.gnode.disabled:
-            continue
-        plan = pn.gnode.plan
-        backend = plan.backend
-        model = getattr(backend, "model", None)
-        if (
-            not getattr(backend, "supports_schedule_pin", False)
-            or model is None
-            or not hasattr(backend, "n_threads")
-        ):
-            record("schedule", declined="backend")
-            continue
-        if plan.is_reduce:
-            # Re-chunking a reduction changes the partial-fold grouping
-            # and therefore float rounding vs. uncaptured dispatch.
-            record("schedule", declined="reduce-fold-order")
-            continue
-        kernel = plan.kernel
-        if kernel is None or kernel.trace is None:
-            record("schedule", declined="tier")
-            continue
-        lanes = int(np.prod(plan.dims))
-        choice = choose_workers(
-            model, kernel.stats, lanes, plan.ndim, backend.n_threads
-        )
-        w = min(choice.workers, plan.dims[0])
-        if w <= 1:
-            new = LaunchSchedule(
-                domains=(IndexDomain.full(plan.dims),), inline=True
-            )
-        else:
-            from ..core.launch import cpu_chunks
-
-            tail = [(0, d) for d in plan.dims[1:]]
-            new = LaunchSchedule(
-                domains=tuple(
-                    IndexDomain([(lo, hi)] + tail)
-                    for lo, hi in cpu_chunks(plan.dims, w)
-                ),
-                inline=False,
-            )
-        old = plan.schedule
-        if (
-            old is not None
-            and old.inline == new.inline
-            and old.n_chunks == new.n_chunks
-        ):
-            record("schedule", declined="unchanged")
-            continue
-        pn.snapshot()
-        plan.schedule_pin = new
-        plan.schedule = new
-        record("schedule", applied=1)
-        prog.log(
-            f"schedule: {pn.label}: "
-            f"{old.n_chunks if old else '?'} chunk(s) -> {new.n_chunks} "
-            f"(modeled {choice.predicted * 1e6:.1f} us)"
-        )
-
-
-# ---------------------------------------------------------------------------
-# The pipeline
-# ---------------------------------------------------------------------------
-
-
-def run_passes(
-    prog: Program,
-    ctx: "ExecutionContext",
-    enabled: frozenset,
-    peephole: bool,
-    record: Callable,
-) -> Program:
-    """Run the enabled passes over ``prog``, in pipeline order.
-
-    ``record(name, applied=..., declined=reason, ...)`` accounts every
-    decision into ``graph_stats()["passes"]``.  Mutates and returns
-    ``prog``.
-    """
-    if "fuse" in enabled:
-        _fuse_pass(prog, record, peephole)
-    if "dse" in enabled and not peephole:
-        _dse_pass(prog, record)
-    if "sink" in enabled and not peephole:
-        _sink_pass(prog, ctx, record)
-    if "schedule" in enabled and not peephole:
-        _schedule_pass(prog, record)
     return prog

@@ -1,13 +1,12 @@
-"""Translation validation for the program-level pass pipeline.
+"""Translation validation for the program-level fusion pass.
 
-The pass pipeline (:mod:`repro.ir.program`) rewrites captured programs —
-global fusion, dead-store elimination, allocation sinking — with the
-legality reasoning embedded in each pass.  A bug there silently corrupts
-results.  This module is the independent check, in the classic
-translation-validation mold (Pnueli/Necula): after the pipeline runs,
+Global fusion (:mod:`repro.ir.program`) rewrites captured programs with
+the legality reasoning embedded in the pass.  A bug there silently
+corrupts results.  This module is the independent check, in the classic
+translation-validation mold (Pnueli/Necula): after the pass runs,
 every *applied* rewrite is re-derived from the per-plan memory-effects
 summaries (:mod:`repro.ir.effects`) **alone** — summaries built by the
-verifier's affine-access machinery, not by the passes.  A rewrite the
+verifier's affine-access machinery, not by the pass.  A rewrite the
 validator cannot confirm yields a V610 diagnostic: under ``error`` mode
 the instantiation raises :class:`~repro.core.exceptions.
 TranslationValidationError`; under ``warn`` (the default) the rewrite
@@ -15,7 +14,8 @@ set is undone and the program degrades to unoptimized replay, which is
 always correct.
 
 The same hook runs the program-level hazard analyses on the final node
-sequence — V602 (graph-level dead store spanning launches) and V603
+sequence — V602 (graph-level dead store spanning launches; reported to
+the user, never silently eliminated) and V603
 (reduce-into-aliased-input on a fused node) — and this module also hosts
 the V31x static reduce-operator checker (:func:`verify_reduce_op`),
 which probes a user-supplied combine op for associativity and its
@@ -162,52 +162,17 @@ def _check_fuse(rec: dict) -> Optional[str]:
     return _element_local(a, b)
 
 
-def _check_dse(rec: dict) -> Optional[str]:
-    victim: EffectsSummary = rec["victim"]
-    killer: EffectsSummary = rec["killer"]
-    sid = rec["sid"]
-    if victim.opaque or killer.opaque:
-        return "an endpoint has no trace (opaque effects)"
-    if sid not in victim.write_ids:
-        return "victim does not write the eliminated array"
-    if sid in victim.read_ids:
-        return "victim reads the array its store was dropped from"
-    for s in rec["between"]:
-        if s.opaque or sid in s.read_ids or sid in s.write_ids:
-            return f"intervening node {s.kernel!r} touches the array"
-    if sid not in killer.full_overwrite_ids:
-        return "killer does not provably overwrite the whole array"
-    return None
-
-
-def _check_sink(rec: dict) -> Optional[str]:
-    first: EffectsSummary = rec["first"]
-    sid = rec["sid"]
-    if first.opaque:
-        return "first toucher has no trace (opaque effects)"
-    if sid not in first.full_overwrite_ids:
-        return "first toucher does not provably overwrite the whole array"
-    if sid in first.read_ids:
-        return "first toucher reads the array before the graph defines it"
-    for s in rec["touchers"]:
-        if s.opaque:
-            return f"toucher {s.kernel!r} has no trace (opaque effects)"
-    return None
-
-
-_CHECKERS: dict[str, Callable] = {
-    "fuse": _check_fuse,
-    "dse": _check_dse,
-    "sink": _check_sink,
-}
+#: Rewrite kind → checker.  A table (of one) because the degrade/raise
+#: tests substitute a failing checker through it.
+_CHECKERS: dict[str, Callable] = {"fuse": _check_fuse}
 
 
 def validate_program(prog, record: Optional[Callable] = None) -> list:
     """Re-derive the legality of every applied rewrite on ``prog``.
 
-    ``prog.rewrites`` holds one record per applied pass rewrite, each
-    carrying pre-rewrite :class:`EffectsSummary` snapshots (taken at
-    apply time, so later in-place plan mutations cannot skew them).
+    ``prog.rewrites`` holds one record per applied rewrite, each
+    carrying pre-rewrite :class:`EffectsSummary` snapshots taken at
+    apply time.
     Returns the V610 diagnostics for every rewrite the checkers cannot
     confirm (empty = all confirmed); ``record(kind, confirmed=...,
     rejected=...)`` accounts each decision.
@@ -240,7 +205,7 @@ def validate_program(prog, record: Optional[Callable] = None) -> list:
 def program_diagnostics(prog) -> list:
     """Program-level hazard analyses over the final node sequence.
 
-    V602 — graph-level dead store the pipeline left behind (warning);
+    V602 — graph-level dead store (warning);
     V603 — a fused node's reduction reads arrays the node writes at
     non-identity indices (error).  Works purely on effects summaries.
     """
@@ -249,8 +214,6 @@ def program_diagnostics(prog) -> list:
     labeled = []
     diags = []
     for pn in prog.nodes:
-        if pn.gnode.disabled:
-            continue
         plan = pn.gnode.plan
         summary = plan_effects(plan)
         labeled.append((plan.label, summary))

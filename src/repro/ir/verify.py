@@ -690,10 +690,9 @@ class _Verifier:
             )
 
     def check_lint(self) -> None:
-        # V401: dead stores — shared analysis with the graph pipeline's
-        # DSE pass (repro.ir.deadstore), which fixed this rule's false
-        # positives on guarded stores whose guard an intervening store
-        # could flip.
+        # V401: dead stores (repro.ir.deadstore) — the analysis is
+        # guard-aware: a guarded store whose guard an intervening store
+        # could flip does not kill.
         from .deadstore import trace_dead_stores
 
         stores = self.trace.stores

@@ -35,50 +35,17 @@ Snapshots embed an *epoch*; :func:`reset` (wired into
 ``repro.clear_cache``) bumps it, which invalidates every outstanding
 snapshot conservatively (graphs rebind their prologues instead of
 trusting stale values).
-
-Access guards
--------------
-
-The program-level optimization passes (:mod:`repro.ir.program`) make
-assumptions that hold only while *no launch outside the owning graph*
-touches certain arrays — a sunk intermediate lives in an arena buffer,
-a dead store stays eliminated only while no external reader can see the
-intermediate value.  :func:`guard_ids` registers a callback on a set of
-storage ids; :func:`note_access` (called from the execute stage *before*
-a plan runs, and from ``to_host``) fires every guard whose owner is not
-the currently executing graph (see :func:`suppress_guards`).  Guards are
-one-shot: firing removes the registration, and the callback demotes the
-optimistic optimization back to today's behavior.
 """
 
 from __future__ import annotations
 
-import contextlib
-import contextvars
-import weakref
-from typing import Callable, Iterable
+from typing import Iterable
 
-__all__ = [
-    "note_writes",
-    "note_access",
-    "versions_of",
-    "guard_ids",
-    "unguard",
-    "suppress_guards",
-    "hazards",
-    "reset",
-]
+__all__ = ["note_writes", "versions_of", "hazards", "reset"]
 
 _versions: dict[int, int] = {}
 _epoch = 0
 _clock = 0
-
-# storage id -> list of (weakref-to-owner, callback).  A dead owner
-# (collected graph) just drops its guards at the next touch.
-_guards: dict[int, list] = {}
-_suppressed: contextvars.ContextVar = contextvars.ContextVar(
-    "repro_writes_suppressed_owner", default=None
-)
 
 # Backstop against unbounded growth in long-running processes that churn
 # through many distinct arrays; hitting it just forces prologue rebinds.
@@ -94,79 +61,6 @@ def note_writes(ids: Iterable[int]) -> None:
         _versions[i] = version
     if len(_versions) > _MAX_ENTRIES:  # pragma: no cover - backstop
         reset()
-
-
-def note_access(ids: Iterable[int]) -> None:
-    """Fire guards for any externally-touched storage ids.
-
-    Called *before* the touching operation runs (execute stage, or a
-    ``to_host`` readback) so guard callbacks can materialize optimistic
-    state while the pre-touch contents are still recoverable.  Accesses
-    made by the guard's own owner (the replaying graph, marked via
-    :func:`suppress_guards`) do not fire it.
-    """
-    if not _guards:
-        return
-    current = _suppressed.get()
-    for i in ids:
-        entries = _guards.get(i)
-        if not entries:
-            continue
-        fired = []
-        kept = []
-        for ref, callback in entries:
-            owner = ref()
-            if owner is None:
-                continue  # owner collected; drop the stale guard
-            if owner is current:
-                kept.append((ref, callback))
-            else:
-                fired.append(callback)
-        if kept:
-            _guards[i] = kept
-        else:
-            _guards.pop(i, None)
-        for callback in fired:
-            callback()
-
-
-def guard_ids(ids: Iterable[int], owner: object, callback: Callable[[], None]) -> None:
-    """Register a one-shot external-access guard on storage ids.
-
-    ``callback`` runs (once) when any launch or host readback whose
-    suppression owner is not ``owner`` touches one of ``ids``.  The owner
-    is held weakly; collecting it retires its guards.
-    """
-    ref = weakref.ref(owner)
-    for i in ids:
-        _guards.setdefault(i, []).append((ref, callback))
-
-
-def unguard(owner: object) -> None:
-    """Drop every guard registered by ``owner``."""
-    dead = []
-    for i, entries in _guards.items():
-        kept = [(ref, cb) for ref, cb in entries if ref() is not None and ref() is not owner]
-        if kept:
-            _guards[i] = kept
-        else:
-            dead.append(i)
-    for i in dead:
-        _guards.pop(i, None)
-
-
-@contextlib.contextmanager
-def suppress_guards(owner: object):
-    """Mark accesses in this scope as made *by* ``owner``.
-
-    A replaying graph wraps its node loop in this so its own launches do
-    not trip the guards protecting its own optimizations.
-    """
-    token = _suppressed.set(owner)
-    try:
-        yield
-    finally:
-        _suppressed.reset(token)
 
 
 def hazards(
@@ -204,5 +98,4 @@ def reset() -> None:
     """Forget all versions and invalidate outstanding snapshots."""
     global _epoch
     _versions.clear()
-    _guards.clear()
     _epoch += 1

@@ -6,7 +6,6 @@ from .model import LaunchCost, PerfModel, classify
 from .overheads import OVERHEADS, PortableOverhead, get_overhead
 from .profiles import KERNEL_CLASSES, PROFILES, HardwareProfile, get_profile
 from .report import Panel, Series, ascii_chart, format_table
-from .schedule import ScheduleChoice, choose_workers
 
 __all__ = [
     "KERNEL_CLASSES",
@@ -17,10 +16,8 @@ __all__ = [
     "PerfModel",
     "PortableOverhead",
     "HardwareProfile",
-    "ScheduleChoice",
     "Series",
     "ascii_chart",
-    "choose_workers",
     "classify",
     "format_table",
     "get_overhead",

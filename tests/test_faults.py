@@ -250,6 +250,37 @@ class TestRetryPolicy:
         )
         assert repro.parallel_reduce(100, dot, np.ones(100), np.ones(100)) == 100.0
 
+    def test_scheduled_transient_on_pool_chunk_fires_once(self):
+        # Pool chunks probe with a fixed per-chunk ordinal, so a retry
+        # re-probes the *same* index: the scheduled fault must be
+        # consumed by its first hit, not re-raised until exhaustion.
+        n = 1 << 15
+        y = np.random.default_rng(3).standard_normal(n)
+
+        def run(fault_plan):
+            backend = ThreadsBackend(n_threads=2)  # ≥2 chunks on any host
+            repro.set_backend(backend)
+            repro.set_launch_policy(FAST)
+            repro.set_fault_plan(fault_plan)
+            ctx = repro.current_context()
+            n0 = len(ctx.fault_events)
+            x = np.zeros(n)
+            repro.parallel_for(n, axpy, 1.5, x, y)
+            backend.close()
+            return x, ctx.fault_events[n0:]
+
+        clean, no_events = run(None)
+        plan = FaultPlan(
+            scheduled=[InjectedFault("threads.chunk", 1, "transient")]
+        )
+        faulted, events = run(plan)
+        assert no_events == []
+        assert [(e.site, e.kind, e.action) for e in events] == [
+            ("threads.chunk", "transient", "retry")
+        ]
+        assert plan.injected == [("threads.chunk", 1, "transient", None)]
+        assert np.array_equal(faulted, clean)
+
     def test_backoff_schedule(self):
         policy = LaunchPolicy(backoff_base=0.001, backoff_cap=0.003)
         assert policy.backoff(1) == 0.001

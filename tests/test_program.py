@@ -1,17 +1,16 @@
-"""Program-level dataflow IR and optimization passes (repro.ir.program).
+"""Program-level dataflow IR and global fusion (repro.ir.program).
 
 Three layers:
 
-* unit — def-use graph construction, non-adjacent fusion legality,
-  dead-store elimination with external-reader demotion, allocation
-  sinking with materialization, scheduler determinism, and the shared
-  dead-store analysis behind lint rule V401;
-* acceptance — the CG iteration body where global fusion merges a
-  launch the PR 5 adjacent peephole provably cannot (pass-counter
-  evidence in ``graph_stats()``);
+* unit — the two-valued mode knob, def-use graph construction,
+  non-adjacent fusion legality, the guard-free replay path (external
+  launches and readbacks between replays, V602 as a diagnostic), and
+  the dead-store analysis behind lint rule V401;
+* acceptance — the CG iteration body where global fusion hops a launch
+  over a reduce (pass-counter evidence in ``graph_stats()``);
 * differential — every captured app body (CG, HPCCG, LBM, LBM3D) is
-  **bit-identical** with the pass pipeline off vs on, across all four
-  backend families.
+  **bit-identical** with fusion off vs on, across all four backend
+  families.
 """
 
 import numpy as np
@@ -24,17 +23,18 @@ from repro.apps.lbm import LBM
 from repro.apps.lbm3d import LBM3D
 from repro.core import current_context, parallel_for, parallel_reduce
 from repro.core.exceptions import PreferencesError
-from repro.graph import enabled_passes, graph_stats, reset_graph_stats
+from repro.graph import graph_stats, reset_graph_stats
 from repro.ir.compile import (
     cache_info,
     clear_cache,
     compile_kernel,
     set_executor_mode,
 )
+from repro.ir import writes
 from repro.ir.deadstore import trace_dead_stores
+from repro.ir.diagnostics import KernelVerificationWarning
 from repro.ir.nativecache import resolve_cc
 from repro.ir.verify import verify_kernel
-from repro.perfmodel import PerfModel, choose_workers, get_profile
 
 #: Backend families the differential suite sweeps.
 BACKENDS = ["serial", "threads", "cuda-sim", "multi-sim"]
@@ -61,16 +61,17 @@ def dot(i, x, y):
     return x[i] * y[i]
 
 
-def write_scaled(i, x, t):
-    t[i] = 2.0 * x[i]
+def produce(i, x, t, u):
+    t[i] = 2.0 * x[i]  # dead: ``mirror`` overwrites t before any read
+    u[i] = x[i] + 1.0
 
 
-def overwrite(i, y, t):
-    t[i] = y[i]
+def mirror(i, n, u, t):
+    t[i] = u[n - 1 - i]  # non-identity read of u: cannot fuse with produce
 
 
-def read_into(i, t, out):
-    out[i] = t[i] + 1.0
+def accumulate(i, u, out):
+    out[i] += u[i]
 
 
 def _passes():
@@ -83,27 +84,22 @@ def _passes():
 
 
 class TestPassesKnob:
-    def test_presets(self):
-        assert enabled_passes("all") == (
-            frozenset({"fuse", "dse", "sink", "schedule"}),
-            False,
-        )
-        assert enabled_passes("none") == (frozenset(), False)
-        assert enabled_passes("peephole") == (frozenset({"fuse"}), True)
+    @pytest.mark.parametrize("mode", ["schedule", "peephole", "fuse,dse"])
+    def test_invalid_mode_raises(self, mode):
+        with pytest.raises(PreferencesError, match=r"'all', 'none'"):
+            repro.set_passes_mode(mode)
 
-    def test_comma_list(self):
-        repro.set_passes_mode("fuse,dse")
-        assert enabled_passes() == (frozenset({"fuse", "dse"}), False)
-        assert set(repro.passes_mode().split(",")) == {"fuse", "dse"}
-
-    def test_invalid_mode_raises(self):
-        with pytest.raises(PreferencesError):
-            repro.set_passes_mode("fuse,turbo")
+    @pytest.mark.parametrize("mode", ["peephole", "fuse,dse"])
+    def test_invalid_env_raises(self, monkeypatch, mode):
+        monkeypatch.setenv("PYACC_PASSES", mode)
+        repro.set_passes_mode(None)  # drop the session override
+        with pytest.raises(PreferencesError, match=r"'all', 'none'"):
+            repro.passes_mode()
 
     def test_env_override(self, monkeypatch):
-        monkeypatch.setenv("PYACC_PASSES", "peephole")
+        monkeypatch.setenv("PYACC_PASSES", "none")
         repro.set_passes_mode(None)  # drop the session override
-        assert repro.passes_mode() == "peephole"
+        assert repro.passes_mode() == "none"
 
     def test_mode_reported_in_stats(self):
         repro.set_passes_mode("none")
@@ -157,33 +153,10 @@ class TestProgramConstruction:
 
 
 class TestNonAdjacentFusion:
-    def test_peephole_blocks_global_merges(self):
-        n = 256
-        repro.set_backend("threads")
-        ctx = current_context()
-        x, y = repro.array(np.zeros(n)), repro.array(np.ones(n))
-        z = repro.array(np.full(n, 3.0))
-        u, v = repro.array(np.zeros(n)), repro.array(np.full(n, 2.0))
-
-        def body():
-            parallel_for(n, axpy, 1.0, x, y)
-            parallel_reduce(n, dot, z, z)
-            parallel_for(n, axpy, 1.0, u, v)
-
-        repro.set_passes_mode("peephole")
-        with ctx.capture() as cap:
-            body()
-        inst = cap.graph("t").instantiate(ctx)
-        # The reduce merged into its adjacent for-producer; the trailing
-        # axpy is stuck behind the merged reduce node.
-        assert inst.n_nodes == 2
-        assert _passes()["fuse"]["nonadjacent"] == 0
-        assert _passes()["fuse"]["declined"].get("reduce-producer", 0) >= 1
-
     def test_global_fusion_hops_the_reduce(self):
         n = 256
         repro.set_backend("threads")
-        repro.set_passes_mode("fuse")
+        repro.set_passes_mode("all")
         ctx = current_context()
         x, y = repro.array(np.zeros(n)), repro.array(np.ones(n))
         z = repro.array(np.full(n, 3.0))
@@ -207,7 +180,7 @@ class TestNonAdjacentFusion:
 
     def test_cg_app_nonadjacent_acceptance(self):
         """ISSUE 6 acceptance: the CG update body fuses non-adjacently
-        where the PR 5 peephole could not, bit-identically."""
+        (the x-axpy hops the r·r reduce), bit-identically to unfused."""
         n = 3000
         lower, diag, upper, b = tridiagonal_system(n)
 
@@ -219,205 +192,141 @@ class TestNonAdjacentFusion:
             res = cg_solve(lower, diag, upper, b, tol=1e-10)
             return res, _passes()["fuse"]
 
-        res_p, fuse_p = run("peephole")
+        res_n, fuse_n = run("none")
         res_a, fuse_a = run("all")
-        assert fuse_p["nonadjacent"] == 0
-        assert fuse_p["declined"].get("reduce-producer", 0) >= 1
+        assert fuse_n["applied"] == 0
         assert fuse_a["nonadjacent"] >= 1
-        assert fuse_a["applied"] > fuse_p["applied"]
-        assert np.array_equal(res_p.x, res_a.x)
-        assert res_p.residual_norms == res_a.residual_norms
+        assert np.array_equal(res_n.x, res_a.x)
+        assert res_n.residual_norms == res_a.residual_norms
 
 
 # ---------------------------------------------------------------------------
-# Dead-store elimination
+# The guard-free path: nothing is eliminated, nothing needs demoting
 # ---------------------------------------------------------------------------
 
 
-class TestDeadStoreElimination:
-    def _capture_dead_store(self, ctx, n=128):
-        x = repro.array(np.arange(n, dtype=np.float64))
-        y = repro.array(np.full(n, 7.0))
-        t = repro.array(np.zeros(n))
-        out = repro.array(np.zeros(n))
-        with ctx.capture() as cap:
-            parallel_for(n, write_scaled, x, t)  # dead: killed below
-            parallel_for(n, overwrite, y, t)
-            parallel_for(n, read_into, t, out)
-        return cap, (x, y, t, out)
+class TestGuardFreePath:
+    def test_writes_module_surface(self):
+        assert set(writes.__all__) == {
+            "note_writes",
+            "versions_of",
+            "hazards",
+            "reset",
+        }
 
-    def test_dse_disables_dead_node(self):
-        repro.set_backend("serial")
-        repro.set_passes_mode("dse")
-        ctx = current_context()
-        cap, (x, y, t, out) = self._capture_dead_store(ctx)
-        inst = cap.graph("t").instantiate(ctx)
-        assert _passes()["dse"]["applied"] == 1
-        assert inst.n_nodes == 3
-        assert inst.n_active_nodes == 2
-        inst.replay()
-        assert np.array_equal(repro.to_host(out), np.full(128, 8.0))
-        assert np.array_equal(repro.to_host(t), np.full(128, 7.0))
-
-    def test_dse_external_reader_demotes(self):
-        repro.set_backend("serial")
-        repro.set_passes_mode("dse")
-        ctx = current_context()
-        cap, (x, y, t, out) = self._capture_dead_store(ctx)
-        inst = cap.graph("t").instantiate(ctx)
-        assert inst.n_active_nodes == 2
-        inst.replay()
-        # An uncaptured launch reads t: the access guard trips and the
-        # next replay runs the unoptimized capture.
-        probe = repro.array(np.zeros(128))
-        parallel_for(128, read_into, t, probe)
-        inst.replay()
-        assert inst.n_active_nodes == 3
-        assert _passes()["dse"]["demoted"] >= 1
-        assert np.array_equal(repro.to_host(out), np.full(128, 8.0))
-
-    def test_dse_declines_read_before_kill(self):
-        repro.set_backend("serial")
-        repro.set_passes_mode("dse")
-        ctx = current_context()
-        n = 64
-        x = repro.array(np.ones(n))
-        y = repro.array(np.full(n, 7.0))
-        t = repro.array(np.zeros(n))
-        out = repro.array(np.zeros(n))
-        with ctx.capture() as cap:
-            parallel_for(n, write_scaled, x, t)
-            parallel_for(n, read_into, t, out)  # reads t before the kill
-            parallel_for(n, overwrite, y, t)
-        inst = cap.graph("t").instantiate(ctx)
-        assert _passes()["dse"]["applied"] == 0
-        assert _passes()["dse"]["declined"].get("read-before-kill", 0) >= 1
-        assert inst.n_active_nodes == 3
-
-
-# ---------------------------------------------------------------------------
-# Allocation sinking
-# ---------------------------------------------------------------------------
-
-
-class TestAllocationSinking:
-    def test_sink_applies_on_device_arrays(self):
-        repro.set_backend("cuda-sim")
-        repro.set_passes_mode("sink")
-        ctx = current_context()
-        n = 128
-        x = repro.array(np.arange(n, dtype=np.float64))
-        t = repro.array(np.zeros(n))
-        out = repro.array(np.zeros(n))
-        with ctx.capture() as cap:
-            parallel_for(n, overwrite, x, t)
-            parallel_for(n, read_into, t, out)
-        inst = cap.graph("t").instantiate(ctx)
-        assert _passes()["sink"]["applied"] >= 1
-        inst.replay()
-        # to_host fires the materialization guard before reading: the
-        # leased buffer's contents land back in the real storage.
-        expect = np.arange(n, dtype=np.float64) + 1.0
-        assert np.array_equal(repro.to_host(out), expect)
-        assert np.array_equal(
-            repro.to_host(t), np.arange(n, dtype=np.float64)
-        )
-        assert _passes()["sink"]["demoted"] >= 1
-        # Demotion is permanent but sound: further replays stay exact.
-        inst.replay()
-        assert np.array_equal(repro.to_host(out), expect)
-
-    def test_sink_declines_host_visible_arrays(self):
-        repro.set_backend("threads")  # raw ndarrays in user hands
-        repro.set_passes_mode("sink")
-        ctx = current_context()
-        n = 128
-        x = repro.array(np.ones(n))
-        t = repro.array(np.zeros(n))
-        with ctx.capture() as cap:
-            parallel_for(n, overwrite, x, t)
-        cap.graph("t").instantiate(ctx)
-        assert _passes()["sink"]["applied"] == 0
-        assert _passes()["sink"]["declined"].get("host-visible", 0) >= 1
-
-
-# ---------------------------------------------------------------------------
-# Perfmodel-driven scheduler
-# ---------------------------------------------------------------------------
-
-
-class TestSchedulerPass:
-    def test_choose_workers_deterministic(self):
-        n = 1 << 18
-        ck = compile_kernel(axpy, 1, [2.0, np.zeros(n), np.zeros(n)])
-        model = PerfModel(get_profile("rome"))
-        c1 = choose_workers(model, ck.stats, n, 1, 8)
-        c2 = choose_workers(model, ck.stats, n, 1, 8)
-        assert c1 == c2
-        assert 1 <= c1.workers <= 8
-        assert len(c1.candidates) == 8
-        # The pick is the strict argmin, ties to the smallest count.
-        best = min(t for _, t in c1.candidates)
-        assert c1.predicted == best
-        assert c1.workers == min(w for w, t in c1.candidates if t == best)
-
-    def test_schedule_pass_pins_and_is_stable(self):
+    def test_removed_pass_rows_stay_zero(self):
+        # benchmarks/perf reads these four rows by name on every run.
         repro.set_backend("threads")
-        repro.set_passes_mode("schedule")
+        lower, diag, upper, b = tridiagonal_system(200)
+        cg_solve(lower, diag, upper, b, tol=1e-8)
+        passes = _passes()
+        assert passes["fuse"]["applied"] >= 1
+        for name in ("dse", "sink", "schedule"):
+            assert passes[name] == {"applied": 0, "declined": {}, "demoted": 0}
+
+    def test_dead_store_is_reported_not_eliminated(self):
+        """A store fully overwritten before any read yields V602 at
+        instantiate(); every node still runs, so replay is bit-identical
+        to dispatching the body directly."""
+        n = 128
+        repro.set_backend("serial")
         ctx = current_context()
-        n = 1 << 16
-        x, y = repro.array(np.zeros(n)), repro.array(np.ones(n))
 
-        def capture_once():
-            with ctx.capture() as cap:
-                parallel_for(n, axpy, 2.0, x, y)
-            return cap.graph("t").instantiate(ctx)
+        def fresh_arrays():
+            return (
+                repro.array(np.arange(n, dtype=np.float64)),
+                repro.array(np.zeros(n)),
+                repro.array(np.zeros(n)),
+                repro.array(np.zeros(n)),
+            )
 
-        inst1 = capture_once()
-        inst2 = capture_once()
-        s1 = inst1.nodes[0].plan.schedule
-        s2 = inst2.nodes[0].plan.schedule
-        assert s1.n_chunks == s2.n_chunks
-        assert s1.inline == s2.inline
-        st = _passes()["schedule"]
-        # Either the model repicked the backend's split (declined as
-        # "unchanged") or it pinned a new one — both must be recorded.
-        assert st["applied"] + st["declined"].get("unchanged", 0) >= 2
-        if st["applied"]:
-            assert inst1.nodes[0].plan.schedule_pin is not None
+        def body(x, t, u, out):
+            parallel_for(n, produce, x, t, u)
+            parallel_for(n, mirror, n, u, t)
+            parallel_for(n, accumulate, u, out)
 
-    def test_reduce_declines_fold_order(self):
-        repro.set_backend("threads")
-        repro.set_passes_mode("schedule")
-        ctx = current_context()
-        n = 1 << 16
-        x = repro.array(np.ones(n))
+        arrays = fresh_arrays()
         with ctx.capture() as cap:
-            parallel_reduce(n, dot, x, x)
-        cap.graph("t").instantiate(ctx)
-        st = _passes()["schedule"]
-        assert st["declined"].get("reduce-fold-order", 0) >= 1
-        assert st["applied"] == 0
+            body(*arrays)
+        with pytest.warns(KernelVerificationWarning, match="V602"):
+            inst = cap.graph("t").instantiate(ctx)
+        assert graph_stats()["validate"]["diagnostics"] == {"V602": 1}
+        assert _passes()["fuse"]["applied"] == 1  # accumulate merged
+        assert inst.n_active_nodes == inst.n_nodes == 2
+        inst.replay()
+        inst.replay()
 
-    def test_schedule_differential_bit_identical(self):
-        n = 1 << 16
-        host_off = None
-        for mode in ("none", "schedule"):
+        reference = fresh_arrays()
+        for _ in range(3):
+            body(*reference)
+        for got, want in zip(arrays, reference):
+            assert np.array_equal(repro.to_host(got), repro.to_host(want))
+
+    @pytest.mark.parametrize("backend", ["serial", "threads", "cuda-sim"])
+    def test_external_touches_between_replays(self, backend):
+        """An uncaptured launch and a to_host on a fused graph's arrays
+        between replays need no guard: nothing the graph does is
+        optimistic.  Results match PYACC_GRAPH=off bit for bit."""
+        n = 1 << 15
+        rng = np.random.default_rng(5)
+        init = rng.standard_normal((4, n))
+
+        def run(graphs):
+            clear_cache()
+            repro.set_backend(backend)
+            ctx = current_context()
+            x, y, u, v = (repro.array(row) for row in init)
+
+            def body():
+                parallel_for(n, axpy, 0.5, x, y)
+                s = parallel_reduce(n, dot, x, x)
+                parallel_for(n, axpy, -0.25, u, v)
+                return s
+
+            if graphs:
+                with ctx.capture() as cap:
+                    sums = [body()]
+                inst = cap.graph("t").instantiate(
+                    ctx, return_convention=("single", 1)
+                )
+                assert inst.n_nodes == 1  # fully fused
+                step = inst.replay
+            else:
+                sums = [body()]
+                step = body
+            sums.append(step())
+            parallel_for(n, axpy, 2.0, x, u)  # external writer + reader
+            seen = repro.to_host(x).copy()  # external readback
+            sums.append(step())
+            return sums, seen, repro.to_host(x).copy(), repro.to_host(u).copy()
+
+        on = run(True)
+        off = run(False)
+        assert on[0] == off[0]
+        for a, b in zip(on[1:], off[1:]):
+            assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("executor", ["codegen", "native"])
+    def test_hpccg_32_threads_matches_graphs_off(self, executor):
+        """32^3 sits at the threads backend's inline threshold — the one
+        size where a perfmodel schedule pin used to land."""
+        if executor == "native" and resolve_cc() is None:
+            pytest.skip("no C compiler on host")
+        a, b, _ = build_27pt_problem(32, 32, 32)
+        set_executor_mode(executor)
+
+        def run(graph_mode):
             clear_cache()
             repro.set_backend("threads")
-            repro.set_passes_mode(mode)
-            ctx = current_context()
-            x, y = repro.array(np.zeros(n)), repro.array(np.ones(n))
-            with ctx.capture() as cap:
-                parallel_for(n, axpy, 1.5, x, y)
-            inst = cap.graph("t").instantiate(ctx)
-            for _ in range(3):
-                inst.replay()
-            host = repro.to_host(x)
-            if host_off is None:
-                host_off = host
-            else:
-                assert np.array_equal(host, host_off)
+            repro.set_graph_mode(graph_mode)
+            return hpccg_solve(a, b, tol=1e-8)
+
+        on = run("on")
+        assert _passes()["fuse"]["applied"] >= 1
+        off = run("off")
+        assert np.array_equal(on.x, off.x)
+        assert on.iterations == off.iterations
+        assert on.residual_norms == off.residual_norms
 
 
 # ---------------------------------------------------------------------------
@@ -546,15 +455,13 @@ class TestDifferential:
 
 
 # ---------------------------------------------------------------------------
-# Native executor × pass pipeline
+# Native executor × fusion
 # ---------------------------------------------------------------------------
 
 
 class TestNativeExecutorDifferential:
-    """The pass pipeline (fusion, DSE, sinking, scheduling) composes
-    with the native rung: passes-on under the native executor is
-    bit-identical to passes-on under codegen — including DSE's
-    re-lowering of the store-pruned trace."""
+    """Global fusion composes with the native rung: passes-on under the
+    native executor is bit-identical to passes-on under codegen."""
 
     @pytest.mark.skipif(
         resolve_cc() is None, reason="no C compiler on host"

@@ -240,12 +240,8 @@ class TestValidatorOnApps:
                 )
                 runner()
         st = graph_stats()["validate"]
-        confirmed = sum(
-            st[k]["confirmed"] for k in ("fuse", "dse", "sink")
-        )
-        rejected = sum(
-            st[k]["rejected"] for k in ("fuse", "dse", "sink")
-        )
+        confirmed = st["fuse"]["confirmed"]
+        rejected = st["fuse"]["rejected"]
         assert st["programs"] >= 1
         if rewrites_expected:
             assert confirmed >= 1  # the pipeline did rewrite something
@@ -363,9 +359,7 @@ class TestValidatorRejectsUnsound:
             with pytest.warns(KernelVerificationWarning, match="V610"):
                 inst = graph.instantiate(ctx)
         # degraded: both nodes survive unfused and replay stays correct
-        enabled = [
-            pn for pn in inst.program.nodes if not pn.gnode.disabled
-        ]
+        enabled = inst.program.nodes
         assert len(enabled) == 2
         st = graph_stats()["validate"]
         assert st["degraded"] == 1
