@@ -103,7 +103,7 @@ from ..core.exceptions import (
     PermanentDeviceError,
     WorkerLostError,
 )
-from ..core.launch import cpu_chunks
+from ..core.launch import cpu_chunks, usable_cpus
 from ..core.plan import LaunchPlan, LaunchSchedule
 from ..ir.vectorizer import IndexDomain
 
@@ -126,9 +126,10 @@ _SHARD_TIMEOUT = 60.0
 
 
 def default_num_workers() -> int:
-    """Worker count: ``PYACC_CLUSTER_WORKERS`` or a small multiple of the
-    machine (at least 2 — a one-worker cluster has nothing to shard,
-    and oversubscription only costs scheduling, not correctness)."""
+    """Worker count: ``PYACC_CLUSTER_WORKERS`` or the CPUs this process
+    may use, clamped to 2..8 (at least 2 — a one-worker cluster has
+    nothing to shard, and oversubscription only costs scheduling, not
+    correctness)."""
     env = os.environ.get(_ENV_WORKERS)
     if env:
         try:
@@ -140,7 +141,7 @@ def default_num_workers() -> int:
         if n <= 0:
             raise ValueError(f"{_ENV_WORKERS} must be positive, got {n}")
         return n
-    return max(2, min(8, os.cpu_count() or 1))
+    return max(2, min(8, usable_cpus()))
 
 
 # ---------------------------------------------------------------------------
@@ -317,7 +318,7 @@ def _worker_run_shard(spec: dict, segments: dict, fns: dict, arena) -> Optional[
         fns[token] = fn
     is_reduce = spec["construct"] == "reduce"
     kernel = compile_kernel(fn, spec["ndim"], args, reduce=is_reduce)
-    dom = IndexDomain(spec["ranges"])
+    dom = IndexDomain.of(spec["ranges"])
     if is_reduce:
         return float(kernel.run_reduce(dom, args, spec["op"], arena))
     kernel.run_for(dom, args, arena)
@@ -927,18 +928,17 @@ class ClusterBackend(Backend):
         cross processes), or a single-worker set.
         """
         dims = plan.dims
-        lanes = int(np.prod(dims))
         width = self._target_width()
         if (
             width <= 1
-            or lanes < self.min_parallel_size
+            or plan.lanes < self.min_parallel_size
             or plan.kernel is None
             or plan.kernel.trace is None
         ):
             return LaunchSchedule(domains=(IndexDomain.full(dims),), inline=True)
         chunks = self._chunks(dims, width)
         tail = [(0, d) for d in dims[1:]]
-        domains = tuple(IndexDomain([(lo, hi)] + tail) for lo, hi in chunks)
+        domains = tuple(IndexDomain.of([(lo, hi)] + tail) for lo, hi in chunks)
         halo = _halo_schedule(plan, chunks)
         return LaunchSchedule(domains=domains, inline=False, halo=halo)
 

@@ -100,7 +100,7 @@ class GpuSimBackend(Backend):
 
         kernel, args = plan.kernel, plan.resolved_args
         (domain,) = plan.schedule.domains
-        lanes = int(np.prod(plan.dims))
+        lanes = plan.lanes
         dev = self.device
         fplan = _faults.active_plan()
         if not plan.is_reduce:

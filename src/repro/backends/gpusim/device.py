@@ -17,6 +17,7 @@ the native code shape identical to the vendor APIs (``CUDA.@sync`` etc.).
 
 from __future__ import annotations
 
+import math
 from typing import Any, Optional, Sequence
 
 import numpy as np
@@ -237,7 +238,7 @@ class Device:
         kernel = compile_kernel(fn, len(dims), kargs, reduce=False)
         kernel.run_for(IndexDomain.full(dims), kargs)
         self._charge_kernel(
-            kernel, int(np.prod(dims)), len(dims), getattr(fn, "__name__", "kernel")
+            kernel, math.prod(dims), len(dims), getattr(fn, "__name__", "kernel")
         )
 
     # -- the Fig. 3 two-kernel reduction, as native primitives -------------
@@ -260,7 +261,7 @@ class Device:
         dims = tuple(int(d) for d in dims)
         kargs = self.resolve_args(args)
         kernel = compile_kernel(fn, len(dims), kargs, reduce=True)
-        lanes = int(np.prod(dims))
+        lanes = math.prod(dims)
         n_blocks = max(1, -(-lanes // block))
         if kernel.native is not None:
             # Native rung: the compiled C loop fills the per-lane value

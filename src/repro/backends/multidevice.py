@@ -155,7 +155,8 @@ class MultiDeviceBackend(Backend):
             chunks.append((end, end))
         tail = [(0, d) for d in dims[1:]]
         return [
-            IndexDomain([(lo + c_lo, lo + c_hi)] + tail) for c_lo, c_hi in chunks
+            IndexDomain.of([(lo + c_lo, lo + c_hi)] + tail)
+            for c_lo, c_hi in chunks
         ]
 
     def schedule_epoch(self) -> int:

@@ -23,8 +23,8 @@ Reductions fold per-chunk partials with the requested operation; addition
 of float64 partials is associative-enough for the paper's tolerance and is
 exactly what ``Threads.@threads`` + per-thread accumulators does.
 
-Worker count comes from ``PYACC_NUM_THREADS`` (default: ``os.cpu_count``),
-mirroring ``JULIA_NUM_THREADS``.  Domains smaller than
+Worker count comes from ``PYACC_NUM_THREADS`` (default: the CPUs this
+process may run on), mirroring ``JULIA_NUM_THREADS``.  Domains smaller than
 ``min_parallel_size`` run inline — forking threads for a 1000-element
 AXPY only measures pool overhead, on this machine and in the paper alike.
 
@@ -43,7 +43,7 @@ import numpy as np
 
 from ..core.backend import Backend
 from ..core.exceptions import PermanentDeviceError
-from ..core.launch import cpu_chunks
+from ..core.launch import cpu_chunks, usable_cpus
 from ..core.plan import LaunchPlan, LaunchSchedule
 from ..ir.vectorizer import IndexDomain
 from ..perfmodel import PerfModel, get_overhead, get_profile
@@ -54,7 +54,8 @@ _ENV_THREADS = "PYACC_NUM_THREADS"
 
 
 def default_num_threads() -> int:
-    """Worker count: ``PYACC_NUM_THREADS`` or the machine's CPU count."""
+    """Worker count: ``PYACC_NUM_THREADS`` or the CPUs this process may
+    use (:func:`repro.core.launch.usable_cpus`)."""
     env = os.environ.get(_ENV_THREADS)
     if env:
         try:
@@ -66,7 +67,7 @@ def default_num_threads() -> int:
         if n <= 0:
             raise ValueError(f"{_ENV_THREADS} must be positive, got {n}")
         return n
-    return os.cpu_count() or 1
+    return usable_cpus()
 
 
 class ThreadsBackend(Backend):
@@ -123,7 +124,7 @@ class ThreadsBackend(Backend):
     def _domains(self, dims: tuple[int, ...]) -> list[IndexDomain]:
         chunks = cpu_chunks(dims, self.n_threads)
         tail = [(0, d) for d in dims[1:]]
-        return [IndexDomain([(lo, hi)] + tail) for lo, hi in chunks]
+        return [IndexDomain.of([(lo, hi)] + tail) for lo, hi in chunks]
 
     def schedule(self, plan: LaunchPlan) -> LaunchSchedule:
         """Coarse decomposition decision, recorded on the plan.
@@ -135,10 +136,9 @@ class ThreadsBackend(Backend):
         schedule).
         """
         dims = plan.dims
-        lanes = int(np.prod(dims))
         if (
             self.n_threads == 1
-            or lanes < self.min_parallel_size
+            or plan.lanes < self.min_parallel_size
             or plan.kernel.trace is None  # interpreter fallback stays inline
         ):
             return LaunchSchedule(domains=(IndexDomain.full(dims),), inline=True)
@@ -149,7 +149,7 @@ class ThreadsBackend(Backend):
 
         self.accounting.n_kernel_launches += 1
         kernel, args, op = plan.kernel, plan.resolved_args, plan.op
-        lanes = int(np.prod(plan.dims))
+        lanes = plan.lanes
         cost = (
             self.model.reduce_cost(kernel.stats, lanes, plan.ndim)
             if plan.is_reduce

@@ -18,6 +18,7 @@ thread" property, mirrored layout (documented deviation).
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -36,6 +37,17 @@ __all__ = [
 DEFAULT_TILE_2D = 16
 #: Per-axis 3-D block edge (JACC.jl upstream).
 DEFAULT_TILE_3D = 8
+
+
+def usable_cpus() -> int:
+    """CPUs this process may actually run on: the affinity mask / cpuset
+    where the platform exposes one (a container limited to 2 of 64 cores
+    should start 2 workers, not 64), else the machine's CPU count."""
+    if hasattr(os, "process_cpu_count"):  # Python >= 3.13
+        return os.process_cpu_count() or 1
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0)) or 1
+    return os.cpu_count() or 1
 
 
 @dataclass(frozen=True)

@@ -23,6 +23,7 @@ user-facing half — the return value of ``repro.launch(..., sync=False)``.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Callable, Optional
 
@@ -150,6 +151,11 @@ class LaunchPlan:
     @property
     def ndim(self) -> int:
         return len(self.dims)
+
+    @property
+    def lanes(self) -> int:
+        """Total iteration count of the launch domain."""
+        return math.prod(self.dims)
 
     def full_domain(self) -> IndexDomain:
         """The whole launch domain as one :class:`IndexDomain`."""

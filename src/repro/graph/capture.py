@@ -459,24 +459,26 @@ class LaunchGraph:
 
         # Pre-size the arena: per node, each schedule chunk opens one
         # frame drawing one buffer per certified ``out=`` dtype of the
-        # chunk's domain shape; nodes run sequentially, so the pool
-        # only needs the *largest* per-node requirement per
+        # current tile's shape (a chunk's tiles run one after another
+        # and recycle the frame's buffers); nodes run sequentially, so
+        # the pool only needs the *largest* per-node requirement per
         # (shape, dtype) key.
         need: dict[tuple, int] = {}
         for node in nodes:
             kernel = node.plan.kernel
             if kernel is None or kernel.codegen is None:
                 continue
+            dtypes = list(kernel.codegen.out_dtypes)
+            if kernel.native is not None and kernel.native.has_result:
+                # The native reduce leases one float64 value buffer
+                # per tile (the C loop fills it, NumPy folds it).
+                dtypes.append(np.dtype(np.float64))
             per_node: dict[tuple, int] = {}
             for dom in node.plan.schedule.domains:
-                for dt in kernel.codegen.out_dtypes:
-                    key = (dom.shape, dt)
-                    per_node[key] = per_node.get(key, 0) + 1
-                if kernel.native is not None and kernel.native.has_result:
-                    # The native reduce leases one float64 value buffer
-                    # per chunk (the C loop fills it, NumPy folds it).
-                    key = (dom.shape, np.dtype(np.float64))
-                    per_node[key] = per_node.get(key, 0) + 1
+                for shape in {tile.shape for tile in dom.tiles}:
+                    for dt in dtypes:
+                        key = (shape, dt)
+                        per_node[key] = per_node.get(key, 0) + 1
             for key, count in per_node.items():
                 need[key] = max(need.get(key, 0), count)
         reserve_items = [

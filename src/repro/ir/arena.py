@@ -17,11 +17,12 @@ Design
   ``CompiledKernel.run_for`` calls made outside any context.
 * A launch acquires buffers through an :class:`ArenaFrame` and releases
   them all when the launch finishes.  The threads backend opens **one
-  frame per worker chunk**: frames draw from the shared pool under the
-  arena lock, but a buffer belongs to exactly one frame while in flight,
-  so chunked execution shares nothing (the verifier's V101/V102 analysis
-  already guarantees chunk independence at the kernel level; the arena
-  preserves it at the allocator level).
+  frame per worker chunk** (a chunk's tiles share it through a
+  :class:`ChunkArena`, recycling tile-sized buffers): frames draw from
+  the shared pool under the arena lock, but a buffer belongs to exactly
+  one frame while in flight, so chunked execution shares nothing (the
+  verifier's V101/V102 analysis already guarantees chunk independence at
+  the kernel level; the arena preserves it at the allocator level).
 * Statistics (buffers created/reused, bytes saved) are kept per arena and
   aggregated process-wide for the bench harness's ``--json`` output.
 * Arenas, frames, and the aggregate counters are **process-local**.  A
@@ -230,6 +231,29 @@ class ScratchArena:
         """Drop pooled buffers (tests / memory pressure)."""
         with self._lock:
             self._pools.clear()
+
+
+class ChunkArena:
+    """The arena as the tiles of one chunk see it: one shared frame.
+
+    A chunk larger than a tile runs its program once per tile (see
+    :attr:`repro.ir.vectorizer.IndexDomain.tiles`).  The first tile that
+    asks opens the chunk's frame — one ``arena.frame`` fault probe per
+    chunk, exactly as without tiling — and later tiles re-enter it; each
+    program still releases its buffers when its tile is done, so the next
+    tile draws the same cache-warm buffers back.
+    """
+
+    __slots__ = ("_arena", "_frame")
+
+    def __init__(self, arena: Optional[ScratchArena]):
+        self._arena = resolve(arena)
+        self._frame: Optional[ArenaFrame] = None
+
+    def frame(self) -> ArenaFrame:
+        if self._frame is None:
+            self._frame = self._arena.frame()
+        return self._frame
 
 
 #: Fallback arena for kernel executions issued outside any execution

@@ -67,7 +67,12 @@ from .nativecache import (
     record_decline,
 )
 from .shapes import Lattice, _static_identity
-from .vectorizer import IndexDomain
+from .vectorizer import (
+    _check_reduce,
+    _fold_lanes,
+    _REDUCE_IDENTITY,
+    IndexDomain,
+)
 
 __all__ = [
     "NativeLoweringError",
@@ -662,8 +667,6 @@ class _NativeLowering:
 # Runtime wrapper
 # ---------------------------------------------------------------------------
 
-_REDUCE_IDENTITY = {"add": 0.0, "min": float(np.inf), "max": float(-np.inf)}
-
 _I32_MIN, _I32_MAX = -(2**31), 2**31 - 1
 _I64_MIN, _I64_MAX = -(2**63), 2**63 - 1
 
@@ -753,7 +756,10 @@ class NativeKernel:
         self._bounds_t = ctypes.c_int64 * (2 * self.ndim)
 
     # -- pre-flight --------------------------------------------------------
-    def _preflight(self, domain: IndexDomain, args: Sequence[Any]) -> None:
+    def preflight(self, domain: IndexDomain, args: Sequence[Any]) -> None:
+        """Raise :class:`NativeDeclined` when this call violates a baked-in
+        assumption.  Side-effect free, and monotone in ``domain``: a
+        sub-box of a box that passed also passes."""
         if domain.ndim != self.ndim:
             raise NativeDeclined("domain-rank")
         for pos in self._arr_order:
@@ -839,7 +845,7 @@ class NativeKernel:
         args: Sequence[Any],
         arena: Optional[ScratchArena] = None,
     ) -> None:
-        self._preflight(domain, args)
+        self.preflight(domain, args)
         self._call(domain, args, None)
 
     def evaluate_values(
@@ -854,7 +860,7 @@ class NativeKernel:
             raise KernelExecutionError(
                 "kernel returns no value on any path"
             )
-        self._preflight(domain, args)
+        self.preflight(domain, args)
         buf = np.empty(domain.shape, dtype=np.float64)
         self._call(domain, args, buf)
         return buf
@@ -866,15 +872,10 @@ class NativeKernel:
         op: str = "add",
         arena: Optional[ScratchArena] = None,
     ) -> float:
-        if not self.has_result:
-            raise KernelExecutionError(
-                "parallel_reduce kernel did not return a value on any path"
-            )
-        if op not in _REDUCE_IDENTITY:
-            raise KernelExecutionError(f"unsupported reduction op {op!r}")
+        _check_reduce(self.has_result, op)
         if domain.size == 0:
             return _REDUCE_IDENTITY[op]
-        self._preflight(domain, args)
+        self.preflight(domain, args)
         # Per-lane values land in an arena-leased float64 buffer (raw
         # pointer handed to C); the fold is NumPy's — same pairwise sum,
         # same bits as the codegen/vector rungs.
@@ -882,11 +883,7 @@ class NativeKernel:
         try:
             buf = frame.take(domain.shape, np.float64)
             self._call(domain, args, buf)
-            if op == "add":
-                return float(buf.sum())
-            if op == "min":
-                return float(buf.min())
-            return float(buf.max())
+            return _fold_lanes(buf, domain.shape, op)
         finally:
             frame.release()
 

@@ -63,9 +63,12 @@ from .vectorizer import (
     _as_index_array,
     _BIN_FUNCS,
     _BOOL_FUNCS,
+    _check_reduce,
     _clamp_index,
     _CMP_FUNCS,
+    _fold_lanes,
     _gather,
+    _REDUCE_IDENTITY,
     _UN_FUNCS,
     IndexDomain,
 )
@@ -541,9 +544,6 @@ def seed_code(source: str, filename: str, code) -> None:
     _CODE_CACHE[(source, filename)] = code
 
 
-_REDUCE_IDENTITY = {"add": 0.0, "min": float(np.inf), "max": float(-np.inf)}
-
-
 def _bind_out_dtypes(namespace: dict, out_dtypes: Sequence[np.dtype]) -> None:
     """Bind ``_od{k}`` dtype constants for the generated arena draws.
 
@@ -612,33 +612,16 @@ class CodegenProgram:
         op: str = "add",
         arena: Optional[ScratchArena] = None,
     ) -> float:
-        if not self.has_result:
-            raise KernelExecutionError(
-                "parallel_reduce kernel did not return a value on any path"
-            )
+        _check_reduce(self.has_result, op)
         if domain.size == 0:
-            try:
-                return _REDUCE_IDENTITY[op]
-            except KeyError:
-                raise KernelExecutionError(
-                    f"unsupported reduction op {op!r}"
-                ) from None
+            return _REDUCE_IDENTITY[op]
         # The fold reads ``values`` (possibly an arena buffer) — the frame
         # is released only after the fold so no concurrent launch can
         # recycle the buffer mid-reduction.
         frame = _resolve_arena(arena).frame()
         try:
             values = self._fn(args, domain, frame.take)
-            values = np.asarray(values, dtype=np.float64)
-            if values.shape != domain.shape:
-                values = np.broadcast_to(values, domain.shape)
-            if op == "add":
-                return float(values.sum())
-            if op == "min":
-                return float(values.min())
-            if op == "max":
-                return float(values.max())
-            raise KernelExecutionError(f"unsupported reduction op {op!r}")
+            return _fold_lanes(values, domain.shape, op)
         finally:
             frame.release()
 
@@ -689,9 +672,9 @@ class HoistedProgram:
     generated line whose transitive inputs are replay-invariant — index
     arithmetic, loads from constant arrays (an ELL matrix's
     ``cols``/``vals``), gather-index clamps — moves into a *prologue*
-    that runs **once per (instantiation, schedule chunk)**; replays
-    execute only the variant remainder against the cached prologue
-    values.  The CUDA-Graphs analogue is address pre-binding: the graph
+    that runs **once per (instantiation, tile of a schedule chunk)**;
+    replays execute only the variant remainder against the cached
+    prologue values.  The CUDA-Graphs analogue is address pre-binding: the graph
     re-launches with operand addresses (here: index arrays and constant
     operands) already resolved.
 
@@ -703,9 +686,11 @@ class HoistedProgram:
 
     Drop-in for :class:`CodegenProgram` (same ``run_for``/``run_reduce``/
     ``n_out_buffers`` surface), so frozen plans execute through every
-    backend unchanged.  Prologue values are cached per chunk-domain
-    *object* (the cache pins the domain, so ids cannot recycle); a
-    re-schedule after device loss simply misses and re-binds.
+    backend unchanged.  Prologue values are cached per executed domain
+    *object* — a tile of a scheduled chunk; domains and their tiles are
+    shared instances (:meth:`IndexDomain.of`), and the cache pins the
+    domain, so ids cannot recycle; a re-schedule after device loss
+    simply misses and re-binds.
     """
 
     __slots__ = (
@@ -775,7 +760,10 @@ class HoistedProgram:
         bufs = tuple(
             np.empty(domain.shape, dtype=dt) for dt in self.out_dtypes
         )
-        if len(self._pre_cache) > 16:  # re-schedule churn guard
+        # Re-schedule churn guard.  One entry per *tile* of every
+        # scheduled chunk, so the bound is in tiles: 2^10 of them pin at
+        # most what one 2^26-lane domain's prologue values occupy.
+        if len(self._pre_cache) > 1024:
             self._pre_cache.clear()
         self._pre_cache[id(domain)] = (domain, pre, bufs)
         return pre, bufs
@@ -796,29 +784,12 @@ class HoistedProgram:
         op: str = "add",
         arena: Optional[ScratchArena] = None,
     ) -> float:
-        if not self.has_result:
-            raise KernelExecutionError(
-                "parallel_reduce kernel did not return a value on any path"
-            )
+        _check_reduce(self.has_result, op)
         if domain.size == 0:
-            try:
-                return _REDUCE_IDENTITY[op]
-            except KeyError:
-                raise KernelExecutionError(
-                    f"unsupported reduction op {op!r}"
-                ) from None
+            return _REDUCE_IDENTITY[op]
         pre, bufs = self._pre_for(domain, args)
         values = self._fn(args, domain, bufs, pre)
-        values = np.asarray(values, dtype=np.float64)
-        if values.shape != domain.shape:
-            values = np.broadcast_to(values, domain.shape)
-        if op == "add":
-            return float(values.sum())
-        if op == "min":
-            return float(values.min())
-        if op == "max":
-            return float(values.max())
-        raise KernelExecutionError(f"unsupported reduction op {op!r}")
+        return _fold_lanes(values, domain.shape, op)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

@@ -23,6 +23,7 @@ trace-cache ablation benchmark.
 
 from __future__ import annotations
 
+import functools
 import threading
 from dataclasses import dataclass, field
 from typing import Any, Callable, Optional, Sequence
@@ -38,15 +39,16 @@ from ..core.exceptions import (
 from ..core.preferences import EXECUTOR_MODES, resolve_executor_mode
 from . import compilecache
 from . import nodes as N
-from .arena import ScratchArena
+from .arena import ChunkArena, ScratchArena
 from . import writes
 from .cgen import NativeDeclined, NativeKernel, try_lower_native
 from .codegen import CodegenError, CodegenProgram, lower_trace
 from .interpreter import interpret_for, interpret_reduce
+from .nativecache import record_decline
 from .optimize import optimize_trace
 from .stats import TraceStats, analyze
 from .tracer import trace_kernel
-from .vectorizer import IndexDomain, execute_trace, reduce_trace
+from .vectorizer import _BIN_FUNCS, IndexDomain, execute_trace, reduce_trace
 
 __all__ = [
     "CompiledKernel",
@@ -117,7 +119,10 @@ class CompiledKernel:
 
         ``arena`` supplies scratch buffers to the generated program
         (ignored by the IR-walk and interpreter tiers); ``None`` uses the
-        process-default arena.
+        process-default arena.  The trace-based rungs run
+        ``domain.tiles`` one after another so their temporaries stay
+        cache-resident; the native C loop has no temporaries and takes
+        the whole chunk in one call.
         """
         if self.native is not None:
             try:
@@ -127,15 +132,18 @@ class CompiledKernel:
                 # Per-call ineligibility (aliasing, extent, dtype drift):
                 # record and fall through to the codegen program — the
                 # pre-flight ran before any side effect.
-                from .nativecache import record_decline
-
                 record_decline(exc.reason)
-        if self.codegen is not None:
-            self.codegen.run_for(domain, args, arena)
-        elif self.trace is not None:
-            execute_trace(self.trace, domain, args)
-        else:
+        if self.trace is None:
             interpret_for(self.fn, domain, args)
+            return
+        program, tiles = self.codegen, domain.tiles
+        if len(tiles) > 1:
+            arena = ChunkArena(arena)
+        for tile in tiles:
+            if program is not None:
+                program.run_for(tile, args, arena)
+            else:
+                execute_trace(self.trace, tile, args)
 
     def run_reduce(
         self,
@@ -144,19 +152,36 @@ class CompiledKernel:
         op: str = "add",
         arena: Optional[ScratchArena] = None,
     ) -> float:
-        """Execute as a ``parallel_reduce`` body over ``domain``."""
+        """Execute as a ``parallel_reduce`` body over ``domain``.
+
+        Every trace-based rung reduces ``domain.tiles`` one by one and
+        the partials are folded with ``op`` in tile order, so the rungs
+        agree bitwise on domains of any size.
+        """
+        if self.trace is None:
+            return interpret_reduce(self.fn, domain, args, op)
+        program = self.codegen
         if self.native is not None:
             try:
-                return self.native.run_reduce(domain, args, op, arena)
+                # Once per chunk, before any tile has run.
+                self.native.preflight(domain, args)
+                program = self.native
             except NativeDeclined as exc:
-                from .nativecache import record_decline
-
                 record_decline(exc.reason)
-        if self.codegen is not None:
-            return self.codegen.run_reduce(domain, args, op, arena)
-        if self.trace is not None:
-            return reduce_trace(self.trace, domain, args, op)
-        return interpret_reduce(self.fn, domain, args, op)
+        tiles = domain.tiles
+        if len(tiles) > 1:
+            arena = ChunkArena(arena)
+        partials = [
+            program.run_reduce(tile, args, op, arena)
+            if program is not None
+            else reduce_trace(self.trace, tile, args, op)
+            for tile in tiles
+        ]
+        if len(partials) == 1:
+            return partials[0]
+        # The ufunc the kernel IR itself uses for ``op``: NaN-propagating
+        # for min/max, like the per-tile ``np.min``/``np.max``.
+        return float(functools.reduce(_BIN_FUNCS[op], partials))
 
 
 def _scalar_value(a: Any) -> Any:

@@ -79,6 +79,37 @@ class TestThreadsConfig:
         with pytest.raises(ValueError):
             default_num_threads()
 
+    def test_default_honours_affinity_mask(self, monkeypatch):
+        # A cpuset-limited container: 64 CPUs on the machine, 3 usable.
+        import os
+
+        from repro.backends.cluster import default_num_workers
+
+        monkeypatch.delenv("PYACC_NUM_THREADS", raising=False)
+        monkeypatch.delenv("PYACC_CLUSTER_WORKERS", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 64)
+        monkeypatch.delattr(os, "process_cpu_count", raising=False)
+        monkeypatch.setattr(
+            os, "sched_getaffinity", lambda pid: {0, 5, 9}, raising=False
+        )
+        assert default_num_threads() == 3
+        assert ThreadsBackend().n_threads == 3
+        assert default_num_workers() == 3
+        monkeypatch.setattr(os, "process_cpu_count", lambda: 2, raising=False)
+        assert default_num_threads() == 2  # 3.13+: the interpreter's own count
+        monkeypatch.setenv("PYACC_NUM_THREADS", "7")
+        monkeypatch.setenv("PYACC_CLUSTER_WORKERS", "5")
+        assert (default_num_threads(), default_num_workers()) == (7, 5)
+
+    def test_default_without_affinity_support(self, monkeypatch):
+        import os
+
+        monkeypatch.delenv("PYACC_NUM_THREADS", raising=False)
+        monkeypatch.delattr(os, "process_cpu_count", raising=False)
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 6)
+        assert default_num_threads() == 6
+
     def test_explicit_count(self):
         b = ThreadsBackend(n_threads=3)
         assert b.n_threads == 3
