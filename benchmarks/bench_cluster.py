@@ -92,6 +92,8 @@ def run_cluster_bench(n=LBM_N, steps=STEPS, reps=3, n_workers=2,
     cores = _cores()
     timings = {"n": n, "steps": steps, "workers": n_workers}
 
+    # The gates and BENCH_cluster.json were recorded at the codegen rung.
+    repro.set_executor_mode("codegen")
     repro.set_backend("serial")
     timings["serial"] = _time_per_step(n, steps, reps)
 
@@ -131,6 +133,7 @@ def run_cluster_bench(n=LBM_N, steps=STEPS, reps=3, n_workers=2,
         faults.set_fault_plan(None)
         backend.close()
         repro.set_backend("serial")
+        repro.set_executor_mode(None)
 
     gates = {
         "speedup_gate": SPEEDUP_GATE,

@@ -22,6 +22,7 @@ from typing import Any, Optional
 
 import numpy as np
 
+from .. import faults as _faults
 from ..core.backend import Backend
 from ..core.plan import LaunchPlan
 from ..ir.interpreter import interpret_for, interpret_reduce
@@ -49,8 +50,6 @@ class SerialBackend(Backend):
         return raw() if raw is not None else np.asarray(arr)
 
     def execute(self, plan: LaunchPlan) -> Optional[float]:
-        from .. import faults as _faults
-
         self.accounting.n_kernel_launches += 1
         (domain,) = plan.schedule.domains
 

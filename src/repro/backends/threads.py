@@ -41,6 +41,7 @@ from typing import Any, Optional
 
 import numpy as np
 
+from .. import faults as _faults
 from ..core.backend import Backend
 from ..core.exceptions import PermanentDeviceError
 from ..core.launch import cpu_chunks, usable_cpus
@@ -145,8 +146,6 @@ class ThreadsBackend(Backend):
         return LaunchSchedule(domains=tuple(self._domains(dims)), inline=False)
 
     def execute(self, plan: LaunchPlan) -> Optional[float]:
-        from .. import faults as _faults
-
         self.accounting.n_kernel_launches += 1
         kernel, args, op = plan.kernel, plan.resolved_args, plan.op
         lanes = plan.lanes

@@ -31,6 +31,7 @@ from typing import Any, Callable, Union
 
 import numpy as np
 
+from .. import faults
 from ..ir import writes
 from ..ir.compile import compile_kernel
 from ..ir.verify import active_verify_mode, verify_launch
@@ -175,8 +176,6 @@ def _execute(plan: LaunchPlan, ctx: ExecutionContext) -> LaunchPlan:
     """Stage 4: account the dispatch, fire hooks, and hand the plan to
     the backend's narrowed ``execute`` entry point (with the launch
     policy's permanent-failure failover ladder around it)."""
-    from .. import faults
-
     backend = plan.backend
     if plan.is_reduce:
         backend.accounting.n_reduce += 1

@@ -29,6 +29,7 @@ import numpy as np
 
 from ..ir.compile import CompiledKernel
 from ..ir.vectorizer import IndexDomain
+from .context import current_context
 from .plan import LaunchPlan, LaunchSchedule
 
 __all__ = ["Accounting", "Backend", "normalize_dims"]
@@ -207,8 +208,6 @@ class Backend(ABC):
         # Native paths skip the resolve stage; draw scratch buffers from
         # the calling context's arena anyway so direct backend use pools
         # temporaries exactly like staged dispatch.
-        from .context import current_context
-
         ctx = current_context()
         plan.arena = ctx.arena
         # Native launches honour the same transient-retry contract as

@@ -39,6 +39,7 @@ from contextlib import contextmanager
 from contextvars import ContextVar
 from typing import TYPE_CHECKING, Any, Callable, Iterator, Optional, Union
 
+from ..faults import DEFAULT_POLICY
 from ..ir.arena import ScratchArena
 from .exceptions import BackendError, LaunchTimeoutError
 
@@ -152,11 +153,8 @@ class ExecutionContext:
     @property
     def launch_policy(self) -> "LaunchPolicy":
         """The fault-handling contract applied to this context's launches."""
-        if self._launch_policy is None:
-            from ..faults import DEFAULT_POLICY
-
-            return DEFAULT_POLICY
-        return self._launch_policy
+        policy = self._launch_policy
+        return DEFAULT_POLICY if policy is None else policy
 
     @launch_policy.setter
     def launch_policy(self, policy: Optional["LaunchPolicy"]) -> None:

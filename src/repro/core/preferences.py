@@ -75,8 +75,10 @@ DEFAULT_VALIDATE_MODE = "warn"
 #: ``interpreter`` skips tracing.
 EXECUTOR_MODES = ("native", "codegen", "vector", "interpreter")
 
-#: Default executor: generated code (the fastest steady-state path).
-DEFAULT_EXECUTOR = "codegen"
+#: Default executor: compiled C loops.  A kernel (or a call) the native
+#: rung declines — no C compiler on the host included — runs its codegen
+#: program instead, bit-identically, with the reason recorded.
+DEFAULT_EXECUTOR = "native"
 
 #: Launch-graph capture modes (see repro.graph): ``on`` lets the
 #: iterative apps capture + replay their launch sequences, ``off``

@@ -651,13 +651,19 @@ def refresh_gate() -> None:
         _GATE = None
 
 
+#: ``core.context.current_context``, resolved on first use (that module
+#: imports this one) so an open gate costs no ``import`` per launch.
+_current_context = None
+
+
 def active_plan() -> Optional[FaultPlan]:
     """The calling context's fault plan, or ``None`` (the common case)."""
+    global _current_context
     if not injection_possible():
         return None
-    from .core.context import current_context
-
-    return current_context().fault_plan
+    if _current_context is None:
+        from .core.context import current_context as _current_context
+    return _current_context().fault_plan
 
 
 def fault_plan() -> Optional[FaultPlan]:

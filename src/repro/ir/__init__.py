@@ -7,13 +7,13 @@ DESIGN.md §2).  Public surface:
 * :mod:`repro.ir.intrinsics` — portable math usable inside kernels.
 * :class:`repro.ir.vectorizer.IndexDomain` — launch sub-domains.
 * :mod:`repro.ir.codegen` — the straight-line NumPy code generator (the
-  default executor tier) and :mod:`repro.ir.arena`, its scratch-buffer
+  fallback executor tier) and :mod:`repro.ir.arena`, its scratch-buffer
   pool; :func:`repro.ir.compile.executor_mode` /
   :func:`~repro.ir.compile.set_executor_mode` select the tier.
 * :mod:`repro.ir.cgen` / :mod:`repro.ir.nativecache` — the native rung
-  above codegen: traces lowered to C, compiled with the system compiler
-  into content-addressed cached shared objects
-  (``PYACC_EXECUTOR=native``); :func:`repro.ir.nativecache.native_stats`
+  above codegen, the default: traces lowered to C, compiled with the
+  system compiler into content-addressed cached shared objects
+  (``PYACC_EXECUTOR=codegen`` opts out); :func:`repro.ir.nativecache.native_stats`
   reports compiles/cache hits/declines.
 * :mod:`repro.ir.verify` — the static kernel verifier (races, bounds,
   reduction purity) and its enforcement-mode controls.

@@ -54,6 +54,7 @@ back with the arrays untouched.
 from __future__ import annotations
 
 import ctypes
+import struct
 from typing import Any, Optional, Sequence
 
 import numpy as np
@@ -538,7 +539,7 @@ class _NativeLowering:
             self.body.append(f"  int64_t {xv} = {code};")
             self.body.append(
                 f"  if ({xv} < -{n} || {xv} >= {n}) "
-                f"{{ *err = {pos} + 1; return; }}"
+                f"return {pos} + 1;"
             )
             self.body.append(f"  if ({xv} < 0) {xv} += {n};")
             checked.append(xv)
@@ -586,26 +587,33 @@ class _NativeLowering:
             )
             result_loop = self._loop_nest(self.body, True)
 
+        # Packed call ABI (see NativeKernel._call): one int64 word
+        # buffer — bounds, data pointers, shapes, integer scalars — with
+        # the float scalars as doubles behind them; an out-of-bounds
+        # scatter returns ``pos + 1``.
         arr_order = sorted(self.arr_dtype)
         lines = [
             "#include <stdint.h>",
             "#include <math.h>",
             "",
-            "void pyacc_kernel(void **arrs, const int64_t *shp,",
-            "                  const double *fsc, const int64_t *isc,",
-            "                  const int64_t *bounds, double *out,",
-            "                  int64_t *err) {",
-            "  (void)arrs; (void)shp; (void)fsc; (void)isc;",
-            "  (void)bounds; (void)out; (void)err;",
+            "int64_t pyacc_kernel(const int64_t *w, double *out) {",
+            "  (void)w; (void)out;",
         ]
-        off = 0
+        for ax in range(self.ndim):
+            lines.append(f"  const int64_t lo{ax} = w[{2 * ax}];")
+            lines.append(f"  const int64_t hi{ax} = w[{2 * ax + 1}];")
+        for ax in range(1, self.ndim):
+            lines.append(f"  const int64_t e{ax} = hi{ax} - lo{ax};")
+        off = 2 * self.ndim
         for k, pos in enumerate(arr_order):
             ct = _CTYPE[_dt_code(self.arr_dtype[pos])]
+            lines.append(f"  {ct} *a{pos} = ({ct} *)(intptr_t)w[{off + k}];")
+        off += len(arr_order)
+        for pos in arr_order:
             rank = self.arr_rank[pos]
-            lines.append(f"  {ct} *a{pos} = ({ct} *)arrs[{k}];")
             for ax in range(rank):
                 lines.append(
-                    f"  const int64_t a{pos}_n{ax} = shp[{off + ax}];"
+                    f"  const int64_t a{pos}_n{ax} = w[{off + ax}];"
                 )
             # Row-major strides (pre-flight requires C-contiguity).
             for ax in range(rank - 1):
@@ -614,30 +622,22 @@ class _NativeLowering:
                 )
                 lines.append(f"  const int64_t a{pos}_s{ax} = {factors};")
             off += rank
-        for k, pos in enumerate(self.fscalar):
-            elem = self._scalar_codes[pos][1]
-            if isinstance(elem, np.dtype):
-                ct = _CTYPE[_dt_code(elem)]
-                lines.append(f"  const {ct} s{pos} = ({ct})fsc[{k}];")
-            else:
-                lines.append(f"  const double s{pos} = fsc[{k}];")
         for k, pos in enumerate(self.iscalar):
             elem = self._scalar_codes[pos][1]
-            if isinstance(elem, np.dtype):
-                ct = _CTYPE[_dt_code(elem)]
-                if ct == "uint8_t":
-                    lines.append(
-                        f"  const uint8_t s{pos} = (uint8_t)(isc[{k}] != 0);"
-                    )
-                else:
-                    lines.append(f"  const {ct} s{pos} = ({ct})isc[{k}];")
+            ct = _CTYPE[_dt_code(elem)] if isinstance(elem, np.dtype) else "int64_t"
+            if ct == "uint8_t":
+                lines.append(
+                    f"  const uint8_t s{pos} = (uint8_t)(w[{off + k}] != 0);"
+                )
             else:
-                lines.append(f"  const int64_t s{pos} = isc[{k}];")
-        for ax in range(self.ndim):
-            lines.append(f"  const int64_t lo{ax} = bounds[{2 * ax}];")
-            lines.append(f"  const int64_t hi{ax} = bounds[{2 * ax + 1}];")
-        for ax in range(1, self.ndim):
-            lines.append(f"  const int64_t e{ax} = hi{ax} - lo{ax};")
+                lines.append(f"  const {ct} s{pos} = ({ct})w[{off + k}];")
+        off += len(self.iscalar)
+        if self.fscalar:
+            lines.append(f"  const double *fw = (const double *)(w + {off});")
+        for k, pos in enumerate(self.fscalar):
+            elem = self._scalar_codes[pos][1]
+            ct = _CTYPE[_dt_code(elem)] if isinstance(elem, np.dtype) else "double"
+            lines.append(f"  const {ct} s{pos} = ({ct})fw[{k}];")
         lines.append("")
         for loop in loops:
             lines += ["  " + line for line in loop]
@@ -646,7 +646,7 @@ class _NativeLowering:
             lines.append("  if (out) {")
             lines += ["  " + line for line in result_loop]
             lines.append("  }")
-        lines.append("}")
+        lines += ["  return 0;", "}"]
 
         return {
             "source": "\n".join(lines) + "\n",
@@ -670,17 +670,6 @@ class _NativeLowering:
 _I32_MIN, _I32_MAX = -(2**31), 2**31 - 1
 _I64_MIN, _I64_MAX = -(2**63), 2**63 - 1
 
-_ARGTYPES = [
-    ctypes.POINTER(ctypes.c_void_p),
-    ctypes.POINTER(ctypes.c_int64),
-    ctypes.POINTER(ctypes.c_double),
-    ctypes.POINTER(ctypes.c_int64),
-    ctypes.POINTER(ctypes.c_int64),
-    ctypes.POINTER(ctypes.c_double),
-    ctypes.POINTER(ctypes.c_int64),
-]
-
-_OUT_PTR = ctypes.POINTER(ctypes.c_double)
 _ADDRESSOF = ctypes.addressof
 _RAW0 = ctypes.c_char * 0
 
@@ -707,6 +696,15 @@ class NativeKernel:
     call whose arguments violate a baked-in assumption raises
     :class:`NativeDeclined` *before any side effect* and the compiled
     kernel falls through to its codegen program.
+
+    Call ABI: ``int64_t pyacc_kernel(const int64_t *w, double *out)``.
+    ``w`` is one per-call buffer — chunk bounds, then the words
+    :meth:`preflight` returns (data pointers, shapes, integer scalars as
+    int64, float scalars as doubles) — filled by a single
+    :class:`struct.Struct` pack sized once per kernel.  The buffer is a
+    local of the call, so pool threads share no marshal state; the
+    return value is 0, or ``pos + 1`` of the array an out-of-bounds
+    scatter hit.
     """
 
     __slots__ = (
@@ -723,11 +721,9 @@ class NativeKernel:
         "_fscalar",
         "_iscalar",
         "_narrow_i4",
-        "_void_t",
-        "_shp_t",
-        "_fsc_t",
-        "_isc_t",
-        "_bounds_t",
+        "_arrays",
+        "_alias_pairs",
+        "_pack",
     )
 
     def __init__(self, spec: dict):
@@ -743,99 +739,97 @@ class NativeKernel:
         self._fscalar = spec["fscalar"]
         self._iscalar = spec["iscalar"]
         self._narrow_i4 = spec["narrow_i4"]
-        fn = compile_source(self.source)
-        fn.argtypes = _ARGTYPES
-        self._fn = fn
-        # Marshal buffer types, sized once: per-call construction from
-        # plain ints is ~10x cheaper than the generic ctypes paths.
-        n_shp = sum(self._arr_rank[p] for p in self._arr_order)
-        self._void_t = ctypes.c_void_p * max(1, len(self._arr_order))
-        self._shp_t = ctypes.c_int64 * max(1, n_shp)
-        self._fsc_t = ctypes.c_double * max(1, len(self._fscalar))
-        self._isc_t = ctypes.c_int64 * max(1, len(self._iscalar))
-        self._bounds_t = ctypes.c_int64 * (2 * self.ndim)
+        self._fn = compile_source(self.source)
+        # Pre-flight tables, resolved once: per-array facts, and the
+        # (written, other, strict) index pairs into ``_arr_order`` whose
+        # storage must not overlap.  Per-lane loops can only reorder
+        # against the vectorizer through shared storage; ``strict`` pairs
+        # (a scatter-written array, or a written array whose alias is
+        # gather-loaded) decline even when both names are one object,
+        # the rest only for distinct overlapping views.
+        order = self._arr_order
+        self._arrays = tuple(
+            (p, self._arr_dtype[p], self._arr_rank[p], p in self._written,
+             p in self._extent_slots)
+            for p in order
+        )
+        self._alias_pairs = tuple(
+            (order.index(w), k, scatter or o in self._gather_slots)
+            for w, scatter in self._written.items()
+            for k, o in enumerate(order)
+            if o != w
+        )
+        n_words = (
+            2 * self.ndim + len(order) + sum(self._arr_rank.values()) + len(self._iscalar)
+        )
+        self._pack = struct.Struct(f"{n_words}q{len(self._fscalar)}d").pack
 
     # -- pre-flight --------------------------------------------------------
-    def preflight(self, domain: IndexDomain, args: Sequence[Any]) -> None:
-        """Raise :class:`NativeDeclined` when this call violates a baked-in
-        assumption.  Side-effect free, and monotone in ``domain``: a
-        sub-box of a box that passed also passes."""
-        if domain.ndim != self.ndim:
+    def preflight(self, domain: IndexDomain, args: Sequence[Any]) -> list:
+        """Check this call against every baked-in assumption and return
+        its marshalled words (data pointers, shapes, integer scalars,
+        float scalars) for :meth:`_call`; raise :class:`NativeDeclined`
+        otherwise.  Side-effect free, and monotone in ``domain``: the
+        words of a box that passed serve every sub-box."""
+        ranges = domain.ranges
+        if len(ranges) != self.ndim:
             raise NativeDeclined("domain-rank")
-        for pos in self._arr_order:
+        # An identity-accessed array the zero-based box covers exactly
+        # needs no per-axis extent walk.
+        full = domain.shape if domain.zero_based else None
+        arrs, words, shapes = [], [], []
+        for pos, dtype, rank, written, extent in self._arrays:
             arr = args[pos]
             if not isinstance(arr, np.ndarray):
                 raise NativeDeclined("not-an-array")
-            if arr.dtype != self._arr_dtype[pos]:
+            if arr.dtype != dtype:
                 raise NativeDeclined("dtype-drift")
-            if arr.ndim != self._arr_rank[pos]:
+            if arr.ndim != rank:
                 raise NativeDeclined("rank-drift")
-            if not arr.flags.c_contiguous:
+            flags = arr.flags
+            if not flags.c_contiguous:
                 raise NativeDeclined("non-contiguous")
-            if pos in self._written and not arr.flags.writeable:
+            if written and not flags.writeable:
                 raise NativeDeclined("read-only")
-        for pos in self._extent_slots:
-            shape = args[pos].shape
-            for ax, (lo, hi) in enumerate(domain.ranges):
-                if hi > shape[ax]:
-                    raise NativeDeclined("extent")
-        # Written-array aliasing: per-lane loops can only reorder
-        # against the vectorizer through shared storage, so any overlap
-        # involving a scatter-written array, or a written array whose
-        # alias is gather-loaded, declines.
-        for w, w_scatter in self._written.items():
-            aw = args[w]
-            for o in self._arr_order:
-                if o == w:
-                    continue
-                ao = args[o]
-                if not (
-                    w_scatter
-                    or o in self._gather_slots
-                    or self._written.get(o, False)
-                    and o in self._written
-                    and self._written[o]
-                ):
-                    continue
-                if ao is aw or np.may_share_memory(aw, ao):
-                    if w_scatter or o in self._gather_slots:
-                        raise NativeDeclined("alias")
+            shape = arr.shape
+            if extent and shape != full:
+                for (_, hi), n in zip(ranges, shape):
+                    if hi > n:
+                        raise NativeDeclined("extent")
+            arrs.append(arr)
+            words.append(_data_ptr(arr))
+            shapes += shape
+        for kw, ko, strict in self._alias_pairs:
+            aw, ao = arrs[kw], arrs[ko]
+            if (
+                (strict or ao is not aw)
+                and words[kw] < words[ko] + ao.nbytes
+                and words[ko] < words[kw] + aw.nbytes
+            ):
+                raise NativeDeclined("alias")
         for pos in self._narrow_i4:
-            v = args[pos]
-            if not _I32_MIN <= int(v) <= _I32_MAX:
+            if not _I32_MIN <= int(args[pos]) <= _I32_MAX:
                 raise NativeDeclined("scalar-overflow")
+        words += shapes
         for pos in self._iscalar:
             v = int(args[pos])
             if not _I64_MIN <= v <= _I64_MAX:
                 raise NativeDeclined("scalar-overflow")
+            words.append(v)
+        for pos in self._fscalar:
+            words.append(float(args[pos]))
+        return words
 
     # -- invocation --------------------------------------------------------
-    def _call(self, domain: IndexDomain, args: Sequence[Any], out) -> None:
-        ptrs = []
-        shp_vals = []
-        for pos in self._arr_order:
-            a = args[pos]
-            ptrs.append(_data_ptr(a))
-            shp_vals.extend(a.shape)
-        arrs_c = self._void_t(*ptrs)
-        shp_c = self._shp_t(*shp_vals)
-        fsc_c = self._fsc_t(*[float(args[p]) for p in self._fscalar])
-        isc_c = self._isc_t(*[int(args[p]) for p in self._iscalar])
-        bounds_c = self._bounds_t(
-            *[b for lo_hi in domain.ranges for b in lo_hi]
-        )
-        err_c = ctypes.c_int64(0)
-        out_p = (
-            ctypes.cast(_data_ptr(out), _OUT_PTR)
-            if out is not None
-            else None
-        )
+    def _call(self, domain: IndexDomain, words: list, out) -> None:
+        """Run the C loop over ``domain`` with pre-flighted ``words``."""
+        w = self._pack(*[b for lo_hi in domain.ranges for b in lo_hi], *words)
         # ctypes releases the GIL for the duration of the call — chunked
         # launches on the threads backend run truly in parallel here.
-        self._fn(arrs_c, shp_c, fsc_c, isc_c, bounds_c, out_p, err_c)
-        if err_c.value:
+        err = self._fn(w, None if out is None else _data_ptr(out))
+        if err:
             raise KernelExecutionError(
-                f"out-of-bounds store into argument {err_c.value - 1}: "
+                f"out-of-bounds store into argument {err - 1}: "
                 "native scatter index outside the array extent"
             )
 
@@ -845,8 +839,7 @@ class NativeKernel:
         args: Sequence[Any],
         arena: Optional[ScratchArena] = None,
     ) -> None:
-        self.preflight(domain, args)
-        self._call(domain, args, None)
+        self._call(domain, self.preflight(domain, args), None)
 
     def evaluate_values(
         self, domain: IndexDomain, args: Sequence[Any]
@@ -860,9 +853,9 @@ class NativeKernel:
             raise KernelExecutionError(
                 "kernel returns no value on any path"
             )
-        self.preflight(domain, args)
+        words = self.preflight(domain, args)
         buf = np.empty(domain.shape, dtype=np.float64)
-        self._call(domain, args, buf)
+        self._call(domain, words, buf)
         return buf
 
     def run_reduce(
@@ -871,18 +864,23 @@ class NativeKernel:
         args: Sequence[Any],
         op: str = "add",
         arena: Optional[ScratchArena] = None,
+        words: Optional[list] = None,
     ) -> float:
+        """Reduce over ``domain``.  ``words`` are the pre-flight's for an
+        enclosing box (the compile driver checks a chunk once and hands
+        them to each tile); ``None`` pre-flights here."""
         _check_reduce(self.has_result, op)
         if domain.size == 0:
             return _REDUCE_IDENTITY[op]
-        self.preflight(domain, args)
+        if words is None:
+            words = self.preflight(domain, args)
         # Per-lane values land in an arena-leased float64 buffer (raw
         # pointer handed to C); the fold is NumPy's — same pairwise sum,
         # same bits as the codegen/vector rungs.
         frame = _resolve_arena(arena).frame()
         try:
             buf = frame.take(domain.shape, np.float64)
-            self._call(domain, args, buf)
+            self._call(domain, words, buf)
             return _fold_lanes(buf, domain.shape, op)
         finally:
             frame.release()

@@ -160,23 +160,24 @@ class CompiledKernel:
         """
         if self.trace is None:
             return interpret_reduce(self.fn, domain, args, op)
-        program = self.codegen
-        if self.native is not None:
+        program, native, words = self.codegen, self.native, None
+        if native is not None:
             try:
                 # Once per chunk, before any tile has run.
-                self.native.preflight(domain, args)
-                program = self.native
+                words = native.preflight(domain, args)
             except NativeDeclined as exc:
                 record_decline(exc.reason)
         tiles = domain.tiles
         if len(tiles) > 1:
             arena = ChunkArena(arena)
-        partials = [
-            program.run_reduce(tile, args, op, arena)
-            if program is not None
-            else reduce_trace(self.trace, tile, args, op)
-            for tile in tiles
-        ]
+        if words is not None:
+            partials = [
+                native.run_reduce(tile, args, op, arena, words) for tile in tiles
+            ]
+        elif program is not None:
+            partials = [program.run_reduce(tile, args, op, arena) for tile in tiles]
+        else:
+            partials = [reduce_trace(self.trace, tile, args, op) for tile in tiles]
         if len(partials) == 1:
             return partials[0]
         # The ufunc the kernel IR itself uses for ``op``: NaN-propagating
@@ -225,14 +226,13 @@ def _fn_key(fn: Callable) -> Any:
 
 
 def _type_signature(args: Sequence[Any]) -> tuple:
-    """Type-level signature: array rank+dtype kind, scalar Python type."""
-    sig = []
-    for a in args:
-        if isinstance(a, np.ndarray):
-            sig.append(("arr", a.ndim, a.dtype.str))
-        else:
-            sig.append(("scl", type(_scalar_value(a))))
-    return tuple(sig)
+    """Type-level signature: array ``(rank, dtype)``, scalar Python type."""
+    return tuple(
+        [
+            (a.ndim, a.dtype) if isinstance(a, np.ndarray) else type(_scalar_value(a))
+            for a in args
+        ]
+    )
 
 
 def _shape_signature(args: Sequence[Any]) -> tuple:

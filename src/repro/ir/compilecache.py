@@ -95,7 +95,7 @@ __all__ = [
 CACHE_ENV = "PYACC_COMPILE_CACHE"
 
 #: Payload format version — bump on any change to the entry layout.
-FORMAT = 1
+FORMAT = 2
 
 _OFF = {"off", "0", "none", "disabled"}
 

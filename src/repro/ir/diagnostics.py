@@ -128,8 +128,8 @@ RULES: dict[str, tuple[str, str]] = {
         "info",
         "silent native decline: the kernel is codegen-eligible but the "
         "native C rung declined it (unsupported op/dtype or missing "
-        "compiler), so PYACC_EXECUTOR=native silently runs it one rung "
-        "down",
+        "compiler), so the default native executor silently runs it one "
+        "rung down",
     ),
     "V901": (
         "info",

@@ -192,7 +192,10 @@ def source_key(source: str, cc: str) -> str:
 def _load(so_path: Path) -> ctypes.CDLL:
     lib = ctypes.CDLL(str(so_path))
     fn = lib.pyacc_kernel  # raises AttributeError if the artifact is junk
-    fn.restype = None
+    # ``int64_t pyacc_kernel(const int64_t *w, double *out)``: ``w`` is
+    # the packed ``bytes`` of one call, ``out`` a raw address or NULL.
+    fn.restype = ctypes.c_int64
+    fn.argtypes = [ctypes.c_char_p, ctypes.c_void_p]
     return lib
 
 

@@ -67,7 +67,7 @@ class IndexDomain:
     are built on first read and cached on the instance.
     """
 
-    __slots__ = ("ranges", "shape", "zero_based", "_grids", "_tiles")
+    __slots__ = ("ranges", "shape", "size", "zero_based", "_grids", "_tiles")
 
     def __init__(self, ranges: Sequence[tuple[int, int]]):
         if not 1 <= len(ranges) <= 3:
@@ -79,6 +79,7 @@ class IndexDomain:
             if hi < lo:
                 raise KernelExecutionError(f"empty/negative axis range {lo}..{hi}")
         self.shape = tuple(hi - lo for lo, hi in self.ranges)
+        self.size = math.prod(self.shape)
         self.zero_based = all(lo == 0 for lo, _ in self.ranges)
         self._grids = None
         self._tiles = None
@@ -158,10 +159,6 @@ class IndexDomain:
     @property
     def ndim(self) -> int:
         return len(self.ranges)
-
-    @property
-    def size(self) -> int:
-        return math.prod(self.shape)
 
     def is_full_identity(self, arr_shape: tuple[int, ...]) -> bool:
         """True when this domain covers ``arr_shape`` exactly (axis by

@@ -365,7 +365,7 @@ def lint_kernel(name: str, fn, rank: int, arg_params: list) -> list[Diagnostic]:
 
 def _native_decline_probe(name: str, trace, args: list) -> list[Diagnostic]:
     """Informational V701: the kernel is codegen-eligible but the native
-    C rung would decline it (so ``PYACC_EXECUTOR=native`` silently runs
+    C rung would decline it (so the default executor silently runs it
     one rung down).  Purely static — lowers to source on both rungs
     without invoking any compiler, so the probe is deterministic on
     compiler-less CI hosts too.
@@ -387,8 +387,8 @@ def _native_decline_probe(name: str, trace, args: list) -> list[Diagnostic]:
                 kernel=name,
                 message=(
                     "codegen-eligible kernel declines the native C rung "
-                    f"({exc.reason}); under PYACC_EXECUTOR=native it "
-                    "silently runs on the codegen tier"
+                    f"({exc.reason}); the default native executor "
+                    "silently runs it on the codegen tier"
                 ),
             )
         ]

@@ -226,3 +226,30 @@ class TestArrayHelpers:
         repro.set_backend("cuda-sim")
         arr = repro.array(np.ones(3))
         assert repro.is_backend_array(arr)
+
+
+class TestHotPathHygiene:
+    @pytest.mark.parametrize("backend", ["serial", "threads"])
+    def test_no_import_statement_executes_per_launch(self, backend, monkeypatch):
+        import builtins
+
+        repro.set_backend(backend)
+        n = 1 << 15  # above the threads backend's inline cutoff
+        x, y = repro.array(np.zeros(n)), repro.array(np.ones(n))
+        for _ in range(3):  # warm-up: compile, verify, pool start
+            repro.parallel_for(n, axpy, 1.0, x, y)
+            repro.parallel_reduce(n, dot, x, y)
+        imports = []
+        real_import = builtins.__import__
+
+        def counting_import(name, *args, **kwargs):
+            imports.append(name)
+            return real_import(name, *args, **kwargs)
+
+        monkeypatch.setattr(builtins, "__import__", counting_import)
+        for _ in range(100):
+            repro.parallel_for(n, axpy, 1.0, x, y)
+        total = repro.parallel_reduce(n, dot, x, y)
+        monkeypatch.undo()
+        assert imports == []
+        assert total == 103.0 * n

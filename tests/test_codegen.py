@@ -20,6 +20,7 @@ import pytest
 
 import repro
 from repro.core.exceptions import KernelExecutionError, PreferencesError
+from repro.core.preferences import DEFAULT_EXECUTOR
 from repro.ir.arena import ArenaFrame, ScratchArena, default_arena
 from repro.ir.codegen import CodegenProgram, lower_trace
 from repro.ir.compile import (
@@ -525,7 +526,7 @@ class TestExecutorSelection:
     # The resolved default is "codegen" unless the suite itself runs
     # under a PYACC_EXECUTOR override (the native CI legs do exactly
     # that), in which case the env value *is* the expected default.
-    _ENV_DEFAULT = os.environ.get("PYACC_EXECUTOR", "codegen")
+    _ENV_DEFAULT = os.environ.get("PYACC_EXECUTOR", DEFAULT_EXECUTOR)
 
     def test_default_is_codegen(self):
         assert executor_mode() == self._ENV_DEFAULT

@@ -14,8 +14,7 @@ from repro.ir.inspect import inspect_kernel
 @pytest.fixture(autouse=True)
 def fresh():
     # These tests assert codegen-rung report contents; pin the executor
-    # so a PYACC_EXECUTOR=native run (the native CI leg) doesn't shift
-    # every kernel one rung up.
+    # so the native default doesn't shift every kernel one rung up.
     clear_cache()
     set_executor_mode("codegen")
     yield

@@ -23,7 +23,7 @@ import pytest
 import repro
 from repro.core.exceptions import KernelExecutionError
 from repro.faults import FaultPlan, InjectedFault, LaunchPolicy
-from repro.ir.cgen import NativeDeclined, try_lower_native
+from repro.ir.cgen import NativeDeclined, NativeKernel, try_lower_native
 from repro.ir.compile import (
     cache_info,
     clear_cache,
@@ -36,7 +36,7 @@ from repro.ir.nativecache import (
     reset_state,
     resolve_cc,
 )
-from repro.ir.vectorizer import IndexDomain
+from repro.ir.vectorizer import TILE_LANES, IndexDomain
 
 FAST = LaunchPolicy(max_retries=3, backoff_base=0.0)
 
@@ -136,7 +136,7 @@ class TestArtifactCache:
             import numpy as np
             from repro.ir.compile import compile_kernel
             from repro.ir.nativecache import native_stats
-            from repro.ir.vectorizer import IndexDomain
+            from repro.ir.vectorizer import TILE_LANES, IndexDomain
 
             def axpy(i, alpha, x, y):
                 x[i] += alpha * y[i]
@@ -354,3 +354,252 @@ class TestFaultParity:
         assert native_ev == codegen_ev
         assert "retry" in {a for _, _, a in native_ev}
         assert np.array_equal(native_out, codegen_out)
+
+
+# ---------------------------------------------------------------------------
+# One pre-flight per chunk
+# ---------------------------------------------------------------------------
+
+
+@needs_cc
+class TestPreflightOncePerChunk:
+    @pytest.fixture
+    def preflights(self, monkeypatch):
+        calls = []
+        real = NativeKernel.preflight
+
+        def counting(self, domain, args):
+            calls.append(domain)
+            return real(self, domain, args)
+
+        monkeypatch.setattr(NativeKernel, "preflight", counting)
+        return calls
+
+    @pytest.mark.parametrize("n_tiles", [1, 4])
+    def test_reduce_preflights_the_chunk_not_each_tile(self, preflights, n_tiles):
+        n = 1000 if n_tiles == 1 else 4 * TILE_LANES
+        r = np.random.default_rng(n_tiles)
+        x, y = r.standard_normal(n), r.standard_normal(n)
+        nk = compile_kernel(dot, 1, [x, y], reduce=True, executor="native")
+        gk = compile_kernel(dot, 1, [x, y], reduce=True, executor="codegen")
+        dom = IndexDomain.full((n,))
+        assert nk.mode == "native" and len(dom.tiles) == n_tiles
+        got = nk.run_reduce(dom, [x, y], "add")
+        assert preflights == [dom]
+        assert got == gk.run_reduce(dom, [x, y], "add")
+        # The public per-tile entry still checks itself.
+        nk.native.run_reduce(dom.tiles[0], [x, y], "add")
+        assert len(preflights) == 2
+
+    def test_decline_once_per_chunk_before_the_c_loop(self, preflights, monkeypatch):
+        n = 4 * TILE_LANES
+        r = np.random.default_rng(5)
+        x, y = r.standard_normal(2 * n)[::2], r.standard_normal(n)
+        nk = compile_kernel(dot, 1, [y, y], reduce=True, executor="native")
+        gk = compile_kernel(dot, 1, [y, y], reduce=True, executor="codegen")
+
+        def no_call(*a):
+            raise AssertionError("C loop ran after a declined pre-flight")
+
+        monkeypatch.setattr(NativeKernel, "_call", no_call)
+        dom = IndexDomain.full((n,))
+        got = nk.run_reduce(dom, [x, y], "add")
+        assert preflights == [dom]
+        assert native_stats()["declined"] == {"non-contiguous": 1}
+        assert got == gk.run_reduce(dom, [x, y], "add")
+
+
+# ---------------------------------------------------------------------------
+# The packed call ABI
+# ---------------------------------------------------------------------------
+
+
+@needs_cc
+class TestPackedABI:
+    @staticmethod
+    def _both(fn, ndim, args, **kw):
+        nk = compile_kernel(fn, ndim, args, executor="native", **kw)
+        gk = compile_kernel(fn, ndim, args, executor="codegen", **kw)
+        assert nk.mode.startswith("native"), nk.fallback_reason
+        return nk, gk
+
+    def test_index_only_kernel_packs_bounds_alone(self):
+        def tri(i):
+            return i * (i + 1)
+
+        nk, gk = self._both(tri, 1, [], reduce=True)
+        for dom in (IndexDomain.full((100,)), IndexDomain([(37, 61)])):
+            assert nk.run_reduce(dom, [], "add") == gk.run_reduce(dom, [], "add")
+            assert nk.run_reduce(dom, [], "max") == gk.run_reduce(dom, [], "max")
+
+    @pytest.mark.parametrize(
+        "scalar",
+        [np.float32(1.7), np.int32(-3), np.int64(2**40), np.bool_(True), 5, 2.5, True],
+    )
+    def test_scalar_kinds_round_trip(self, scalar):
+        def scale(i, s, x, y):
+            x[i] = y[i] * s
+
+        y = np.arange(1.0, 9.0)
+        nk, gk = self._both(scale, 1, [scalar, np.zeros(8), y])
+        a, b = np.zeros(8), np.zeros(8)
+        nk.run_for(IndexDomain.full((8,)), [scalar, a, y])
+        gk.run_for(IndexDomain.full((8,)), [scalar, b, y])
+        assert a.tobytes() == b.tobytes()
+        assert native_stats()["declined"] == {}
+
+    def test_weak_int_narrowed_to_i4_declines_on_overflow(self):
+        def add(i, s, x):
+            x[i] = x[i] + s
+
+        x = np.arange(8, dtype=np.int32)
+        nk, gk = self._both(add, 1, [3, x])
+        dom = IndexDomain.full((8,))
+        with pytest.raises(NativeDeclined) as ei:
+            nk.native.run_for(dom, [2**31, x])
+        assert ei.value.reason == "scalar-overflow"
+        assert x.tolist() == list(range(8))  # declined before any store
+        a, b = x.copy(), x.copy()
+        nk.run_for(dom, [7, a])
+        gk.run_for(dom, [7, b])
+        assert a.tobytes() == b.tobytes()
+
+    def test_3d_bounds_with_nonzero_lo(self):
+        def stamp(i, j, k, x, y):
+            x[i, j, k] = y[i, j, k] + (i * 100 + j * 10 + k)
+
+        y = np.random.default_rng(2).standard_normal((5, 6, 7))
+        nk, gk = self._both(stamp, 3, [np.zeros_like(y), y])
+        dom = IndexDomain([(1, 4), (2, 6), (3, 7)])
+        a, b = np.zeros_like(y), np.zeros_like(y)
+        nk.run_for(dom, [a, y])
+        gk.run_for(dom, [b, y])
+        assert a.tobytes() == b.tobytes() and np.count_nonzero(a) == 3 * 4 * 4
+
+    def test_oob_scatter_names_the_argument(self):
+        def bad(i, y, x, s):
+            x[i + s] = y[i]
+
+        y, x = np.ones(8), np.zeros(8)
+        nk, _ = self._both(bad, 1, [y, x, 4])
+        with pytest.raises(KernelExecutionError, match="argument 1"):
+            nk.native.run_for(IndexDomain.full((8,)), [y, x, 4])
+
+    def test_overlapping_views_decline_to_codegen_bits(self):
+        def shift(i, x, y):
+            x[i] = y[i] + 1.0
+
+        nk, gk = self._both(shift, 1, [np.zeros(9), np.zeros(9)])
+        a, b = np.zeros(10), np.zeros(10)
+        dom = IndexDomain.full((9,))
+        nk.run_for(dom, [a[1:], a[:-1]])
+        gk.run_for(dom, [b[1:], b[:-1]])
+        assert a.tobytes() == b.tobytes()
+        assert native_stats()["declined"] == {"alias": 1}
+        v = a[:9]
+        nk.run_for(dom, [v, v])  # one object under two names: same lanes
+        assert native_stats()["declined"] == {"alias": 1}
+
+    def test_concurrent_calls_with_different_bounds_match_serial(self):
+        import sys
+        from concurrent.futures import ThreadPoolExecutor
+
+        n, parts = 1 << 16, 64
+        y = np.random.default_rng(9).standard_normal(n)
+        nk, _ = self._both(axpy, 1, [2.0, np.zeros(n), y])
+        doms = [
+            IndexDomain([(k * n // parts, (k + 1) * n // parts)])
+            for k in range(parts)
+        ]
+        serial, threaded = np.zeros(n), np.zeros(n)
+        for k, dom in enumerate(doms):
+            nk.native.run_for(dom, [float(k), serial, y])
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                futs = [
+                    pool.submit(nk.native.run_for, dom, [float(k), threaded, y])
+                    for k, dom in enumerate(doms)
+                ]
+                for f in futs:
+                    f.result(timeout=60)
+        finally:
+            sys.setswitchinterval(old)
+        assert serial.tobytes() == threaded.tobytes()
+
+
+# ---------------------------------------------------------------------------
+# The shipped default (no PYACC_* variable set)
+# ---------------------------------------------------------------------------
+
+_DEFAULT_CHILD = """
+import hashlib, json
+import numpy as np
+import repro
+from repro.apps import blas, hpccg
+from repro.ir.compile import compile_kernel
+
+a, _, _ = hpccg.build_27pt_problem(4, 4, 4)
+n = a.n
+r = np.random.default_rng(0)
+x, y, out = r.standard_normal(n), r.standard_normal(n), np.zeros(n)
+dots = []
+for _ in range(3):
+    blas.axpy(n, 0.5, x, y)
+    dots.append(blas.dot(n, x, y))
+    repro.parallel_for(n, hpccg.matvec_ell_kernel, a.cols, a.vals, x, out)
+modes = [
+    compile_kernel(blas.axpy_kernel_1d, 1, [0.5, x, y]).mode,
+    compile_kernel(blas.dot_kernel_1d, 1, [x, y], reduce=True).mode,
+    compile_kernel(hpccg.matvec_ell_kernel, 1, [a.cols, a.vals, x, out]).mode,
+]
+digest = hashlib.sha256(
+    x.tobytes() + out.tobytes() + np.array(dots).tobytes()
+).hexdigest()
+print(json.dumps({
+    "executor": repro.ir.compile.executor_mode(),
+    "modes": modes,
+    "declined": repro.cache_info()["native"]["declined"],
+    "digest": digest,
+}))
+"""
+
+
+class TestShippedDefault:
+    @staticmethod
+    def _child(home, **extra):
+        import json
+        import os
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        env = {k: v for k, v in os.environ.items() if not k.startswith("PYACC_")}
+        env.update(
+            HOME=str(home),  # both disk caches default to ~/.cache/pyacc
+            PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"),
+            **extra,
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", _DEFAULT_CHILD],
+            capture_output=True, text=True, env=env, cwd=home, timeout=600,
+        )
+        assert proc.returncode == 0, proc.stderr
+        return json.loads(proc.stdout.strip().splitlines()[-1])
+
+    @needs_cc
+    def test_defaults_compile_to_native_and_degrade_bitwise(self, tmp_path):
+        for sub in ("with-cc", "without-cc"):
+            (tmp_path / sub).mkdir()
+        native = self._child(tmp_path / "with-cc")
+        assert native["executor"] == "native"
+        assert all(m.startswith("native") for m in native["modes"]), native
+        assert native["declined"] == {}
+        # No compiler: same default, one recorded decline per distinct
+        # kernel (three kernels, nine launches), same bits.
+        degraded = self._child(tmp_path / "without-cc", PYACC_CC="/nonexistent/cc")
+        assert degraded["executor"] == "native"
+        assert degraded["modes"] == ["codegen"] * 3
+        assert degraded["declined"] == {"cc-missing": 3}
+        assert degraded["digest"] == native["digest"]
