@@ -42,6 +42,7 @@ from .core import (
     zeros,
 )
 from .backends import available_backends, register_backend
+from .backends.registry import cluster_stats, reset_cluster_stats
 from .core.exceptions import (
     CheckpointError,
     DeviceError,
@@ -94,21 +95,6 @@ from .ir import (
     verify_reduce_op,
 )
 from . import math
-
-
-def cluster_stats() -> dict:
-    """Process-wide cluster-backend counters (lazy import — the cluster
-    backend module, like every backend, loads only when used)."""
-    from .backends.cluster import cluster_stats as _stats
-
-    return _stats()
-
-
-def reset_cluster_stats() -> None:
-    """Zero the cluster-backend counters (tests / bench isolation)."""
-    from .backends.cluster import reset_cluster_stats as _reset
-
-    _reset()
 
 
 __version__ = "1.1.0"

@@ -86,7 +86,6 @@ import atexit
 import os
 import pickle
 import signal
-import threading
 import time
 import weakref
 from dataclasses import dataclass
@@ -105,7 +104,9 @@ from ..core.exceptions import (
 )
 from ..core.launch import cpu_chunks, usable_cpus
 from ..core.plan import LaunchPlan, LaunchSchedule
-from ..ir.vectorizer import IndexDomain
+from ..ir.vectorizer import IndexDomain, fold_partials
+from .registry import CLUSTER_COUNTERS as _COUNTERS
+from .registry import cluster_stats, reset_cluster_stats
 
 __all__ = [
     "ClusterBackend",
@@ -117,7 +118,6 @@ __all__ = [
 ]
 
 _ENV_WORKERS = "PYACC_CLUSTER_WORKERS"
-_ENV_START = "PYACC_CLUSTER_START"
 
 #: Spawn handshake deadline (fork + import + pong), seconds.
 _SPAWN_TIMEOUT = 30.0
@@ -142,68 +142,6 @@ def default_num_workers() -> int:
             raise ValueError(f"{_ENV_WORKERS} must be positive, got {n}")
         return n
     return max(2, min(8, usable_cpus()))
-
-
-# ---------------------------------------------------------------------------
-# Process-wide counters (cache_info()["cluster"], bench --json)
-# ---------------------------------------------------------------------------
-
-
-class _ClusterCounters:
-    """Process-wide cluster activity totals."""
-
-    _FIELDS = (
-        "spawns",
-        "respawns",
-        "kills",
-        "worker_losses",
-        "shards",
-        "inline_launches",
-        "unshippable",
-        "halo_plans",
-        "halo_exchanges",
-        "halo_bytes",
-        "replicated_arrays",
-        "staged_in_bytes",
-        "staged_out_bytes",
-        "reduce_folds",
-        "rebalances",
-        "degradations",
-        "shm_segments",
-        "shm_bytes",
-    )
-
-    def __init__(self) -> None:
-        self._lock = threading.Lock()
-        for name in self._FIELDS:
-            setattr(self, name, 0)
-
-    def bump(self, name: str, n: int = 1) -> None:
-        with self._lock:
-            setattr(self, name, getattr(self, name) + n)
-
-    def snapshot(self) -> dict:
-        with self._lock:
-            return {name: getattr(self, name) for name in self._FIELDS}
-
-    def reset(self) -> None:
-        with self._lock:
-            for name in self._FIELDS:
-                setattr(self, name, 0)
-
-
-_COUNTERS = _ClusterCounters()
-
-
-def cluster_stats() -> dict:
-    """Process-wide cluster-backend activity (shards, halo bytes,
-    respawns, rebalances, degradations, ...)."""
-    return _COUNTERS.snapshot()
-
-
-def reset_cluster_stats() -> None:
-    """Zero the counters (tests / bench isolation)."""
-    _COUNTERS.reset()
 
 
 # ---------------------------------------------------------------------------
@@ -425,13 +363,12 @@ class ClusterSupervisor:
     ):
         if n_workers <= 0:
             raise ValueError(f"n_workers must be positive, got {n_workers}")
-        method = start_method or os.environ.get(_ENV_START)
-        if method is None:
-            method = (
+        if start_method is None:
+            start_method = (
                 "fork" if "fork" in mp.get_all_start_methods() else "spawn"
             )
-        self._mp = mp.get_context(method)
-        self.start_method = method
+        self._mp = mp.get_context(start_method)
+        self.start_method = start_method
         self.n_workers = n_workers
         self.max_respawns = int(max_respawns)
         self.spawn_timeout = float(spawn_timeout)
@@ -1331,13 +1268,7 @@ class ClusterBackend(Backend):
                 def body(a=a, b=b, k=k):
                     if fplan is not None:
                         fplan.check("cluster.reduce", ordinal=base + k)
-                    if op == "add":
-                        return a + b
-                    if op == "min":
-                        return min(a, b)
-                    if op == "max":
-                        return max(a, b)
-                    raise ValueError(f"unsupported reduction op {op!r}")
+                    return fold_partials(op, (a, b))
 
                 if fplan is None:
                     nxt.append(body())

@@ -42,7 +42,7 @@ from ..core.backend import Backend
 from ..core.exceptions import PermanentDeviceError
 from ..core.launch import cpu_chunks, weighted_chunks
 from ..core.plan import LaunchPlan, LaunchSchedule
-from ..ir.vectorizer import IndexDomain
+from ..ir.vectorizer import IndexDomain, fold_partials
 from .gpusim.device import Device
 
 __all__ = ["MultiDeviceBackend"]
@@ -278,10 +278,4 @@ class MultiDeviceBackend(Backend):
         ) + _COORDINATION_LATENCY
         if not plan.is_reduce:
             return None
-        if op == "add":
-            return float(sum(partials))
-        if op == "min":
-            return float(min(partials))
-        if op == "max":
-            return float(max(partials))
-        raise ValueError(f"unsupported reduction op {op!r}")
+        return fold_partials(op, partials)

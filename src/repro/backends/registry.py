@@ -33,11 +33,14 @@ from typing import Callable, Dict
 
 from ..core.backend import Backend
 from ..core.exceptions import BackendError, UnknownBackendError
+from ..obs import Counters, register
 
 __all__ = [
     "available_backends",
+    "cluster_stats",
     "create_backend",
     "register_backend",
+    "reset_cluster_stats",
     "resolve_backend",
     "unregister_backend",
 ]
@@ -151,3 +154,47 @@ register_backend("oneapi-sim", _make_gpusim("max1550", "oneapi-sim"))
 register_backend("multi-sim", _make_multi)
 register_backend("hetero-sim", _make_hetero)
 register_backend("cluster", _make_cluster)
+
+
+# ---------------------------------------------------------------------------
+# Cluster-backend counters (cache_info()["cluster"], bench --json)
+# ---------------------------------------------------------------------------
+
+#: Declared here, beside the backend's lazy factory, so the block reads
+#: (all zeros) without loading :mod:`repro.backends.cluster`; that module
+#: does all the bumping.
+CLUSTER_COUNTERS = Counters(
+    "cluster",
+    (
+        "spawns",
+        "respawns",
+        "kills",
+        "worker_losses",
+        "shards",
+        "inline_launches",
+        "unshippable",
+        "halo_plans",
+        "halo_exchanges",
+        "halo_bytes",
+        "replicated_arrays",
+        "staged_in_bytes",
+        "staged_out_bytes",
+        "reduce_folds",
+        "rebalances",
+        "degradations",
+        "shm_segments",
+        "shm_bytes",
+    ),
+)
+register(CLUSTER_COUNTERS)
+
+
+def cluster_stats() -> dict:
+    """Process-wide cluster-backend activity (shards, halo bytes,
+    respawns, rebalances, degradations, ...)."""
+    return CLUSTER_COUNTERS.snapshot()
+
+
+def reset_cluster_stats() -> None:
+    """Zero the counters (tests / bench isolation)."""
+    CLUSTER_COUNTERS.reset()

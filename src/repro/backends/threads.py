@@ -46,7 +46,7 @@ from ..core.backend import Backend
 from ..core.exceptions import PermanentDeviceError
 from ..core.launch import cpu_chunks, usable_cpus
 from ..core.plan import LaunchPlan, LaunchSchedule
-from ..ir.vectorizer import IndexDomain
+from ..ir.vectorizer import IndexDomain, fold_partials
 from ..perfmodel import PerfModel, get_overhead, get_profile
 
 __all__ = ["ThreadsBackend", "default_num_threads"]
@@ -236,13 +236,7 @@ class ThreadsBackend(Backend):
                     partials.append(None)
         if not plan.is_reduce:
             return None
-        if op == "add":
-            return float(sum(partials))
-        if op == "min":
-            return float(min(partials))
-        if op == "max":
-            return float(max(partials))
-        raise ValueError(f"unsupported reduction op {op!r}")
+        return fold_partials(op, partials)
 
     # -- portable-dispatch accounting ---------------------------------------
     def account_portable_dispatch(

@@ -137,9 +137,7 @@ def main(argv=None) -> int:
         print("all within 2x band" if ok else "SOME RATIOS OUTSIDE 2x BAND")
 
     if args.json:
-        from ..faults import global_fault_stats
-        from ..ir.arena import global_stats
-        from ..ir.diagnostics import counters
+        from .. import obs
 
         doc = {"panels": [_panel_to_dict(p) for p in all_panels]}
         if headline is not None:
@@ -147,24 +145,14 @@ def main(argv=None) -> int:
                 {"name": r.name, "paper": r.paper_value, "model": r.measured}
                 for r in headline
             ]
-        # Verifier activity across the run — a kernel that starts
-        # warning (or erroring) shows up in the perf trajectory JSON.
-        doc["diagnostics"] = counters.snapshot()
-        # Scratch-arena activity (all executors, process-wide): buffer
-        # churn avoided by the codegen tier's pooled temporaries.
-        doc["arena"] = global_stats()
-        # Fault/retry/failover counters: zero on a healthy run, nonzero
-        # when PYACC_FAULTS (or an installed FaultPlan) was active.
-        doc["faults"] = global_fault_stats()
-        # Launch-graph capture/replay/fusion counters (repro.graph).
-        from ..graph import graph_stats
-
-        doc["graph"] = graph_stats()
-        # Cluster-backend shard/halo/recovery counters (zero unless the
-        # run sharded launches across worker processes).
-        from ..backends.cluster import cluster_stats
-
-        doc["cluster"] = cluster_stats()
+        # The process-wide counter blocks, so the perf trajectory JSON
+        # shows a kernel that starts warning (``diagnostics``), scratch
+        # buffer churn (``arena``), fault/retry/failover activity — zero
+        # on a healthy run — (``faults``), capture/replay/fusion
+        # (``graph``) and shard/halo/recovery activity (``cluster``).
+        doc["diagnostics"] = obs.stats("verify")
+        for name in ("arena", "faults", "graph", "cluster"):
+            doc[name] = obs.stats(name)
         with open(args.json, "w", encoding="utf-8") as fh:
             json.dump(doc, fh, indent=2)
         print(f"wrote {args.json}")

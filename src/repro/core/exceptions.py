@@ -44,8 +44,9 @@ class UnknownBackendError(BackendError):
         )
 
 
-class PreferencesError(PyACCError):
-    """The preferences file is malformed or unwritable."""
+class PreferencesError(PyACCError, ValueError):
+    """The preferences file is malformed or unwritable, or a mode knob
+    was given a value outside its valid set."""
 
 
 class TraceError(PyACCError):

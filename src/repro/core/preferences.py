@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import os
 import tomllib
+from contextlib import contextmanager
 from pathlib import Path
 from typing import Optional
 
@@ -40,6 +41,8 @@ __all__ = [
     "PASSES_PRESETS",
     "VALIDATE_MODES",
     "VERIFY_MODES",
+    "MODES",
+    "Mode",
     "preferences_path",
     "read_preferences",
     "write_preference",
@@ -54,56 +57,8 @@ __all__ = [
 #: The paper's default backend is Base.Threads; ours is its analogue.
 DEFAULT_BACKEND = "threads"
 
-#: Enforcement modes of the kernel verifier (see repro.ir.verify).
-VERIFY_MODES = ("off", "warn", "error")
-
-#: Default verifier enforcement: report findings, never block a launch.
-DEFAULT_VERIFY_MODE = "warn"
-
-#: Enforcement modes of the translation validator (repro.ir.validate).
-VALIDATE_MODES = ("off", "warn", "error")
-
-#: Default validator enforcement: a rewrite the validator cannot confirm
-#: is undone (the program degrades to unoptimized replay) with a
-#: warning; ``error`` raises instead, ``off`` skips the re-derivation.
-DEFAULT_VALIDATE_MODE = "warn"
-
-#: Executor strategies for traced kernels (see repro.ir.compile):
-#: ``native`` compiles the trace to a C shared object (declining to
-#: codegen when ineligible), ``codegen`` lowers the trace to
-#: straight-line NumPy source once, ``vector`` walks the IR per launch,
-#: ``interpreter`` skips tracing.
-EXECUTOR_MODES = ("native", "codegen", "vector", "interpreter")
-
-#: Default executor: compiled C loops.  A kernel (or a call) the native
-#: rung declines — no C compiler on the host included — runs its codegen
-#: program instead, bit-identically, with the reason recorded.
-DEFAULT_EXECUTOR = "native"
-
-#: Launch-graph capture modes (see repro.graph): ``on`` lets the
-#: iterative apps capture + replay their launch sequences, ``off``
-#: dispatches every construct through the full staged pipeline.
-GRAPH_MODES = ("on", "off")
-
-#: Values of the passes knob (see repro.ir.program): ``all`` runs global
-#: fusion at instantiate time, ``none`` replays the capture unfused.
-PASSES_PRESETS = ("all", "none")
-
-#: Default: graphs enabled (the fastest steady-state path; the staged
-#: pipeline stays bit-identical, so opting out is a pure perf knob).
-DEFAULT_GRAPH_MODE = "on"
-
-#: Default: fusion on (bit-identical by construction; an unsafe merge
-#: declines and that launch replays unfused).
-DEFAULT_PASSES_MODE = "all"
-
 _ENV_FILE = "PYACC_PREFERENCES"
 _ENV_BACKEND = "PYACC_BACKEND"
-_ENV_VERIFY = "PYACC_VERIFY"
-_ENV_EXECUTOR = "PYACC_EXECUTOR"
-_ENV_GRAPH = "PYACC_GRAPH"
-_ENV_PASSES = "PYACC_PASSES"
-_ENV_VALIDATE = "PYACC_VALIDATE"
 _TABLE = "repro"
 _FILENAME = "LocalPreferences.toml"
 
@@ -183,82 +138,135 @@ def resolve_backend_name() -> str:
     return backend
 
 
-def _resolve_mode(env_name: str, prefs_key: str, valid: tuple, default: str) -> str:
-    """One knob, one rule: env var > preferences file > default, then a
-    membership check against ``valid``."""
-    mode = os.environ.get(env_name)
-    if not mode:
-        mode = read_preferences().get(prefs_key, default)
-    if mode not in valid:
-        raise PreferencesError(
-            f"{prefs_key} mode must be one of {valid}, got {mode!r}"
-        )
-    return mode
+class Mode:
+    """One mode knob: its declaration and its process-wide state.
 
-
-def resolve_verify_mode() -> str:
-    """Decide the verifier enforcement mode: env var > file > default.
-
-    The environment variable is ``PYACC_VERIFY``; the preferences key is
-    ``verify`` under ``[repro]``.  Valid values are ``off`` (skip the
-    analysis entirely), ``warn`` (emit ``KernelVerificationWarning``,
-    the default) and ``error`` (raise ``KernelVerificationError`` on
-    error-severity findings).
+    Precedence is override (:meth:`set`) > environment variable >
+    preferences file > default.  The environment and file are consulted
+    once, on the first :meth:`get`; after that a ``get`` is one
+    attribute read — launches call it, so it must never touch the
+    filesystem.
     """
-    return _resolve_mode(_ENV_VERIFY, "verify", VERIFY_MODES, DEFAULT_VERIFY_MODE)
+
+    __slots__ = ("env", "prefs_key", "valid", "default", "doc", "_override", "_active")
+
+    def __init__(self, env: str, prefs_key: str, valid: tuple, default: str, doc: str):
+        self.env = env
+        self.prefs_key = prefs_key
+        self.valid = valid
+        self.default = default
+        self.doc = doc
+        self._override: Optional[str] = None
+        #: The override, else the cached resolution (``None`` = unresolved).
+        self._active: Optional[str] = None
+
+    def check(self, mode) -> None:
+        if mode not in self.valid:
+            raise PreferencesError(
+                f"{self.prefs_key} mode must be one of {self.valid}, got {mode!r}"
+            )
+
+    def resolve(self) -> str:
+        """Environment variable > preferences file > default, uncached."""
+        mode = os.environ.get(self.env)
+        if not mode:
+            mode = read_preferences().get(self.prefs_key, self.default)
+        self.check(mode)
+        return mode
+
+    def get(self) -> str:
+        """The mode in effect."""
+        mode = self._active
+        if mode is None:
+            mode = self._active = self.resolve()
+        return mode
+
+    def set(self, mode: Optional[str]) -> Optional[str]:
+        """Override the mode process-wide; ``None`` drops the override
+        and the cached resolution, so the next :meth:`get` re-reads the
+        environment and preferences file.  Raises
+        :class:`PreferencesError` (a ``ValueError``) on an unknown
+        value.  Returns the previous override."""
+        if mode is not None:
+            self.check(mode)
+        previous, self._override = self._override, mode
+        self._active = mode
+        return previous
+
+    @contextmanager
+    def scoped(self, mode: Optional[str]):
+        """``with knob.scoped("error"): ...`` — override, then restore."""
+        previous = self.set(mode)
+        try:
+            yield
+        finally:
+            self.set(previous)
 
 
-def resolve_validate_mode() -> str:
-    """Decide the translation-validator mode: env var > file > default.
-
-    The environment variable is ``PYACC_VALIDATE``; the preferences key
-    is ``validate`` under ``[repro]``.  Valid values are ``off`` (trust
-    the fusion pass, skip re-derivation), ``warn`` (undo unconfirmed
-    rewrites and warn, the default) and ``error`` (raise
-    ``TranslationValidationError`` on any unconfirmed rewrite or
-    error-severity program diagnostic).
-    """
-    return _resolve_mode(
-        _ENV_VALIDATE, "validate", VALIDATE_MODES, DEFAULT_VALIDATE_MODE
+#: The mode table, keyed by preferences key — the one declaration of
+#: each knob's environment variable, valid values, default and meaning
+#: (docs/API.md "Modes" is written from it).
+MODES = {
+    mode.prefs_key: mode
+    for mode in (
+        Mode(
+            "PYACC_EXECUTOR", "executor",
+            ("native", "codegen", "vector", "interpreter"), "native",
+            "Executor strategy for traced kernels (repro.ir.compile): "
+            "``native`` compiles each trace to a C shared object via the "
+            "system compiler — a kernel or call it declines, no C compiler "
+            "on the host included, runs its codegen program instead, "
+            "bit-identically, with the reason recorded; ``codegen`` lowers "
+            "each trace to straight-line NumPy source once; ``vector`` "
+            "walks the IR per launch; ``interpreter`` is scalar reference "
+            "execution, no tracing.  The kernel cache keys on the executor, "
+            "so switching recompiles.",
+        ),
+        Mode(
+            "PYACC_GRAPH", "graph", ("on", "off"), "on",
+            "Launch graphs (repro.graph): ``on`` lets iterative apps capture "
+            "their launch sequences once and replay pre-staged graphs — the "
+            "fastest steady-state path; ``off`` sends every construct "
+            "through the full staged dispatch pipeline, which stays "
+            "bit-identical (the differential-testing baseline).",
+        ),
+        Mode(
+            "PYACC_PASSES", "passes", ("all", "none"), "all",
+            "Graph fusion pass (repro.ir.program): ``all`` runs global "
+            "fusion at instantiate time — bit-identical by construction, an "
+            "unsafe merge declines and that launch replays unfused; "
+            "``none`` replays captured launches unfused (the differential "
+            "suites' reference path).  Takes effect at the next "
+            "``instantiate()``.",
+        ),
+        Mode(
+            "PYACC_VERIFY", "verify", ("off", "warn", "error"), "warn",
+            "Kernel verifier enforcement (repro.ir.verify): ``off`` skips "
+            "the analysis, ``warn`` emits ``KernelVerificationWarning`` and "
+            "never blocks a launch, ``error`` raises "
+            "``KernelVerificationError`` on error-severity findings.",
+        ),
+        Mode(
+            "PYACC_VALIDATE", "validate", ("off", "warn", "error"), "warn",
+            "Translation validator (repro.ir.validate): ``off`` trusts the "
+            "fusion pass and skips the re-derivation; ``warn`` undoes a "
+            "rewrite it cannot confirm (the program degrades to unoptimized "
+            "replay) and warns; ``error`` raises "
+            "``TranslationValidationError`` on any unconfirmed rewrite or "
+            "error-severity program diagnostic.",
+        ),
     )
+}
 
-
-def resolve_executor_mode() -> str:
-    """Decide the kernel executor: env var > file > default.
-
-    The environment variable is ``PYACC_EXECUTOR``; the preferences key
-    is ``executor`` under ``[repro]``.  Valid values are ``native``
-    (compile each trace to a C shared object via the system compiler,
-    declining to codegen when ineligible), ``codegen`` (lower each
-    trace to generated NumPy source, the default), ``vector`` (walk the
-    IR per launch) and ``interpreter`` (scalar reference execution, no
-    tracing) — the ablation axis for the executor benchmarks.
-    """
-    return _resolve_mode(
-        _ENV_EXECUTOR, "executor", EXECUTOR_MODES, DEFAULT_EXECUTOR
-    )
-
-
-def resolve_graph_mode() -> str:
-    """Decide the launch-graph mode: env var > file > default.
-
-    The environment variable is ``PYACC_GRAPH``; the preferences key is
-    ``graph`` under ``[repro]``.  Valid values are ``on`` (iterative
-    apps capture their launch sequences once and replay pre-staged
-    graphs, the default) and ``off`` (every construct goes through the
-    full staged dispatch pipeline — the differential-testing baseline).
-    """
-    return _resolve_mode(_ENV_GRAPH, "graph", GRAPH_MODES, DEFAULT_GRAPH_MODE)
-
-
-def resolve_passes_mode() -> str:
-    """Decide the graph fusion-pass mode: env var > file > default.
-
-    The environment variable is ``PYACC_PASSES``; the preferences key is
-    ``passes`` under ``[repro]``.  Valid values are ``all`` (default —
-    global fusion runs at instantiate time) and ``none`` (captured
-    launches replay unfused; the differential suites' reference path).
-    """
-    return _resolve_mode(
-        _ENV_PASSES, "passes", PASSES_PRESETS, DEFAULT_PASSES_MODE
-    )
+#: Each knob's valid values, default and uncached resolution
+#: (env > file > default), by their historical names.
+EXECUTOR_MODES, DEFAULT_EXECUTOR = MODES["executor"].valid, MODES["executor"].default
+GRAPH_MODES, DEFAULT_GRAPH_MODE = MODES["graph"].valid, MODES["graph"].default
+PASSES_PRESETS, DEFAULT_PASSES_MODE = MODES["passes"].valid, MODES["passes"].default
+VERIFY_MODES, DEFAULT_VERIFY_MODE = MODES["verify"].valid, MODES["verify"].default
+VALIDATE_MODES, DEFAULT_VALIDATE_MODE = MODES["validate"].valid, MODES["validate"].default
+resolve_executor_mode = MODES["executor"].resolve
+resolve_graph_mode = MODES["graph"].resolve
+resolve_passes_mode = MODES["passes"].resolve
+resolve_verify_mode = MODES["verify"].resolve
+resolve_validate_mode = MODES["validate"].resolve

@@ -75,6 +75,7 @@ from .core.exceptions import (
     PreferencesError,
     TransientDeviceError,
 )
+from .obs import Counters, register
 
 if TYPE_CHECKING:  # pragma: no cover - types only
     from .core.backend import Backend
@@ -142,10 +143,10 @@ class FaultEvent:
     detail: str = ""
 
 
-class _FaultCounters:
-    """Process-wide fault/retry/failover totals (bench ``--json``)."""
-
-    _FIELDS = (
+#: Process-wide fault/retry/failover totals (bench ``--json``).
+_COUNTERS = Counters(
+    "faults",
+    (
         "probes",
         "transients_injected",
         "permanents_injected",
@@ -156,28 +157,9 @@ class _FaultCounters:
         "watchdog_timeouts",
         "checkpoint_saves",
         "checkpoint_restores",
-    )
-
-    def __init__(self) -> None:
-        self._lock = threading.Lock()
-        for name in self._FIELDS:
-            setattr(self, name, 0)
-
-    def bump(self, name: str, n: int = 1) -> None:
-        with self._lock:
-            setattr(self, name, getattr(self, name) + n)
-
-    def snapshot(self) -> dict:
-        with self._lock:
-            return {name: getattr(self, name) for name in self._FIELDS}
-
-    def reset(self) -> None:
-        with self._lock:
-            for name in self._FIELDS:
-                setattr(self, name, 0)
-
-
-_COUNTERS = _FaultCounters()
+    ),
+)
+register(_COUNTERS)
 
 
 def global_fault_stats() -> dict:

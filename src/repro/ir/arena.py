@@ -43,44 +43,29 @@ from typing import Optional
 
 import numpy as np
 
+from ..obs import Counters, register
+
 __all__ = ["ScratchArena", "ArenaFrame", "default_arena", "global_stats"]
 
 _F8_STR = np.dtype(np.float64).str
 
 
-class _GlobalCounters:
-    """Process-wide aggregate across every arena (bench reporting)."""
-
-    def __init__(self) -> None:
-        self._lock = threading.Lock()
-        self.buffers_created = 0
-        self.buffers_reused = 0
-        self.bytes_allocated = 0
-        self.bytes_saved = 0
-
-    def record(self, *, created: int, reused: int, bytes_allocated: int, bytes_saved: int) -> None:
-        with self._lock:
-            self.buffers_created += created
-            self.buffers_reused += reused
-            self.bytes_allocated += bytes_allocated
-            self.bytes_saved += bytes_saved
-
-    def snapshot(self) -> dict:
-        with self._lock:
-            return {
-                "buffers_created": self.buffers_created,
-                "buffers_reused": self.buffers_reused,
-                "bytes_allocated": self.bytes_allocated,
-                "bytes_saved": self.bytes_saved,
-            }
-
-
-_GLOBAL = _GlobalCounters()
+#: Process-wide aggregate across every arena (bench reporting).
+_GLOBAL = Counters(
+    "arena",
+    ("buffers_created", "buffers_reused", "bytes_allocated", "bytes_saved"),
+)
+register(_GLOBAL)
 
 
 def global_stats() -> dict:
     """Process-wide arena activity (all arenas, since process start)."""
     return _GLOBAL.snapshot()
+
+
+def _count_created(buf: np.ndarray) -> None:
+    _GLOBAL.bump("buffers_created")
+    _GLOBAL.bump("bytes_allocated", buf.nbytes)
 
 
 class ArenaFrame:
@@ -183,12 +168,7 @@ class ScratchArena:
                     self._pools.setdefault(key, []).append(buf)
                     self._created += 1
                     self._bytes_allocated += buf.nbytes
-                _GLOBAL.record(
-                    created=1,
-                    reused=0,
-                    bytes_allocated=buf.nbytes,
-                    bytes_saved=0,
-                )
+                _count_created(buf)
                 created += 1
         return created
 
@@ -200,13 +180,14 @@ class ScratchArena:
                 buf = pool.pop()
                 self._reused += 1
                 self._bytes_saved += buf.nbytes
-                _GLOBAL.record(created=0, reused=1, bytes_allocated=0, bytes_saved=buf.nbytes)
+                _GLOBAL.bump("buffers_reused")
+                _GLOBAL.bump("bytes_saved", buf.nbytes)
                 return buf
         buf = np.empty(shape, dtype=dtype)
         with self._lock:
             self._created += 1
             self._bytes_allocated += buf.nbytes
-        _GLOBAL.record(created=1, reused=0, bytes_allocated=buf.nbytes, bytes_saved=0)
+        _count_created(buf)
         return buf
 
     def _push_all(self, taken: list[tuple[tuple, np.ndarray]]) -> None:

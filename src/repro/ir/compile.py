@@ -23,20 +23,15 @@ trace-cache ablation benchmark.
 
 from __future__ import annotations
 
-import functools
 import threading
 from dataclasses import dataclass, field
 from typing import Any, Callable, Optional, Sequence
 
 import numpy as np
 
-from ..core.exceptions import (
-    ConcretizationRequired,
-    PreferencesError,
-    TraceError,
-    TraceFallback,
-)
-from ..core.preferences import EXECUTOR_MODES, resolve_executor_mode
+from .. import obs
+from ..core.exceptions import ConcretizationRequired, TraceError, TraceFallback
+from ..core.preferences import MODES
 from . import compilecache
 from . import nodes as N
 from .arena import ChunkArena, ScratchArena
@@ -48,7 +43,7 @@ from .nativecache import record_decline
 from .optimize import optimize_trace
 from .stats import TraceStats, analyze
 from .tracer import trace_kernel
-from .vectorizer import _BIN_FUNCS, IndexDomain, execute_trace, reduce_trace
+from .vectorizer import IndexDomain, execute_trace, fold_partials, reduce_trace
 
 __all__ = [
     "CompiledKernel",
@@ -178,11 +173,7 @@ class CompiledKernel:
             partials = [program.run_reduce(tile, args, op, arena) for tile in tiles]
         else:
             partials = [reduce_trace(self.trace, tile, args, op) for tile in tiles]
-        if len(partials) == 1:
-            return partials[0]
-        # The ufunc the kernel IR itself uses for ``op``: NaN-propagating
-        # for min/max, like the per-tile ``np.min``/``np.max``.
-        return float(functools.reduce(_BIN_FUNCS[op], partials))
+        return fold_partials(op, partials)
 
 
 def _scalar_value(a: Any) -> Any:
@@ -334,37 +325,21 @@ def clear_cache(cache: Optional[KernelCache] = None) -> None:
 
 def cache_info(cache: Optional[KernelCache] = None) -> dict:
     """Return cache statistics: size, hits, misses (locked snapshot),
-    plus the process-wide launch-graph counters under ``"graph"``
-    (captures/replays/fused pairs — see :func:`repro.graph.graph_stats`),
-    the verifier diagnostic counters under ``"verify"`` (totals and
-    per-rule counts — see
-    :data:`repro.ir.diagnostics.counters`), and the native-executor
-    counters under ``"native"`` — ``{compiled, disk_hits, mem_hits,
-    declined: {reason: n}}`` — covering every decline class including
-    link/load-time failures (see
-    :func:`repro.ir.nativecache.native_stats`), the persistent
-    compile-cache counters under ``"disk"`` — ``{disk_hits,
-    disk_misses, stores, invalidated, bytes, ...}`` (see
-    :func:`repro.ir.compilecache.disk_stats`), and the cluster-backend
-    counters under ``"cluster"`` — shards, halo exchanges/bytes,
-    respawns, rebalances, degradations (see
-    :func:`repro.backends.cluster.cluster_stats`).
+    plus five process-wide counter blocks as their public views:
+    ``"graph"`` (:func:`repro.graph.graph_stats`), ``"verify"``
+    (:data:`repro.ir.diagnostics.counters`), ``"native"``
+    (:func:`repro.ir.nativecache.native_stats` — every decline class,
+    link/load-time failures included), ``"disk"``
+    (:func:`repro.ir.compilecache.disk_stats`) and ``"cluster"``
+    (:func:`repro.backends.cluster.cluster_stats`).  The fields of each
+    block are listed once, in docs/API.md "Counter blocks".
 
     Reports on the process-global cache by default; pass a
     context-scoped :class:`KernelCache` to inspect that one instead.
     """
     info = (cache if cache is not None else _CACHE).stats()
-    from ..graph import graph_stats
-    from .diagnostics import counters
-    from .nativecache import native_stats
-
-    info["graph"] = graph_stats()
-    info["verify"] = counters.snapshot()
-    info["native"] = native_stats()
-    info["disk"] = compilecache.disk_stats()
-    from ..backends.cluster import cluster_stats
-
-    info["cluster"] = cluster_stats()
+    for name in ("graph", "verify", "native", "disk", "cluster"):
+        info[name] = obs.stats(name)
     return info
 
 
@@ -374,46 +349,13 @@ def _analyze_or_placeholder(trace: Optional[N.Trace]) -> TraceStats:
     return analyze(trace)
 
 
-# ---------------------------------------------------------------------------
-# Executor selection (the PYACC_EXECUTOR ablation axis)
-# ---------------------------------------------------------------------------
-
-_executor_override: Optional[str] = None
-_executor_resolved: Optional[str] = None
-
-
-def executor_mode() -> str:
-    """The active executor strategy:
-    ``native``/``codegen``/``vector``/``interpreter``.
-
-    Resolved once from ``PYACC_EXECUTOR`` / the preferences file (see
-    :func:`repro.core.preferences.resolve_executor_mode`) and cached —
-    compile_kernel consults this on every call, so the resolution must
-    not touch the filesystem per launch.
-    """
-    global _executor_resolved
-    if _executor_override is not None:
-        return _executor_override
-    if _executor_resolved is None:
-        _executor_resolved = resolve_executor_mode()
-    return _executor_resolved
-
-
-def set_executor_mode(mode: Optional[str]) -> None:
-    """Override the executor strategy process-wide (ablation/tests).
-
-    ``None`` drops the override *and* the cached resolution, so the next
-    compile re-reads ``PYACC_EXECUTOR``/preferences.  Note the kernel
-    cache keys on the executor, so switching recompiles rather than
-    reusing kernels built for another strategy.
-    """
-    global _executor_override, _executor_resolved
-    if mode is not None and mode not in EXECUTOR_MODES:
-        raise PreferencesError(
-            f"executor mode must be one of {EXECUTOR_MODES}, got {mode!r}"
-        )
-    _executor_override = mode
-    _executor_resolved = None
+#: The ``executor`` knob (``PYACC_EXECUTOR``, see
+#: :data:`repro.core.preferences.MODES`): ``executor_mode()`` is the
+#: strategy in effect, ``set_executor_mode(mode | None)`` the
+#: process-wide override (ablation/tests).
+_EXECUTOR = MODES["executor"]
+executor_mode = _EXECUTOR.get
+set_executor_mode = _EXECUTOR.set
 
 
 def compile_kernel(
@@ -441,10 +383,8 @@ def compile_kernel(
         cache = _CACHE
     if executor is None:
         executor = executor_mode()
-    elif executor not in EXECUTOR_MODES:
-        raise PreferencesError(
-            f"executor mode must be one of {EXECUTOR_MODES}, got {executor!r}"
-        )
+    else:
+        _EXECUTOR.check(executor)
     base_key = (_fn_key(fn), ndim, bool(reduce), executor, _type_signature(args))
 
     # 1. Generic (type-specialized) entry.

@@ -65,6 +65,7 @@ from typing import Any, Callable, Optional, Sequence
 
 import numpy as np
 
+from ..obs import Counters, register
 from . import diskcache
 
 __all__ = [
@@ -109,21 +110,24 @@ _SCALARS = (bool, int, float, complex, str, bytes, type(None))
 #: kernel ineligible.
 _VERSION_KEYED_PKGS = ("repro", "numpy", "math", "builtins")
 
-_LOCK = threading.Lock()
-_STATS = {
-    "disk_hits": 0,
-    "disk_misses": 0,
-    "stores": 0,
-    "invalidated": 0,
-    "bytes": 0,
-    "ineligible": 0,
-    "compiles": 0,
-    "verify_runs": 0,
-    "graph_hits": 0,
-    "graph_misses": 0,
-    "graph_stores": 0,
-    "promoted": 0,
-}
+#: ``cache_info()["disk"]`` (plus ``enabled``, see :func:`disk_stats`).
+_STATS = Counters(
+    "disk",
+    (
+        "disk_hits",
+        "disk_misses",
+        "stores",
+        "invalidated",
+        "bytes",
+        "ineligible",
+        "compiles",
+        "verify_runs",
+        "graph_hits",
+        "graph_misses",
+        "graph_stores",
+        "promoted",
+    ),
+)
 
 #: Worker spool directory (cluster children publish here; parent
 #: promotes).  ``None`` = normal (direct-publish) mode.
@@ -165,35 +169,30 @@ def disk_stats() -> dict:
     content-addressed, ``promoted`` spool entries absorbed from cluster
     workers).
     """
-    with _LOCK:
-        out = dict(_STATS)
+    out = _STATS.snapshot()
     out["enabled"] = enabled()
     return out
+
+
+register(_STATS, disk_stats)
 
 
 def reset_state(*, drop_counters: bool = True) -> None:
     """Test hook: zero the counters (entries on disk are never touched)."""
     global _SPOOL
-    with _LOCK:
-        if drop_counters:
-            for k in _STATS:
-                _STATS[k] = 0
-        _SPOOL = None
-
-
-def _bump(key: str, n: int = 1) -> None:
-    with _LOCK:
-        _STATS[key] += n
+    if drop_counters:
+        _STATS.reset()
+    _SPOOL = None
 
 
 def record_compile() -> None:
     """Count one real compile (trace → optimize → lower) performed."""
-    _bump("compiles")
+    _STATS.bump("compiles")
 
 
 def record_verify_run() -> None:
     """Count one real ``verify_trace`` execution performed."""
-    _bump("verify_runs")
+    _STATS.bump("verify_runs")
 
 
 # ---------------------------------------------------------------------------
@@ -476,7 +475,7 @@ def kernel_keys(
         ssig = _stable_shape_sig(args)
         vsig = _stable_value_sig(args)
     except _Ineligible:
-        _bump("ineligible")
+        _STATS.bump("ineligible")
         return None
     head = (
         _env_tag(),
@@ -532,8 +531,8 @@ def _publish(digest: str, payload: dict, kind: str = "k") -> None:
         n = diskcache.write_entry(path, blob)
     except Exception:
         return
-    _bump("stores")
-    _bump("bytes", n)
+    _STATS.bump("stores")
+    _STATS.bump("bytes", n)
 
 
 def _read(digest: str, kind: str = "k") -> Optional[dict]:
@@ -546,7 +545,7 @@ def _read(digest: str, kind: str = "k") -> Optional[dict]:
         blob = diskcache.read_entry(path)
     except diskcache.CorruptEntry:
         diskcache.unlink_quiet(path)
-        _bump("invalidated")
+        _STATS.bump("invalidated")
         return None
     if blob is None:
         return None
@@ -554,14 +553,14 @@ def _read(digest: str, kind: str = "k") -> Optional[dict]:
         payload = pickle.loads(blob)
     except Exception:
         diskcache.unlink_quiet(path)
-        _bump("invalidated")
+        _STATS.bump("invalidated")
         return None
     if (
         not isinstance(payload, dict)
         or payload.get("env") != _env_tag()
     ):
         diskcache.unlink_quiet(path)
-        _bump("invalidated")
+        _STATS.bump("invalidated")
         return None
     return payload
 
@@ -733,12 +732,12 @@ def load_kernel(keys: KernelKeys, fn: Callable):
         ck = rebuild_kernel(payload, fn)
         if ck is None:
             diskcache.unlink_quiet(_entry_path(digest, "k"))
-            _bump("invalidated")
+            _STATS.bump("invalidated")
             continue
         _tag_kernel(ck, digest, rung, payload.get("meta", {}))
-        _bump("disk_hits")
+        _STATS.bump("disk_hits")
         return ck, rung
-    _bump("disk_misses")
+    _STATS.bump("disk_misses")
     return None, None
 
 
@@ -888,9 +887,9 @@ class program_scope:
             payload = _read(self.digest, "g")
             if payload is not None and payload.get("kind") == "program":
                 scope.entry = payload.get("subentries", {})
-                _bump("graph_hits")
+                _STATS.bump("graph_hits")
             else:
-                _bump("graph_misses")
+                _STATS.bump("graph_misses")
         self._prev = _scope()
         _TL.scope = scope
         self.scope = scope
@@ -907,7 +906,7 @@ class program_scope:
                 {"env": _env_tag(), "kind": "program", "subentries": merged},
                 "g",
             )
-            _bump("graph_stores")
+            _STATS.bump("graph_stores")
 
 
 def _alias_pairs(a_args, b_args) -> tuple:
@@ -1146,5 +1145,5 @@ def promote_spools(pids: Optional[Sequence[int]] = None) -> int:
         except OSError:
             pass
     if promoted:
-        _bump("promoted", promoted)
+        _STATS.bump("promoted", promoted)
     return promoted

@@ -23,8 +23,9 @@ severities; ``docs/API.md`` documents each rule with examples.
 
 from __future__ import annotations
 
-import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+
+from ..obs import Counters, register
 
 __all__ = [
     "Diagnostic",
@@ -280,53 +281,31 @@ class Diagnostic:
         return f"{self.rule} {self.severity} ({self.kernel}): {self.message}{loc}"
 
 
-@dataclass
-class DiagnosticCounters:
-    """Process-wide tally of verifier activity.
+class DiagnosticCounters(Counters):
+    """Process-wide tally of verifier activity (the ``verify`` block).
 
     The bench harness snapshots these into its JSON results so verifier
     noise (new warnings/errors on the paper workloads) is visible in the
     perf trajectory alongside the timing numbers.
     """
 
-    kernels_verified: int = 0
-    errors: int = 0
-    warnings: int = 0
-    infos: int = 0
-    by_rule: dict = field(default_factory=dict)
-    _lock: threading.Lock = field(default_factory=threading.Lock, repr=False)
+    __slots__ = ()
+
+    def __init__(self) -> None:
+        super().__init__(
+            "verify",
+            ("kernels_verified", "errors", "warnings", "infos"),
+            keyed=("by_rule",),
+        )
 
     def record(self, diagnostics) -> None:
         """Count one fresh verification and its findings."""
-        with self._lock:
-            self.kernels_verified += 1
-            for d in diagnostics:
-                if d.severity == "error":
-                    self.errors += 1
-                elif d.severity == "warning":
-                    self.warnings += 1
-                else:
-                    self.infos += 1
-                self.by_rule[d.rule] = self.by_rule.get(d.rule, 0) + 1
-
-    def snapshot(self) -> dict:
-        with self._lock:
-            return {
-                "kernels_verified": self.kernels_verified,
-                "errors": self.errors,
-                "warnings": self.warnings,
-                "infos": self.infos,
-                "by_rule": dict(sorted(self.by_rule.items())),
-            }
-
-    def reset(self) -> None:
-        with self._lock:
-            self.kernels_verified = 0
-            self.errors = 0
-            self.warnings = 0
-            self.infos = 0
-            self.by_rule.clear()
+        self.bump("kernels_verified")
+        for d in diagnostics:
+            self.bump(d.severity + "s")  # one of SEVERITIES, pluralized
+            self.bump_key("by_rule", d.rule)
 
 
 #: The process-wide counters instance (see :class:`DiagnosticCounters`).
 counters = DiagnosticCounters()
+register(counters)

@@ -39,6 +39,7 @@ import threading
 from pathlib import Path
 from typing import Optional
 
+from ..obs import Counters, register
 from . import diskcache
 
 __all__ = [
@@ -71,12 +72,15 @@ class NativeCompileError(Exception):
 
 
 # ---------------------------------------------------------------------------
-# Counters (mirrors repro.ir.diagnostics.DiagnosticCounters)
+# Counters (the ``native`` block) and process state
 # ---------------------------------------------------------------------------
 
+_STATS = Counters(
+    "native", ("compiled", "disk_hits", "mem_hits", "bytes"), keyed=("declined",)
+)
+register(_STATS)
+
 _LOCK = threading.Lock()
-_STATS = {"compiled": 0, "disk_hits": 0, "mem_hits": 0, "bytes": 0}
-_DECLINED: dict[str, int] = {}
 
 #: In-memory handle cache: source hash -> ctypes function pointer.  Kept
 #: separate from the on-disk artifacts so tests can drop only the memory
@@ -87,25 +91,16 @@ _MEM: dict[str, ctypes.CDLL] = {}
 _CC_RESOLVED: dict[Optional[str], Optional[str]] = {}
 
 
-def _bump(key: str, n: int = 1) -> None:
-    with _LOCK:
-        _STATS[key] += n
-
-
 def record_decline(reason: str) -> None:
     """Count one native decline under ``reason`` (taxonomy in module doc)."""
-    with _LOCK:
-        _DECLINED[reason] = _DECLINED.get(reason, 0) + 1
+    _STATS.bump_key("declined", reason)
 
 
 def native_stats() -> dict:
     """Locked snapshot: ``{compiled, disk_hits, mem_hits, bytes,
     declined}`` — ``bytes`` counts artifact bytes (``.c`` + ``.so``)
     published by *this process*."""
-    with _LOCK:
-        out = dict(_STATS)
-        out["declined"] = dict(_DECLINED)
-        return out
+    return _STATS.snapshot()
 
 
 def reset_state(*, drop_memory: bool = True, drop_counters: bool = True) -> None:
@@ -121,10 +116,8 @@ def reset_state(*, drop_memory: bool = True, drop_counters: bool = True) -> None
         if drop_memory:
             _MEM.clear()
         _CC_RESOLVED.clear()
-        if drop_counters:
-            for k in _STATS:
-                _STATS[k] = 0
-            _DECLINED.clear()
+    if drop_counters:
+        _STATS.reset()
 
 
 # ---------------------------------------------------------------------------
@@ -240,8 +233,8 @@ def _compile_to_disk(cc: str, source: str, key: str, cdir: Path) -> Path:
     finally:
         for leftover in (tmp_c, tmp_so):
             diskcache.unlink_quiet(Path(leftover))
-    _bump("compiled")
-    _bump("bytes", nbytes)
+    _STATS.bump("compiled")
+    _STATS.bump("bytes", nbytes)
     return so_path
 
 
@@ -266,13 +259,13 @@ def compile_source(source: str):
     with _LOCK:
         lib = _MEM.get(key)
     if lib is not None:
-        _bump("mem_hits")
+        _STATS.bump("mem_hits")
         return lib.pyacc_kernel
     so_path = cdir / f"{key}.so"
     if so_path.exists():
         try:
             lib = _load(so_path)
-            _bump("disk_hits")
+            _STATS.bump("disk_hits")
             with _LOCK:
                 _MEM[key] = lib
             return lib.pyacc_kernel

@@ -29,12 +29,11 @@ Mode selection mirrors the kernel verifier: ``PYACC_VALIDATE`` env >
 
 from __future__ import annotations
 
-from contextlib import contextmanager
 from typing import Callable, Optional
 
 import numpy as np
 
-from ..core.preferences import VALIDATE_MODES, resolve_validate_mode
+from ..core.preferences import MODES
 from .diagnostics import Diagnostic, rule_severity
 from .effects import (
     EffectsSummary,
@@ -56,46 +55,14 @@ __all__ = [
 # Enforcement-mode selection
 # ---------------------------------------------------------------------------
 
-_MODE_OVERRIDE: Optional[str] = None
-_MODE_RESOLVED: Optional[str] = None
-
-
-def active_validate_mode() -> str:
-    """The validator mode in effect: process override, else the
-    ``validate`` preference (env ``PYACC_VALIDATE`` > file > ``"warn"``)."""
-    global _MODE_RESOLVED
-    if _MODE_OVERRIDE is not None:
-        return _MODE_OVERRIDE
-    if _MODE_RESOLVED is None:
-        _MODE_RESOLVED = resolve_validate_mode()
-    return _MODE_RESOLVED
-
-
-def set_validate_mode(mode: Optional[str]) -> Optional[str]:
-    """Set the process-wide validator mode (``off | warn | error``).
-
-    ``None`` drops the override so the next instantiation re-resolves
-    the Preferences mechanism.  Returns the previous override.
-    """
-    global _MODE_OVERRIDE, _MODE_RESOLVED
-    if mode is not None and mode not in VALIDATE_MODES:
-        raise ValueError(
-            f"unknown validate mode {mode!r}; expected one of {VALIDATE_MODES}"
-        )
-    previous = _MODE_OVERRIDE
-    _MODE_OVERRIDE = mode
-    _MODE_RESOLVED = None
-    return previous
-
-
-@contextmanager
-def validate_mode(mode: str):
-    """Scope a validator mode: ``with validate_mode("error"): ...``."""
-    previous = set_validate_mode(mode)
-    try:
-        yield
-    finally:
-        set_validate_mode(previous)
+#: The ``validate`` knob (``PYACC_VALIDATE``, see
+#: :data:`repro.core.preferences.MODES`): ``active_validate_mode()`` is
+#: the validator mode in effect, ``set_validate_mode(mode | None)`` the
+#: process-wide override (returns the previous one), and
+#: ``with validate_mode("error"): ...`` scopes an override.
+active_validate_mode = MODES["validate"].get
+set_validate_mode = MODES["validate"].set
+validate_mode = MODES["validate"].scoped
 
 
 def _diag(rule: str, kernel: str, message: str, provenance: str = ""):

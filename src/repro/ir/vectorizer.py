@@ -32,7 +32,7 @@ Key behaviours
 from __future__ import annotations
 
 import math
-from functools import lru_cache
+from functools import lru_cache, reduce
 from typing import Any, Sequence
 
 import numpy as np
@@ -45,6 +45,7 @@ __all__ = [
     "VectorEvaluator",
     "execute_trace",
     "reduce_trace",
+    "fold_partials",
     "evaluate_values",
 ]
 
@@ -506,6 +507,23 @@ def _fold_lanes(values: Any, shape: tuple, op: str) -> float:
     if op == "add":
         return float(values.sum())
     return float(values.min() if op == "min" else values.max())
+
+
+def fold_partials(op: str, partials: Sequence[float]) -> float:
+    """Fold per-tile / per-chunk / per-shard reduce partials with ``op``,
+    left to right — the one partial fold the tile loop and every backend
+    share, so they agree bitwise.
+
+    Uses the ufunc the kernel IR itself uses for ``op``: ``np.minimum``
+    / ``np.maximum`` propagate NaN like the per-lane ``np.min`` /
+    ``np.max`` (Python's ``min``/``max`` do not).  A single partial is
+    returned unchanged.
+    """
+    if op not in _REDUCE_IDENTITY:
+        raise KernelExecutionError(f"unsupported reduction op {op!r}")
+    if len(partials) == 1:
+        return partials[0]
+    return float(reduce(_BIN_FUNCS[op], partials))
 
 
 def reduce_trace(

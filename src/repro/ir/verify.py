@@ -45,13 +45,12 @@ from __future__ import annotations
 import math
 import numbers
 import warnings
-from contextlib import contextmanager
 from typing import Any, Optional, Sequence
 
 import numpy as np
 
 from ..core.exceptions import KernelVerificationError
-from ..core.preferences import VERIFY_MODES, resolve_verify_mode
+from ..core.preferences import MODES
 from . import nodes as N
 from .diagnostics import (
     Diagnostic,
@@ -79,46 +78,14 @@ _INF = float("inf")
 # Enforcement-mode selection
 # ---------------------------------------------------------------------------
 
-_MODE_OVERRIDE: Optional[str] = None
-_MODE_RESOLVED: Optional[str] = None
-
-
-def active_verify_mode() -> str:
-    """The enforcement mode in effect: process override, else the
-    ``verify`` preference (env ``PYACC_VERIFY`` > file > ``"warn"``)."""
-    global _MODE_RESOLVED
-    if _MODE_OVERRIDE is not None:
-        return _MODE_OVERRIDE
-    if _MODE_RESOLVED is None:
-        _MODE_RESOLVED = resolve_verify_mode()
-    return _MODE_RESOLVED
-
-
-def set_verify_mode(mode: Optional[str]) -> Optional[str]:
-    """Set the process-wide enforcement mode (``off | warn | error``).
-
-    ``None`` drops the override so the next construct re-resolves the
-    Preferences mechanism.  Returns the previous override.
-    """
-    global _MODE_OVERRIDE, _MODE_RESOLVED
-    if mode is not None and mode not in VERIFY_MODES:
-        raise ValueError(
-            f"unknown verify mode {mode!r}; expected one of {VERIFY_MODES}"
-        )
-    previous = _MODE_OVERRIDE
-    _MODE_OVERRIDE = mode
-    _MODE_RESOLVED = None
-    return previous
-
-
-@contextmanager
-def verify_mode(mode: str):
-    """Scope an enforcement mode: ``with verify_mode("error"): ...``."""
-    previous = set_verify_mode(mode)
-    try:
-        yield
-    finally:
-        set_verify_mode(previous)
+#: The ``verify`` knob (``PYACC_VERIFY``, see
+#: :data:`repro.core.preferences.MODES`): ``active_verify_mode()`` is
+#: the enforcement mode in effect, ``set_verify_mode(mode | None)`` the
+#: process-wide override (returns the previous one), and
+#: ``with verify_mode("error"): ...`` scopes an override.
+active_verify_mode = MODES["verify"].get
+set_verify_mode = MODES["verify"].set
+verify_mode = MODES["verify"].scoped
 
 
 def suppress(*rules: str):

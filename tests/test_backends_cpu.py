@@ -228,3 +228,98 @@ class TestThreadsViaApi:
         repro.parallel_for(n, axpy, 1.5, xt, repro.array(yh))
         np.testing.assert_array_equal(repro.to_host(xt), ref)
         repro.set_backend("serial")
+
+
+def val(i, x):
+    return x[i]
+
+
+def _left_to_right(partials):
+    """The IEEE left-to-right sum (``sum()`` is compensated on 3.12+)."""
+    acc = partials[0]
+    for p in partials[1:]:
+        acc = acc + p
+    return acc
+
+
+def _bits(value):
+    return np.float64(value).tobytes()
+
+
+class TestReducePartialFold:
+    """One partial fold for every backend: ``fold_partials`` uses the
+    kernel IR's own ufuncs, so chunked min/max propagate NaN exactly like
+    the serial lane fold and chunked add is the plain left-to-right sum."""
+
+    N = 1 << 18
+
+    def _backends(self):
+        return [
+            ThreadsBackend(n_threads=2),
+            ThreadsBackend(n_threads=4),
+            "multi-sim",
+        ]
+
+    @pytest.mark.parametrize("op", ["min", "max"])
+    @pytest.mark.parametrize("pos", [0, N - 1], ids=["first", "last"])
+    def test_nan_lane_matches_serial_bitwise(self, op, pos):
+        host = np.ones(self.N)
+        host[pos] = np.nan
+        try:
+            repro.set_backend("serial")
+            want = repro.parallel_reduce(self.N, val, repro.array(host), op=op)
+            assert np.isnan(want)
+            for backend in self._backends():
+                repro.set_backend(backend)
+                got = repro.parallel_reduce(self.N, val, repro.array(host), op=op)
+                assert _bits(got) == _bits(want), (backend, got)
+        finally:
+            repro.set_backend("serial")
+
+    @pytest.mark.parametrize("n_threads", [2, 4])
+    def test_add_is_left_to_right_over_chunk_partials(self, n_threads):
+        from repro.core.launch import cpu_chunks
+
+        host = np.random.default_rng(11).standard_normal(self.N)
+        try:
+            repro.set_backend("serial")
+            partials = [
+                repro.parallel_reduce(hi - lo, val, repro.array(host[lo:hi]))
+                for lo, hi in cpu_chunks((self.N,), n_threads)
+            ]
+            assert len(partials) == n_threads
+            repro.set_backend(ThreadsBackend(n_threads=n_threads))
+            got = repro.parallel_reduce(self.N, val, repro.array(host))
+            assert _bits(got) == _bits(_left_to_right(partials))
+        finally:
+            repro.set_backend("serial")
+
+    def test_fold_partials_contract(self):
+        from repro.core.exceptions import KernelExecutionError
+        from repro.ir.vectorizer import fold_partials
+
+        rng = np.random.default_rng(12)
+        for n in (1, 2, 3, 8):
+            ps = [float(v) for v in rng.standard_normal(n)]
+            assert _bits(fold_partials("add", ps)) == _bits(_left_to_right(ps))
+            assert fold_partials("min", ps) == min(ps)
+            assert fold_partials("max", ps) == max(ps)
+        only = -0.0
+        assert fold_partials("add", [only]) is only  # returned unchanged
+        assert np.isnan(fold_partials("min", [1.0, np.nan]))
+        assert np.isnan(fold_partials("max", [np.nan, 1.0]))
+        with pytest.raises(KernelExecutionError):
+            fold_partials("prod", [1.0, 2.0])
+
+    def test_unknown_op_raises_before_any_chunk_runs(self):
+        launches = []
+        repro.set_backend(ThreadsBackend(n_threads=2))
+        unsubscribe = repro.current_context().on_launch(launches.append)
+        try:
+            x = repro.array(np.ones(self.N))
+            with pytest.raises(ValueError):
+                repro.parallel_reduce(self.N, val, x, op="prod")
+            assert launches == []
+        finally:
+            unsubscribe()
+            repro.set_backend("serial")

@@ -761,3 +761,52 @@ class TestTimeouts:
             assert elapsed < 30.0  # bounded by the deadline, not forever
         finally:
             backend.close()
+
+
+class TestReducePartialFold:
+    """The shard fold is the fold every other backend uses: NaN
+    propagates through min/max exactly like the serial lane fold, at
+    whatever worker count this leg runs (``PYACC_CLUSTER_WORKERS``)."""
+
+    N = 1 << 18
+
+    @pytest.fixture
+    def cluster(self):
+        backend = ClusterBackend()  # default_num_workers(): CI runs 1/2/3
+        yield backend
+        backend.close()
+
+    @pytest.mark.parametrize("op", ["min", "max"])
+    @pytest.mark.parametrize("pos", [0, N - 1], ids=["first", "last"])
+    def test_nan_lane_matches_serial_bitwise(self, cluster, op, pos):
+        host = np.ones(self.N)
+        host[pos] = np.nan
+        with repro.use_backend("serial"):
+            want = repro.parallel_reduce(self.N, val, repro.array(host), op=op)
+        assert np.isnan(want)
+        repro.set_backend(cluster)
+        before = cluster_stats()["shards"]
+        got = repro.parallel_reduce(self.N, val, repro.array(host), op=op)
+        if cluster.n_workers > 1:  # one worker has nothing to shard
+            assert cluster_stats()["shards"] > before
+        assert np.float64(got).tobytes() == np.float64(want).tobytes()
+
+    def test_add_is_the_pairwise_tree_over_shard_partials(self, cluster):
+        host = np.random.default_rng(21).standard_normal(self.N)
+        repro.set_backend(cluster)
+        got = repro.parallel_reduce(self.N, val, repro.array(host))
+        with repro.use_backend("serial"):
+            want = repro.parallel_reduce(self.N, val, repro.array(host))
+        assert got == pytest.approx(want, rel=1e-12)
+        # Deterministic: the tree is a pure function of the shard split.
+        again = repro.parallel_reduce(self.N, val, repro.array(host))
+        assert np.float64(again).tobytes() == np.float64(got).tobytes()
+
+    def test_unknown_op_raises_before_any_shard_runs(self, cluster):
+        repro.set_backend(cluster)
+        before = cluster_stats()["shards"]
+        with pytest.raises(ValueError):
+            repro.parallel_reduce(
+                self.N, val, repro.array(np.ones(self.N)), op="prod"
+            )
+        assert cluster_stats()["shards"] == before
