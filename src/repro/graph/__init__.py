@@ -13,7 +13,9 @@ amortizes the *orchestration* the same way CUDA Graphs do:
 * :meth:`~repro.graph.capture.LaunchGraph.instantiate` freezes them:
   compatible launches fuse into single programs
   (:mod:`repro.ir.program`), arena pools are pre-sized, and all
-  per-launch decisions are hoisted;
+  per-launch decisions are hoisted — once per *structure*: a later
+  capture of the same launch sequence over other arrays of the same
+  signature rebinds the stored result instead of rebuilding it;
 * :meth:`~repro.graph.capture.InstantiatedGraph.replay` re-executes the
   sequence with only scalar-slot rebinding, through the same execute
   stage as normal dispatch (bit-identical results, identical fault
@@ -88,7 +90,8 @@ def graphs_enabled() -> bool:
 _COUNTS = Counters(
     "graph",
     (
-        "captures",
+        "captures",  # every instantiated graph, built in full or rebound
+        "rebinds",  # ... of which: a stored structure bound to new arrays
         "replays",
         "nodes_replayed",
         "fused_pairs",

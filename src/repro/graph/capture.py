@@ -15,14 +15,24 @@ The CUDA-Graphs model, transplanted to the staged dispatch pipeline
   pools are pre-sized for every scratch buffer replay will draw
   (:meth:`repro.ir.arena.ScratchArena.reserve`), and the
   verify/cache/executor decisions already attached to each plan are
-  thereby hoisted out of the loop.
+  thereby hoisted out of the loop.  What that produces splits into a
+  **structure** (:class:`_Structure`: the post-fusion node list with
+  its kernels, schedules and slot maps, and no array) and a **binding**
+  (which recorded argument sits in which position).  The structure is
+  cached on the kernel cache under a structural key
+  (:meth:`LaunchGraph._structure_key`), so a later capture of the same
+  launch sequence over *other* arrays of the same shapes, dtypes,
+  strides and alias pattern **rebinds** — a few list writes per node —
+  instead of fusing, validating and hoisting again (CUDA-graph "exec
+  update").
 * **replay** — :meth:`InstantiatedGraph.replay` re-executes the
   sequence through the *same* execute stage as normal dispatch
   (:func:`repro.core.api._execute` per node: accounting, hooks, modeled
   time, fault seams — all identical), skipping only the per-launch
   staging (plan construction, cache lookups, verification, schedule
-  building).  Only scalar slots rebind; nothing recompiles unless a
-  value-specialized kernel's baked scalar actually changed.
+  building).  Between replays only scalar slots change; nothing
+  recompiles unless a value-specialized kernel's baked scalar actually
+  changed.
 
 Fault interop: a replayed node that faults retries/fails over through
 the existing :class:`~repro.faults.LaunchPolicy` ladder exactly like a
@@ -34,13 +44,17 @@ the next iteration recaptures against the demoted backend.
 
 from __future__ import annotations
 
+import dataclasses
 from typing import TYPE_CHECKING, Any, Optional
 
 import numpy as np
 
+from ..core.api import _execute
 from ..core.exceptions import GraphError
 from ..core.plan import LaunchHandle, LaunchPlan
 from ..ir import writes
+from ..ir.compile import compile_kernel, executor_mode, resolve_cache
+from ..ir.validate import active_validate_mode
 
 if TYPE_CHECKING:  # pragma: no cover - types only
     from ..core.context import ExecutionContext
@@ -52,6 +66,18 @@ __all__ = [
     "LaunchGraph",
     "InstantiatedGraph",
 ]
+
+#: The ``repro.graph`` package (counters, mode views), filled on first
+#: use: the package imports this module, so a top-level import would
+#: cycle, and a function-level one would execute on every replay.
+_graph = None
+
+
+def _pkg():
+    global _graph
+    if _graph is None:
+        from .. import graph as _graph
+    return _graph
 
 
 def _slot_algebra_error(op: str):
@@ -105,15 +131,25 @@ class GraphNode:
     fallbacks): rebinding one of those forces a recompile on replay.
     """
 
-    __slots__ = ("plan", "slot_map", "const_slots", "hoist")
+    __slots__ = ("plan", "slot_map", "const_slots", "hoist", "sources")
 
-    def __init__(self, plan: LaunchPlan, slot_map: Optional[dict] = None):
+    def __init__(
+        self,
+        plan: LaunchPlan,
+        slot_map: Optional[dict] = None,
+        sources: Optional[tuple] = None,
+    ):
         self.plan = plan
         self.slot_map: dict[int, str] = dict(slot_map or {})
         self.const_slots: dict[int, Any] = {}
         # _HoistState when the node's program was re-lowered with
         # const-array assumptions that need per-replay validation.
         self.hoist: Optional[_HoistState] = None
+        #: Per argument position, the ``(recorded node index, position)``
+        #: it came from — carried through fusion so a structure can
+        #: gather the node's arguments from a later recording (``None``
+        #: on the recorded nodes themselves).
+        self.sources = sources
 
     def bake_const_slots(self) -> None:
         kernel = self.plan.kernel
@@ -144,6 +180,27 @@ class _HoistState:
         self.const_scalars: frozenset = const_scalars
 
 
+def _restaged(src: LaunchPlan, args: tuple, resolved: Optional[list]) -> LaunchPlan:
+    """A new plan carrying ``src``'s staged decisions (backend, kernel,
+    schedule, policy, arena, diagnostics) over other arguments."""
+    plan = LaunchPlan(src.construct, src.dims, src.fn, args, src.op)
+    plan.resolved_args = resolved
+    plan.backend = src.backend
+    plan.policy = src.policy
+    plan.arena = src.arena
+    plan.kernel = src.kernel
+    plan.diagnostics = src.diagnostics
+    plan.schedule = src.schedule
+    return plan
+
+
+def _hoisted_kernel(base, program):
+    """``base`` with its codegen rung replaced by a hoisted ``program``."""
+    return dataclasses.replace(
+        base, codegen=program, mode=base.mode + "-hoisted"
+    )
+
+
 class GraphCapture:
     """Context manager that records constructs dispatched in its scope.
 
@@ -165,6 +222,10 @@ class GraphCapture:
                 "nested captures are not supported"
             )
         self._ctx.graph_capture = self
+        # Every recorded schedule is valid for this backend at this
+        # epoch; a structure is only reusable if neither moved since.
+        self._backend = self._ctx.backend()
+        self._epoch = self._backend.schedule_epoch()
         return self
 
     def __exit__(self, *exc) -> None:
@@ -189,61 +250,126 @@ class GraphCapture:
 
     def graph(self, name: str = "capture") -> "LaunchGraph":
         """The recording as a :class:`LaunchGraph`."""
-        return LaunchGraph(name, self._nodes)
+        return LaunchGraph(name, self._nodes, self._backend, self._epoch)
 
 
 class LaunchGraph:
     """An ordered recording of staged launches, ready to instantiate."""
 
-    def __init__(self, name: str, nodes: list[GraphNode]):
+    def __init__(
+        self,
+        name: str,
+        nodes: list[GraphNode],
+        backend=None,
+        epoch: Optional[int] = None,
+    ):
         self.name = name
         self.nodes = list(nodes)
+        #: The context's backend and its ``schedule_epoch()`` when the
+        #: capture began (``None``: unknown, never reuse a structure).
+        self.backend = backend
+        self.epoch = epoch
 
-    @property
-    def signature(self) -> tuple:
-        """The sequence identity the graph was captured under: kernel
-        ids, constructs, dims, array storage identities, slot names."""
-        sig = []
+    def _structure_key(self, ctx: "ExecutionContext", fuse: bool):
+        """The key identifying everything instantiation derives from
+        this recording *except* which arrays it ran on — or ``None``
+        when the recording must take the full path.
+
+        Per node: the compiled kernel (by ``id``; the stored structure
+        pins the kernels so the ids cannot recycle), construct, fold,
+        dims, launch policy, slot map, and per argument ``(storage
+        number, shape, dtype, strides)``, the slot name, or ``(type,
+        value)`` of a baked scalar.  Storages are numbered by first
+        occurrence across the whole graph, so the alias pattern — which
+        fusion legality and the hoist pass's const-candidate set depend
+        on — is in the key.  Plus the context (whose arena the plans
+        carry), the backend and schedule epoch every node was scheduled
+        under, the effective fuse flag, and the executor and validate
+        modes.
+
+        No key for: a backend or epoch that moved since the capture
+        began (a failover or device loss mid-capture leaves recorded
+        schedules that are stale for the *next* capture), a node without
+        a compiled kernel or staged under another context, an unhashable
+        scalar (the lookup raises ``TypeError``, see
+        :meth:`instantiate`), or two *distinct* storages that may share
+        memory — the identity-based sharing analysis of the fusion pass
+        did not see that overlap.
+        """
+        backend = self.backend
+        if backend is None or backend.schedule_epoch() != self.epoch:
+            return None
+        numbers: dict[int, int] = {}
+        storages: list[np.ndarray] = []
+        parts = []
         for node in self.nodes:
-            plan = node.plan
-            sig.append(
+            plan, slot_map = node.plan, node.slot_map
+            if (
+                plan.kernel is None
+                or plan.backend is not backend
+                or plan.arena is not ctx.arena
+            ):
+                return None
+            argsig: list = []
+            for pos, a in enumerate(plan.resolved_args):
+                if isinstance(a, np.ndarray):
+                    number = numbers.get(id(a))
+                    if number is None:
+                        number = numbers[id(a)] = len(storages)
+                        storages.append(a)
+                    argsig.append((number, a.shape, a.dtype, a.strides))
+                elif pos in slot_map:
+                    argsig.append(slot_map[pos])
+                else:
+                    argsig.append((type(a), a))
+            parts.append(
                 (
-                    getattr(plan.fn, "__qualname__", repr(plan.fn)),
+                    id(plan.kernel),
                     plan.construct,
+                    plan.op,
                     plan.dims,
-                    tuple(
-                        id(a)
-                        for a in plan.resolved_args
-                        if isinstance(a, np.ndarray)
-                    ),
-                    tuple(sorted(node.slot_map.items())),
+                    plan.policy,
+                    tuple(sorted(slot_map.items())),
+                    tuple(argsig),
                 )
             )
-        return tuple(sig)
+        for i, a in enumerate(storages):
+            for b in storages[i + 1 :]:
+                if np.may_share_memory(a, b):
+                    return None
+        return (
+            ctx,
+            backend,
+            self.epoch,
+            fuse,
+            executor_mode(),
+            active_validate_mode(),
+            tuple(parts),
+        )
 
     def match_return(self, ret: Any) -> Optional[tuple]:
         """Infer how a captured body's return value maps onto node
         results, so replay can reproduce it.
 
         Supported conventions: ``None``, one reduce result, or a
-        tuple/list of reduce results — each matched to a **unique** node
-        by value.  Anything else (host-derived values, ambiguous
-        matches) returns ``None``: the region marks the body
-        uncaptureable and keeps dispatching it directly, which is always
-        correct.
+        tuple/list of reduce results — each matched to the node whose
+        result **is** that object (``parallel_reduce`` returns the
+        plan's own result object).  Matching by identity, not value: a
+        host-derived value that merely *equals* a reduce at capture
+        time must not be replayed as that reduce, and two reduces of
+        equal value (or a NaN, equal to nothing) are still two distinct
+        results.  Anything unmatched returns ``None``: the region marks
+        the body uncaptureable and keeps dispatching it directly, which
+        is always correct.
         """
         if ret is None:
             return ("none",)
 
         def match_one(value: Any) -> Optional[int]:
-            if isinstance(value, ScalarSlot):
-                return None
-            hits = [
-                i
-                for i, node in enumerate(self.nodes)
-                if node.plan.is_reduce and node.plan.result == value
-            ]
-            return hits[0] if len(hits) == 1 else None
+            for i, node in enumerate(self.nodes):
+                if node.plan.is_reduce and node.plan.result is value:
+                    return i
+            return None
 
         if isinstance(ret, (tuple, list)):
             idxs = [match_one(v) for v in ret]
@@ -254,8 +380,24 @@ class LaunchGraph:
         idx = match_one(ret)
         return None if idx is None else ("single", idx)
 
-    def _validate(self, program, ctx):
-        """Run the translation validator over the optimized program.
+    def _fresh_nodes(self) -> list[GraphNode]:
+        """Instantiation-private copies of the recorded nodes (the
+        pass rewrites its node list; the recording stays intact)."""
+        nodes = [
+            GraphNode(
+                n.plan,
+                n.slot_map,
+                tuple((i, pos) for pos in range(len(n.plan.resolved_args))),
+            )
+            for i, n in enumerate(self.nodes)
+        ]
+        for node in nodes:
+            node.bake_const_slots()
+        return nodes
+
+    def _validate(self, program):
+        """Run the translation validator over the optimized program;
+        returns ``(program, clean)``.
 
         Re-derives every applied rewrite from effects summaries
         (:mod:`repro.ir.validate`) and runs the program-level hazard
@@ -265,24 +407,20 @@ class LaunchGraph:
         present — degrades to the unoptimized program, which is always
         correct.  Degrading is a rebuild from the recording: fusion
         builds *new* plans and leaves the recorded ones intact.
+        ``clean`` is false when the validator said anything at all.
         """
         import warnings
 
         from ..core.exceptions import TranslationValidationError
+        from ..ir import compilecache
         from ..ir.diagnostics import KernelVerificationWarning
         from ..ir.program import Program
-        from ..ir.validate import (
-            active_validate_mode,
-            program_diagnostics,
-            validate_program,
-        )
-        from . import _record_validate
+        from ..ir.validate import program_diagnostics, validate_program
 
-        from ..ir import compilecache
-
+        _record_validate = _pkg()._record_validate
         vmode = active_validate_mode()
         if vmode == "off":
-            return program
+            return program, True
         # Persistent program tier: a clean-validation certificate stored
         # by an earlier instantiate of this exact program (same member
         # digests, alias pattern, modes — all in the entry key) lets the
@@ -292,7 +430,7 @@ class LaunchGraph:
         if trail is not None:
             for kind, kw in trail:
                 _record_validate(kind, **kw)
-            return program
+            return program, True
         trail_acc: list = []
 
         def _rec(kind, **kw):
@@ -304,23 +442,20 @@ class LaunchGraph:
         _rec("", programs=1, diagnostics=diags)
         if not diags:
             compilecache.validated_record(trail_acc)
-            return program
+            return program, True
         fatal = [d for d in diags if d.is_error]
         if vmode == "error" and fatal:
             raise TranslationValidationError(self.name, diags)
         for d in diags:
-            warnings.warn(str(d), KernelVerificationWarning, stacklevel=3)
+            warnings.warn(str(d), KernelVerificationWarning, stacklevel=4)
         if fatal or any(d.rule == "V610" for d in diags):
             # Undo the rewrites: rebuild the program from fresh nodes
             # over the recorded plans, with no pass run.
-            nodes = [GraphNode(n.plan, n.slot_map) for n in self.nodes]
-            for node in nodes:
-                node.bake_const_slots()
-            program = Program(self.name, nodes)
+            program = Program(self.name, self._fresh_nodes())
             _record_validate("", degraded=1)
-        return program
+        return program, False
 
-    def _hoist(self, program) -> None:
+    def _hoist(self, program) -> dict:
         """Hoist replay-invariant work out of each node's generated
         program (the CUDA-Graphs address-pre-binding analogue).
 
@@ -334,9 +469,11 @@ class LaunchGraph:
         _rehoist).  Runs inside the persistent program scope: a warm
         instantiate reuses the recorded prologue/main sources instead of
         re-lowering.
-        """
-        import dataclasses
 
+        Returns ``{node position: (hoisted program, const-candidate
+        positions, const-scalar positions)}`` for the nodes that hoist;
+        binding (:meth:`_NodeTemplate.bind`) installs them.
+        """
         from ..ir import compilecache
         from ..ir.codegen import lower_trace_hoisted
 
@@ -354,7 +491,8 @@ class LaunchGraph:
                 )
             else:
                 written.update(id(rargs[st.array.pos]) for st in trace.stores)
-        for node in nodes:
+        out: dict = {}
+        for index, node in enumerate(nodes):
             kernel = node.plan.kernel
             if (
                 kernel is None
@@ -376,7 +514,6 @@ class LaunchGraph:
                 for pos, a in enumerate(rargs)
                 if isinstance(a, np.ndarray) and id(a) not in written
             )
-            cand_ids = tuple(id(rargs[pos]) for pos in cand)
             hoisted = compilecache.hoist_lookup(kernel, cand, const_scalars)
             if hoisted is compilecache.MISSING:
                 hoisted = lower_trace_hoisted(
@@ -386,19 +523,74 @@ class LaunchGraph:
                     kernel, cand, const_scalars, hoisted
                 )
             if hoisted is not None:
-                node.plan.kernel = dataclasses.replace(
-                    kernel,
-                    codegen=hoisted,
-                    mode=kernel.mode + "-hoisted",
-                )
-                if cand:
-                    node.hoist = _HoistState(
-                        kernel,
-                        cand,
-                        cand_ids,
-                        writes.versions_of(cand_ids),
-                        const_scalars,
-                    )
+                out[index] = (hoisted, cand, const_scalars)
+        return out
+
+    def _build(self, ctx: "ExecutionContext", fuse: bool):
+        """The full path: fuse, validate, hoist and size the arena over
+        this recording.  Returns ``(structure, program, clean)``."""
+        from ..ir import compilecache
+        from ..ir.program import Program, run_passes
+
+        nodes = self._fresh_nodes()
+        clean = True
+        # Persistent program tier: the member-plan key tuple identifies
+        # this instantiation across processes; inside the scope the
+        # derived artifacts (fused kernels, the validate certificate,
+        # hoisted prologue sources) are served from the entry and
+        # anything newly derived is published on exit.
+        gdigest = compilecache.graph_digest(nodes, ctx.backend(), fuse)
+        with compilecache.program_scope(gdigest):
+            program = Program(self.name, nodes)
+            if fuse:
+                run_passes(program, _pkg()._record_pass)
+                program, clean = self._validate(program)
+            hoisted = self._hoist(program)
+        templates = [
+            _NodeTemplate(pn.gnode, hoisted.get(index))
+            for index, pn in enumerate(program.nodes)
+        ]
+
+        # Pre-size the arena: per node, each schedule chunk opens one
+        # frame drawing one buffer per certified ``out=`` dtype of the
+        # current tile's shape (a chunk's tiles run one after another
+        # and recycle the frame's buffers); nodes run sequentially, so
+        # the pool only needs the *largest* per-node requirement per
+        # (shape, dtype) key.
+        need: dict[tuple, int] = {}
+        for template in templates:
+            kernel = template.plan.kernel
+            if kernel is None or kernel.codegen is None:
+                continue
+            codegen = template.hoisted[0] if template.hoisted else kernel.codegen
+            dtypes = list(codegen.out_dtypes)
+            if kernel.native is not None and kernel.native.has_result:
+                # The native reduce leases one float64 value buffer
+                # per tile (the C loop fills it, NumPy folds it).
+                dtypes.append(np.dtype(np.float64))
+            per_node: dict[tuple, int] = {}
+            for dom in template.plan.schedule.domains:
+                for shape in {tile.shape for tile in dom.tiles}:
+                    for dt in dtypes:
+                        key = (shape, dt)
+                        per_node[key] = per_node.get(key, 0) + 1
+            for key, count in per_node.items():
+                need[key] = max(need.get(key, 0), count)
+        reserve = [key for key, count in need.items() for _ in range(count)]
+
+        # index_map: recorded node index → post-pipeline node index, so
+        # the return convention (matched against the recording) survives
+        # fusion and reordering.  A reduce absorbed into a fused node
+        # maps to that node — the fused plan's result IS the inlined
+        # reduction's value.
+        structure = _Structure(
+            templates,
+            program.index_map(),
+            program.fused_pairs,
+            reserve,
+            pins=tuple(node.plan.kernel for node in self.nodes),
+        )
+        return structure, program, clean
 
     def instantiate(
         self,
@@ -409,94 +601,132 @@ class LaunchGraph:
     ) -> "InstantiatedGraph":
         """Freeze the recording into a replayable program.
 
-        Builds the dataflow :class:`~repro.ir.program.Program` over the
-        recorded plans and runs global fusion over it (see
-        :mod:`repro.ir.program`).  ``fuse=False`` forces the pass off
-        (used under an active fault plan so replayed launch
+        The first instantiation of a structure (see
+        :meth:`_structure_key`) builds the dataflow
+        :class:`~repro.ir.program.Program` over the recorded plans, runs
+        global fusion over it (see :mod:`repro.ir.program`), validates,
+        hoists and sizes the context arena; ``fuse=False`` forces the
+        pass off (used under an active fault plan so replayed launch
         counts — and therefore fault-injection ordinals — match
-        uncaptured dispatch).  Then pre-sizes the context arena for
-        every scratch buffer replay will draw and records the backend's
-        schedule epoch for staleness detection.
+        uncaptured dispatch).  The result is stored on the context's
+        kernel cache unless the validator said anything, and every
+        later instantiation of the same structure only *binds* it to
+        this recording's arguments (``graph_stats()["rebinds"]``).
+        Either way the graph is built by :meth:`_Structure.bind`, so the
+        two paths cannot drift.
         """
-        from ..ir import compilecache
-        from ..ir.program import Program, run_passes
-        from . import _bump, _record_pass, passes_mode
+        fuse = fuse and _pkg().passes_mode() == "all"
+        cache = resolve_cache(ctx.kernel_cache)
+        key = self._structure_key(ctx, fuse)
+        structure = program = None
+        if key is not None:
+            try:
+                structure = cache.structure(key)
+            except TypeError:  # an unhashable baked scalar
+                key = None
+        if structure is None:
+            structure, program, clean = self._build(ctx, fuse)
+            if key is not None and clean:
+                cache.store_structure(key, structure)
+        else:
+            _pkg()._bump("rebinds")
+        return structure.bind(self, ctx, return_convention, program)
 
-        nodes = [GraphNode(n.plan, n.slot_map) for n in self.nodes]
-        for node in nodes:
-            node.bake_const_slots()
 
-        fuse = fuse and passes_mode() == "all"
-        # Persistent program tier: the member-plan key tuple identifies
-        # this instantiation across processes; inside the scope the
-        # derived artifacts (fused kernels, the validate certificate,
-        # hoisted prologue sources) are served from the entry and
-        # anything newly derived is published on exit.
-        gdigest = compilecache.graph_digest(nodes, ctx.backend(), fuse)
-        with compilecache.program_scope(gdigest):
-            program = Program(self.name, nodes)
-            if fuse:
-                run_passes(program, _record_pass)
-                program = self._validate(program, ctx)
-            self._hoist(program)
-        nodes = [pn.gnode for pn in program.nodes]
-        fused_pairs = program.fused_pairs
+class _NodeTemplate:
+    """One post-fusion node of a structure, with no argument bound.
 
-        # index_map: recorded node index → post-pipeline node index, so
-        # the return convention (matched against the recording) survives
-        # fusion and reordering.  A reduce absorbed into a fused node
-        # maps to that node — the fused plan's result IS the inlined
-        # reduction's value.
-        index_map = program.index_map()
+    ``plan`` is an argument-less prototype carrying every staged
+    decision (backend, kernel, schedule, policy, arena, diagnostics);
+    ``sources[p]`` names the recorded node and position that supplies
+    argument ``p``.  ``hoisted`` is the node's :meth:`LaunchGraph._hoist`
+    decision; its program is never executed, so it holds no prologue
+    values.
+    """
+
+    __slots__ = ("plan", "sources", "slot_map", "hoisted")
+
+    def __init__(self, gnode: GraphNode, hoisted: Optional[tuple]):
+        self.plan = _restaged(gnode.plan, (), None)
+        self.sources = gnode.sources
+        self.slot_map = gnode.slot_map
+        self.hoisted = hoisted
+
+    def bind(self, recorded: list[LaunchPlan]) -> GraphNode:
+        """A replayable node over ``recorded``'s arguments."""
+        sources = self.sources
+        plan = _restaged(
+            self.plan,
+            tuple([recorded[i].args[pos] for i, pos in sources]),
+            [recorded[i].resolved_args[pos] for i, pos in sources],
+        )
+        node = GraphNode(plan, self.slot_map, sources)
+        node.bake_const_slots()
+        if self.hoisted is not None:
+            program, cand, const_scalars = self.hoisted
+            base = plan.kernel
+            # A fresh program per binding: the prologue cache holds
+            # values gathered from *this* binding's const arrays.
+            plan.kernel = _hoisted_kernel(base, program.fresh())
+            if cand:
+                ids = tuple(id(plan.resolved_args[pos]) for pos in cand)
+                node.hoist = _HoistState(
+                    base, cand, ids, writes.versions_of(ids), const_scalars
+                )
+        return node
+
+
+class _Structure:
+    """Everything :meth:`LaunchGraph.instantiate` derives from a
+    recording except the arrays: node templates, the recorded → final
+    index map, the fused-pair count and the arena reservation.
+
+    Stored on the :class:`~repro.ir.compile.KernelCache` and shared by
+    every graph bound from it, so it is never mutated after ``_build``
+    and holds **no array** — a stored operator copy would pin a solve's
+    memory for the life of the process.  ``pins`` keeps alive the
+    recorded kernels, whose ``id()`` the store key holds (fusion
+    replaces them in ``nodes``).
+    """
+
+    __slots__ = ("nodes", "index_map", "fused_pairs", "reserve", "pins")
+
+    def __init__(self, nodes, index_map, fused_pairs, reserve, pins):
+        self.nodes: list[_NodeTemplate] = nodes
+        self.index_map: dict[int, int] = index_map
+        self.fused_pairs: int = fused_pairs
+        self.reserve: list = reserve
+        self.pins: tuple = pins
+
+    def bind(
+        self,
+        graph: LaunchGraph,
+        ctx: "ExecutionContext",
+        return_convention: tuple,
+        program=None,
+    ) -> "InstantiatedGraph":
+        """The one constructor of instantiated graphs: this structure
+        over ``graph``'s recorded arguments.  ``program`` is the
+        dataflow program of the build that produced the structure
+        (``None`` on a rebind — it pins that build's arrays)."""
+        recorded = [node.plan for node in graph.nodes]
+        nodes = [template.bind(recorded) for template in self.nodes]
         kind = return_convention[0]
         if kind == "single":
-            return_convention = (kind, index_map[return_convention[1]])
+            return_convention = (kind, self.index_map[return_convention[1]])
         elif kind in ("tuple", "list"):
             return_convention = (
                 kind,
-                tuple(index_map[i] for i in return_convention[1]),
+                tuple(self.index_map[i] for i in return_convention[1]),
             )
-
-        # Pre-size the arena: per node, each schedule chunk opens one
-        # frame drawing one buffer per certified ``out=`` dtype of the
-        # current tile's shape (a chunk's tiles run one after another
-        # and recycle the frame's buffers); nodes run sequentially, so
-        # the pool only needs the *largest* per-node requirement per
-        # (shape, dtype) key.
-        need: dict[tuple, int] = {}
-        for node in nodes:
-            kernel = node.plan.kernel
-            if kernel is None or kernel.codegen is None:
-                continue
-            dtypes = list(kernel.codegen.out_dtypes)
-            if kernel.native is not None and kernel.native.has_result:
-                # The native reduce leases one float64 value buffer
-                # per tile (the C loop fills it, NumPy folds it).
-                dtypes.append(np.dtype(np.float64))
-            per_node: dict[tuple, int] = {}
-            for dom in node.plan.schedule.domains:
-                for shape in {tile.shape for tile in dom.tiles}:
-                    for dt in dtypes:
-                        key = (shape, dt)
-                        per_node[key] = per_node.get(key, 0) + 1
-            for key, count in per_node.items():
-                need[key] = max(need.get(key, 0), count)
-        reserve_items = [
-            key for key, count in need.items() for _ in range(count)
-        ]
-        if reserve_items:
-            ctx.arena.reserve(reserve_items)
-
-        _bump("captures")
-        if fused_pairs:
-            _bump("fused_pairs", fused_pairs)
+        if self.reserve:
+            ctx.arena.reserve(self.reserve)
+        bump = _pkg()._bump
+        bump("captures")
+        if self.fused_pairs:
+            bump("fused_pairs", self.fused_pairs)
         return InstantiatedGraph(
-            self.name,
-            ctx,
-            nodes,
-            return_convention,
-            fused_pairs,
-            program=program,
+            graph.name, ctx, nodes, return_convention, self.fused_pairs, program
         )
 
 
@@ -531,7 +761,8 @@ class InstantiatedGraph:
         self.valid = True
         self.replays = 0
         #: The dataflow program this instantiation was optimized through
-        #: (None for directly constructed instantiations in tests).
+        #: (``None`` when it was rebound from a stored structure: the
+        #: program pins the arrays of the build that produced it).
         self.program = program
         self.slot_names = frozenset(
             name for node in nodes for name in node.slot_map.values()
@@ -549,10 +780,8 @@ class InstantiatedGraph:
         """Mark this instantiation dead (backend demoted, arrays
         rebound); the owning region recaptures on next use."""
         if self.valid:
-            from . import _bump
-
             self.valid = False
-            _bump("invalidations")
+            _pkg()._bump("invalidations")
 
     def replay(self, sync: bool = True, **slots: Any):
         """Re-execute the captured sequence with fresh slot values.
@@ -569,9 +798,9 @@ class InstantiatedGraph:
                 f"graph {self.name!r} was invalidated (backend demoted); "
                 "recapture before replaying"
             )
-        if set(slots) != set(self.slot_names):
-            missing = self.slot_names - set(slots)
-            unknown = set(slots) - self.slot_names
+        if slots.keys() != self.slot_names:
+            missing = self.slot_names - slots.keys()
+            unknown = slots.keys() - self.slot_names
             raise GraphError(
                 f"graph {self.name!r} slots mismatch: "
                 f"missing={sorted(missing)} unknown={sorted(unknown)}"
@@ -607,8 +836,6 @@ class InstantiatedGraph:
         ``clear_cache``): per-array history is gone; keep the const set
         and just rebind the prologues against current contents.
         """
-        import dataclasses
-
         from ..ir.codegen import lower_trace_hoisted
 
         hs = node.hoist
@@ -632,9 +859,7 @@ class InstantiatedGraph:
                     node.plan.kernel = base
                     node.hoist = None
                     return
-                node.plan.kernel = dataclasses.replace(
-                    base, codegen=hoisted, mode=base.mode + "-hoisted"
-                )
+                node.plan.kernel = _hoisted_kernel(base, hoisted)
                 if not keep:
                     node.hoist = None
                     return
@@ -651,10 +876,6 @@ class InstantiatedGraph:
 
     # -- the hot path -------------------------------------------------------
     def _replay(self, slots: dict):
-        from ..core.api import _execute
-        from ..ir.compile import compile_kernel
-        from . import _bump
-
         ctx = self.ctx
         results: list[Any] = []
         demoted = None
@@ -719,8 +940,9 @@ class InstantiatedGraph:
             results.append(plan.result)
 
         self.replays += 1
-        _bump("replays")
-        _bump("nodes_replayed", len(self.nodes))
+        bump = _pkg()._bump
+        bump("replays")
+        bump("nodes_replayed", len(self.nodes))
         if demoted is not None:
             self.invalidate()
 

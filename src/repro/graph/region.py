@@ -7,8 +7,13 @@ captures it into an :class:`~repro.graph.capture.InstantiatedGraph`;
 subsequent runs replay.  The user key carries the array identities the
 body closes over (``id()`` of each device buffer) — cached plans pin the
 arrays via their resolved arguments, so ids cannot be recycled while an
-entry lives, and rebinding a buffer (checkpoint restore) lands on a new
-key and simply recaptures.
+entry lives.  Rebinding a buffer (checkpoint restore), or a new region
+over fresh arrays (the next solve), lands on a new key and captures
+again — one eager run of the body — but the instantiation behind it is
+shared: a capture whose *structure* is already known only rebinds the
+stored structure to the new arrays (see
+:meth:`~repro.graph.capture.LaunchGraph.instantiate`), so regions can
+stay per-solve locals and pin nothing beyond the solve.
 
 Degradation is always safe and always silent:
 
@@ -33,7 +38,7 @@ from typing import Any, Callable
 
 from ..core.context import current_context
 from ..ir.compile import executor_mode
-from .capture import GraphCapture, ScalarSlot
+from .capture import GraphCapture, ScalarSlot, _pkg
 
 __all__ = ["GraphRegion"]
 
@@ -60,9 +65,8 @@ class GraphRegion:
         straight through to the constructs), afterwards they rebind on
         the replayed graph without recompilation.
         """
-        from . import _bump, graphs_enabled
-
-        if not graphs_enabled():
+        graph = _pkg()
+        if not graph.graphs_enabled():
             return body(**slots)
         ctx = current_context()
         if ctx.graph_capture is not None:
@@ -80,17 +84,13 @@ class GraphRegion:
         with GraphCapture(ctx) as cap:
             wrapped = {k: ScalarSlot(k, v) for k, v in slots.items()}
             ret = body(**wrapped)
-        graph = cap.graph(name=self.name)
-        if not graph.nodes:
-            self._graphs[full_key] = _UNCAPTUREABLE
-            _bump("uncaptureable")
-            return ret
-        convention = graph.match_return(ret)
+        recording = cap.graph(name=self.name)
+        convention = recording.match_return(ret) if recording.nodes else None
         if convention is None:
             self._graphs[full_key] = _UNCAPTUREABLE
-            _bump("uncaptureable")
+            graph._bump("uncaptureable")
             return ret
-        inst = graph.instantiate(
+        inst = recording.instantiate(
             ctx,
             # With an active fault plan, fusion would change the launch
             # count and shift every injection ordinal; keep the replayed

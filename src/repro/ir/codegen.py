@@ -742,6 +742,20 @@ class HoistedProgram:
         self._pro, self._fn = cached
         self._pre_cache: dict[int, tuple] = {}
 
+    def fresh(self) -> "HoistedProgram":
+        """This program with no prologue values bound: what a launch
+        graph *rebound* to other arrays runs, because ``_pre_cache``
+        holds values gathered from this binding's const arrays.  The
+        compiled source pair is shared (``_HOIST_FN_CACHE``)."""
+        return HoistedProgram(
+            self.prologue_source,
+            self.source,
+            self.ndim,
+            self.has_result,
+            self.out_dtypes,
+            self.n_hoisted,
+        )
+
     def clear_prologues(self) -> None:
         """Drop cached prologue values (const-array snapshot went
         stale); the next run re-binds them from current contents."""

@@ -261,7 +261,18 @@ class KernelCache:
     entries: dict = field(default_factory=dict)
     hits: int = 0
     misses: int = 0
+    #: Instantiated launch-graph *structures* (see
+    #: :meth:`repro.graph.capture.LaunchGraph.instantiate`), oldest
+    #: first.  They live here because their keys hold the ``id()`` of
+    #: this cache's :class:`CompiledKernel` objects: dropping the
+    #: kernels drops every structure built over them.
+    structures: dict = field(default_factory=dict, repr=False)
     _lock: threading.Lock = field(default_factory=threading.Lock, repr=False)
+
+    #: Bound on ``structures`` — a backstop against key churn (a solver
+    #: sweeping problem sizes), not a tuning knob: the apps hold three
+    #: to five structures per problem size.
+    MAX_STRUCTURES = 64
 
     def lookup(
         self, key: tuple, *, count_miss: bool = False
@@ -286,9 +297,21 @@ class KernelCache:
         with self._lock:
             self.entries[key] = ck
 
+    def structure(self, key: tuple):
+        """The launch-graph structure stored under ``key``, or ``None``."""
+        with self._lock:
+            return self.structures.get(key)
+
+    def store_structure(self, key: tuple, structure) -> None:
+        with self._lock:
+            while len(self.structures) >= self.MAX_STRUCTURES:
+                del self.structures[next(iter(self.structures))]
+            self.structures[key] = structure
+
     def clear(self) -> None:
         with self._lock:
             self.entries.clear()
+            self.structures.clear()
             self.hits = 0
             self.misses = 0
 
@@ -310,13 +333,19 @@ class KernelCache:
 _CACHE = KernelCache()
 
 
+def resolve_cache(cache: Optional[KernelCache] = None) -> KernelCache:
+    """``cache`` itself, or the process-global cache for ``None`` (what
+    an unscoped ``ExecutionContext.kernel_cache`` means)."""
+    return _CACHE if cache is None else cache
+
+
 def clear_cache(cache: Optional[KernelCache] = None) -> None:
     """Drop all compiled kernels (tests / ablation benchmarks).
 
     Clears the process-global cache by default; pass a context-scoped
     :class:`KernelCache` to clear that one instead.
     """
-    (cache if cache is not None else _CACHE).clear()
+    resolve_cache(cache).clear()
     if cache is None:
         # Process-global clear also drops the write-version table;
         # outstanding graph snapshots see the epoch bump and rebind.
@@ -337,7 +366,7 @@ def cache_info(cache: Optional[KernelCache] = None) -> dict:
     Reports on the process-global cache by default; pass a
     context-scoped :class:`KernelCache` to inspect that one instead.
     """
-    info = (cache if cache is not None else _CACHE).stats()
+    info = resolve_cache(cache).stats()
     for name in ("graph", "verify", "native", "disk", "cluster"):
         info[name] = obs.stats(name)
     return info

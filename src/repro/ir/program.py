@@ -198,10 +198,16 @@ def _merge_nodes(
     if merged is None:
         return None
     fused_plan, pos_map = merged
-    combined = GraphNode(fused_plan)
-    combined.slot_map = dict(a.gnode.slot_map)
+    slot_map = dict(a.gnode.slot_map)
     for p, slot in b.gnode.slot_map.items():
-        combined.slot_map[pos_map[p]] = slot
+        slot_map[pos_map[p]] = slot
+    # The fused argument list is ``a``'s, then each of ``b``'s arguments
+    # that did not dedupe onto one of them, in order.
+    a_src, b_src = a.gnode.sources, b.gnode.sources
+    sources = a_src + tuple(
+        b_src[p] for p, fp in sorted(pos_map.items()) if fp >= len(a_src)
+    )
+    combined = GraphNode(fused_plan, slot_map, sources)
     return ProgramNode(combined, a.origin + b.origin)
 
 

@@ -253,3 +253,39 @@ class TestHotPathHygiene:
         monkeypatch.undo()
         assert imports == []
         assert total == 103.0 * n
+
+    def test_no_import_statement_executes_per_replay(self, monkeypatch):
+        import builtins
+
+        from repro.graph import GraphRegion
+
+        repro.set_backend("threads")
+        repro.set_graph_mode("on")
+        n = 1 << 15
+        x, y = repro.array(np.zeros(n)), repro.array(np.ones(n))
+        region = GraphRegion("hygiene")
+
+        def body(alpha):  # three recorded nodes, one slot
+            repro.parallel_for(n, axpy, alpha, x, y)
+            repro.parallel_reduce(n, dot, y, y)
+            return repro.parallel_reduce(n, dot, x, y)
+
+        try:
+            for _ in range(3):  # capture + instantiate, then two replays
+                region.run((id(x), id(y)), body, alpha=1.0)
+            imports = []
+            real_import = builtins.__import__
+
+            def counting_import(name, *args, **kwargs):
+                imports.append(name)
+                return real_import(name, *args, **kwargs)
+
+            monkeypatch.setattr(builtins, "__import__", counting_import)
+            for _ in range(100):
+                total = region.run((id(x), id(y)), body, alpha=1.0)
+            monkeypatch.undo()
+        finally:
+            repro.set_graph_mode(None)
+        assert imports == []
+        assert total == 103.0 * n
+        assert region.stats()["replays"] == 102

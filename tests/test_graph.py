@@ -318,6 +318,56 @@ class TestGraphRegion:
         assert graph_stats()["uncaptureable"] == before + 1
         assert region.stats()["graphs"] == 0
 
+    def test_host_value_equal_to_a_reduce_is_not_replayed_as_it(self):
+        # abs(dot) == dot while y > 0: matching by value captured the
+        # body as "return the reduce", and the replay after y flipped
+        # sign returned -1024.0 where PYACC_GRAPH=off returns 1024.0.
+        repro.set_backend("serial")
+        n = 1024
+        region = GraphRegion("t.abs")
+        x, y = repro.array(np.ones(n)), repro.array(np.ones(n))
+
+        def body():
+            return abs(parallel_reduce(n, dot, x, y))
+
+        assert region.run((id(x), id(y)), body) == 1024.0
+        parallel_for(n, scale, -1.0, y)
+        assert region.run((id(x), id(y)), body) == 1024.0
+        assert graph_stats()["uncaptureable"] == 1
+        assert region.stats()["graphs"] == 0
+
+    def test_equal_valued_reduces_still_capture(self):
+        repro.set_backend("serial")
+        n = 64
+        region = GraphRegion("t.twins")
+        x, y, z = (repro.array(np.ones(n)) for _ in range(3))
+
+        def body():
+            return (
+                parallel_reduce(n, dot, x, y),
+                parallel_reduce(n, dot, x, z),
+            )
+
+        assert region.run((id(x), id(y), id(z)), body) == (64.0, 64.0)
+        parallel_for(n, scale, 2.0, z)
+        assert region.run((id(x), id(y), id(z)), body) == (64.0, 128.0)
+        assert graph_stats()["uncaptureable"] == 0
+        assert region.stats()["replays"] == 1
+
+    def test_nan_reduce_still_captures(self):
+        repro.set_backend("serial")
+        n = 16
+        region = GraphRegion("t.nan")
+        x, y = repro.array(np.full(n, np.nan)), repro.array(np.ones(n))
+
+        def body():
+            return parallel_reduce(n, dot, x, y)
+
+        assert np.isnan(region.run((id(x), id(y)), body))
+        assert np.isnan(region.run((id(x), id(y)), body))
+        assert graph_stats()["uncaptureable"] == 0
+        assert region.stats()["replays"] == 1
+
     def test_new_array_identity_recaptures(self):
         repro.set_backend("serial")
         region = GraphRegion("t.rebind")

@@ -107,6 +107,7 @@ CACHE_INFO_SHAPE = {
     "misses": "int",
     "graph": {
         "captures": "int",
+        "rebinds": "int",  # added by structural reuse (ISSUE 18), nothing renamed
         "replays": "int",
         "nodes_replayed": "int",
         "fused_pairs": "int",
