@@ -16,5 +16,6 @@ echo "| \`src\` lines (*.py) | $(lines src) |"
 echo "| \`tests\` lines (*.py) | $(lines tests) |"
 echo "| \`PYACC_*\` names in \`src\` | $(echo "$knobs" | wc -l) |"
 echo "| \`threading.Lock()\` sites in \`src\` | $(grep -rF --include='*.py' 'threading.Lock()' src | wc -l) |"
+echo "| \`retry_transients(\` sites in \`src\` (the seam's call + the definition) | $(grep -rF --include='*.py' 'retry_transients(' src | wc -l) |"
 echo
 echo "\`PYACC_*\` set: $(echo $knobs)"

@@ -89,6 +89,7 @@ import signal
 import time
 import weakref
 from dataclasses import dataclass
+from functools import partial
 from typing import Any, Optional
 
 import multiprocessing as mp
@@ -96,14 +97,20 @@ from multiprocessing import shared_memory as shm_mod
 
 import numpy as np
 
+from .. import faults as _faults
+from ..core.api import plan_written_ids
 from ..core.backend import Backend
 from ..core.exceptions import (
     KernelExecutionError,
     PermanentDeviceError,
     WorkerLostError,
 )
-from ..core.launch import cpu_chunks, usable_cpus
+from ..core.launch import chunk_domains, cpu_chunks, usable_cpus
 from ..core.plan import LaunchPlan, LaunchSchedule
+from ..ir.arena import ScratchArena
+from ..ir.compile import compile_kernel
+from ..ir.compilecache import enter_worker_mode, promote_spools
+from ..ir.verify import _args_env, abstract_accesses
 from ..ir.vectorizer import IndexDomain, fold_partials
 from .registry import CLUSTER_COUNTERS as _COUNTERS
 from .registry import cluster_stats, reset_cluster_stats
@@ -237,8 +244,6 @@ def _worker_run_shard(spec: dict, segments: dict, fns: dict, arena) -> Optional[
     this process's own kernel cache and executor ladder (codegen or
     native), exactly as it would in the parent.
     """
-    from ..ir.compile import compile_kernel
-
     args = []
     for d in spec["args"]:
         if d[0] == "shm":
@@ -272,9 +277,6 @@ def _worker_main(conn, worker_name: str) -> None:  # pragma: no cover - child
     ``("ok", task_id, partial)`` or ``("err", task_id, type, msg)``;
     ``("exit",)`` ends the loop.
     """
-    from ..ir.arena import ScratchArena
-    from ..ir.compilecache import enter_worker_mode
-
     # Forked workers read the parent's compile cache but publish into a
     # per-worker spool the parent promotes (handle_loss/shutdown) — a
     # SIGKILLed worker can never corrupt the shared namespace.
@@ -402,80 +404,72 @@ class ClusterSupervisor:
         except Exception:
             pass
 
-    def _spawn_into(self, slot: int, fplan, plan, policy) -> _Worker:
-        """Fork one worker and health-check it (``cluster.spawn`` seam).
+    def _fork(self, slot: int, name: str) -> _Worker:
+        """Fork one worker process and health-check it."""
+        parent_conn, child_conn = self._mp.Pipe()
+        proc = self._mp.Process(
+            target=_worker_main,
+            args=(child_conn, name),
+            name=name,
+            daemon=True,
+        )
+        proc.start()
+        child_conn.close()
+        w = _Worker(proc, parent_conn, name, slot)
+        # Handshake with a deadline: a worker that cannot pong within
+        # the spawn timeout is as lost as one that never forked.
+        w.conn.send(("ping", 0))
+        if not w.conn.poll(self.spawn_timeout):
+            self.sigkill(w)
+            raise WorkerLostError(
+                f"worker {name!r} failed its spawn handshake "
+                f"({self.spawn_timeout:g}s)",
+                device_id=name,
+                operation="cluster.spawn",
+            )
+        reply = w.conn.recv()
+        if reply[0] != "pong":  # pragma: no cover - protocol guard
+            self.sigkill(w)
+            raise WorkerLostError(
+                f"worker {name!r} spoke out of turn at spawn: {reply[0]!r}",
+                device_id=name,
+                operation="cluster.spawn",
+            )
+        return w
+
+    def _spawn_into(self, slot: int, fplan, plan) -> _Worker:
+        """Fill ``slot`` with a fresh worker (``cluster.spawn`` seam).
 
         The probe fires before the fork: an injected transient retries a
         clean spawn, an injected permanent marks the slot unfillable.
         """
-        from .. import faults as _faults
-
         self._uid += 1
         name = f"cluster:w{slot}.{self._uid}"
-
-        def body():
-            if fplan is not None:
-                fplan.check("cluster.spawn", device_id=name)
-            parent_conn, child_conn = self._mp.Pipe()
-            proc = self._mp.Process(
-                target=_worker_main,
-                args=(child_conn, name),
-                name=name,
-                daemon=True,
-            )
-            proc.start()
-            child_conn.close()
-            w = _Worker(proc, parent_conn, name, slot)
-            # Handshake with a deadline: a worker that cannot pong within
-            # the spawn timeout is as lost as one that never forked.
-            w.conn.send(("ping", 0))
-            if not w.conn.poll(self.spawn_timeout):
-                self.sigkill(w)
-                raise WorkerLostError(
-                    f"worker {name!r} failed its spawn handshake "
-                    f"({self.spawn_timeout:g}s)",
-                    device_id=name,
-                    operation="cluster.spawn",
-                )
-            reply = w.conn.recv()
-            if reply[0] != "pong":  # pragma: no cover - protocol guard
-                self.sigkill(w)
-                raise WorkerLostError(
-                    f"worker {name!r} spoke out of turn at spawn: {reply[0]!r}",
-                    device_id=name,
-                    operation="cluster.spawn",
-                )
-            return w
-
-        if fplan is None:
-            w = body()
-        else:
-            w = _faults.retry_transients(
-                body,
-                policy=policy,
-                site="cluster.spawn",
-                plan=plan,
-                device_id=name,
-            )
+        w = _faults.guarded(
+            fplan, "cluster.spawn", plan, partial(self._fork, slot), name,
+            device_id=name,
+        )
         self.slots[slot] = w
         self.epoch += 1
         _COUNTERS.bump("spawns")
         return w
 
-    def ensure_started(self, fplan, plan, policy) -> None:
+    def ensure_started(self, fplan, plan, policy=None) -> None:
         """Lazily bring the initial worker set up (first sharded launch).
 
         Deferring the fork past import/tracing time means kernels defined
         in the caller's modules are importable in the children.  A slot
         whose spawn fails permanently is removed; if no slot survives,
-        the permanent error escapes to the dispatch ladder.
+        the permanent error escapes to the dispatch ladder.  ``policy``
+        is unused (the seam reads ``plan.policy``); the frozen
+        ``benchmarks/perf`` warm-up passes it positionally.
         """
         if self._started:
             return
         self._started = True
         for slot in range(self.n_workers):
             try:
-                self._spawn_into(slot, fplan, plan, policy)
+                self._spawn_into(slot, fplan, plan)
             except PermanentDeviceError:
                 self.slots.pop(slot, None)
                 self.epoch += 1
@@ -493,7 +487,7 @@ class ClusterSupervisor:
         except (ProcessLookupError, OSError):
             pass
 
-    def handle_loss(self, w: _Worker, fplan, plan, policy) -> bool:
+    def handle_loss(self, w: _Worker, fplan, plan) -> bool:
         """Process one worker loss; returns True if the slot was refilled.
 
         The dead process leaves the dispatch set immediately; a respawn
@@ -513,8 +507,6 @@ class ClusterSupervisor:
         # recompiling its shard kernels.  Only *its* spool: peers are
         # still alive and may be mid-publish.
         try:
-            from ..ir.compilecache import promote_spools
-
             promote_spools([w.proc.pid])
         except Exception:
             pass
@@ -524,7 +516,7 @@ class ClusterSupervisor:
             return False
         self.respawns_used += 1
         try:
-            self._spawn_into(w.slot, fplan, plan, policy)
+            self._spawn_into(w.slot, fplan, plan)
         except PermanentDeviceError:
             self.slots.pop(w.slot, None)
             self.epoch += 1
@@ -579,8 +571,6 @@ class ClusterSupervisor:
         self.slots.clear()
         self._started = False
         try:
-            from ..ir.compilecache import promote_spools
-
             promote_spools()
         except Exception:
             pass
@@ -637,8 +627,6 @@ def _stencil_offsets(plan: LaunchPlan) -> dict:
     of its loads is unaligned (non-affine leading index, non-unit
     coefficient, or cross-axis dependence) — the replicated class.
     """
-    from ..ir.verify import _args_env, abstract_accesses
-
     offsets: dict[int, Optional[list]] = {}
     try:
         shapes, scalars = _args_env(plan.resolved_args)
@@ -735,6 +723,11 @@ def _halo_schedule(plan: LaunchPlan, chunks: list[tuple[int, int]]) -> HaloSched
     )
 
 
+def _move_slab(slab: HaloSlab) -> None:
+    """The guarded work of one exchange: shards map shared segments, so
+    nothing moves (a distributed-memory build copies ``slab.nbytes``)."""
+
+
 # ---------------------------------------------------------------------------
 # The backend
 # ---------------------------------------------------------------------------
@@ -783,6 +776,8 @@ class ClusterBackend(Backend):
         #: list mutations are GIL-atomic, so the GC-callback writers need
         #: no lock the callback could deadlock on.
         self._retired: list[str] = []
+        #: fn -> its :meth:`_pickle_fn` result (weak: never pins a kernel).
+        self._fn_pickles: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
         #: Launch-unique shard task ids (fault ordinals restart at 0 per
         #: launch without a plan, so they cannot key reply matching).
         self._task_seq = 0
@@ -818,14 +813,6 @@ class ClusterBackend(Backend):
         self.accounting.bytes_h2d += host.nbytes
         return view
 
-    def to_host(self, arr: Any) -> np.ndarray:
-        raw = getattr(arr, "__pyacc_raw_storage__", None)
-        return raw() if raw is not None else np.asarray(arr)
-
-    def unwrap(self, arr: Any) -> np.ndarray:
-        raw = getattr(arr, "__pyacc_raw_storage__", None)
-        return raw() if raw is not None else np.asarray(arr)
-
     # -- introspection ----------------------------------------------------
     @property
     def supervisor(self) -> ClusterSupervisor:
@@ -843,9 +830,6 @@ class ClusterBackend(Backend):
         self._supervisor.shutdown()
 
     # -- scheduling --------------------------------------------------------
-    def _chunks(self, dims: tuple[int, ...], width: int) -> list[tuple[int, int]]:
-        return cpu_chunks(dims, width)
-
     def _target_width(self) -> int:
         if not self._supervisor._started:
             return self.n_workers
@@ -873,11 +857,12 @@ class ClusterBackend(Backend):
             or plan.kernel.trace is None
         ):
             return LaunchSchedule(domains=(IndexDomain.full(dims),), inline=True)
-        chunks = self._chunks(dims, width)
-        tail = [(0, d) for d in dims[1:]]
-        domains = tuple(IndexDomain.of([(lo, hi)] + tail) for lo, hi in chunks)
-        halo = _halo_schedule(plan, chunks)
-        return LaunchSchedule(domains=domains, inline=False, halo=halo)
+        chunks = cpu_chunks(dims, width)
+        return LaunchSchedule(
+            domains=tuple(chunk_domains(dims, chunks)),
+            inline=False,
+            halo=_halo_schedule(plan, chunks),
+        )
 
     # -- argument shipping -------------------------------------------------
     def _segment_for(self, arr: np.ndarray) -> tuple[Optional[_Segment], bool]:
@@ -919,8 +904,6 @@ class ClusterBackend(Backend):
         try:
             write_ids = set(plan.written_ids or ())
             if not write_ids:
-                from ..core.api import plan_written_ids
-
                 write_ids = set(plan_written_ids(plan))
         except Exception:
             write_ids = {id(a) for a in nds}  # conservative: commit all
@@ -952,16 +935,27 @@ class ClusterBackend(Backend):
         return descs, writeback
 
     def _pickle_fn(self, fn) -> Optional[tuple[str, bytes]]:
-        """Ship the kernel by reference; ``None`` for closures/lambdas."""
+        """Ship the kernel by reference; ``None`` for closures/lambdas.
+
+        Memoised per function: pickling by reference re-imports the
+        defining module to check the name, which no launch after the
+        first needs to repeat.
+        """
         try:
-            payload = pickle.dumps(fn)
+            return self._fn_pickles[fn]
+        except (KeyError, TypeError):  # first sight / not weak-referenceable
+            pass
+        shipped = None
+        try:
+            token = f"{getattr(fn, '__module__', '?')}.{getattr(fn, '__qualname__', repr(fn))}"
+            shipped = (token, pickle.dumps(fn))
+            self._fn_pickles[fn] = shipped
         except Exception:
-            return None
-        token = f"{getattr(fn, '__module__', '?')}.{getattr(fn, '__qualname__', repr(fn))}"
-        return token, payload
+            pass
+        return shipped
 
     # -- halo --------------------------------------------------------------
-    def _exchange_halos(self, plan: LaunchPlan, halo: HaloSchedule, fplan, policy):
+    def _exchange_halos(self, plan: LaunchPlan, halo: HaloSchedule, fplan):
         """Account (and fault-probe) the exchange the shard split needs.
 
         Shards map shared segments, so no physical copy moves — the
@@ -971,127 +965,98 @@ class ClusterBackend(Backend):
         a transient retries the (idempotent) exchange, a permanent
         escapes to the dispatch ladder before any shard ran.
         """
-        from .. import faults as _faults
-
         if not halo.slabs:
             return
-        base = (
-            fplan.next_ordinal("cluster.halo", len(halo.slabs))
-            if fplan is not None
-            else 0
-        )
-        for k, slab in enumerate(halo.slabs):
-
-            def body(k=k):
-                if fplan is not None:
-                    fplan.check("cluster.halo", ordinal=base + k)
-
-            if fplan is None:
-                body()
-            else:
-                _faults.retry_transients(
-                    body, policy=policy, site="cluster.halo", plan=plan
+        if fplan is not None:
+            base = fplan.next_ordinal("cluster.halo", len(halo.slabs))
+            for k, slab in enumerate(halo.slabs):
+                _faults.guarded(
+                    fplan, "cluster.halo", plan, _move_slab, slab,
+                    ordinal=base + k,
                 )
         _COUNTERS.bump("halo_exchanges", len(halo.slabs))
         _COUNTERS.bump("halo_bytes", halo.nbytes)
 
     # -- execution ---------------------------------------------------------
-    def _run_inline(self, plan: LaunchPlan, fplan, policy) -> Optional[float]:
+    def _run_inline(self, plan: LaunchPlan, fplan) -> Optional[float]:
         """The unsharded rung: run in-process under the same seam."""
-        from .. import faults as _faults
-
         _COUNTERS.bump("inline_launches")
-        kernel, args, op = plan.kernel, plan.resolved_args, plan.op
+        sched = plan.schedule
         domain = (
-            plan.schedule.domains[0]
-            if plan.schedule is not None and plan.schedule.domains
+            sched.domains[0]
+            if sched is not None and sched.inline and sched.domains
             else plan.full_domain()
         )
-        if plan.schedule is not None and not plan.schedule.inline:
-            domain = plan.full_domain()
+        return _faults.guarded(fplan, "cluster.shard", plan, plan.run, domain)
 
-        def body():
-            if fplan is not None:
-                fplan.check("cluster.shard")
-            if plan.is_reduce:
-                return kernel.run_reduce(domain, args, op, plan.arena)
-            kernel.run_for(domain, args, plan.arena)
-            return None
-
-        if fplan is None:
-            return body()
-        return _faults.retry_transients(
-            body, policy=policy, site="cluster.shard", plan=plan
-        )
+    def _send_shard(
+        self, w: _Worker, plan, descs, fn_token, fn_bytes,
+        task_id, ordinal, fplan, span,
+    ) -> None:
+        """Honour kill injection, then send one shard message."""
+        if fplan is not None and fplan.take_kill(
+            "cluster.shard", ordinal, device_id=w.name
+        ):
+            _COUNTERS.bump("kills")
+            _faults.record_event(
+                _faults.FaultEvent(
+                    site="cluster.shard",
+                    kind="kill",
+                    action="kill",
+                    device_id=w.name,
+                    kernel=getattr(plan.fn, "__name__", None),
+                    detail=f"worker {w.name!r} SIGKILLed at shard "
+                    f"ordinal {ordinal}",
+                ),
+                plan,
+            )
+            self._supervisor.sigkill(w)
+        spec = {
+            "construct": plan.construct,
+            "op": plan.op,
+            "ndim": plan.ndim,
+            "ranges": [span] + [(0, d) for d in plan.dims[1:]],
+            "args": descs,
+            "fn_token": fn_token,
+            "fn_bytes": fn_bytes if fn_token not in w.fn_tokens else b"",
+        }
+        try:
+            w.conn.send(("shard", task_id, spec))
+        except (OSError, BrokenPipeError) as exc:
+            raise WorkerLostError(
+                f"worker {w.name!r} pipe broke at dispatch: {exc}",
+                device_id=w.name,
+                operation="cluster.shard",
+            ) from exc
+        w.fn_tokens.add(fn_token)
 
     def _dispatch_shard(
         self, w: _Worker, plan, span, descs, fn_token, fn_bytes,
-        task_id, ordinal, fplan, policy,
+        task_id, ordinal, fplan,
     ) -> None:
-        """Probe, honour kill injection, and send one shard message.
+        """Probe ``cluster.shard``, then :meth:`_send_shard`.
 
         The probe and the kill both fire *before* the worker processes
         the message, so a retried or rebalanced shard never
         double-applies stores.
         """
-        from .. import faults as _faults
-
-        def body():
-            if fplan is not None:
-                fplan.check("cluster.shard", device_id=w.name, ordinal=ordinal)
-                if fplan.take_kill("cluster.shard", ordinal, device_id=w.name):
-                    _COUNTERS.bump("kills")
-                    _faults.record_event(
-                        _faults.FaultEvent(
-                            site="cluster.shard",
-                            kind="kill",
-                            action="kill",
-                            device_id=w.name,
-                            kernel=getattr(plan.fn, "__name__", None),
-                            detail=f"worker {w.name!r} SIGKILLed at shard "
-                            f"ordinal {ordinal}",
-                        ),
-                        plan,
-                    )
-                    self._supervisor.sigkill(w)
-            spec = {
-                "construct": plan.construct,
-                "op": plan.op,
-                "ndim": plan.ndim,
-                "ranges": [span] + [(0, d) for d in plan.dims[1:]],
-                "args": descs,
-                "fn_token": fn_token,
-                "fn_bytes": fn_bytes if fn_token not in w.fn_tokens else b"",
-            }
-            try:
-                w.conn.send(("shard", task_id, spec))
-            except (OSError, BrokenPipeError) as exc:
-                raise WorkerLostError(
-                    f"worker {w.name!r} pipe broke at dispatch: {exc}",
-                    device_id=w.name,
-                    operation="cluster.shard",
-                ) from exc
-            w.fn_tokens.add(fn_token)
-
-        if fplan is None:
-            body()
-        else:
-            try:
-                _faults.retry_transients(
-                    body,
-                    policy=policy,
-                    site="cluster.shard",
-                    plan=plan,
-                    device_id=w.name,
-                )
-            except WorkerLostError:
-                raise
-            except PermanentDeviceError as exc:
-                # An injected permanent at this seam models the worker's
-                # device dying — treat it as a loss of the process.
-                raise WorkerLostError(
-                    str(exc), device_id=w.name, operation="cluster.shard"
-                ) from exc
+        send = partial(
+            self._send_shard,
+            w, plan, descs, fn_token, fn_bytes, task_id, ordinal, fplan,
+        )
+        try:
+            _faults.guarded(
+                fplan, "cluster.shard", plan, send, span,
+                device_id=w.name, ordinal=ordinal,
+            )
+        except WorkerLostError:
+            raise
+        except PermanentDeviceError as exc:
+            # An injected permanent at this seam models the worker's
+            # device dying — treat it as a loss of the process.
+            raise WorkerLostError(
+                str(exc), device_id=w.name, operation="cluster.shard"
+            ) from exc
 
     def _collect_shard(self, w: _Worker, task_id: int, deadline: float):
         """Wait (bounded) for one shard reply from one worker.
@@ -1131,7 +1096,7 @@ class ClusterBackend(Backend):
             return reply[2]
 
     def _run_sharded(
-        self, plan: LaunchPlan, descs, fn_token, fn_bytes, fplan, policy
+        self, plan: LaunchPlan, descs, fn_token, fn_bytes, fplan
     ) -> list[tuple[int, Optional[float]]]:
         """Dispatch row spans over the worker set until all rows ran.
 
@@ -1141,8 +1106,6 @@ class ClusterBackend(Backend):
         lifted to processes.  Raises ``PermanentDeviceError`` when no
         worker remains (the dispatch ladder then demotes the backend).
         """
-        from .. import faults as _faults
-
         sup = self._supervisor
         remaining: list[tuple[int, int]] = [
             dom.ranges[0]
@@ -1150,10 +1113,9 @@ class ClusterBackend(Backend):
             if dom.ranges[0][1] > dom.ranges[0][0]
         ]
         tail_dims = plan.dims[1:]
+        policy = plan.policy or _faults.DEFAULT_POLICY
         timeout = (
-            policy.watchdog
-            if policy is not None and policy.watchdog is not None
-            else self.shard_timeout
+            policy.watchdog if policy.watchdog is not None else self.shard_timeout
         )
         partials: list[tuple[int, Optional[float]]] = []
         first_round = True
@@ -1198,10 +1160,10 @@ class ClusterBackend(Backend):
                 try:
                     self._dispatch_shard(
                         w, plan, span, descs, fn_token, fn_bytes,
-                        task_id, base + k, fplan, policy,
+                        task_id, base + k, fplan,
                     )
                 except WorkerLostError as exc:
-                    self._note_loss(w, span, exc, plan, fplan, policy)
+                    self._note_loss(w, span, exc, plan, fplan)
                     remaining.append(span)
                     continue
                 inflight.append((w, span, task_id))
@@ -1210,7 +1172,7 @@ class ClusterBackend(Backend):
                 try:
                     partial = self._collect_shard(w, task_id, deadline)
                 except WorkerLostError as exc:
-                    self._note_loss(w, span, exc, plan, fplan, policy)
+                    self._note_loss(w, span, exc, plan, fplan)
                     remaining.append(span)
                     continue
                 _COUNTERS.bump("shards")
@@ -1218,38 +1180,24 @@ class ClusterBackend(Backend):
             first_round = False
         return partials
 
-    def _note_loss(self, w, span, exc, plan, fplan, policy) -> None:
+    def _note_loss(self, w, span, exc, plan, fplan) -> None:
         """Record a loss event and attempt the elastic respawn."""
-        from .. import faults as _faults
-
-        refilled = self._supervisor.handle_loss(w, fplan, plan, policy)
+        refilled = self._supervisor.handle_loss(w, fplan, plan)
         survivors = len(self._supervisor.alive())
-        _faults.record_event(
-            _faults.FaultEvent(
-                site="cluster.shard",
-                kind="permanent",
-                action="failover",
-                device_id=w.name,
-                kernel=getattr(plan.fn, "__name__", None),
-                detail=(
-                    f"worker {w.name!r} lost ({exc}); rows "
-                    f"[{span[0]}, {span[1]}) rebalanced over "
-                    f"{survivors} worker(s)"
-                    + (" after respawn" if refilled else "")
-                ),
-            ),
-            plan,
+        _faults.record_failover(
+            "cluster.shard", plan, w.name,
+            f"worker {w.name!r} lost ({exc}); rows [{span[0]}, {span[1]}) "
+            f"rebalanced over {survivors} worker(s)"
+            + (" after respawn" if refilled else ""),
         )
 
-    def _fold(self, partials, op: str, plan, fplan, policy) -> float:
+    def _fold(self, partials, op: str, plan, fplan) -> float:
         """Deterministic pairwise tree over per-shard partials.
 
         Partials order by shard row offset (not arrival), so the fold
         tree — and its last-bit rounding — is a pure function of the
         final shard split.  ``cluster.reduce`` probes each combine.
         """
-        from .. import faults as _faults
-
         values = [v for _lo, v in sorted(partials, key=lambda t: t[0])]
         if not values:
             raise KernelExecutionError("reduce plan produced no partials")
@@ -1259,25 +1207,17 @@ class ClusterBackend(Backend):
             if fplan is not None
             else 0
         )
+        fold = partial(fold_partials, op)
         k = 0
         while len(values) > 1:
             nxt = []
             for i in range(0, len(values) - 1, 2):
-                a, b = values[i], values[i + 1]
-
-                def body(a=a, b=b, k=k):
-                    if fplan is not None:
-                        fplan.check("cluster.reduce", ordinal=base + k)
-                    return fold_partials(op, (a, b))
-
-                if fplan is None:
-                    nxt.append(body())
-                else:
-                    nxt.append(
-                        _faults.retry_transients(
-                            body, policy=policy, site="cluster.reduce", plan=plan
-                        )
+                nxt.append(
+                    _faults.guarded(
+                        fplan, "cluster.reduce", plan, fold, values[i : i + 2],
+                        ordinal=base + k,
                     )
+                )
                 k += 1
             if len(values) % 2:
                 nxt.append(values[-1])
@@ -1286,23 +1226,20 @@ class ClusterBackend(Backend):
         return float(values[0])
 
     def execute(self, plan: LaunchPlan) -> Optional[float]:
-        from .. import faults as _faults
-
         self.accounting.n_kernel_launches += 1
         fplan = _faults.active_plan()
-        policy = plan.policy or _faults.DEFAULT_POLICY
         sched = plan.schedule
         if sched is None or sched.inline:
-            return self._run_inline(plan, fplan, policy)
+            return self._run_inline(plan, fplan)
         shipped = self._ship_args(plan)
         pickled = self._pickle_fn(plan.fn)
         if shipped is None or pickled is None:
             _COUNTERS.bump("unshippable")
-            return self._run_inline(plan, fplan, policy)
+            return self._run_inline(plan, fplan)
         descs, writeback = shipped
         fn_token, fn_bytes = pickled
         try:
-            self._supervisor.ensure_started(fplan, plan, policy)
+            self._supervisor.ensure_started(fplan, plan)
         except PermanentDeviceError:
             _COUNTERS.bump("degradations")
             raise
@@ -1311,10 +1248,8 @@ class ClusterBackend(Backend):
             self._supervisor.broadcast_forget(retired)
         halo = getattr(sched, "halo", None)
         if halo is not None:
-            self._exchange_halos(plan, halo, fplan, policy)
-        partials = self._run_sharded(
-            plan, descs, fn_token, fn_bytes, fplan, policy
-        )
+            self._exchange_halos(plan, halo, fplan)
+        partials = self._run_sharded(plan, descs, fn_token, fn_bytes, fplan)
         # Shard writeback: commit staged results into the caller's
         # arrays *before* returning, so the dispatch stage's
         # write-version bump (repro.ir.writes) publishes values that
@@ -1324,4 +1259,4 @@ class ClusterBackend(Backend):
             _COUNTERS.bump("staged_out_bytes", arr.nbytes)
         if not plan.is_reduce:
             return None
-        return self._fold(partials, plan.op, plan, fplan, policy)
+        return self._fold(partials, plan.op, plan, fplan)

@@ -28,6 +28,7 @@ from typing import Any, Optional
 
 import numpy as np
 
+from ... import faults as _faults
 from ...core.backend import Backend
 from ...core.plan import LaunchPlan, LaunchSchedule
 from ...perfmodel import get_overhead
@@ -51,20 +52,13 @@ class GpuSimBackend(Backend):
 
     # -- memory -----------------------------------------------------------
     def array(self, data: Any) -> DeviceArray:
-        from ... import faults as _faults
-
-        fplan = _faults.active_plan()
-        if fplan is None:  # fast path: injection off
-            out = self.device.to_device(np.asarray(data))
-        else:
-            # to_device probes before any allocation/charge, so a retried
-            # transfer never double-counts.
-            out = _faults.retry_transients(
-                lambda: self.device.to_device(np.asarray(data)),
-                policy=_faults.launch_policy(),
-                site="gpusim.to_device",
-                device_id=self.device.name,
-            )
+        # to_device probes before any allocation/charge, so a retried
+        # transfer never double-counts.
+        out = _faults.guarded(
+            _faults.active_plan(), "gpusim.to_device", None,
+            self.device.to_device, np.asarray(data),
+            device_id=self.device.name, probe=False,
+        )
         self._sync_counters()
         return out
 
@@ -96,55 +90,24 @@ class GpuSimBackend(Backend):
         )
 
     def execute(self, plan: LaunchPlan) -> Optional[float]:
-        from ... import faults as _faults
-
-        kernel, args = plan.kernel, plan.resolved_args
+        kernel = plan.kernel
         (domain,) = plan.schedule.domains
         lanes = plan.lanes
         dev = self.device
-        fplan = _faults.active_plan()
+        # The probe fires before the kernel runs and before any clock
+        # charge: a retried launch is side-effect clean and the
+        # accounting matches the fault-free run exactly.
+        result = _faults.guarded(
+            _faults.active_plan(), "gpusim.launch", plan, plan.run, domain,
+            device_id=dev.name,
+        )
         if not plan.is_reduce:
-
-            def body():
-                # Probe fires before the kernel runs and before any clock
-                # charge: a retried launch is side-effect clean and the
-                # accounting matches the fault-free run exactly.
-                if fplan is not None:
-                    fplan.check("gpusim.launch", device_id=dev.name)
-                kernel.run_for(domain, args, plan.arena)
-
-            if fplan is None:  # fast path: injection off
-                body()
-            else:
-                _faults.retry_transients(
-                    body,
-                    policy=plan.policy or _faults.DEFAULT_POLICY,
-                    site="gpusim.launch",
-                    plan=plan,
-                    device_id=dev.name,
-                )
             dev._charge_kernel(
                 kernel, lanes, plan.ndim, getattr(kernel.fn, "__name__", "kernel")
             )
             self.accounting.n_kernel_launches += 1
             self._sync_counters()
             return None
-
-        def body_reduce():
-            if fplan is not None:
-                fplan.check("gpusim.launch", device_id=dev.name)
-            return kernel.run_reduce(domain, args, plan.op, plan.arena)
-
-        if fplan is None:  # fast path: injection off
-            result = body_reduce()
-        else:
-            result = _faults.retry_transients(
-                body_reduce,
-                policy=plan.policy or _faults.DEFAULT_POLICY,
-                site="gpusim.launch",
-                plan=plan,
-                device_id=dev.name,
-            )
         cost = dev.model.reduce_cost(kernel.stats, lanes, plan.ndim)
         mult = self._overhead.reduce_bw_mult
         # The Intel ≈35% DOT overhead is a bandwidth-efficiency loss of the

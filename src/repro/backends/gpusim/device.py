@@ -22,6 +22,7 @@ from typing import Any, Optional, Sequence
 
 import numpy as np
 
+from ... import faults as _faults
 from ...core.backend import Accounting
 from ...core.exceptions import DeviceError, LaunchConfigError
 from ...core.launch import LaunchConfig, gpu_launch_config
@@ -61,19 +62,6 @@ class Device:
         self.memory = MemorySpace(capacity_bytes)
         self.accounting = Accounting()
 
-    def _fault_probe(self, site: str) -> None:
-        """Fault-injection seam for native device operations.
-
-        Sites probe at operation entry — before any allocation, copy, or
-        clock charge — so an injected fault leaves the device state
-        untouched and the operation can be retried verbatim.
-        """
-        from ... import faults
-
-        plan = faults.active_plan()
-        if plan is not None:
-            plan.check(site, device_id=self.name)
-
     # ------------------------------------------------------------------
     # memory component
     # ------------------------------------------------------------------
@@ -88,7 +76,10 @@ class Device:
 
     def to_device(self, host: np.ndarray) -> DeviceArray:
         """Allocate + H2D copy (``CuArray(x)`` and friends)."""
-        self._fault_probe("gpusim.to_device")
+        # Native operations probe at entry — before any allocation, copy
+        # or clock charge — so an injected fault leaves the device state
+        # untouched and the operation can be retried verbatim.
+        _faults.probe("gpusim.to_device", device_id=self.name)
         host = np.asarray(host)
         data = np.array(host, copy=True)
         self._charge_alloc(data.nbytes, "to_device")
@@ -224,7 +215,7 @@ class Device:
         the domain (a too-small grid is the classic off-by-one launch bug
         and is rejected, where real hardware would silently skip lanes).
         """
-        self._fault_probe("gpusim.device_launch")
+        _faults.probe("gpusim.device_launch", device_id=self.name)
         if isinstance(dims, (int, np.integer)):
             dims = (int(dims),)
         dims = tuple(int(d) for d in dims)
@@ -316,7 +307,7 @@ class Device:
 
     def fold_partials(self, partials: DeviceArray, op: str = "add") -> DeviceArray:
         """Second reduction kernel: fold the partials to one element."""
-        self._fault_probe("gpusim.fold")
+        _faults.probe("gpusim.fold", device_id=self.name)
         data = partials.storage(self)
         if op == "add":
             value = float(np.sum(data))

@@ -38,9 +38,10 @@ from typing import Any, Optional, Sequence
 
 import numpy as np
 
+from .. import faults as _faults
 from ..core.backend import Backend
 from ..core.exceptions import PermanentDeviceError
-from ..core.launch import cpu_chunks, weighted_chunks
+from ..core.launch import chunk_domains, cpu_chunks, weighted_chunks
 from ..core.plan import LaunchPlan, LaunchSchedule
 from ..ir.vectorizer import IndexDomain, fold_partials
 from .gpusim.device import Device
@@ -127,14 +128,6 @@ class MultiDeviceBackend(Backend):
             )
         return host
 
-    def to_host(self, arr: Any) -> np.ndarray:
-        raw = getattr(arr, "__pyacc_raw_storage__", None)
-        return raw() if raw is not None else np.asarray(arr)
-
-    def unwrap(self, arr: Any) -> np.ndarray:
-        raw = getattr(arr, "__pyacc_raw_storage__", None)
-        return raw() if raw is not None else np.asarray(arr)
-
     # -- compute -----------------------------------------------------------
     def _split(
         self, dims: tuple[int, ...], devices: Sequence[Device], lo: int = 0
@@ -153,11 +146,7 @@ class MultiDeviceBackend(Backend):
         while len(chunks) < len(devices):
             end = chunks[-1][1] if chunks else 0
             chunks.append((end, end))
-        tail = [(0, d) for d in dims[1:]]
-        return [
-            IndexDomain.of([(lo + c_lo, lo + c_hi)] + tail)
-            for c_lo, c_hi in chunks
-        ]
+        return chunk_domains(dims, chunks, lo=lo)
 
     def schedule_epoch(self) -> int:
         """Bumps whenever a device drops from the dispatch set, so
@@ -179,8 +168,6 @@ class MultiDeviceBackend(Backend):
         )
 
     def execute(self, plan: LaunchPlan) -> Optional[float]:
-        from .. import faults as _faults
-
         devices = self.alive_devices()
         if not devices:
             raise PermanentDeviceError(
@@ -188,9 +175,8 @@ class MultiDeviceBackend(Backend):
                 f"({', '.join(sorted(self._failed))})",
                 operation="multidevice.chunk",
             )
-        kernel, args, op = plan.kernel, plan.resolved_args, plan.op
+        stats = plan.kernel.stats
         fplan = _faults.active_plan()
-        policy = plan.policy or _faults.DEFAULT_POLICY
         launches_per_chunk = 2 if plan.is_reduce else 1
         label = "multi_reduce" if plan.is_reduce else "multi_chunk"
         # The work list pairs each surviving device with its scheduled
@@ -203,47 +189,22 @@ class MultiDeviceBackend(Backend):
         idx = 0
         while idx < len(work):
             dev, dom = work[idx]
-
-            def body(dev=dev, dom=dom):
-                # Probe before the chunk's kernel runs: a retried or
-                # redistributed chunk never double-applies stores.
-                if fplan is not None and dom.size > 0:
-                    fplan.check("multidevice.chunk", device_id=dev.name)
-                if plan.is_reduce:
-                    return kernel.run_reduce(dom, args, op, plan.arena)
-                kernel.run_for(dom, args, plan.arena)
-                return None
-
             try:
-                if fplan is None:
-                    partial = body()
-                else:
-                    partial = _faults.retry_transients(
-                        body,
-                        policy=policy,
-                        site="multidevice.chunk",
-                        plan=plan,
-                        device_id=dev.name,
-                    )
+                partial = _faults.guarded(
+                    fplan, "multidevice.chunk", plan, plan.run, dom,
+                    device_id=dev.name, probe=dom.size > 0,
+                )
             except PermanentDeviceError as exc:
                 self._failed.add(dev.name)
                 survivors = [
                     d for d in devices if d.name not in self._failed
                 ]
-                _faults.record_event(
-                    _faults.FaultEvent(
-                        site="multidevice.chunk",
-                        kind="permanent",
-                        action="failover",
-                        device_id=dev.name,
-                        kernel=getattr(plan.fn, "__name__", None),
-                        detail=(
-                            f"device {dev.name!r} lost; rows "
-                            f"[{dom.ranges[0][0]}, {plan.dims[0]}) rebalanced "
-                            f"over {len(survivors)} survivor(s)"
-                        ),
-                    ),
-                    plan,
+                # Unprocessed work = this chunk onward (chunks ascend).
+                lo = dom.ranges[0][0]
+                _faults.record_failover(
+                    "multidevice.chunk", plan, dev.name,
+                    f"device {dev.name!r} lost; rows [{lo}, {plan.dims[0]}) "
+                    f"rebalanced over {len(survivors)} survivor(s)",
                 )
                 if not survivors:
                     raise PermanentDeviceError(
@@ -252,8 +213,6 @@ class MultiDeviceBackend(Backend):
                         device_id=exc.device_id,
                         operation="multidevice.chunk",
                     ) from exc
-                # Unprocessed work = this chunk onward (chunks ascend).
-                lo = dom.ranges[0][0]
                 new_domains = self._split(plan.dims, survivors, lo=lo)
                 work = work[:idx] + list(zip(survivors, new_domains))
                 continue  # re-enter at idx with the rebalanced work list
@@ -261,11 +220,9 @@ class MultiDeviceBackend(Backend):
             # modeled clock matches the fault-free run under retries.
             if plan.is_reduce:
                 partials.append(partial)
-                cost = dev.model.reduce_cost(
-                    kernel.stats, dom.size, plan.ndim
-                ).total
+                cost = dev.model.reduce_cost(stats, dom.size, plan.ndim).total
             else:
-                cost = dev.model.for_cost(kernel.stats, dom.size, plan.ndim).total
+                cost = dev.model.for_cost(stats, dom.size, plan.ndim).total
             dev.clock.advance(cost, kind="kernel", label=label)
             dev.accounting.n_kernel_launches += launches_per_chunk
             elapsed[dev.name] = elapsed.get(dev.name, 0.0) + cost
@@ -278,4 +235,4 @@ class MultiDeviceBackend(Backend):
         ) + _COORDINATION_LATENCY
         if not plan.is_reduce:
             return None
-        return fold_partials(op, partials)
+        return fold_partials(plan.op, partials)

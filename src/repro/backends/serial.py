@@ -13,7 +13,7 @@ Two registry entries share this module:
 
 Neither owns a device boundary: ``array`` copies (value semantics match
 the GPU backends, where ``JACC.array`` always materializes a new buffer)
-and ``to_host`` returns the same storage.
+and the inherited ``to_host`` returns the same storage.
 """
 
 from __future__ import annotations
@@ -39,37 +39,15 @@ class SerialBackend(Backend):
     def array(self, data: Any) -> np.ndarray:
         return np.array(data, copy=True)
 
-    def to_host(self, arr: Any) -> np.ndarray:
-        # Device-array handles survive a failover from a GPU backend; the
-        # simulator's device storage is host memory, so adopt it directly.
-        raw = getattr(arr, "__pyacc_raw_storage__", None)
-        return raw() if raw is not None else np.asarray(arr)
-
-    def unwrap(self, arr: Any) -> np.ndarray:
-        raw = getattr(arr, "__pyacc_raw_storage__", None)
-        return raw() if raw is not None else np.asarray(arr)
-
     def execute(self, plan: LaunchPlan) -> Optional[float]:
         self.accounting.n_kernel_launches += 1
         (domain,) = plan.schedule.domains
-
-        def body():
-            if plan.is_reduce:
-                return plan.kernel.run_reduce(
-                    domain, plan.resolved_args, plan.op, plan.arena
-                )
-            plan.kernel.run_for(domain, plan.resolved_args, plan.arena)
-            return None
-
-        if _faults.active_plan() is None:  # fast path: injection off
-            return body()
-        # The serial rung still retries transients injected below it
-        # (arena-frame allocation faults fire before any kernel store).
-        return _faults.retry_transients(
-            body,
-            policy=plan.policy or _faults.DEFAULT_POLICY,
-            site="arena.frame",
-            plan=plan,
+        # No site of its own: the serial rung only retries transients
+        # injected below it (arena-frame allocation faults fire before
+        # any kernel store).
+        return _faults.guarded(
+            _faults.active_plan(), "arena.frame", plan, plan.run, domain,
+            probe=False,
         )
 
 

@@ -36,7 +36,7 @@ as the (simulated) GPUs; wall-clock time is still the real execution.
 from __future__ import annotations
 
 import os
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor, wait
 from typing import Any, Optional
 
 import numpy as np
@@ -44,7 +44,7 @@ import numpy as np
 from .. import faults as _faults
 from ..core.backend import Backend
 from ..core.exceptions import PermanentDeviceError
-from ..core.launch import cpu_chunks, usable_cpus
+from ..core.launch import chunk_domains, cpu_chunks, usable_cpus
 from ..core.plan import LaunchPlan, LaunchSchedule
 from ..ir.vectorizer import IndexDomain, fold_partials
 from ..perfmodel import PerfModel, get_overhead, get_profile
@@ -97,16 +97,6 @@ class ThreadsBackend(Backend):
     def array(self, data: Any) -> np.ndarray:
         return np.array(data, copy=True)
 
-    def to_host(self, arr: Any) -> np.ndarray:
-        # Device-array handles survive a failover from a GPU backend; the
-        # simulator's device storage is host memory, so adopt it directly.
-        raw = getattr(arr, "__pyacc_raw_storage__", None)
-        return raw() if raw is not None else np.asarray(arr)
-
-    def unwrap(self, arr: Any) -> np.ndarray:
-        raw = getattr(arr, "__pyacc_raw_storage__", None)
-        return raw() if raw is not None else np.asarray(arr)
-
     # -- pool -------------------------------------------------------------
     def _ensure_pool(self) -> ThreadPoolExecutor:
         if self._pool is None:
@@ -122,11 +112,6 @@ class ThreadsBackend(Backend):
             self._pool = None
 
     # -- compute -----------------------------------------------------------
-    def _domains(self, dims: tuple[int, ...]) -> list[IndexDomain]:
-        chunks = cpu_chunks(dims, self.n_threads)
-        tail = [(0, d) for d in dims[1:]]
-        return [IndexDomain.of([(lo, hi)] + tail) for lo, hi in chunks]
-
     def schedule(self, plan: LaunchPlan) -> LaunchSchedule:
         """Coarse decomposition decision, recorded on the plan.
 
@@ -143,100 +128,66 @@ class ThreadsBackend(Backend):
             or plan.kernel.trace is None  # interpreter fallback stays inline
         ):
             return LaunchSchedule(domains=(IndexDomain.full(dims),), inline=True)
-        return LaunchSchedule(domains=tuple(self._domains(dims)), inline=False)
+        chunks = cpu_chunks(dims, self.n_threads)
+        return LaunchSchedule(
+            domains=tuple(chunk_domains(dims, chunks)), inline=False
+        )
 
     def execute(self, plan: LaunchPlan) -> Optional[float]:
         self.accounting.n_kernel_launches += 1
-        kernel, args, op = plan.kernel, plan.resolved_args, plan.op
-        lanes = plan.lanes
         cost = (
-            self.model.reduce_cost(kernel.stats, lanes, plan.ndim)
+            self.model.reduce_cost(plan.kernel.stats, plan.lanes, plan.ndim)
             if plan.is_reduce
-            else self.model.for_cost(kernel.stats, lanes, plan.ndim)
+            else self.model.for_cost(plan.kernel.stats, plan.lanes, plan.ndim)
         )
         self.accounting.sim_time += cost.total
-        arena = plan.arena
         fplan = _faults.active_plan()
-        if plan.schedule.inline:
-            (domain,) = plan.schedule.domains
-            if fplan is None:  # fast path: injection off, no retry wrapper
-                if plan.is_reduce:
-                    return kernel.run_reduce(domain, args, op, arena)
-                kernel.run_for(domain, args, arena)
-                return None
-            policy = plan.policy or _faults.DEFAULT_POLICY
-
-            def body():
-                # Probe *before* the kernel runs: a retried chunk never
-                # double-applies stores.
-                fplan.check("threads.chunk")
-                if plan.is_reduce:
-                    return kernel.run_reduce(domain, args, op, arena)
-                kernel.run_for(domain, args, arena)
-                return None
-
-            return _faults.retry_transients(
-                body, policy=policy, site="threads.chunk", plan=plan
-            )
-        pool = self._ensure_pool()
         domains = plan.schedule.domains
-        policy = plan.policy or _faults.DEFAULT_POLICY
+        if plan.schedule.inline:
+            return _faults.guarded(
+                fplan, "threads.chunk", plan, plan.run, domains[0]
+            )
         # Fault decisions for pool chunks use ordinals reserved here in
         # the submitting thread: worker scheduling order is
-        # nondeterministic, the schedule must not be.  (The plan is also
-        # passed in explicitly — contextvars do not cross pool threads.)
+        # nondeterministic, the schedule must not be.
         base = fplan.next_ordinal("threads.chunk", len(domains)) if fplan else 0
-
-        def run_chunk(i: int, dom: IndexDomain):
-            def body():
-                if fplan is not None:
-                    fplan.check("threads.chunk", ordinal=base + i)
-                if plan.is_reduce:
-                    return kernel.run_reduce(dom, args, op, arena)
-                kernel.run_for(dom, args, arena)
-                return None
-
-            if fplan is None:
-                return body()
-            return _faults.retry_transients(
-                body, policy=policy, site="threads.chunk", plan=plan
-            )
-
         # Each chunk opens its own arena *frame*: workers draw from the
         # shared per-context pool under its lock, but an in-flight buffer
         # belongs to exactly one frame, so chunks never alias scratch
         # memory (the verifier's V101/V102 facts already guarantee the
         # kernel effects themselves are chunk-independent).
+        submit = self._ensure_pool().submit
         futures = [
-            pool.submit(run_chunk, i, dom) for i, dom in enumerate(domains)
+            submit(
+                _faults.guarded, fplan, "threads.chunk", plan, plan.run, dom,
+                ordinal=base + i,
+            )
+            for i, dom in enumerate(domains)
         ]
         partials = []
-        for i, fut in enumerate(futures):
-            try:
-                partials.append(fut.result())  # join + re-raise (Threads.@sync)
-            except PermanentDeviceError as exc:
-                # One worker's lane is gone for good: run its chunk in the
-                # calling thread (the serial rung of the ladder, scoped to
-                # this chunk) so the launch still completes synchronously.
-                _faults.record_event(
-                    _faults.FaultEvent(
-                        site="threads.chunk",
-                        kind="permanent",
-                        action="failover",
-                        device_id=exc.device_id,
-                        kernel=getattr(plan.fn, "__name__", None),
-                        detail=f"chunk {i} re-run inline after permanent fault",
-                    ),
-                    plan,
-                )
-                if plan.is_reduce:
-                    partials.append(kernel.run_reduce(domains[i], args, op, arena))
-                else:
-                    kernel.run_for(domains[i], args, arena)
-                    partials.append(None)
+        try:
+            for i, fut in enumerate(futures):
+                try:
+                    partials.append(fut.result())
+                except PermanentDeviceError as exc:
+                    # One worker's lane is gone for good: run its chunk in
+                    # the calling thread (the serial rung of the ladder,
+                    # scoped to this chunk) so the launch still completes
+                    # synchronously.
+                    _faults.record_failover(
+                        "threads.chunk", plan, exc.device_id,
+                        f"chunk {i} re-run inline after permanent fault",
+                    )
+                    partials.append(plan.run(domains[i]))
+        except BaseException:
+            # Threads.@sync: the first error (in chunk order) surfaces
+            # only after every chunk has stopped writing the caller's
+            # arrays and released its arena frame.
+            wait(futures)
+            raise
         if not plan.is_reduce:
             return None
-        return fold_partials(op, partials)
+        return fold_partials(plan.op, partials)
 
     # -- portable-dispatch accounting ---------------------------------------
     def account_portable_dispatch(

@@ -98,7 +98,8 @@ def normalize_dims(dims) -> tuple[int, ...]:
 
 
 class Backend(ABC):
-    """Abstract backend.  Subclasses: serial, threads, gpusim, multidevice."""
+    """Abstract backend.  Subclasses: serial, threads, gpusim, multidevice,
+    cluster."""
 
     #: Registry name, e.g. ``"threads"`` or ``"cuda-sim"``.
     name: str = "?"
@@ -117,13 +118,23 @@ class Backend(ABC):
         CPU backends, a device-array wrapper for simulated GPUs).
         """
 
-    @abstractmethod
     def to_host(self, arr: Any) -> np.ndarray:
-        """Copy a backend array back to a host ndarray."""
+        """Copy a backend array back to a host ndarray.
 
-    @abstractmethod
+        Default: the backend's arrays *are* host memory, so this is
+        :meth:`unwrap`.  Backends owning a device boundary override both.
+        """
+        return self.unwrap(arr)
+
     def unwrap(self, arr: Any) -> np.ndarray:
-        """Expose the raw ndarray storage a kernel executes against."""
+        """Expose the raw ndarray storage a kernel executes against.
+
+        Default (host-memory backends): the array itself.  Device-array
+        handles survive a failover from a GPU backend; the simulator's
+        device storage is host memory, so it is adopted directly.
+        """
+        raw = getattr(arr, "__pyacc_raw_storage__", None)
+        return raw() if raw is not None else np.asarray(arr)
 
     # ---- compute component --------------------------------------------
     def schedule(self, plan: LaunchPlan) -> LaunchSchedule:

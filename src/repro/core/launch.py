@@ -22,6 +22,7 @@ import os
 from dataclasses import dataclass
 from typing import Sequence
 
+from ..ir.vectorizer import IndexDomain
 from .exceptions import LaunchConfigError
 
 __all__ = [
@@ -29,6 +30,7 @@ __all__ = [
     "gpu_launch_config",
     "cpu_chunks",
     "weighted_chunks",
+    "chunk_domains",
     "DEFAULT_TILE_2D",
     "DEFAULT_TILE_3D",
 ]
@@ -185,3 +187,19 @@ def weighted_chunks(
         chunks.append((lo, lo + s))
         lo += s
     return chunks
+
+
+def chunk_domains(
+    dims: Sequence[int], chunks: Sequence[tuple[int, int]], lo: int = 0
+) -> list[IndexDomain]:
+    """One :class:`IndexDomain` per leading-axis ``(lo, hi)`` chunk.
+
+    Each chunk (offset by ``lo`` — a rebalance splits a remainder of the
+    axis) keeps the whole extent of the trailing axes, so a worker owns
+    contiguous memory.  Domains come from the shared
+    :meth:`IndexDomain.of` table: no per-launch construction.
+    """
+    tail = [(0, int(d)) for d in dims[1:]]
+    return [
+        IndexDomain.of([(lo + c_lo, lo + c_hi)] + tail) for c_lo, c_hi in chunks
+    ]

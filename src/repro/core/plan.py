@@ -161,6 +161,18 @@ class LaunchPlan:
         """The whole launch domain as one :class:`IndexDomain`."""
         return IndexDomain.full(self.dims)
 
+    def run(self, domain: IndexDomain) -> Any:
+        """Run the compiled kernel over ``domain`` — the whole launch or
+        one backend chunk.  Returns the reduce partial (``None`` for a
+        for-plan).  The one for/reduce branch outside ``CompiledKernel``:
+        every backend's chunk body is this call."""
+        if self.construct == "reduce":
+            return self.kernel.run_reduce(
+                domain, self.resolved_args, self.op, self.arena
+            )
+        self.kernel.run_for(domain, self.resolved_args, self.arena)
+        return None
+
     @property
     def sim_time_elapsed(self) -> float:
         """Modeled seconds this plan's execution spanned (0.0 until run)."""

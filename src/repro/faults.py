@@ -47,7 +47,9 @@ Policy side — :class:`LaunchPolicy`
     time and enforced around ``Backend.execute``:
 
     - transient failures retry with capped exponential backoff
-      (in-backend, so native ``run_for`` paths are covered too);
+      (in-backend, through the one :func:`guarded` seam every backend's
+      chunk body runs under, so native ``run_for`` paths are covered
+      too);
     - a permanent device failure triggers *failover*: the multi-device
       backend drops the dead device and rebalances the remaining rows
       over the survivors (``weighted_chunks``); a fully-failed backend is
@@ -67,7 +69,7 @@ import hashlib
 import os
 import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Optional, Sequence
 
 from .core.exceptions import (
@@ -177,9 +179,7 @@ def record_event(event: FaultEvent, plan: Optional["LaunchPlan"] = None) -> None
     if plan is not None:
         plan.fault_events.append(event)
     try:
-        from .core.context import current_context
-
-        current_context().fault_events.append(event)
+        _context().fault_events.append(event)
     except Exception:  # pragma: no cover - never block fault handling
         pass
     if event.action == "retry":
@@ -198,6 +198,24 @@ def record_event(event: FaultEvent, plan: Optional["LaunchPlan"] = None) -> None
 
 def record_checkpoint_save() -> None:
     _COUNTERS.bump("checkpoint_saves")
+
+
+def record_failover(
+    site: str, plan: "LaunchPlan", device_id: Optional[str], detail: str
+) -> None:
+    """File the event for work moved off a permanently failed lane,
+    device, worker or backend."""
+    record_event(
+        FaultEvent(
+            site=site,
+            kind="permanent",
+            action="failover",
+            device_id=device_id,
+            kernel=getattr(plan.fn, "__name__", None),
+            detail=detail,
+        ),
+        plan,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -634,34 +652,36 @@ def refresh_gate() -> None:
 
 
 #: ``core.context.current_context``, resolved on first use (that module
-#: imports this one) so an open gate costs no ``import`` per launch.
+#: imports this one) so neither an open gate nor a recorded event costs
+#: an ``import`` per launch.
 _current_context = None
+
+
+def _context():
+    """The calling :class:`~repro.core.context.ExecutionContext`."""
+    global _current_context
+    if _current_context is None:
+        from .core.context import current_context as _current_context
+    return _current_context()
 
 
 def active_plan() -> Optional[FaultPlan]:
     """The calling context's fault plan, or ``None`` (the common case)."""
-    global _current_context
     if not injection_possible():
         return None
-    if _current_context is None:
-        from .core.context import current_context as _current_context
-    return _current_context().fault_plan
+    return _context().fault_plan
 
 
 def fault_plan() -> Optional[FaultPlan]:
     """The current context's fault plan (resolving env/prefs lazily)."""
-    from .core.context import current_context
-
-    return current_context().fault_plan
+    return _context().fault_plan
 
 
 def set_fault_plan(plan: Optional[FaultPlan]) -> Optional[FaultPlan]:
     """Install (or clear, with ``None``) the current context's plan."""
-    from .core.context import current_context
-
     if plan is not None:
         _open_gate()
-    current_context().set_fault_plan(plan)
+    _context().set_fault_plan(plan)
     return plan
 
 
@@ -723,19 +743,68 @@ DEFAULT_POLICY = LaunchPolicy()
 
 def launch_policy() -> LaunchPolicy:
     """The current context's launch policy."""
-    from .core.context import current_context
-
-    return current_context().launch_policy
+    return _context().launch_policy
 
 
 def set_launch_policy(policy: Optional[LaunchPolicy]) -> LaunchPolicy:
     """Install the current context's launch policy (``None`` restores the
     default)."""
-    from .core.context import current_context
-
-    ctx = current_context()
+    ctx = _context()
     ctx.launch_policy = policy if policy is not None else DEFAULT_POLICY
     return ctx.launch_policy
+
+
+def guarded(
+    fplan: Optional[FaultPlan],
+    site: str,
+    plan: Optional["LaunchPlan"],
+    work: Callable,
+    arg,
+    *,
+    device_id: Optional[str] = None,
+    ordinal: Optional[int] = None,
+    probe: bool = True,
+):
+    """The execute seam: run ``work(arg)`` under the fault contract.
+
+    This is the single implementation of "probe before side effects,
+    charge after success".  Each attempt probes ``site`` (with the
+    caller's ``device_id`` / reserved ``ordinal``) *before* ``work``
+    runs, so a retried or failed-over operation never double-applies a
+    store; transients retry per ``plan.policy`` (the calling context's
+    policy when there is no plan); anything else — a permanent fault, a
+    kernel error, an exhausted budget — propagates, and the caller
+    charges its modeled clock only after this returns.
+
+    ``fplan`` is the caller's already-resolved :func:`active_plan`:
+    contextvars do not cross a thread pool, so the submitting thread
+    resolves it once and hands it to every chunk.  ``None`` (injection
+    off, the common case) is one test and a direct call — which is why
+    ``work`` takes exactly one argument (a chunk's domain, a slab, a pair
+    of partials): a fixed-arity call costs the dispatch-bound inline path
+    nothing measurable, a ``*args`` one ≈ 0.7 µs per launch.  Callers off
+    the hot path bind anything else with :func:`functools.partial`.
+    ``probe=False`` guards work that probes beneath this call (arena
+    frames, ``Device.to_device``) or has nothing to protect (an empty
+    chunk): transients still retry, labelled ``site`` when the error
+    names no operation of its own.
+    """
+    if fplan is None:
+        return work(arg)
+    policy = plan.policy if plan is not None else _context().launch_policy
+
+    def attempt():
+        if probe:
+            fplan.check(site, device_id=device_id, ordinal=ordinal)
+        return work(arg)
+
+    return retry_transients(
+        attempt,
+        policy=policy or DEFAULT_POLICY,
+        site=site,
+        plan=plan,
+        device_id=device_id,
+    )
 
 
 def retry_transients(
@@ -746,11 +815,11 @@ def retry_transients(
     plan: Optional["LaunchPlan"] = None,
     device_id: Optional[str] = None,
 ):
-    """Run ``fn`` retrying :class:`TransientDeviceError` per the policy.
+    """:func:`guarded`'s inner loop: run ``fn`` retrying
+    :class:`TransientDeviceError` per the policy.
 
-    Every seam guarded by this helper probes *before* side effects, so a
-    retry re-runs a clean operation.  On exhaustion the original error
-    re-raises unchanged (callers and tests see the real failure).
+    On exhaustion the original error re-raises unchanged (callers and
+    tests see the real failure).
     """
     attempt = 0
     while True:
@@ -758,35 +827,25 @@ def retry_transients(
             return fn()
         except TransientDeviceError as exc:
             attempt += 1
-            kernel = None
-            if plan is not None:
-                kernel = getattr(plan.fn, "__name__", None)
-            if attempt > policy.max_retries:
-                record_event(
-                    FaultEvent(
-                        site=exc.operation or site,
-                        kind="transient",
-                        action="exhausted",
-                        attempt=attempt,
-                        device_id=exc.device_id or device_id,
-                        kernel=kernel,
-                        detail=str(exc),
-                    ),
-                    plan,
-                )
-                raise
+            exhausted = attempt > policy.max_retries
             record_event(
                 FaultEvent(
                     site=exc.operation or site,
                     kind="transient",
-                    action="retry",
+                    action="exhausted" if exhausted else "retry",
                     attempt=attempt,
                     device_id=exc.device_id or device_id,
-                    kernel=kernel,
+                    kernel=(
+                        getattr(plan.fn, "__name__", None)
+                        if plan is not None
+                        else None
+                    ),
                     detail=str(exc),
                 ),
                 plan,
             )
+            if exhausted:
+                raise
             delay = policy.backoff(attempt)
             if delay > 0.0:
                 time.sleep(delay)
@@ -842,19 +901,12 @@ def execute_plan(plan: "LaunchPlan", ctx) -> object:
             fallback = demote_backend(plan.backend)
             if fallback is None:
                 raise
-            record_event(
-                FaultEvent(
-                    site=exc.operation or "dispatch",
-                    kind="permanent",
-                    action="failover",
-                    device_id=exc.device_id,
-                    kernel=getattr(plan.fn, "__name__", None),
-                    detail=(
-                        f"backend {plan.backend.name!r} failed permanently; "
-                        f"demoted to {fallback.name!r}"
-                    ),
-                ),
+            record_failover(
+                exc.operation or "dispatch",
                 plan,
+                exc.device_id,
+                f"backend {plan.backend.name!r} failed permanently; "
+                f"demoted to {fallback.name!r}",
             )
             # Sticky demotion: the context routes future launches to the
             # fallback; the user-visible synchronous semantics hold.

@@ -1,11 +1,14 @@
 """Unit tests for the CPU backends (serial, interp, threads)."""
 
+import time
+
 import numpy as np
 import pytest
 
 import repro
 from repro.backends.serial import InterpreterBackend, SerialBackend
 from repro.backends.threads import ThreadsBackend, default_num_threads
+from repro.core.exceptions import KernelExecutionError
 from repro.ir.compile import compile_kernel
 
 
@@ -181,6 +184,37 @@ class TestThreadsExecution:
         ck = compiled(bad, 1, [x, len(x)])
         with pytest.raises(Exception):
             b.run_for((len(x),), ck, [x, len(x)])
+        b.close()
+
+    def test_error_surfaces_only_after_every_chunk_finished(self):
+        """``Threads.@sync``: a failing chunk must not let the construct
+        return while a later chunk still writes the caller's arrays."""
+        n = 1 << 14
+        x, y = np.zeros(n), np.ones(n)
+        finished = []
+
+        class Chunk0Fails:
+            """The compiled AXPY, except chunk 0 raises and chunk 1 is slow."""
+
+            def __init__(self, ck):
+                self._ck = ck
+
+            def __getattr__(self, name):
+                return getattr(self._ck, name)
+
+            def run_for(self, domain, args, arena=None):
+                if domain.ranges[0][0] == 0:
+                    raise KernelExecutionError("chunk 0 failed")
+                time.sleep(0.3)
+                self._ck.run_for(domain, args, arena)
+                finished.append(domain.ranges[0])
+
+        b = ThreadsBackend(n_threads=2, min_parallel_size=16)
+        ck = Chunk0Fails(compiled(axpy, 1, [1.0, x, y]))
+        with pytest.raises(KernelExecutionError, match="chunk 0 failed"):
+            b.run_for((n,), ck, [1.0, x, y])
+        assert finished == [(n // 2, n)]
+        assert np.all(x[n // 2:] == 1.0)
         b.close()
 
     def test_interpreter_fallback_stays_inline(self):

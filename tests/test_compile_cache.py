@@ -89,6 +89,10 @@ def run_child(script: str, cache_dir, extra_env=None, timeout=600) -> dict:
     env = dict(os.environ)
     env["PYTHONPATH"] = SRC
     env["PYACC_COMPILE_CACHE"] = str(cache_dir)
+    # These children measure the cache, not resilience: an inherited
+    # fault plan (CI's chaos legs) disables region fusion and with it the
+    # graph-tier stores the counters assert on.
+    env.pop("PYACC_FAULTS", None)
     env.update(extra_env or {})
     proc = subprocess.run(
         [sys.executable, "-c", textwrap.dedent(script)],
