@@ -28,6 +28,28 @@ whole-domain NumPy semantics:
   vectorizer's whole-domain store-then-load), or a singleton scatter
   store.  Each group lowers to one loop nest; the loop boundary is the
   whole-domain barrier the vectorizer's store-by-store order implies.
+* **The single-loop licence.**  For independent lanes any execution
+  order — store by store over the box, or lane by lane — yields the same
+  bits, so the barriers are unnecessary exactly where they cost (the
+  paper's fused LBM step: 18 scatter stores, 18 whole-domain passes).
+  When partitioning yields more than one group, the lowering asks
+  :func:`repro.ir.verify.lane_conflict` for a *proof* (never an absence
+  of findings; independent of the ``verify`` mode and ``@suppress``)
+  that (1) no store can meet another store or a load of its array from
+  a different lane and (2) every access to a written array has an
+  integer affine index inside ``[0, extent)`` — NumPy scatters wrap
+  negative indices and gathers clamp, so an unproven index is not the
+  element the affine form names; the index arithmetic itself must be
+  64-bit (or weak) integer, where C's wrapping ring arithmetic and the
+  affine form agree on every in-range value.  On proof all stores share
+  **one** loop nest in program order (``_invalidate`` reloads a lane's
+  own load-after-store) and lose the scatter wrap / out-of-bounds exit,
+  dead code under (2); gathers keep their clamps.  The proof holds for
+  one ``(box, shapes, scalar values)``, so lane independence becomes a
+  pre-flight assumption like contiguity: a single-loop kernel re-proves
+  it per call (memoized) and declines ``lanes`` otherwise.  Kernels
+  without a proof — data-dependent scatters, suppressed races — keep
+  the grouped lowering; a kernel has one lowering, chosen by proof.
 * **Reduction fold.**  The C loop computes only the *per-lane* float64
   values (into an arena-leased buffer passed as a raw pointer); the fold
   itself stays in NumPy (``values.sum()`` — pairwise summation), so the
@@ -46,14 +68,16 @@ whole-domain NumPy semantics:
 
 Run-time pre-flight declines (see :class:`NativeKernel`) re-check the
 assumptions the C code bakes in — dtype/rank/contiguity, identity-access
-extents, written-array aliasing, weak-int narrowing — before any side
-effect, so an ineligible *call* (not just an ineligible kernel) falls
-back with the arrays untouched.
+extents, written-array aliasing, weak-int narrowing, lane independence
+of a single-loop kernel — before any side effect, so an ineligible
+*call* (not just an ineligible kernel) falls back with the arrays
+untouched.
 """
 
 from __future__ import annotations
 
 import ctypes
+import math
 import struct
 from typing import Any, Optional, Sequence
 
@@ -61,13 +85,15 @@ import numpy as np
 
 from ..core.exceptions import KernelExecutionError
 from . import nodes as N
+from . import verify as _verify
 from .arena import ScratchArena, resolve as _resolve_arena
 from .nativecache import (
     NativeCompileError,
     compile_source,
     record_decline,
+    record_single_loop,
 )
-from .shapes import Lattice, _static_identity
+from .shapes import Lattice, _static_identity, promote, scalar_dtype
 from .vectorizer import (
     _check_reduce,
     _fold_lanes,
@@ -118,6 +144,7 @@ _CTYPE = {
 }
 
 _F8 = np.dtype(np.float64)
+_I8 = np.dtype(np.int64)
 _BOOL = np.dtype(np.bool_)
 
 #: Binary ops with exact C equivalents (min/max are special-cased).
@@ -144,8 +171,6 @@ def _ctype_of(dt: np.dtype) -> str:
 
 
 def _float_literal(v: float) -> str:
-    import math
-
     if math.isnan(v):
         return "NAN"
     if math.isinf(v):
@@ -221,6 +246,7 @@ class _NativeLowering:
         self.trace = trace
         self.ndim = trace.ndim
         self.args = args
+        self.lanes = False  # lowered as one loop nest under the licence
         self.lat = Lattice(trace.ndim, args)
         # Per-array static facts, keyed by argument position.
         self.arr_dtype: dict[int, np.dtype] = {}
@@ -238,6 +264,41 @@ class _NativeLowering:
         self._tmp = 0
         self._scalar_codes: dict[int, tuple[str, Any]] = {}
 
+    # -- the single-loop licence ---------------------------------------------
+    def lane_refusal(self) -> Optional[str]:
+        """Why the stores of this trace may not share one loop nest, or
+        ``None`` — the licence — when the lanes are *proven* independent
+        for the compiling call's ``args`` over any box, i.e. with the
+        indices bounded by the kernel's guards alone (see
+        :func:`repro.ir.verify.lane_conflict`; the pre-flight re-proves
+        every call over its real box).  The proof speaks about the
+        element an affine form names, so every index into a written
+        array must also be computed in 64-bit (or weak) integers: there
+        C's wrapping ring arithmetic yields the form's value whenever
+        that value is in range, which narrower or float intermediates
+        do not guarantee."""
+        written = {st.array.pos for st in self.trace.stores}
+        accesses: list = list(self.trace.stores)
+        for root in self.trace.expressions():
+            accesses += [
+                nd
+                for nd in N.walk(root)
+                if isinstance(nd, N.Load) and nd.array.pos in written
+            ]
+        for acc in accesses:
+            for ix in acc.indices:
+                for nd in N.walk(ix):
+                    elem = self.lat.dtype(nd)
+                    if not (elem == "wi" if isinstance(elem, str) else elem == _I8):
+                        return (
+                            f"an index into arg{acc.array.pos} is not "
+                            "computed in 64-bit integers"
+                        )
+        shapes, scalars = _verify._args_env(self.args)
+        return _verify.lane_conflict(
+            self.trace, dims=None, shapes=shapes, scalars=scalars
+        )
+
     # -- argument staging --------------------------------------------------
     def _array(self, node: N.ArrayArg) -> int:
         pos = node.pos
@@ -254,8 +315,6 @@ class _NativeLowering:
         got = self._scalar_codes.get(pos)
         if got is not None:
             return got
-        from .shapes import scalar_dtype
-
         elem = scalar_dtype(self.args[pos])
         if elem is None:
             raise NativeLoweringError("scalar-type")
@@ -393,7 +452,6 @@ class _NativeLowering:
         if isinstance(node, N.Load):
             pos = self._array(node.array)
             arr_dt = self.arr_dtype[pos]
-            deps = self._deps_of(*node.indices) | {pos}
             if _static_identity(node.indices, self.ndim):
                 if self.arr_rank[pos] != self.ndim:
                     raise NativeLoweringError("rank")
@@ -407,12 +465,13 @@ class _NativeLowering:
                     self._gather_index(pos, ix, ax)
                     for ax, ix in enumerate(node.indices)
                 ]
-                deps = self._deps_of(*node.indices) | {pos}
                 flat = self._flat_index(pos, idx)
             code = f"a{pos}[{flat}]"
             if _dt_code(arr_dt) == "b1":
                 code = f"({code} != 0)"
-            return code, arr_dt, deps
+            # After the index expressions were emitted: their own loads
+            # are this load's dependencies too.
+            return code, arr_dt, self._deps_of(*node.indices) | {pos}
         if isinstance(node, N.BinOp):
             if node.op not in _BIN_SYM and node.op not in ("min", "max"):
                 raise NativeLoweringError(f"op:{node.op}")
@@ -448,8 +507,6 @@ class _NativeLowering:
             fn = node.op + ("f" if rdt.itemsize == 4 else "")
             return f"{fn}({v})", rdt, deps
         if isinstance(node, N.Compare):
-            from .shapes import promote
-
             common = promote("add", self.lat.dtype(node.lhs), self.lat.dtype(node.rhs))
             if not isinstance(common, np.dtype):
                 raise NativeLoweringError("dtype")
@@ -530,6 +587,19 @@ class _NativeLowering:
             elif elem not in ("wi", "wb"):
                 raise NativeLoweringError("float-index")
             idx_codes.append(code)
+        if self.lanes:
+            # Licensed: the index is proven inside [0, extent) on every
+            # taken lane (re-proven per call by the pre-flight), so the
+            # wrap and the out-of-bounds exit would be dead code.
+            assign = (
+                f"a{pos}[{self._flat_index(pos, idx_codes)}] = "
+                f"{self._store_cast(val, pos)};"
+            )
+            self.body.append(
+                assign if mask is None else f"if ({mask}) {{ {assign} }}"
+            )
+            self._invalidate(pos)
+            return
         guard_open = f"if ({mask}) {{" if mask is not None else "{"
         self.body.append(guard_open)
         checked = []
@@ -549,7 +619,7 @@ class _NativeLowering:
         self._invalidate(pos)
 
     # -- assembly ----------------------------------------------------------
-    def _loop_nest(self, body: list[str], with_out: bool) -> list[str]:
+    def _loop_nest(self, body: list[str]) -> list[str]:
         lines = []
         for ax in range(self.ndim):
             pad = "  " * ax
@@ -570,12 +640,19 @@ class _NativeLowering:
 
     def lower(self) -> dict:
         groups = _partition_groups(self.trace)
+        if len(groups) > 1 and self.lane_refusal() is None:
+            # Independent lanes give the same bits in any order: run
+            # every store of a lane in program order inside one loop
+            # nest (``_invalidate`` keeps its own load-after-store
+            # right) instead of one whole-domain pass per group.
+            self.lanes = True
+            groups = [list(self.trace.stores)]
         loops: list[list[str]] = []
         for group in groups:
             self._reset_body()
             for st in group:
                 self.emit_store(st)
-            loops.append(self._loop_nest(self.body, False))
+            loops.append(self._loop_nest(self.body))
         has_result = self.trace.result is not None
         result_loop: list[str] = []
         if has_result:
@@ -585,7 +662,7 @@ class _NativeLowering:
                 f"out[{self._out_flat()}] = "
                 f"{self.coerce(res, _F8)};"
             )
-            result_loop = self._loop_nest(self.body, True)
+            result_loop = self._loop_nest(self.body)
 
         # Packed call ABI (see NativeKernel._call): one int64 word
         # buffer — bounds, data pointers, shapes, integer scalars — with
@@ -660,6 +737,11 @@ class _NativeLowering:
             "iscalar": tuple(self.iscalar),
             "narrow_i4": tuple(sorted(self.narrow_i4)),
             "has_result": has_result,
+            # Single-loop kernels re-prove the licence per call, keyed
+            # on the scalars the proof can read; ``None`` = grouped.
+            "lane_scalars": (
+                _verify.consumed_scalars(self.trace) if self.lanes else None
+            ),
         }
 
 
@@ -672,6 +754,10 @@ _I64_MIN, _I64_MAX = -(2**63), 2**63 - 1
 
 _ADDRESSOF = ctypes.addressof
 _RAW0 = ctypes.c_char * 0
+
+#: Bound on a single-loop kernel's per-call proof memo — a backstop for
+#: a sweep over problem sizes (each chunk box of each size is one entry).
+_LANE_MEMO_MAX = 64
 
 
 def _data_ptr(arr: np.ndarray) -> int:
@@ -705,6 +791,12 @@ class NativeKernel:
     local of the call, so pool threads share no marshal state; the
     return value is 0, or ``pos + 1`` of the array an out-of-bounds
     scatter hit.
+
+    A *single-loop* kernel (``spec["lane_scalars"]`` is not ``None``)
+    was lowered under the lane-independence licence and holds the
+    ``trace`` to re-prove it: its C code is only correct for calls whose
+    lanes are proven independent, so :meth:`preflight` declines
+    ``lanes`` for any other call.
     """
 
     __slots__ = (
@@ -721,12 +813,15 @@ class NativeKernel:
         "_fscalar",
         "_iscalar",
         "_narrow_i4",
+        "_lane_scalars",
+        "_lane_memo",
+        "_trace",
         "_arrays",
         "_alias_pairs",
         "_pack",
     )
 
-    def __init__(self, spec: dict):
+    def __init__(self, spec: dict, trace: N.Trace):
         self.source = spec["source"]
         self.ndim = spec["ndim"]
         self.has_result = spec["has_result"]
@@ -739,14 +834,20 @@ class NativeKernel:
         self._fscalar = spec["fscalar"]
         self._iscalar = spec["iscalar"]
         self._narrow_i4 = spec["narrow_i4"]
+        self._lane_scalars = lanes = spec.get("lane_scalars")
+        self._lane_memo: dict = {}
+        self._trace = trace
         self._fn = compile_source(self.source)
+        if lanes is not None:
+            record_single_loop()
         # Pre-flight tables, resolved once: per-array facts, and the
         # (written, other, strict) index pairs into ``_arr_order`` whose
         # storage must not overlap.  Per-lane loops can only reorder
         # against the vectorizer through shared storage; ``strict`` pairs
-        # (a scatter-written array, or a written array whose alias is
-        # gather-loaded) decline even when both names are one object,
-        # the rest only for distinct overlapping views.
+        # (a scatter-written array, a written array whose alias is
+        # gather-loaded, or any pair of a single-loop kernel — its proof
+        # is per argument position) decline even when both names are one
+        # object, the rest only for distinct overlapping views.
         order = self._arr_order
         self._arrays = tuple(
             (p, self._arr_dtype[p], self._arr_rank[p], p in self._written,
@@ -754,7 +855,11 @@ class NativeKernel:
             for p in order
         )
         self._alias_pairs = tuple(
-            (order.index(w), k, scatter or o in self._gather_slots)
+            (
+                order.index(w),
+                k,
+                scatter or o in self._gather_slots or lanes is not None,
+            )
             for w, scatter in self._written.items()
             for k, o in enumerate(order)
             if o != w
@@ -807,6 +912,8 @@ class NativeKernel:
                 and words[ko] < words[kw] + aw.nbytes
             ):
                 raise NativeDeclined("alias")
+        if self._lane_scalars is not None:
+            self._check_lanes(ranges, shapes, args)
         for pos in self._narrow_i4:
             if not _I32_MIN <= int(args[pos]) <= _I32_MAX:
                 raise NativeDeclined("scalar-overflow")
@@ -819,6 +926,41 @@ class NativeKernel:
         for pos in self._fscalar:
             words.append(float(args[pos]))
         return words
+
+    def _check_lanes(self, ranges, shapes: list, args: Sequence[Any]) -> None:
+        """Decline ``lanes`` unless this call's lanes are proven
+        independent over the zero-based box enclosing ``ranges`` (which
+        serves every sub-box, so tiles and tail chunks share a proof).
+        Verdicts are memoized per ``(box, shapes, consumed scalars)``;
+        the unlocked dict write is the benign race of ``KernelCache``."""
+        dims = []
+        for lo, hi in ranges:
+            if lo < 0:  # outside the zero-based box the proof covers
+                raise NativeDeclined("lanes")
+            dims.append(hi)
+        key = (
+            tuple(dims),
+            tuple(shapes),
+            tuple([args[pos] for pos in self._lane_scalars]),
+        )
+        memo = self._lane_memo
+        proven = memo.get(key)
+        if proven is None:
+            env_shapes, scalars = _verify._args_env(args)
+            try:
+                proven = (
+                    _verify.lane_conflict(
+                        self._trace, dims=key[0], shapes=env_shapes, scalars=scalars
+                    )
+                    is None
+                )
+            except Exception:  # e.g. an inf/NaN guard scalar: no proof
+                proven = False
+            if len(memo) >= _LANE_MEMO_MAX:
+                memo.clear()
+            memo[key] = proven
+        if not proven:
+            raise NativeDeclined("lanes")
 
     # -- invocation --------------------------------------------------------
     def _call(self, domain: IndexDomain, words: list, out) -> None:
@@ -908,7 +1050,7 @@ def lower_native(trace: N.Trace, args: Sequence[Any]) -> NativeKernel:
     except Exception as exc:  # defensive: never break compilation
         raise NativeLoweringError("lowering-failed", str(exc)) from exc
     spec["ndim"] = trace.ndim
-    return NativeKernel(spec)
+    return NativeKernel(spec, trace)
 
 
 def try_lower_native(

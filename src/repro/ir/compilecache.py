@@ -96,7 +96,7 @@ __all__ = [
 CACHE_ENV = "PYACC_COMPILE_CACHE"
 
 #: Payload format version — bump on any change to the entry layout.
-FORMAT = 2
+FORMAT = 3
 
 _OFF = {"off", "0", "none", "disabled"}
 
@@ -622,6 +622,7 @@ def _native_spec(nk) -> Optional[dict]:
         "fscalar": nk._fscalar,
         "iscalar": nk._iscalar,
         "narrow_i4": nk._narrow_i4,
+        "lane_scalars": nk._lane_scalars,
     }
 
 
@@ -685,7 +686,7 @@ def rebuild_kernel(payload: dict, fn: Callable):
         spec = payload["native"]
         if spec is not None:
             try:
-                native = NativeKernel(spec)
+                native = NativeKernel(spec, payload["trace"])
             except NativeCompileError as exc:
                 record_decline(exc.reason)
                 mode = mode.replace("native", "codegen", 1)

@@ -321,9 +321,39 @@ def _demo_program_describe(
         repro.set_backend("serial")
 
 
+def _demo_permute_kernel(i, y, z, p, x):
+    """A true scatter: ``p`` is data, so no proof of lane independence."""
+    y[p[i]] = x[i]
+    z[i] = 2.0 * x[i]
+
+
+def _native_loops_report(ck: CompiledKernel, args) -> str:
+    """How many loop nests the native lowering of ``ck`` has and why:
+    whether the single-loop licence (see :mod:`repro.ir.cgen`) was
+    needed, granted, or refused — with the verifier's reason."""
+    from .cgen import _NativeLowering, _partition_groups
+
+    nk = ck.native
+    if nk is None:
+        return "  loop nests: none (native lowering declined)"
+    nests = nk.source.count("for (int64_t i0 ")
+    if nk._lane_scalars is not None:
+        verdict = (
+            "granted: lanes proven independent; re-proven per call on "
+            f"(box, shapes, scalar args {list(nk._lane_scalars)})"
+        )
+    elif len(_partition_groups(ck.trace)) == 1:
+        verdict = "not needed: one store group"
+    else:
+        verdict = "refused: " + str(_NativeLowering(ck.trace, args).lane_refusal())
+    return f"  loop nests: {nests}; single-loop licence {verdict}"
+
+
 def _demo_native_describe() -> str:
-    """Compile the CG matvec and LBM collide kernels on the native rung
-    and dump the generated C next to the codegen NumPy source."""
+    """Compile the CG matvec, LBM collide and a permutation-scatter
+    kernel on the native rung; report each one's loop nests and
+    single-loop licence, and dump the generated C next to the codegen
+    NumPy source."""
     import numpy as np
 
     from ..apps import cg, lbm
@@ -361,12 +391,19 @@ def _demo_native_describe() -> str:
                 n,
             ),
         ),
+        (
+            "inspect._demo_permute_kernel",
+            _demo_permute_kernel,
+            1,
+            (np.zeros(n), np.zeros(n), rng.permutation(n), rng.random(n)),
+        ),
     ]
     for name, fn, ndim, args in probes:
         ck = compile_kernel(fn, ndim, args, executor="native")
         out.append(f"=== {name} (mode: {ck.mode}) ===")
         if ck.fallback_reason:
             out.append(f"  fallback trail: {ck.fallback_reason}")
+        out.append(_native_loops_report(ck, args))
         out.append("")
         out.append("--- codegen tier: generated NumPy source ---")
         out.append(ck.codegen.source if ck.codegen is not None else "(none)")
@@ -397,9 +434,10 @@ def main(argv=None) -> int:
     parser.add_argument(
         "--native",
         action="store_true",
-        help="compile the CG matvec and LBM collide kernels on the "
-        "native executor and dump the generated C next to the codegen "
-        "NumPy source",
+        help="compile the CG matvec, LBM collide and a scatter kernel on "
+        "the native executor; print each one's loop-nest count and "
+        "single-loop licence (granted / refused and why) and dump the "
+        "generated C next to the codegen NumPy source",
     )
     parser.add_argument(
         "--passes",

@@ -19,12 +19,16 @@ translation unit.  This module owns everything after that point:
   added), with corrupted/stale artifacts unlinked and recompiled once
   before declining,
 * the locked counter block surfaced as ``cache_info()["native"]`` —
-  ``{compiled, disk_hits, mem_hits, declined: {reason: n}}``.  Declines
-  cover the whole taxonomy: trace-time (``op:<name>``, ``dtype:<str>``),
-  compile-time (``cc-missing``, ``compile-failed``), *link/load*-time
+  ``{compiled, disk_hits, mem_hits, bytes, single_loop, declined:
+  {reason: n}}``.  ``single_loop`` counts the kernels this process
+  built under the lane-independence licence (one loop nest for all
+  stores, see :mod:`repro.ir.cgen`).  Declines cover the whole
+  taxonomy: trace-time (``op:<name>``, ``dtype:<str>``), compile-time
+  (``cc-missing``, ``compile-failed``), *link/load*-time
   (``load-failed`` — the slot the old accounting had no room for), and
   run-time pre-flight (``non-contiguous``, ``extent``, ``alias``,
-  ``scalar-overflow``).
+  ``scalar-overflow``, and ``lanes`` — a single-loop kernel called
+  with arguments whose lanes are not proven independent).
 """
 
 from __future__ import annotations
@@ -50,6 +54,7 @@ __all__ = [
     "resolve_cc",
     "compile_source",
     "record_decline",
+    "record_single_loop",
     "native_stats",
     "reset_state",
 ]
@@ -76,7 +81,9 @@ class NativeCompileError(Exception):
 # ---------------------------------------------------------------------------
 
 _STATS = Counters(
-    "native", ("compiled", "disk_hits", "mem_hits", "bytes"), keyed=("declined",)
+    "native",
+    ("compiled", "disk_hits", "mem_hits", "bytes", "single_loop"),
+    keyed=("declined",),
 )
 register(_STATS)
 
@@ -96,10 +103,16 @@ def record_decline(reason: str) -> None:
     _STATS.bump_key("declined", reason)
 
 
+def record_single_loop() -> None:
+    """Count one kernel built as a single loop nest under the
+    lane-independence licence."""
+    _STATS.bump("single_loop")
+
+
 def native_stats() -> dict:
     """Locked snapshot: ``{compiled, disk_hits, mem_hits, bytes,
-    declined}`` — ``bytes`` counts artifact bytes (``.c`` + ``.so``)
-    published by *this process*."""
+    single_loop, declined}`` — ``bytes`` counts artifact bytes (``.c`` +
+    ``.so``) published by *this process*."""
     return _STATS.snapshot()
 
 

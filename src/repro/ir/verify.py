@@ -65,6 +65,8 @@ __all__ = [
     "verify_kernel",
     "verify_launch",
     "abstract_accesses",
+    "consumed_scalars",
+    "lane_conflict",
     "active_verify_mode",
     "set_verify_mode",
     "verify_mode",
@@ -175,14 +177,20 @@ def _int_gcd(values) -> Optional[int]:
 class _Access:
     """One store or load with its affine index forms and guard box."""
 
-    __slots__ = ("kind", "array", "forms", "box", "text")
+    __slots__ = ("kind", "array", "indices", "forms", "box")
 
-    def __init__(self, kind, array, forms, box, text):
+    def __init__(self, kind, array, indices, forms, box):
         self.kind = kind
         self.array = array
+        self.indices = indices
         self.forms = forms
         self.box = box
-        self.text = text
+
+    @property
+    def text(self) -> str:
+        """``argN[index, ...]`` — rendered only when a finding names it."""
+        idx = ", ".join(N.format_node(ix) for ix in self.indices)
+        return f"arg{self.array.pos}[{idx}]"
 
     def pin(self) -> Optional[tuple]:
         """The single iteration tuple this access runs at, if its guard
@@ -388,34 +396,36 @@ class _Verifier:
         return box
 
     # -- access collection ---------------------------------------------------
-    def _add_access(self, kind, array, indices, box, text) -> None:
+    def _add_access(self, kind, array, indices, box) -> None:
         forms = tuple(self._affine(ix) for ix in indices)
-        self._accesses.append(_Access(kind, array, forms, box, text))
+        self._accesses.append(_Access(kind, array, indices, forms, box))
 
     def _box_sig(self, box) -> tuple:
         return tuple(box)
 
     def collect(self) -> None:
         base = self._base_box()
+        # One ``seen`` for the whole trace: a subexpression a later store
+        # shares (CSE) under the same guard box has recorded its loads.
+        seen: set[tuple] = set()
+        # The stores under one ``if`` share its guard node: refine and
+        # walk it once.
+        guards: dict[int, Optional[list]] = {}
         for st in self.trace.stores:
-            box = self._refine(base, st.condition)
+            first = id(st.condition) not in guards
+            if first:
+                guards[id(st.condition)] = self._refine(base, st.condition)
+            box = guards[id(st.condition)]
             if box is None:
                 continue  # statically unreachable under these dims
-            self._add_access(
-                "store",
-                st.array,
-                st.indices,
-                box,
-                f"arg{st.array.pos}[{', '.join(N.format_node(ix) for ix in st.indices)}]",
-            )
-            seen: set[tuple] = set()
+            self._add_access("store", st.array, st.indices, box)
             for ix in st.indices:
                 self._walk_expr(ix, box, seen)
             self._walk_expr(st.value, box, seen)
-            if st.condition is not None:
+            if first and st.condition is not None:
                 self._walk_condition(st.condition, base, seen)
         if self.trace.result is not None:
-            self._walk_expr(self.trace.result, base, set())
+            self._walk_expr(self.trace.result, base, seen)
 
     def _walk_condition(self, cond: N.Node, box: list, seen: set) -> None:
         """Walk a guard left-to-right, refining the box progressively so
@@ -438,9 +448,7 @@ class _Verifier:
             return
         seen.add(key)
         if isinstance(node, N.Load):
-            self._add_access(
-                "load", node.array, node.indices, box, N.format_node(node)
-            )
+            self._add_access("load", node.array, node.indices, box)
             for ix in node.indices:
                 self._walk_expr(ix, box, seen)
             return
@@ -580,38 +588,76 @@ class _Verifier:
         return not free
 
     # -- rules ---------------------------------------------------------------
-    def check_races(self) -> None:
-        stores = [x for x in self._accesses if x.kind == "store"]
-        loads = [x for x in self._accesses if x.kind == "load"]
+    def _races(self, accesses: list):
+        """Yield ``(store, other, reason)`` for each pair among
+        ``accesses`` — every store against itself, each later store and
+        every load of its array — not proven conflict-free."""
+        stores = [x for x in accesses if x.kind == "store"]
+        loads = [x for x in accesses if x.kind == "load"]
         for i, a in enumerate(stores):
-            for b in stores[i:]:
+            for b in stores[i:] + loads:
                 if b.array.pos != a.array.pos:
                     continue
                 reason = self._conflict(a, b)
                 if reason is not None:
-                    which = (
-                        f"store {a.text}"
-                        if a is b
-                        else f"stores {a.text} and {b.text}"
-                    )
-                    self._emit(
-                        "V101",
-                        f"{which} may write the same element from two "
-                        f"different iterations ({reason})",
-                        a.text if a is b else f"{a.text}; {b.text}",
-                    )
-            for ld in loads:
-                if ld.array.pos != a.array.pos:
-                    continue
-                reason = self._conflict(a, ld)
-                if reason is not None:
-                    self._emit(
-                        "V102",
-                        f"store {a.text} and load {ld.text} may alias across "
-                        f"iterations ({reason}); the value read depends on "
-                        "execution order",
-                        f"{a.text}; {ld.text}",
-                    )
+                    yield a, b, reason
+
+    def check_races(self) -> None:
+        for a, b, reason in self._races(self._accesses):
+            if b.kind == "store":
+                which = (
+                    f"store {a.text}" if a is b else f"stores {a.text} and {b.text}"
+                )
+                self._emit(
+                    "V101",
+                    f"{which} may write the same element from two "
+                    f"different iterations ({reason})",
+                    a.text if a is b else f"{a.text}; {b.text}",
+                )
+            else:
+                self._emit(
+                    "V102",
+                    f"store {a.text} and load {b.text} may alias across "
+                    f"iterations ({reason}); the value read depends on "
+                    "execution order",
+                    f"{a.text}; {b.text}",
+                )
+
+    def lane_conflict(self) -> Optional[str]:
+        """``None`` iff lanes are *proven* independent (call after
+        :meth:`collect`): every access to a written array names, through
+        integer affine forms, an element inside ``[0, extent)``, and no
+        store can meet another store or a load from a different lane.
+        Otherwise the first failing access (pair) and the reason."""
+        written = {st.array.pos for st in self.trace.stores}
+        accesses = [x for x in self._accesses if x.array.pos in written]
+        for acc in accesses:
+            reason = self._unproven_location(acc)
+            if reason is not None:
+                return f"{acc.kind} {acc.text}: {reason}"
+        for a, b, reason in self._races(accesses):
+            return f"store {a.text}; {b.kind} {b.text}: {reason}"
+        return None
+
+    def _unproven_location(self, acc: _Access) -> Optional[str]:
+        """Why ``acc``'s affine forms may not name the element it really
+        touches (NumPy scatters wrap negative indices, gathers clamp), or
+        ``None`` when every axis is proven inside ``[0, extent)``."""
+        shape = self.shapes.get(acc.array.pos)
+        if shape is None or len(shape) != len(acc.forms):
+            return "array extent unknown"
+        for d, form in enumerate(acc.forms):
+            if form is None:
+                return "index not affine in the launch indices"
+            if not all(_is_intlike(c) for c in (form.const, *form.coeffs)):
+                return "index is not an integer form"
+            lo, hi = _lin_range(form, acc.box)
+            if lo < 0 or hi > shape[d] - 1:
+                return (
+                    f"axis {d} index spans [{lo:g}, {hi:g}], not proven "
+                    f"inside the extent {shape[d]}"
+                )
+        return None
 
     def check_bounds(self) -> None:
         for acc in self._accesses:
@@ -767,6 +813,66 @@ def abstract_accesses(
     )
     v.collect()
     return v._accesses
+
+
+def consumed_scalars(trace: N.Trace) -> tuple[int, ...]:
+    """Positions of the scalar arguments whose *values* the analysis can
+    read: those under a store or load index, a store guard or a select
+    condition — the only expressions the affine abstraction is applied
+    to.  Two launches that agree on these values (and on box and
+    shapes) get the same verdict, whatever the other scalars hold."""
+    roots: list[N.Node] = []
+    for st in trace.stores:
+        roots += st.indices
+        if st.condition is not None:
+            roots.append(st.condition)
+    for root in trace.expressions():
+        for nd in N.walk(root):
+            if isinstance(nd, N.Load):
+                roots += nd.indices
+            elif isinstance(nd, N.Select):
+                roots.append(nd.cond)
+    return tuple(
+        sorted(
+            {
+                nd.pos
+                for root in roots
+                for nd in N.walk(root)
+                if isinstance(nd, N.ScalarArg)
+            }
+        )
+    )
+
+
+def lane_conflict(
+    trace: N.Trace,
+    *,
+    dims: Optional[tuple],
+    shapes: dict,
+    scalars: dict,
+) -> Optional[str]:
+    """Proof that the lanes of one launch are independent, or why not.
+
+    ``None`` is the proof: over the box ``dims`` (``None`` = bounded by
+    the kernel's guards alone), with arrays of ``shapes`` and scalar
+    ``scalars``, every access to a written array provably touches the
+    in-range element its integer affine form names, and no store can
+    meet another store or a load from a different lane — so any
+    execution order of the lanes produces the same bits.  A string
+    names the first access (pair) the analysis could not clear and why.
+
+    This is the licence the native rung (:mod:`repro.ir.cgen`) lowers
+    and runs a multi-store kernel as one loop nest under, so it is a
+    proof obligation, not a diagnostic: it emits nothing, ignores the
+    ``verify`` mode and ``@suppress``, and an unknown extent, a
+    non-affine or non-integer index or an unbounded axis all refuse.
+    The fact is monotone in the box — a proof serves every sub-box.
+    """
+    v = _Verifier(
+        trace, dims=dims, shapes=shapes, scalars=scalars, op=None, kernel=""
+    )
+    v.collect()
+    return v.lane_conflict()
 
 
 _MISSING = object()

@@ -93,6 +93,9 @@ def run_child(script: str, cache_dir, extra_env=None, timeout=600) -> dict:
     # fault plan (CI's chaos legs) disables region fusion and with it the
     # graph-tier stores the counters assert on.
     env.pop("PYACC_FAULTS", None)
+    # ... and they count verification runs, so an inherited
+    # PYACC_VERIFY=off (a CI leg) must not switch the verifier off.
+    env.pop("PYACC_VERIFY", None)
     env.update(extra_env or {})
     proc = subprocess.run(
         [sys.executable, "-c", textwrap.dedent(script)],
@@ -496,6 +499,7 @@ class TestConcurrentWriters:
         env = dict(os.environ)
         env["PYTHONPATH"] = SRC
         env["PYACC_COMPILE_CACHE"] = str(tmp_path)
+        env.pop("PYACC_VERIFY", None)  # same keys as run_child's warm probe
         procs = [
             subprocess.Popen(
                 [sys.executable, "-c", textwrap.dedent(child)],

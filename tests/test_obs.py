@@ -140,6 +140,7 @@ CACHE_INFO_SHAPE = {
         "disk_hits": "int",
         "mem_hits": "int",
         "bytes": "int",
+        "single_loop": "int",  # added by the lane licence (ISSUE 21)
         "declined": {},
     },
     "disk": {
@@ -233,7 +234,7 @@ class TestPublicShapes:
         reset_state(drop_memory=False, drop_counters=True)
         assert native_stats() == {
             "compiled": 0, "disk_hits": 0, "mem_hits": 0, "bytes": 0,
-            "declined": {},
+            "single_loop": 0, "declined": {},
         }
 
 

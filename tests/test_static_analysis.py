@@ -388,6 +388,7 @@ class TestAsyncRaceV601:
         return ctx, gate
 
     def test_warn_mode_warns_on_dependent_async_launches(self):
+        repro.set_verify_mode("warn")  # whatever PYACC_VERIFY says
         repro.set_backend("threads")
         ctx, gate = self._blocked_stream()
         try:
@@ -549,6 +550,7 @@ class TestReduceOpChecker:
 
 class TestCountersAndModes:
     def test_cache_info_exposes_per_rule_counts(self):
+        repro.set_verify_mode("warn")  # whatever PYACC_VERIFY says
         counters.reset()
 
         def racy(i, x):
