@@ -34,5 +34,6 @@ echo "| \`PYACC_*\` names in \`src\` | $(echo "$knobs" | wc -l) |"
 echo "| \`threading.Lock()\` sites in \`src\` | $(grep -rF --include='*.py' 'threading.Lock()' src | wc -l) |"
 echo "| \`retry_transients(\` sites in \`src\` (the seam's call + the definition) | $(grep -rF --include='*.py' 'retry_transients(' src | wc -l) |"
 echo "| loop nests in \`lbm_kernel\`'s native lowering (1 = the single-loop licence holds) | $(lbm_nests) |"
+echo "| Python calls pinned per warm \`parallel_for\` / \`parallel_reduce\` / one-node replay (\`TestHotPathBudget\`) | $(sed -n 's/^ *PINNED = (\(.*\))$/\1/p' tests/test_api.py) |"
 echo
 echo "\`PYACC_*\` set: $(echo $knobs)"

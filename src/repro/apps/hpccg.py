@@ -41,10 +41,15 @@ __all__ = [
 _STENCIL_WIDTH = 27
 
 
+def _index_dtype(n: int):
+    """Column-index width of an ``n``-row ELL operator."""
+    return np.int32 if n < 2**31 else np.int64
+
+
 def _lint_args_ell(n: int = 6, slots: int = 4):
     # The trace is shape-dependent (inner bound = vals.shape[1]) and the
     # column array must index into x, so declare a consistent probe.
-    cols = np.zeros((n, slots), dtype=np.int64)
+    cols = np.zeros((n, slots), dtype=np.int32)
     vals = np.zeros((n, slots))
     return [cols, vals, np.zeros(n), np.zeros(n)]
 
@@ -131,13 +136,18 @@ class ELLMatrix:
     """A square sparse matrix in padded ELLPACK layout.
 
     ``cols[i, k]`` / ``vals[i, k]`` give the k-th stored entry of row
-    ``i``; padding slots have ``vals == 0`` and ``cols == i``.
+    ``i``; padding slots have ``vals == 0`` and ``cols == i``.  The
+    matvec streams ``cols`` once per call, so its width is bandwidth:
+    columns are held as int32 while ``n`` fits (every builder then
+    shares one compiled matvec), int64 beyond.
     """
 
-    cols: np.ndarray  # (n, width) int64
+    cols: np.ndarray  # (n, width) int32 (int64 from n = 2^31)
     vals: np.ndarray  # (n, width) float64
 
     def __post_init__(self):
+        if self.cols.dtype.kind == "i":
+            self.cols = self.cols.astype(_index_dtype(len(self.cols)), copy=False)
         if self.cols.shape != self.vals.shape:
             raise ValueError(
                 f"cols/vals shape mismatch: {self.cols.shape} vs {self.vals.shape}"
@@ -178,7 +188,9 @@ def build_27pt_problem(
     if min(nx, ny, nz) < 1:
         raise ValueError(f"grid dims must be positive, got {(nx, ny, nz)}")
     n = nx * ny * nz
-    cols = np.tile(np.arange(n, dtype=np.int64)[:, None], (1, _STENCIL_WIDTH))
+    cols = np.tile(
+        np.arange(n, dtype=_index_dtype(n))[:, None], (1, _STENCIL_WIDTH)
+    )
     vals = np.zeros((n, _STENCIL_WIDTH), dtype=np.float64)
 
     idx = np.arange(n)

@@ -98,7 +98,6 @@ from multiprocessing import shared_memory as shm_mod
 import numpy as np
 
 from .. import faults as _faults
-from ..core.api import plan_written_ids
 from ..core.backend import Backend
 from ..core.exceptions import (
     KernelExecutionError,
@@ -901,12 +900,7 @@ class ClusterBackend(Backend):
             for b in nds[i + 1:]:
                 if a is not b and np.may_share_memory(a, b):
                     return None  # aliased distinct views: stage would split them
-        try:
-            write_ids = set(plan.written_ids or ())
-            if not write_ids:
-                write_ids = set(plan_written_ids(plan))
-        except Exception:
-            write_ids = {id(a) for a in nds}  # conservative: commit all
+        write_ids = set(plan.written_ids)
         descs = []
         writeback = []
         staged_seen = set()

@@ -133,14 +133,19 @@ class ThreadsBackend(Backend):
             domains=tuple(chunk_domains(dims, chunks)), inline=False
         )
 
+    def schedule_epoch(self) -> tuple:
+        """The inputs :meth:`schedule` and :meth:`modeled_cost` read:
+        what they recorded is stale exactly when one of these moves."""
+        return (self.n_threads, self.min_parallel_size, self.model)
+
+    def modeled_cost(self, plan: LaunchPlan) -> float:
+        cost = self.model.reduce_cost if plan.is_reduce else self.model.for_cost
+        return cost(plan.kernel.stats, plan.lanes, plan.ndim).total
+
     def execute(self, plan: LaunchPlan) -> Optional[float]:
-        self.accounting.n_kernel_launches += 1
-        cost = (
-            self.model.reduce_cost(plan.kernel.stats, plan.lanes, plan.ndim)
-            if plan.is_reduce
-            else self.model.for_cost(plan.kernel.stats, plan.lanes, plan.ndim)
-        )
-        self.accounting.sim_time += cost.total
+        accounting = self.accounting
+        accounting.n_kernel_launches += 1
+        accounting.sim_time += plan.record.cost
         fplan = _faults.active_plan()
         domains = plan.schedule.domains
         if plan.schedule.inline:

@@ -29,12 +29,10 @@ from __future__ import annotations
 
 from typing import Any, Callable, Union
 
-import numpy as np
-
 from .. import faults
 from ..ir import writes
 from ..ir.compile import compile_kernel
-from ..ir.verify import active_verify_mode, verify_launch
+from ..ir.verify import active_verify_mode
 from .backend import Backend, normalize_dims
 from .context import ExecutionContext, current_context, use_backend
 from .exceptions import BackendError, InvalidReduceOpError
@@ -112,102 +110,51 @@ def synchronize() -> None:
 # ---------------------------------------------------------------------------
 
 
-def _resolve(plan: LaunchPlan, ctx: ExecutionContext) -> LaunchPlan:
-    """Stage 1: bind the context's backend and map user args to kernel
-    args (backend arrays → raw storage), and attach the context's
-    fault-handling policy."""
-    plan.backend = ctx.backend()
-    plan.resolved_args = plan.backend.resolve_args(plan.args)
-    plan.arena = ctx.arena
-    plan.policy = ctx.launch_policy
-    return plan
-
-
-def _compile(plan: LaunchPlan, ctx: ExecutionContext) -> LaunchPlan:
-    """Stage 2: attach the compiled kernel, using the context's kernel
-    cache when one is scoped (process-global otherwise), then check the
-    parallel contract (races, bounds, reduction purity — see
-    :mod:`repro.ir.verify`) under the active enforcement mode."""
-    plan.kernel = compile_kernel(
-        plan.fn,
-        plan.ndim,
-        plan.resolved_args,
-        reduce=plan.is_reduce,
-        cache=ctx.kernel_cache,
-    )
-    mode = active_verify_mode()
-    if mode != "off":
-        plan.diagnostics = verify_launch(
-            plan.kernel,
-            plan.dims,
-            plan.resolved_args,
-            plan.op if plan.is_reduce else None,
-            mode,
-        )
-    return plan
-
-
-def _schedule(plan: LaunchPlan, ctx: ExecutionContext) -> LaunchPlan:
-    """Stage 3: record the backend's launch-shape/chunking decision on
-    the plan (GPU thread/block shapes, CPU chunk domains, inline flag)."""
-    plan.schedule = plan.backend.schedule(plan)
-    return plan
-
-
-def plan_written_ids(plan: LaunchPlan) -> tuple:
-    """Storage ids of the arrays a staged plan stores to.
-
-    Traced kernels report exactly the arrays their stores touch; opaque
-    (interpreter-tier) kernels conservatively count every resolved
-    ndarray.
-    """
-    kernel = plan.kernel
-    trace = kernel.trace if kernel is not None else None
-    if trace is None:
-        return tuple(
-            id(a) for a in plan.resolved_args if isinstance(a, np.ndarray)
-        )
-    return tuple(
-        dict.fromkeys(id(plan.resolved_args[st.array.pos]) for st in trace.stores)
-    )
-
-
 def _execute(plan: LaunchPlan, ctx: ExecutionContext) -> LaunchPlan:
     """Stage 4: account the dispatch, fire hooks, and hand the plan to
     the backend's narrowed ``execute`` entry point (with the launch
     policy's permanent-failure failover ladder around it)."""
     backend = plan.backend
-    if plan.is_reduce:
-        backend.accounting.n_reduce += 1
+    accounting = backend.accounting
+    if plan.construct == "reduce":
+        accounting.n_reduce += 1
     else:
-        backend.accounting.n_for += 1
-    plan.sim_time_before = backend.accounting.sim_time
+        accounting.n_for += 1
+    plan.sim_time_before = accounting.sim_time
     ctx.fire_launch(plan)
     backend.account_portable_dispatch(plan.construct, plan.dims)
-    written = plan.written_ids
-    if written is None:
-        written = plan.written_ids = plan_written_ids(plan)
     plan.result = faults.execute_plan(plan, ctx)
     # Failover may have demoted plan.backend; read the clock that ran.
     plan.sim_time_after = plan.backend.accounting.sim_time
     # Version the arrays this launch stored to, so instantiated graphs
     # that hoisted loads from "const" arrays can detect writers they
     # could not see at instantiation (see repro.ir.writes).
-    writes.note_writes(written)
+    writes.note_writes(plan.written_ids)
     ctx.fire_complete(plan)
     return plan
 
 
-def _stage(construct: str, dims, f: Callable, args: tuple, op: str) -> tuple:
-    """Build a plan and run the pre-execution stages."""
-    ctx = current_context()
-    plan = LaunchPlan(
-        construct=construct, dims=normalize_dims(dims), fn=f, args=args, op=op
+def _stage(
+    ctx: ExecutionContext, construct: str, dims, f: Callable, args: tuple, op: str
+) -> LaunchPlan:
+    """Build a plan and run the pre-execution stages: **resolve** (bind
+    the context's backend, arena and fault-handling policy; map user
+    args to raw storage), **compile** (the specialization ladder,
+    against the context's kernel cache) and — one look-up in the
+    kernel's launch records (:meth:`Backend.stage`) — **verify** (the
+    parallel contract, enforced under the active mode) and **schedule**
+    (the backend's launch-shape/chunking decision)."""
+    dims = normalize_dims(dims)
+    plan = LaunchPlan(construct, dims, f, args, op)
+    backend = plan.backend = ctx.backend()
+    resolved = plan.resolved_args = backend.resolve_args(args)
+    plan.arena = ctx.arena
+    plan.policy = ctx.launch_policy
+    plan.kernel = compile_kernel(
+        f, len(dims), resolved, reduce=construct == "reduce", cache=ctx.kernel_cache
     )
-    _resolve(plan, ctx)
-    _compile(plan, ctx)
-    _schedule(plan, ctx)
-    return plan, ctx
+    plan.diagnostics = backend.stage(plan, active_verify_mode()).diagnostics
+    return plan
 
 
 def _dispatch(construct: str, dims, f: Callable, args: tuple, op: str) -> LaunchPlan:
@@ -228,7 +175,7 @@ def _dispatch(construct: str, dims, f: Callable, args: tuple, op: str) -> Launch
         # their concrete values first (slots are a graph-level concept —
         # the tracer and cache keys only ever see real scalars).
         args, slot_map = cap.strip_slots(args)
-    plan, ctx = _stage(construct, dims, f, args, op)
+    plan = _stage(ctx, construct, dims, f, args, op)
     _execute(plan, ctx)
     if cap is not None:
         cap.record(plan, slot_map)
@@ -320,7 +267,8 @@ def launch(
     construct = "reduce" if reduce else "for"
     if sync:
         return LaunchHandle(_dispatch(construct, dims, f, args, op=op))
-    plan, ctx = _stage(construct, dims, f, args, op=op)
+    ctx = current_context()
+    plan = _stage(ctx, construct, dims, f, args, op)
     _check_async_hazards(plan, ctx)
     future = ctx.submit(lambda: _execute(plan, ctx))
     handle = LaunchHandle(plan, future)

@@ -21,16 +21,18 @@ metaprogramming layer.
 
 from __future__ import annotations
 
+import itertools
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from typing import Any, Optional, Sequence
+from typing import Any, Hashable, Optional, Sequence
 
 import numpy as np
 
 from ..ir.compile import CompiledKernel
 from ..ir.vectorizer import IndexDomain
+from ..ir.verify import verify_launch
 from .context import current_context
-from .plan import LaunchPlan, LaunchSchedule
+from .plan import LaunchPlan, LaunchRecord, LaunchSchedule
 
 __all__ = ["Accounting", "Backend", "normalize_dims"]
 
@@ -106,8 +108,14 @@ class Backend(ABC):
     #: ``"cpu"`` or ``"gpu"`` — decides coarse vs fine decomposition.
     device_kind: str = "cpu"
 
+    _tokens = itertools.count()
+
     def __init__(self) -> None:
         self.accounting = Accounting()
+        #: Never-reused identity of this instance in launch-record keys
+        #: (an ``id()`` can be recycled by the next backend built; the
+        #: instance itself would be pinned by every kernel it ran).
+        self.token = next(Backend._tokens)
 
     # ---- memory component --------------------------------------------
     @abstractmethod
@@ -148,17 +156,63 @@ class Backend(ABC):
         """
         return LaunchSchedule(domains=(IndexDomain.full(plan.dims),))
 
-    def schedule_epoch(self) -> int:
-        """Monotonic staleness counter for recorded schedules.
+    def schedule_epoch(self) -> Hashable:
+        """Staleness token for recorded schedules and modeled costs.
 
-        A :class:`LaunchSchedule` computed by :meth:`schedule` stays
-        valid while this value is unchanged.  Backends whose chunking
-        decisions can shift between launches (the multi-device backend
-        drops failed devices from its dispatch set) bump it; captured
-        launch graphs compare epochs before replaying and re-schedule
-        their recorded plans on a mismatch.
+        What :meth:`schedule` and :meth:`modeled_cost` computed for a
+        plan stays valid while this value compares equal.  Backends
+        whose decisions can shift between launches return something
+        that moves with them (the multi-device backend counts the
+        devices dropped from its dispatch set, the threads backend
+        returns the scheduling inputs themselves); launch records key on
+        it, and captured launch graphs compare it before replaying and
+        re-stage their recorded plans on a mismatch.
         """
         return 0
+
+    def modeled_cost(self, plan: LaunchPlan) -> float:
+        """Modeled seconds one execution of ``plan`` charges this
+        backend's clock in :meth:`execute`, computed once per launch
+        record.  Default: nothing (backends without a profile, and the
+        simulators, which charge per device as chunks complete)."""
+        return 0.0
+
+    def stage(self, plan: LaunchPlan, mode: str = "off") -> LaunchRecord:
+        """Bind the plan's launch record: everything about a launch of
+        ``plan.kernel`` on this backend that is a function of its
+        signature — verifier diagnostics under ``mode`` (enforced here:
+        ``error`` raises on every offending launch, nothing is recorded
+        for it), :meth:`schedule`, :meth:`modeled_cost` — built on the
+        first such launch and looked up by every later one.  Also binds
+        ``plan.written_ids``, the one per-argument fact execution needs.
+        """
+        launches = plan.kernel.launches
+        args = plan.resolved_args
+        op = plan.op if plan.construct == "reduce" else None
+        key = (
+            launches.signature(plan.dims, args, op),
+            self.token,
+            self.schedule_epoch(),
+            mode,
+        )
+        record = launches.records.get(key)
+        if record is None:
+            diagnostics = (
+                verify_launch(plan.kernel, plan.dims, args, op, mode)
+                if mode != "off"
+                else ()
+            )
+            record = launches.remember(
+                launches.records,
+                key,
+                LaunchRecord(
+                    diagnostics, self.schedule(plan), self.modeled_cost(plan)
+                ),
+            )
+        plan.record = record
+        plan.schedule = record.schedule
+        plan.written_ids = launches.written_ids(args)
+        return record
 
     @abstractmethod
     def execute(self, plan: LaunchPlan) -> Optional[float]:
@@ -224,7 +278,7 @@ class Backend(ABC):
         # Native launches honour the same transient-retry contract as
         # staged dispatch (the in-backend retry loop reads plan.policy).
         plan.policy = ctx.launch_policy
-        plan.schedule = self.schedule(plan)
+        self.stage(plan)
         return plan
 
     def synchronize(self) -> None:

@@ -38,7 +38,13 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard, types only
     from ..ir.compile import CompiledKernel
     from .backend import Backend
 
-__all__ = ["LaunchPlan", "LaunchSchedule", "LaunchHandle", "label_exception"]
+__all__ = [
+    "LaunchPlan",
+    "LaunchRecord",
+    "LaunchSchedule",
+    "LaunchHandle",
+    "label_exception",
+]
 
 
 @dataclass(frozen=True)
@@ -71,6 +77,22 @@ class LaunchSchedule:
     @property
     def n_chunks(self) -> int:
         return len(self.domains)
+
+
+class LaunchRecord:
+    """What staging derives from a launch's *signature* alone, built
+    once by :meth:`repro.core.backend.Backend.stage` and shared by every
+    launch of that signature on that backend (see
+    :class:`repro.ir.verify.LaunchRecords` for the key): the verifier's
+    ``diagnostics``, the backend's ``schedule`` and the modeled seconds
+    one execution charges (``cost``, :meth:`Backend.modeled_cost`)."""
+
+    __slots__ = ("diagnostics", "schedule", "cost")
+
+    def __init__(self, diagnostics: tuple, schedule: LaunchSchedule, cost: float):
+        self.diagnostics = diagnostics
+        self.schedule = schedule
+        self.cost = cost
 
 
 @dataclass
@@ -115,6 +137,10 @@ class LaunchPlan:
 
     # -- filled by the schedule stage ----------------------------------------
     schedule: Optional[LaunchSchedule] = None
+    #: The signature's shared :class:`LaunchRecord` (``schedule`` and
+    #: ``diagnostics`` above are its fields, bound per plan because a
+    #: failover or a replay re-stages one plan without touching others).
+    record: Optional[LaunchRecord] = None
 
     # -- filled by the execute stage (observability) ---------------------------
     #: Backend modeled time immediately before/after execution; the
@@ -127,9 +153,9 @@ class LaunchPlan:
     #: (retries, failovers, watchdog timeouts) — see
     #: :class:`repro.faults.FaultEvent`.
     fault_events: list = field(default_factory=list)
-    #: Storage ids this plan's kernel stores to, computed lazily by the
-    #: execute stage for write-version tracking (repro.ir.writes) and
-    #: cached here — graph replays reuse the plan, and array identities
+    #: Storage ids this plan's kernel stores to, for write-version
+    #: tracking (repro.ir.writes): bound with the arguments when the plan
+    #: is staged — graph replays reuse the plan, and array identities
     #: never change across replays (only scalar slots rebind).
     written_ids: Optional[tuple] = None
     #: Memory-effects summary (:class:`repro.ir.effects.EffectsSummary`)

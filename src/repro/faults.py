@@ -913,7 +913,7 @@ def execute_plan(plan: "LaunchPlan", ctx) -> object:
             if ctx is not None and ctx._backend is plan.backend:
                 ctx.set_backend(fallback)
             plan.backend = fallback
-            plan.schedule = fallback.schedule(plan)
+            fallback.stage(plan)
             # The plan's modeled-time span now runs on the fallback's
             # clock; rebase so sim_time_elapsed stays non-negative.
             if plan.sim_time_before is not None:

@@ -191,6 +191,9 @@ def _restaged(src: LaunchPlan, args: tuple, resolved: Optional[list]) -> LaunchP
     plan.kernel = src.kernel
     plan.diagnostics = src.diagnostics
     plan.schedule = src.schedule
+    plan.record = src.record
+    if resolved is not None:
+        plan.written_ids = src.kernel.launches.written_ids(resolved)
     return plan
 
 
@@ -890,7 +893,7 @@ class InstantiatedGraph:
                 # survivors with the old chunk list.  Re-schedule all
                 # nodes on the current device set.
                 for n2 in self.nodes:
-                    n2.plan.schedule = n2.plan.backend.schedule(n2.plan)
+                    n2.plan.backend.stage(n2.plan)
                 self.epoch = epoch
             # Reset the single-use observability fields so each replay
             # reads like a fresh launch to hooks and fault accounting.
@@ -918,7 +921,7 @@ class InstantiatedGraph:
                             reduce=plan.is_reduce,
                             cache=ctx.kernel_cache,
                         )
-                        plan.schedule = plan.backend.schedule(plan)
+                        plan.backend.stage(plan)
                         for pos in node.const_slots:
                             node.const_slots[pos] = args[pos]
             hs = node.hoist
@@ -931,7 +934,7 @@ class InstantiatedGraph:
                     self._rehoist(node, current)
             if demoted is not None:
                 plan.backend = demoted
-                plan.schedule = demoted.schedule(plan)
+                demoted.stage(plan)
             _execute(plan, ctx)
             if plan.backend is not (demoted or self.backend):
                 # The launch policy failed this node over permanently.

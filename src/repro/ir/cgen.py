@@ -6,8 +6,8 @@ temporaries.  Julia's LLVM JIT — the performance baseline the paper
 leans on — emits one fused scalar loop instead.  This module closes that
 last gap: a verified, optimized :class:`~repro.ir.nodes.Trace` is
 lowered into a single C translation unit — fused scalar loop nests,
-guards as branches, gathers via clamped indexing, reduces writing a
-per-lane value buffer — compiled once with the system C compiler
+guards as branches, gathers via clamped indexing, add-reduces folded
+per tile — compiled once with the system C compiler
 (``PYACC_CC``, see :mod:`repro.ir.nativecache`) and called through
 stdlib :mod:`ctypes` with per-chunk bounds, so every backend family
 (serial / threads / cuda-sim / multi-sim) runs the same machine loop
@@ -50,11 +50,19 @@ whole-domain NumPy semantics:
   it per call (memoized) and declines ``lanes`` otherwise.  Kernels
   without a proof — data-dependent scatters, suppressed races — keep
   the grouped lowering; a kernel has one lowering, chosen by proof.
-* **Reduction fold.**  The C loop computes only the *per-lane* float64
-  values (into an arena-leased buffer passed as a raw pointer); the fold
-  itself stays in NumPy (``values.sum()`` — pairwise summation), so the
-  reduce is bit-identical to the other rungs by construction instead of
-  by re-implementing pairwise order in C.
+* **Reduction fold.**  A reduce kernel walks the
+  :attr:`~repro.ir.vectorizer.IndexDomain.tiles` of its chunk in one
+  call.  ``add`` folds each tile in C — a transcription of NumPy's
+  pairwise sum shared by every reduce translation unit
+  (:data:`_FOLD_SOURCE`), streaming the per-lane float64 values through
+  a 128-lane block on the C stack — and returns one partial per tile;
+  Python folds the partials (``fold_partials``), so the reduce is
+  bit-identical to the other rungs.  NumPy's summation order is an
+  implementation detail, so the transcription is checked against
+  ``ndarray.sum()`` once per process (:func:`fold_in_c`); on a mismatch,
+  and always for ``min``/``max`` (whose SIMD order for NaN and ``-0.0``
+  is not ours to transcribe), the loop writes a tile's per-lane values
+  into an arena-leased buffer and the fold stays NumPy's.
 * **Operation allowlist.**  Only ops whose C scalar semantics match the
   NumPy ufunc exactly are admitted (IEEE ``+ - * /``, NaN-propagating
   min/max ternaries, ``sqrt``/``floor``/``ceil``/``abs``/``neg``,
@@ -86,10 +94,11 @@ import numpy as np
 from ..core.exceptions import KernelExecutionError
 from . import nodes as N
 from . import verify as _verify
-from .arena import ScratchArena, resolve as _resolve_arena
+from .arena import ChunkArena, ScratchArena, resolve as _resolve_arena
 from .nativecache import (
     NativeCompileError,
     compile_source,
+    record_c_fold,
     record_decline,
     record_single_loop,
 )
@@ -99,6 +108,7 @@ from .vectorizer import (
     _fold_lanes,
     _REDUCE_IDENTITY,
     IndexDomain,
+    fold_partials,
 )
 
 __all__ = [
@@ -232,6 +242,64 @@ def _partition_groups(trace: N.Trace) -> list[list[N.Store]]:
     if cur:
         groups.append(cur)
     return groups
+
+
+#: The add-fold every reduce translation unit calls through a pointer,
+#: built once per artifact cache: NumPy's ``pairwise_sum``, transcribed.
+#: A span of more than 128 lanes splits at ``n / 2`` rounded down to a
+#: multiple of 8; a leaf asks the kernel's ``fill`` for its lanes'
+#: values (a block on the C stack — no lane buffer), sums them with
+#: eight accumulators combined as a balanced tree and adds the
+#: remainder left to right (under eight lanes: left to right from
+#: ``-0.0``); ``ndarray.sum()`` then starts from ``+0.0``.  Under the
+#: rung's flags (no contraction, no reassociation) this equals
+#: ``ndarray.sum()`` bit for bit — an implementation detail of NumPy's,
+#: so :func:`fold_in_c` checks it once per process through
+#: ``pyacc_fold_check``, which also hands out ``pyacc_fold``'s address.
+_FOLD_SOURCE = """\
+#include <stdint.h>
+#include <string.h>
+
+typedef void (*pyacc_fill)(const void *cx, int64_t k, int64_t m, double *blk);
+
+static double pairwise(pyacc_fill fill, const void *cx, int64_t k, int64_t n) {
+  if (n <= 128) {
+    double a[128], res, r0, r1, r2, r3, r4, r5, r6, r7;
+    int64_t i;
+    fill(cx, k, n, a);
+    if (n < 8) {
+      res = -0.0;
+      for (i = 0; i < n; ++i) res += a[i];
+      return res;
+    }
+    r0 = a[0]; r1 = a[1]; r2 = a[2]; r3 = a[3];
+    r4 = a[4]; r5 = a[5]; r6 = a[6]; r7 = a[7];
+    for (i = 8; i < n - (n % 8); i += 8) {
+      r0 += a[i]; r1 += a[i + 1]; r2 += a[i + 2]; r3 += a[i + 3];
+      r4 += a[i + 4]; r5 += a[i + 5]; r6 += a[i + 6]; r7 += a[i + 7];
+    }
+    res = ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7));
+    for (; i < n; ++i) res += a[i];
+    return res;
+  }
+  const int64_t h = n / 2 - (n / 2) % 8;
+  const double left = pairwise(fill, cx, k, h);
+  return left + pairwise(fill, cx, k + h, n - h);
+}
+
+double pyacc_fold(pyacc_fill fill, const void *cx, int64_t n) {
+  return 0.0 + pairwise(fill, cx, 0, n);
+}
+
+static void copy_fill(const void *cx, int64_t k, int64_t m, double *blk) {
+  memcpy(blk, (const double *)cx + k, (size_t)m * sizeof(double));
+}
+
+double pyacc_fold_check(const double *v, int64_t n, int64_t *fold) {
+  *fold = (int64_t)(intptr_t)&pyacc_fold;
+  return pyacc_fold(copy_fill, v, n);
+}
+"""
 
 
 # ---------------------------------------------------------------------------
@@ -632,11 +700,44 @@ class _NativeLowering:
             lines.append("  " * ax + "}")
         return lines
 
-    def _out_flat(self) -> str:
-        terms = "(i0 - lo0)"
-        for ax in range(1, self.ndim):
-            terms = f"({terms} * e{ax} + (i{ax} - lo{ax}))"
-        return terms
+    def _fill(self, body: list[str], value: str) -> list[str]:
+        """Body of the kernel's ``fill``: the result of lanes ``k .. k +
+        m`` of the tile box (row-major) into ``blk`` — the result's loop
+        nest, entered at lane ``k`` (axis ``ax`` starts its first pass
+        at ``st<ax>``, every later one at ``lo<ax>``) and left after
+        ``m`` lanes."""
+        last = self.ndim - 1
+        store = [*body, f"blk[f + (i{last} - st{last})] = {value};"]
+        if not last:
+            return [
+                "const int64_t st0 = lo0 + k, f = 0;",
+                "for (int64_t i0 = st0; i0 < st0 + m; ++i0) {",
+                *["  " + line for line in store],
+                "}",
+            ]
+        lines = [
+            f"int64_t st{ax} = lo{ax} + k % e{ax}; k /= e{ax};"
+            for ax in range(last, 0, -1)
+        ]
+        lines += ["int64_t f = 0;", "for (int64_t i0 = lo0 + k; f < m; ++i0) {"]
+        for ax in range(1, last):
+            lines.append(
+                "  " * ax
+                + f"for (int64_t i{ax} = st{ax}; i{ax} < hi{ax} && f < m; ++i{ax}) {{"
+            )
+        pad = "  " * last
+        lines += [
+            f"{pad}int64_t run = hi{last} - st{last};",
+            f"{pad}if (run > m - f) run = m - f;",
+            f"{pad}for (int64_t i{last} = st{last}; i{last} < st{last} + run; ++i{last}) {{",
+            *[pad + "  " + line for line in store],
+            f"{pad}}}",
+            f"{pad}f += run; st{last} = lo{last};",
+        ]
+        for ax in range(last - 1, 0, -1):
+            lines += ["  " * ax + "}", "  " * ax + f"st{ax} = lo{ax};"]
+        lines.append("}")
+        return lines
 
     def lower(self) -> dict:
         groups = _partition_groups(self.trace)
@@ -654,75 +755,113 @@ class _NativeLowering:
                 self.emit_store(st)
             loops.append(self._loop_nest(self.body))
         has_result = self.trace.result is not None
-        result_loop: list[str] = []
         if has_result:
             self._reset_body()
-            res = self.emit(self.trace.result)
-            self.body.append(
-                f"out[{self._out_flat()}] = "
-                f"{self.coerce(res, _F8)};"
-            )
-            result_loop = self._loop_nest(self.body)
+            value = self.coerce(self.emit(self.trace.result), _F8)
+            result_body = self.body
 
         # Packed call ABI (see NativeKernel._call): one int64 word
-        # buffer — bounds, data pointers, shapes, integer scalars — with
-        # the float scalars as doubles behind them; an out-of-bounds
-        # scatter returns ``pos + 1``.
+        # buffer — bounds, (reduce kernels: tile count, tile table and
+        # the fold's address,) data pointers, shapes, integer scalars —
+        # with the float scalars as doubles behind them; an
+        # out-of-bounds scatter returns ``pos + 1``.
         arr_order = sorted(self.arr_dtype)
-        lines = [
-            "#include <stdint.h>",
-            "#include <math.h>",
-            "",
-            "int64_t pyacc_kernel(const int64_t *w, double *out) {",
-            "  (void)w; (void)out;",
-        ]
+        head = 2 * self.ndim
+        bounds = []
         for ax in range(self.ndim):
-            lines.append(f"  const int64_t lo{ax} = w[{2 * ax}];")
-            lines.append(f"  const int64_t hi{ax} = w[{2 * ax + 1}];")
+            bounds.append(f"const int64_t lo{ax} = w[{2 * ax}];")
+            bounds.append(f"const int64_t hi{ax} = w[{2 * ax + 1}];")
         for ax in range(1, self.ndim):
-            lines.append(f"  const int64_t e{ax} = hi{ax} - lo{ax};")
-        off = 2 * self.ndim
+            bounds.append(f"const int64_t e{ax} = hi{ax} - lo{ax};")
+        off = head + (3 if has_result else 0)
+        decls = []
         for k, pos in enumerate(arr_order):
             ct = _CTYPE[_dt_code(self.arr_dtype[pos])]
-            lines.append(f"  {ct} *a{pos} = ({ct} *)(intptr_t)w[{off + k}];")
+            decls.append(f"{ct} *a{pos} = ({ct} *)(intptr_t)w[{off + k}];")
         off += len(arr_order)
         for pos in arr_order:
             rank = self.arr_rank[pos]
             for ax in range(rank):
-                lines.append(
-                    f"  const int64_t a{pos}_n{ax} = w[{off + ax}];"
-                )
+                decls.append(f"const int64_t a{pos}_n{ax} = w[{off + ax}];")
             # Row-major strides (pre-flight requires C-contiguity).
             for ax in range(rank - 1):
                 factors = " * ".join(
                     f"a{pos}_n{x}" for x in range(ax + 1, rank)
                 )
-                lines.append(f"  const int64_t a{pos}_s{ax} = {factors};")
+                decls.append(f"const int64_t a{pos}_s{ax} = {factors};")
             off += rank
         for k, pos in enumerate(self.iscalar):
             elem = self._scalar_codes[pos][1]
             ct = _CTYPE[_dt_code(elem)] if isinstance(elem, np.dtype) else "int64_t"
             if ct == "uint8_t":
-                lines.append(
-                    f"  const uint8_t s{pos} = (uint8_t)(w[{off + k}] != 0);"
+                decls.append(
+                    f"const uint8_t s{pos} = (uint8_t)(w[{off + k}] != 0);"
                 )
             else:
-                lines.append(f"  const {ct} s{pos} = ({ct})w[{off + k}];")
+                decls.append(f"const {ct} s{pos} = ({ct})w[{off + k}];")
         off += len(self.iscalar)
         if self.fscalar:
-            lines.append(f"  const double *fw = (const double *)(w + {off});")
+            decls.append(f"const double *fw = (const double *)(w + {off});")
         for k, pos in enumerate(self.fscalar):
             elem = self._scalar_codes[pos][1]
             ct = _CTYPE[_dt_code(elem)] if isinstance(elem, np.dtype) else "double"
-            lines.append(f"  const {ct} s{pos} = ({ct})fw[{k}];")
-        lines.append("")
-        for loop in loops:
-            lines += ["  " + line for line in loop]
+            decls.append(f"const {ct} s{pos} = ({ct})fw[{k}];")
+
+        entry = [
+            "int64_t pyacc_kernel(const int64_t *w, double *out) {",
+            "  (void)w; (void)out;",
+        ]
+        lines = ["#include <stdint.h>", "#include <math.h>", ""]
+        if not has_result:
+            lines += entry
+            lines += ["  " + line for line in bounds + decls]
             lines.append("")
-        if has_result:
-            lines.append("  if (out) {")
-            lines += ["  " + line for line in result_loop]
-            lines.append("  }")
+            for loop in loops:
+                lines += ["  " + line for line in loop]
+                lines.append("")
+        else:
+            # A reduce kernel walks the tiles of the call's box: the
+            # stores over a tile, then its result through ``fill`` —
+            # folded to ``out[tile]`` by the shared pairwise sum
+            # (:data:`_FOLD_SOURCE`) or, for the lane-buffer callers
+            # (tile count 0), every lane's value into ``out``.
+            tile_bounds = [line.replace("w[", "tb[") for line in bounds]
+            lanes = " * ".join(
+                ["(hi0 - lo0)"] + [f"e{ax}" for ax in range(1, self.ndim)]
+            )
+            tile = list(tile_bounds)
+            for loop in loops:
+                tile += loop
+            tile += [
+                "if (!out) continue;",
+                "const pyacc_cx cx = {w, tb};",
+                f"if (nt) out[tile] = fold(fill, &cx, {lanes});",
+                f"else fill(&cx, 0, {lanes}, out);",
+            ]
+            lines += [
+                "typedef struct { const int64_t *w, *tb; } pyacc_cx;",
+                "typedef void (*pyacc_fill)(const void *, int64_t, int64_t, double *);",
+                "typedef double (*pyacc_fold)(pyacc_fill, const void *, int64_t);",
+                "",
+                "static void fill(const void *cx, int64_t k, int64_t m, double *blk) {",
+                "  const int64_t *w = ((const pyacc_cx *)cx)->w;",
+                "  const int64_t *tb = ((const pyacc_cx *)cx)->tb;",
+                "  (void)w;",
+                *["  " + line for line in tile_bounds + decls],
+                *["  " + line for line in self._fill(result_body, value)],
+                "}",
+                "",
+                *entry,
+                *["  " + line for line in decls],
+                f"  const int64_t nt = w[{head}];",
+                f"  const int64_t *tb = w[{head + 1}] ? "
+                f"(const int64_t *)(intptr_t)w[{head + 1}] : w;",
+                f"  const pyacc_fold fold = (pyacc_fold)(intptr_t)w[{head + 2}];",
+                "  for (int64_t tile = 0; tile < (nt ? nt : 1); "
+                f"++tile, tb += {head}) {{",
+                *["    " + line for line in tile],
+                "  }",
+            ]
         lines += ["  return 0;", "}"]
 
         return {
@@ -755,6 +894,10 @@ _I64_MIN, _I64_MAX = -(2**63), 2**63 - 1
 _ADDRESSOF = ctypes.addressof
 _RAW0 = ctypes.c_char * 0
 
+#: A reduce kernel's head words for "no fold": every lane's value in
+#: ``out`` (``min``/``max``, ``evaluate_values``) or no ``out`` at all.
+_LANES = (0, 0, 0)
+
 #: Bound on a single-loop kernel's per-call proof memo — a backstop for
 #: a sweep over problem sizes (each chunk box of each size is one entry).
 _LANE_MEMO_MAX = 64
@@ -784,13 +927,15 @@ class NativeKernel:
     kernel falls through to its codegen program.
 
     Call ABI: ``int64_t pyacc_kernel(const int64_t *w, double *out)``.
-    ``w`` is one per-call buffer — chunk bounds, then the words
-    :meth:`preflight` returns (data pointers, shapes, integer scalars as
-    int64, float scalars as doubles) — filled by a single
+    ``w`` is one per-call buffer — chunk bounds, for a reduce kernel
+    three words (tiles to fold, their table, the fold's address), then
+    the words :meth:`preflight` returns (data pointers, shapes, integer
+    scalars as int64, float scalars as doubles) — filled by a single
     :class:`struct.Struct` pack sized once per kernel.  The buffer is a
     local of the call, so pool threads share no marshal state; the
     return value is 0, or ``pos + 1`` of the array an out-of-bounds
-    scatter hit.
+    scatter hit.  ``out`` receives one partial per tile (an add-reduce)
+    or every lane's value (tile count 0).
 
     A *single-loop* kernel (``spec["lane_scalars"]`` is not ``None``)
     was lowered under the lane-independence licence and holds the
@@ -819,6 +964,8 @@ class NativeKernel:
         "_arrays",
         "_alias_pairs",
         "_pack",
+        "_c_fold",
+        "_slots",
     )
 
     def __init__(self, spec: dict, trace: N.Trace):
@@ -865,9 +1012,22 @@ class NativeKernel:
             if o != w
         )
         n_words = (
-            2 * self.ndim + len(order) + sum(self._arr_rank.values()) + len(self._iscalar)
+            2 * self.ndim
+            + (3 if self.has_result else 0)  # tile count, tile table, fold
+            + len(order)
+            + sum(self._arr_rank.values())
+            + len(self._iscalar)
         )
         self._pack = struct.Struct(f"{n_words}q{len(self._fscalar)}d").pack
+        # Add-reduces fold in C (``_c_fold``: the shared fold's address)
+        # unless this host's NumPy sums in another order, see fold_in_c.
+        # ``_slots`` recycles the partials' out buffers: pop/append are
+        # atomic, so pool threads running chunks of one kernel never
+        # share a slot and a call allocates nothing.
+        self._c_fold = fold_in_c() if self.has_result else 0
+        self._slots: list = []
+        if self._c_fold:
+            record_c_fold()
 
     # -- pre-flight --------------------------------------------------------
     def preflight(self, domain: IndexDomain, args: Sequence[Any]) -> list:
@@ -963,12 +1123,15 @@ class NativeKernel:
             raise NativeDeclined("lanes")
 
     # -- invocation --------------------------------------------------------
-    def _call(self, domain: IndexDomain, words: list, out) -> None:
-        """Run the C loop over ``domain`` with pre-flighted ``words``."""
-        w = self._pack(*[b for lo_hi in domain.ranges for b in lo_hi], *words)
+    def _call(self, domain: IndexDomain, words: list, out, head: tuple = ()):
+        """Run the C loop over ``domain`` with pre-flighted ``words``.
+        Reduce kernels take three ``head`` words: the tiles to fold,
+        their table (:attr:`IndexDomain.tile_words`) and the fold's
+        address — or :data:`_LANES` for every lane's value in ``out``."""
+        w = self._pack(*domain.bounds, *head, *words)
         # ctypes releases the GIL for the duration of the call — chunked
         # launches on the threads backend run truly in parallel here.
-        err = self._fn(w, None if out is None else _data_ptr(out))
+        err = self._fn(w, out)
         if err:
             raise KernelExecutionError(
                 f"out-of-bounds store into argument {err - 1}: "
@@ -981,7 +1144,8 @@ class NativeKernel:
         args: Sequence[Any],
         arena: Optional[ScratchArena] = None,
     ) -> None:
-        self._call(domain, self.preflight(domain, args), None)
+        head = _LANES if self.has_result else ()
+        self._call(domain, self.preflight(domain, args), None, head)
 
     def evaluate_values(
         self, domain: IndexDomain, args: Sequence[Any]
@@ -997,7 +1161,7 @@ class NativeKernel:
             )
         words = self.preflight(domain, args)
         buf = np.empty(domain.shape, dtype=np.float64)
-        self._call(domain, words, buf)
+        self._call(domain, words, _data_ptr(buf), _LANES)
         return buf
 
     def run_reduce(
@@ -1006,24 +1170,47 @@ class NativeKernel:
         args: Sequence[Any],
         op: str = "add",
         arena: Optional[ScratchArena] = None,
-        words: Optional[list] = None,
     ) -> float:
-        """Reduce over ``domain``.  ``words`` are the pre-flight's for an
-        enclosing box (the compile driver checks a chunk once and hands
-        them to each tile); ``None`` pre-flights here."""
+        """Reduce over ``domain`` — a whole chunk: one pre-flight, then
+        its :attr:`~IndexDomain.tiles` in order, partials folded with
+        ``op``.  ``add`` is one C call that leaves one pairwise-summed
+        partial per tile in a recycled slot; ``min``/``max`` (NumPy's
+        SIMD order for NaN and ``-0.0`` is not ours to transcribe) and
+        a host whose fold self-check failed run tile by tile through an
+        arena-leased lane buffer that NumPy folds."""
         _check_reduce(self.has_result, op)
         if domain.size == 0:
             return _REDUCE_IDENTITY[op]
-        if words is None:
-            words = self.preflight(domain, args)
-        # Per-lane values land in an arena-leased float64 buffer (raw
-        # pointer handed to C); the fold is NumPy's — same pairwise sum,
-        # same bits as the codegen/vector rungs.
+        words = self.preflight(domain, args)
+        if op == "add" and self._c_fold:
+            n, table, _ = domain.tile_words
+            slots = self._slots
+            try:
+                slot = slots.pop()
+            except IndexError:
+                slot = ()
+            if len(slot) < n:
+                slot = (ctypes.c_double * n)()
+            self._call(domain, words, slot, (n, table, self._c_fold))
+            value = slot[0] if n == 1 else fold_partials(op, slot[:n])
+            slots.append(slot)
+            return value
+        tiles = domain.tiles
+        if len(tiles) > 1:
+            arena = ChunkArena(arena)
+        return fold_partials(
+            op, [self._fold_lanes(tile, words, op, arena) for tile in tiles]
+        )
+
+    def _fold_lanes(self, tile: IndexDomain, words: list, op: str, arena) -> float:
+        """One tile through the lane buffer: per-lane values land in an
+        arena-leased float64 buffer (raw pointer handed to C) and the
+        fold is NumPy's — the codegen/vector rungs' own."""
         frame = _resolve_arena(arena).frame()
         try:
-            buf = frame.take(domain.shape, np.float64)
-            self._call(domain, words, buf)
-            return _fold_lanes(buf, domain.shape, op)
+            buf = frame.take(tile.shape, np.float64)
+            self._call(tile, words, _data_ptr(buf), _LANES)
+            return _fold_lanes(buf, tile.shape, op)
         finally:
             frame.release()
 
@@ -1031,6 +1218,44 @@ class NativeKernel:
         return (
             f"<NativeKernel ndim={self.ndim} arrays={len(self._arr_order)}>"
         )
+
+
+#: :func:`fold_in_c`'s answer for this process (``None``: not yet asked).
+_FOLD: Optional[int] = None
+
+
+def _fold_reference(values: np.ndarray) -> float:
+    return float(values.sum())
+
+
+def fold_in_c() -> int:
+    """Address of the shared C add-fold (:data:`_FOLD_SOURCE`), or 0
+    when add-reduces must not use it here.  The fold transcribes NumPy's
+    pairwise sum, whose order NumPy does not promise; so once per
+    process it is run against ``ndarray.sum()`` on fixed vectors (both
+    leaf shapes, two split levels, all ``-0.0``).  A mismatch — or a
+    check that cannot run — records one ``fold`` decline and every
+    add-reduce keeps the lane-buffer path."""
+    global _FOLD
+    if _FOLD is None:
+        k = np.array(range(1101), dtype=np.float64)
+        v = (k * 0.7 - 300.1) * 10.0 ** (k % 17 - 8)
+        addr = ctypes.c_int64()
+        try:
+            check = compile_source(_FOLD_SOURCE, "pyacc_fold_check")
+            check.restype = ctypes.c_double
+            check.argtypes = [ctypes.c_void_p, ctypes.c_int64, ctypes.c_void_p]
+            ok = all(
+                struct.pack("d", check(_data_ptr(vec), vec.size, ctypes.byref(addr)))
+                == struct.pack("d", _fold_reference(vec))
+                for vec in (v, v[:100], v[:7], np.full(9, -0.0))
+            )
+        except NativeCompileError:  # no verdict is a failed check
+            ok = False
+        if not ok:
+            record_decline("fold")
+        _FOLD = addr.value if ok else 0
+    return _FOLD
 
 
 def lower_native(trace: N.Trace, args: Sequence[Any]) -> NativeKernel:

@@ -43,6 +43,7 @@ from .nativecache import record_decline
 from .optimize import optimize_trace
 from .stats import TraceStats, analyze
 from .tracer import trace_kernel
+from .verify import LaunchRecords
 from .vectorizer import IndexDomain, execute_trace, fold_partials, reduce_trace
 
 __all__ = [
@@ -87,6 +88,10 @@ class CompiledKernel:
         The compiled C kernel (native modes only).  Every native kernel
         also carries its codegen program: a call that fails the native
         run-time pre-flight falls through to codegen silently.
+    launches:
+        This kernel's per-signature launch memo
+        (:class:`~repro.ir.verify.LaunchRecords`): diagnostics, staged
+        schedule and modeled cost, looked up once per launch.
     """
 
     fn: Callable
@@ -97,6 +102,10 @@ class CompiledKernel:
     fallback_reason: Optional[str] = None
     codegen: Optional[CodegenProgram] = None
     native: Optional[NativeKernel] = None
+    launches: LaunchRecords = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "launches", LaunchRecords(self.trace))
 
     @property
     def is_reduction(self) -> bool:
@@ -149,27 +158,23 @@ class CompiledKernel:
     ) -> float:
         """Execute as a ``parallel_reduce`` body over ``domain``.
 
-        Every trace-based rung reduces ``domain.tiles`` one by one and
-        the partials are folded with ``op`` in tile order, so the rungs
-        agree bitwise on domains of any size.
+        Every rung reduces ``domain.tiles`` one by one and the partials
+        are folded with ``op`` in tile order, so the rungs agree bitwise
+        on domains of any size.  The native kernel walks the tiles of
+        the whole chunk itself, behind one pre-flight.
         """
         if self.trace is None:
             return interpret_reduce(self.fn, domain, args, op)
-        program, native, words = self.codegen, self.native, None
-        if native is not None:
+        if self.native is not None:
             try:
-                # Once per chunk, before any tile has run.
-                words = native.preflight(domain, args)
+                return self.native.run_reduce(domain, args, op, arena)
             except NativeDeclined as exc:
+                # Raised by the pre-flight, before any tile has run.
                 record_decline(exc.reason)
-        tiles = domain.tiles
+        program, tiles = self.codegen, domain.tiles
         if len(tiles) > 1:
             arena = ChunkArena(arena)
-        if words is not None:
-            partials = [
-                native.run_reduce(tile, args, op, arena, words) for tile in tiles
-            ]
-        elif program is not None:
+        if program is not None:
             partials = [program.run_reduce(tile, args, op, arena) for tile in tiles]
         else:
             partials = [reduce_trace(self.trace, tile, args, op) for tile in tiles]

@@ -96,7 +96,7 @@ __all__ = [
 CACHE_ENV = "PYACC_COMPILE_CACHE"
 
 #: Payload format version — bump on any change to the entry layout.
-FORMAT = 3
+FORMAT = 4
 
 _OFF = {"off", "0", "none", "disabled"}
 
@@ -627,9 +627,9 @@ def _native_spec(nk) -> Optional[dict]:
 
 
 def _verify_entries(ck) -> list:
-    mem = list(getattr(ck, "_verify_cache", ()) or ())
-    disk = list(getattr(ck, "_verify_cache_disk", ()) or ())
-    return mem + disk
+    """``(signature, diagnostics)`` pairs: this process's verifications
+    plus the inherited ones it has not needed yet."""
+    return [*ck.launches.verified.items(), *ck.launches.disk.items()]
 
 
 def kernel_payload(ck, rung: str, meta: Optional[dict] = None) -> dict:
@@ -709,10 +709,7 @@ def rebuild_kernel(payload: dict, fn: Callable):
         return None
     if payload.get("native_decline"):
         object.__setattr__(ck, "_native_decline", payload["native_decline"])
-    if payload.get("verify"):
-        object.__setattr__(
-            ck, "_verify_cache_disk", list(payload["verify"])
-        )
+    ck.launches.disk.update(payload.get("verify") or ())
     return ck
 
 

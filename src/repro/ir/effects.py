@@ -7,7 +7,7 @@ the pass.  An :class:`EffectsSummary` condenses one staged
 array argument, derived from the same guard-refined index-distance
 lattice the kernel verifier uses (:func:`repro.ir.verify.
 abstract_accesses`), plus storage-id read/write sets consistent with
-:func:`repro.core.api.plan_written_ids`.
+:meth:`repro.ir.verify.LaunchRecords.written_ids`.
 
 The summaries are the shared foundation for:
 
@@ -101,8 +101,8 @@ class EffectsSummary:
     ``arrays`` holds one :class:`ArrayEffect` per accessed array
     argument position; the ``*_ids`` sets are storage ids (``id()`` of
     the resolved ndarray), the same key space as
-    :func:`repro.core.api.plan_written_ids` and the write-version table
-    (:mod:`repro.ir.writes`).  ``opaque`` plans (no trace) read and
+    :meth:`repro.ir.verify.LaunchRecords.written_ids` and the
+    write-version table (:mod:`repro.ir.writes`).  ``opaque`` plans (no trace) read and
     write everything.
     """
 

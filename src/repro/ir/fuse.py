@@ -360,5 +360,5 @@ def _attach(
     fused.policy = a.policy
     fused.arena = a.arena
     fused.kernel = kernel
-    fused.schedule = fused.backend.schedule(fused)
+    fused.backend.stage(fused)
     return fused

@@ -28,10 +28,12 @@ pass pipeline optimizes, see :mod:`repro.ir.program`)::
 captures a CG-style iteration body, prints its dataflow graph before
 fusion runs, then the fused program with the pass trail.
 
-``python -m repro.ir.inspect --native`` compiles the CG matvec and LBM
-collide kernels under the native executor and prints the generated C
-translation unit side by side with the codegen tier's NumPy source —
-the two artifacts the differential suite holds bit-identical.
+``python -m repro.ir.inspect --native`` compiles the CG matvec, the
+LBM collide, a scatter and the BLAS dot kernel under the native executor
+and prints, per kernel, its loop nests and single-loop licence, which
+fold a reduce uses, and the generated C translation unit side by side
+with the codegen tier's NumPy source — the two artifacts the
+differential suite holds bit-identical.
 """
 
 from __future__ import annotations
@@ -330,7 +332,8 @@ def _demo_permute_kernel(i, y, z, p, x):
 def _native_loops_report(ck: CompiledKernel, args) -> str:
     """How many loop nests the native lowering of ``ck`` has and why:
     whether the single-loop licence (see :mod:`repro.ir.cgen`) was
-    needed, granted, or refused — with the verifier's reason."""
+    needed, granted, or refused — with the verifier's reason — and, for
+    a reduce kernel, where its values are folded."""
     from .cgen import _NativeLowering, _partition_groups
 
     nk = ck.native
@@ -342,11 +345,20 @@ def _native_loops_report(ck: CompiledKernel, args) -> str:
             "granted: lanes proven independent; re-proven per call on "
             f"(box, shapes, scalar args {list(nk._lane_scalars)})"
         )
-    elif len(_partition_groups(ck.trace)) == 1:
+    elif len(_partition_groups(ck.trace)) <= 1:
         verdict = "not needed: one store group"
     else:
         verdict = "refused: " + str(_NativeLowering(ck.trace, args).lane_refusal())
-    return f"  loop nests: {nests}; single-loop licence {verdict}"
+    report = f"  loop nests: {nests}; single-loop licence {verdict}"
+    if nk.has_result:
+        add = (
+            "C pairwise sum, one partial per tile, no lane buffer"
+            if nk._c_fold
+            else "NumPy over a tile-sized lane buffer (`fold` declined: the "
+            "C sum's self-check against ndarray.sum() failed on this host)"
+        )
+        report += f"\n  reduce fold: add = {add}; min/max = NumPy over a tile-sized lane buffer"
+    return report
 
 
 def _demo_native_describe() -> str:
@@ -356,7 +368,7 @@ def _demo_native_describe() -> str:
     NumPy source."""
     import numpy as np
 
-    from ..apps import cg, lbm
+    from ..apps import blas, cg, lbm
     from .compile import compile_kernel
 
     out = []
@@ -397,9 +409,11 @@ def _demo_native_describe() -> str:
             1,
             (np.zeros(n), np.zeros(n), rng.permutation(n), rng.random(n)),
         ),
+        ("blas.dot_kernel_1d", blas.dot_kernel_1d, 1, (rng.random(n), rng.random(n))),
     ]
     for name, fn, ndim, args in probes:
-        ck = compile_kernel(fn, ndim, args, executor="native")
+        reduce = fn is blas.dot_kernel_1d
+        ck = compile_kernel(fn, ndim, args, reduce=reduce, executor="native")
         out.append(f"=== {name} (mode: {ck.mode}) ===")
         if ck.fallback_reason:
             out.append(f"  fallback trail: {ck.fallback_reason}")
@@ -434,10 +448,11 @@ def main(argv=None) -> int:
     parser.add_argument(
         "--native",
         action="store_true",
-        help="compile the CG matvec, LBM collide and a scatter kernel on "
-        "the native executor; print each one's loop-nest count and "
-        "single-loop licence (granted / refused and why) and dump the "
-        "generated C next to the codegen NumPy source",
+        help="compile the CG matvec, LBM collide, a scatter and a dot "
+        "kernel on the native executor; print each one's loop-nest count "
+        "and single-loop licence (granted / refused and why), which fold "
+        "a reduce uses, and dump the generated C next to the codegen "
+        "NumPy source",
     )
     parser.add_argument(
         "--passes",

@@ -55,6 +55,7 @@ __all__ = [
     "compile_source",
     "record_decline",
     "record_single_loop",
+    "record_c_fold",
     "native_stats",
     "reset_state",
 ]
@@ -82,7 +83,7 @@ class NativeCompileError(Exception):
 
 _STATS = Counters(
     "native",
-    ("compiled", "disk_hits", "mem_hits", "bytes", "single_loop"),
+    ("compiled", "disk_hits", "mem_hits", "bytes", "single_loop", "c_fold"),
     keyed=("declined",),
 )
 register(_STATS)
@@ -107,6 +108,11 @@ def record_single_loop() -> None:
     """Count one kernel built as a single loop nest under the
     lane-independence licence."""
     _STATS.bump("single_loop")
+
+
+def record_c_fold() -> None:
+    """Count one reduce kernel built to fold its add-reduces in C."""
+    _STATS.bump("c_fold")
 
 
 def native_stats() -> dict:
@@ -195,13 +201,15 @@ def source_key(source: str, cc: str) -> str:
 # ---------------------------------------------------------------------------
 
 
-def _load(so_path: Path) -> ctypes.CDLL:
+def _load(so_path: Path, symbol: str) -> ctypes.CDLL:
     lib = ctypes.CDLL(str(so_path))
-    fn = lib.pyacc_kernel  # raises AttributeError if the artifact is junk
-    # ``int64_t pyacc_kernel(const int64_t *w, double *out)``: ``w`` is
-    # the packed ``bytes`` of one call, ``out`` a raw address or NULL.
-    fn.restype = ctypes.c_int64
-    fn.argtypes = [ctypes.c_char_p, ctypes.c_void_p]
+    fn = getattr(lib, symbol)  # raises AttributeError if the artifact is junk
+    if symbol == "pyacc_kernel":
+        # ``int64_t pyacc_kernel(const int64_t *w, double *out)``: ``w``
+        # is the packed ``bytes`` of one call, ``out`` a raw address, a
+        # ctypes buffer or NULL.
+        fn.restype = ctypes.c_int64
+        fn.argtypes = [ctypes.c_char_p, ctypes.c_void_p]
     return lib
 
 
@@ -251,8 +259,9 @@ def _compile_to_disk(cc: str, source: str, key: str, cdir: Path) -> Path:
     return so_path
 
 
-def compile_source(source: str):
-    """Source → loaded ``pyacc_kernel`` ctypes function.
+def compile_source(source: str, symbol: str = "pyacc_kernel"):
+    """Source → loaded ctypes function ``symbol`` (a kernel's entry
+    point; the caller declares the signature of any other symbol).
 
     Ladder: in-memory handle (``mem_hits``) → on-disk artifact
     (``disk_hits``) → compiler invocation (``compiled``).  A corrupted
@@ -273,15 +282,15 @@ def compile_source(source: str):
         lib = _MEM.get(key)
     if lib is not None:
         _STATS.bump("mem_hits")
-        return lib.pyacc_kernel
+        return getattr(lib, symbol)
     so_path = cdir / f"{key}.so"
     if so_path.exists():
         try:
-            lib = _load(so_path)
+            lib = _load(so_path, symbol)
             _STATS.bump("disk_hits")
             with _LOCK:
                 _MEM[key] = lib
-            return lib.pyacc_kernel
+            return getattr(lib, symbol)
         except (OSError, AttributeError):
             # Corrupted/stale artifact: drop it and fall through to a
             # fresh compile (counted once, below).
@@ -293,9 +302,9 @@ def compile_source(source: str):
     except OSError as exc:  # unwritable cache dir etc.
         raise NativeCompileError("compile-failed", str(exc)) from exc
     try:
-        lib = _load(so_path)
+        lib = _load(so_path, symbol)
     except (OSError, AttributeError) as exc:
         raise NativeCompileError("load-failed", str(exc)) from exc
     with _LOCK:
         _MEM[key] = lib
-    return lib.pyacc_kernel
+    return getattr(lib, symbol)

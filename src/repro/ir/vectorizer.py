@@ -61,14 +61,25 @@ TILE_LANES = 1 << 16
 class IndexDomain:
     """An axis-aligned sub-box of the launch domain.
 
-    ``ranges`` holds ``(lo, hi)`` per axis (half-open); ``shape`` is the
-    dense shape of the box.  Construction is O(1) in lanes: the
+    ``ranges`` holds ``(lo, hi)`` per axis (half-open), ``bounds`` the
+    same numbers flat (the native call ABI's leading words); ``shape``
+    is the dense shape of the box.  Construction is O(1) in lanes: the
     broadcast-ready index arrays (``grids``) and the cache-sized
-    sub-boxes every trace-based executor rung actually runs (``tiles``)
-    are built on first read and cached on the instance.
+    sub-boxes every trace-based executor rung actually runs (``tiles``,
+    and their packed form ``tile_words``) are built on first read and
+    cached on the instance.
     """
 
-    __slots__ = ("ranges", "shape", "size", "zero_based", "_grids", "_tiles")
+    __slots__ = (
+        "ranges",
+        "bounds",
+        "shape",
+        "size",
+        "zero_based",
+        "_grids",
+        "_tiles",
+        "_tile_words",
+    )
 
     def __init__(self, ranges: Sequence[tuple[int, int]]):
         if not 1 <= len(ranges) <= 3:
@@ -79,11 +90,13 @@ class IndexDomain:
         for lo, hi in self.ranges:
             if hi < lo:
                 raise KernelExecutionError(f"empty/negative axis range {lo}..{hi}")
+        self.bounds = tuple(b for lo_hi in self.ranges for b in lo_hi)
         self.shape = tuple(hi - lo for lo, hi in self.ranges)
         self.size = math.prod(self.shape)
         self.zero_based = all(lo == 0 for lo, _ in self.ranges)
         self._grids = None
         self._tiles = None
+        self._tile_words = None
 
     @classmethod
     def of(cls, ranges: Sequence[tuple[int, int]]) -> "IndexDomain":
@@ -145,6 +158,24 @@ class IndexDomain:
                 (self,) if self.size <= TILE_LANES else tuple(self._cut())
             )
         return tiles
+
+    @property
+    def tile_words(self) -> tuple:
+        """``(tile count, address of the tiles' bounds, keep-alive)`` —
+        the two words a native add-reduce walks :attr:`tiles` by.  The
+        table is one int64 row of ``bounds`` per tile; a box that is its
+        own single tile passes address 0 and the kernel reads the call's
+        own bounds instead."""
+        tw = self._tile_words
+        if tw is None:
+            tiles = self.tiles
+            if len(tiles) == 1:
+                tw = (1, 0, None)
+            else:
+                table = np.array([t.bounds for t in tiles], dtype=np.int64)
+                tw = (len(tiles), table.ctypes.data, table)
+            self._tile_words = tw
+        return tw
 
     def _cut(self):
         """Blocks of whole leading-axis rows; a single row wider than a

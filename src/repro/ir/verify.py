@@ -45,7 +45,7 @@ from __future__ import annotations
 import math
 import numbers
 import warnings
-from typing import Any, Optional, Sequence
+from typing import Any, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -821,26 +821,29 @@ def consumed_scalars(trace: N.Trace) -> tuple[int, ...]:
     condition — the only expressions the affine abstraction is applied
     to.  Two launches that agree on these values (and on box and
     shapes) get the same verdict, whatever the other scalars hold."""
+
+    def reachable(stack: list) -> Iterator[N.Node]:
+        # One walk over the DAG: CSE-shared nodes are visited once.
+        seen: set[int] = set()
+        while stack:
+            nd = stack.pop()
+            if id(nd) not in seen:
+                seen.add(id(nd))
+                yield nd
+                stack.extend(nd.children)
+
     roots: list[N.Node] = []
     for st in trace.stores:
         roots += st.indices
         if st.condition is not None:
             roots.append(st.condition)
-    for root in trace.expressions():
-        for nd in N.walk(root):
-            if isinstance(nd, N.Load):
-                roots += nd.indices
-            elif isinstance(nd, N.Select):
-                roots.append(nd.cond)
+    for nd in reachable(list(trace.expressions())):
+        if isinstance(nd, N.Load):
+            roots += nd.indices
+        elif isinstance(nd, N.Select):
+            roots.append(nd.cond)
     return tuple(
-        sorted(
-            {
-                nd.pos
-                for root in roots
-                for nd in N.walk(root)
-                if isinstance(nd, N.ScalarArg)
-            }
-        )
+        sorted({nd.pos for nd in reachable(roots) if isinstance(nd, N.ScalarArg)})
     )
 
 
@@ -875,9 +878,6 @@ def lane_conflict(
     return v.lane_conflict()
 
 
-_MISSING = object()
-
-
 def _args_env(args: Sequence[Any]) -> tuple[dict, dict]:
     shapes: dict[int, tuple] = {}
     scalars: dict[int, Any] = {}
@@ -891,21 +891,88 @@ def _args_env(args: Sequence[Any]) -> tuple[dict, dict]:
     return shapes, scalars
 
 
-def _verify_cached(kernel, dims, args, op) -> tuple[tuple, bool]:
-    """Verify a :class:`~repro.ir.compile.CompiledKernel`, memoized.
+class LaunchRecords:
+    """One compiled kernel's memo of everything that is a pure function
+    of a launch *signature* — ``(dims, argument shapes, op, consumed
+    scalar values)`` — rather than of the launch.
 
-    The cache key is ``(dims, shapes, op)`` plus the values of only the
-    scalar arguments the analysis actually consumed — so an ``alpha``
-    that never reaches an index or guard does not force re-verification
-    every iteration of a solver loop.  Returns ``(diagnostics, fresh)``.
+    ``verified`` maps a signature to its diagnostics (``disk`` holds
+    the entries an earlier process published, promoted on first match);
+    ``records`` maps ``(signature, backend token, schedule epoch, verify
+    mode)`` to the staged :class:`~repro.core.plan.LaunchRecord` that
+    :meth:`repro.core.backend.Backend.stage` builds once and every later
+    launch of that signature reuses.  The scalars in a signature are
+    those whose values the analysis can read (:func:`consumed_scalars` —
+    so an ``alpha`` that never reaches an index or guard neither
+    re-verifies nor re-stages a solver loop).
     """
-    name = getattr(kernel.fn, "__name__", repr(kernel.fn))
+
+    __slots__ = ("_trace", "_static", "verified", "disk", "records")
+
+    #: Bound on ``records`` and ``verified`` each — a backstop for a
+    #: sweep over sizes or a NaN-valued guard scalar (never equal to
+    #: itself, so never a hit), not a tuning knob.
+    MAX = 256
+
+    def __init__(self, trace: Optional[N.Trace]):
+        self._trace = trace
+        self._static: Optional[tuple] = None
+        self.verified: dict = {}
+        self.disk: dict = {}
+        self.records: dict = {}
+
+    def _positions(self) -> tuple:
+        """``(consumed scalar positions, written array positions)`` —
+        ``None`` for an interpreter-tier kernel, which may write any
+        array — walked out of the trace at the first launch (a kernel
+        that is only ever replayed never asks)."""
+        static, trace = self._static, self._trace
+        if static is None:
+            if trace is None:
+                static = ((), None)
+            else:
+                static = (
+                    consumed_scalars(trace),
+                    tuple(dict.fromkeys(st.array.pos for st in trace.stores)),
+                )
+            self._static = static
+        return static
+
+    def signature(self, dims: tuple, args: Sequence[Any], op: Optional[str]) -> tuple:
+        scalars = (self._static or self._positions())[0]
+        return (
+            dims,
+            tuple([getattr(a, "shape", None) for a in args]),
+            op,
+            tuple([args[pos] for pos in scalars]) if scalars else (),
+        )
+
+    def written_ids(self, args: Sequence[Any]) -> tuple:
+        """Storage ids of the arrays a launch over ``args`` stores to
+        (every ndarray for an interpreter-tier kernel) — the key space
+        of :mod:`repro.ir.writes`."""
+        written = (self._static or self._positions())[1]
+        if written is None:
+            return tuple([id(a) for a in args if isinstance(a, np.ndarray)])
+        return tuple(map(id, map(args.__getitem__, written)))
+
+    def remember(self, memo: dict, key: tuple, value: Any) -> Any:
+        if len(memo) >= self.MAX:
+            memo.clear()
+        memo[key] = value
+        return value
+
+
+def _verify_cached(kernel, dims, args, op) -> tuple[tuple, bool]:
+    """Verify a :class:`~repro.ir.compile.CompiledKernel`, memoized per
+    launch signature on ``kernel.launches``.  Returns ``(diagnostics,
+    fresh)``."""
     if kernel.trace is None:
         diags = (
             Diagnostic(
                 rule="V901",
                 severity="info",
-                kernel=name,
+                kernel=getattr(kernel.fn, "__name__", repr(kernel.fn)),
                 message=(
                     "kernel runs on the interpreter tier "
                     f"({kernel.fallback_reason or 'no trace'}); static "
@@ -914,62 +981,36 @@ def _verify_cached(kernel, dims, args, op) -> tuple[tuple, bool]:
             ),
         )
         return diags, False
-    # The hit path runs on every launch: shapes only — the scalar
-    # environment is built when an entry actually consumed a scalar.
-    base = (
-        tuple(dims),
-        tuple([(p, a.shape) for p, a in enumerate(args) if isinstance(a, np.ndarray)]),
-        op,
-    )
-    cache = getattr(kernel, "_verify_cache", None)
-    if cache is None:
-        cache = []
-        object.__setattr__(kernel, "_verify_cache", cache)
-    scalars = None
-    for entry_base, used_values, diags in cache:
-        if entry_base != base:
-            continue
-        if used_values and scalars is None:
-            scalars = _args_env(args)[1]
-        if all(scalars.get(pos, _MISSING) == value for pos, value in used_values):
-            return diags, False
-    shapes, scalars = _args_env(args)
+    launches = kernel.launches
+    sig = launches.signature(tuple(dims), args, op)
+    diags = launches.verified.get(sig)
+    if diags is not None:
+        return diags, False
     # Persistent tier: diagnostics memoized by an earlier process travel
     # with the kernel's disk entry.  A match is promoted into the live
     # memo and reported as *fresh* — the counters tick and warn-mode
     # warns once, exactly as a cold verification would — but the
     # analysis itself is skipped.
-    disk = getattr(kernel, "_verify_cache_disk", None)
-    if disk:
-        for entry in list(disk):
-            entry_base, used_values, diags = entry
-            if entry_base == base and all(
-                scalars.get(pos, _MISSING) == value
-                for pos, value in used_values
-            ):
-                disk.remove(entry)
-                cache.append(entry)
-                counters.record(diags)
-                return diags, True
+    diags = launches.disk.pop(sig, None)
+    if diags is not None:
+        counters.record(diags)
+        return launches.remember(launches.verified, sig, diags), True
     from . import compilecache
 
     compilecache.record_verify_run()
-    found, used = verify_trace(
+    shapes, scalars = _args_env(args)
+    found, _ = verify_trace(
         kernel.trace,
         dims=tuple(dims),
         shapes=shapes,
         scalars=scalars,
         op=op,
-        kernel=name,
+        kernel=getattr(kernel.fn, "__name__", repr(kernel.fn)),
     )
     suppressed = set(getattr(kernel.fn, "__verify_suppress__", ()))
     if suppressed:
         found = [d for d in found if d.rule not in suppressed]
-    diags = tuple(found)
-    used_values = tuple(
-        (pos, scalars[pos]) for pos in sorted(used) if pos in scalars
-    )
-    cache.append((base, used_values, diags))
+    diags = launches.remember(launches.verified, sig, tuple(found))
     counters.record(diags)
     # Write-back: republish the kernel's disk entry so warm processes
     # inherit this verification instead of re-running it.

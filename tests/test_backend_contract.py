@@ -142,6 +142,12 @@ class TestExecuteSeam:
         site = OWN_SITE[name]
         n = 1 << 16  # above the threads and cluster inline cutoffs
         y = np.random.default_rng(7).standard_normal(n)
+        if name == "serial":
+            # serial's only probe is the arena frame beneath it, which the
+            # codegen rung opens (a native add-reduce leases nothing).
+            monkeypatch.setattr(
+                repro.core.preferences.MODES["executor"], "_active", "codegen"
+            )
 
         def run(fault_plan):
             backend = create_backend(name)

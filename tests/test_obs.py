@@ -141,6 +141,7 @@ CACHE_INFO_SHAPE = {
         "mem_hits": "int",
         "bytes": "int",
         "single_loop": "int",  # added by the lane licence (ISSUE 21)
+        "c_fold": "int",  # added by the C add-fold (ISSUE 23)
         "declined": {},
     },
     "disk": {
@@ -234,7 +235,7 @@ class TestPublicShapes:
         reset_state(drop_memory=False, drop_counters=True)
         assert native_stats() == {
             "compiled": 0, "disk_hits": 0, "mem_hits": 0, "bytes": 0,
-            "single_loop": 0, "declined": {},
+            "single_loop": 0, "c_fold": 0, "declined": {},
         }
 
 

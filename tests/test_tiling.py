@@ -455,6 +455,9 @@ class TestChunkScratch:
     def test_arena_bytes_independent_of_lanes(self):
         n = 1 << 22
         backend = ThreadsBackend(n_threads=2)
+        # The rung that leases scratch: a native AXPY has no temporaries
+        # and a native add-reduce folds in C.
+        set_executor_mode("codegen")
         with repro.use_backend(backend) as ctx:
             x, y = repro.array(np.zeros(n)), repro.array(np.ones(n))
             axpy_ck = compile_kernel(axpy, 1, [1.0, x, y])
