@@ -22,6 +22,15 @@ trace = compile_kernel(lbm.lbm_kernel, 2, args, executor="codegen").trace
 print(_NativeLowering(trace, args).lower()["source"].count("for (int64_t i0 "))
 EOF
 }
+# Parsed, not imported: counting needs no numpy.
+fault_sites() {
+  python - <<'EOF'
+import ast
+tree = ast.parse(open("src/repro/faults.py").read())
+print(next(len(n.value.elts) for n in tree.body if isinstance(n, ast.Assign)
+           and any(getattr(t, "id", None) == "FAULT_SITES" for t in n.targets)))
+EOF
+}
 knobs=$(grep -rhoE --include='*.py' 'PYACC_[A-Z_]+' src | sort -u)
 
 echo "### Size report"
@@ -33,6 +42,8 @@ echo "| \`tests\` lines (*.py) | $(lines tests) |"
 echo "| \`PYACC_*\` names in \`src\` | $(echo "$knobs" | wc -l) |"
 echo "| \`threading.Lock()\` sites in \`src\` | $(grep -rF --include='*.py' 'threading.Lock()' src | wc -l) |"
 echo "| \`retry_transients(\` sites in \`src\` (the seam's call + the definition) | $(grep -rF --include='*.py' 'retry_transients(' src | wc -l) |"
+echo "| \`FAULT_SITES\` entries | $(fault_sites) |"
+echo "| \`benchmarks/bench_*.py\` lines / \`BENCH_*.json\` files | $(cat benchmarks/bench_*.py | wc -l) / $(ls BENCH_*.json | wc -l) |"
 echo "| loop nests in \`lbm_kernel\`'s native lowering (1 = the single-loop licence holds) | $(lbm_nests) |"
 echo "| Python calls pinned per warm \`parallel_for\` / \`parallel_reduce\` / one-node replay (\`TestHotPathBudget\`) | $(sed -n 's/^ *PINNED = (\(.*\))$/\1/p' tests/test_api.py) |"
 echo

@@ -33,27 +33,11 @@ Sharding model
   (module-level functions pickle as a name); kernels that cannot be
   pickled (closures, lambdas) run inline in the parent, recorded in
   :func:`cluster_stats`.
-
-Halo exchange
--------------
-``schedule()`` derives a :class:`HaloSchedule` from the verifier's
-per-access affine lattice (:func:`repro.ir.verify.abstract_accesses`)
-— *not* the guard-refined global read region, which boundary guards
-like ``0 < i < n-1`` clip back to the array and thereby erase the
-stencil offsets.  A load whose leading array axis is the identity form
-``i0 + c`` contributes offset ``c``, so ``a[i-1]``/``a[i+1]`` on a
-leading-axis-aligned array becomes one
-bounded edge slab per interior chunk boundary (heat3d: width 1), while
-reads the affine lattice cannot align with the shard axis (the flat
-D2Q9 LBM arrays, gathers) are classified *replicated* — the whole
-array is charged to every non-owning shard.  Because shards map shared
-segments, the exchange is a schedule — bytes that would move on a
-distributed-memory node — plus a fault-injection seam
-(``cluster.halo``), not a physical copy; the byte accounting in
-``cache_info()["cluster"]`` is the honest cost model.  The schedule is
-computed once per captured plan and replayed with the plan (graph
-replays rebind scalars only), observable as ``halo_plans`` staying flat
-while ``halo_exchanges`` grows.
+* The shard split is the threads backend's
+  (:func:`repro.core.launch.cpu_schedule` over the live worker count),
+  and reduce partials fold with the one left-to-right
+  :func:`~repro.ir.vectorizer.fold_partials` every CPU backend uses, so
+  an ``n``-worker cluster reduce is bitwise an ``n``-thread one.
 
 Supervision and elastic recovery
 --------------------------------
@@ -69,9 +53,9 @@ the existing taxonomy:
   worker, per :class:`~repro.faults.LaunchPolicy`;
 * dead/unresponsive process → :class:`~repro.core.exceptions.WorkerLostError`
   handling: the worker leaves the dispatch set, a respawn is attempted
-  (elastic rejoin, budgeted), and the shard's unprocessed rows are
-  rebalanced over the survivors mid-plan, exactly like the
-  multi-device backend's lost-device path;
+  (elastic rejoin, budgeted), and the lost shard's span goes back on
+  the queue whole, to be dispatched to a survivor mid-plan — the
+  multi-device backend's lost-device path, at shard granularity;
 * all workers lost with the respawn budget spent →
   ``PermanentDeviceError`` escapes to the dispatch ladder, which demotes
   cluster → threads → serial (:func:`repro.faults.demote_backend`).
@@ -104,20 +88,17 @@ from ..core.exceptions import (
     PermanentDeviceError,
     WorkerLostError,
 )
-from ..core.launch import chunk_domains, cpu_chunks, usable_cpus
-from ..core.plan import LaunchPlan, LaunchSchedule
+from ..core.launch import LaunchSchedule, cpu_schedule, usable_cpus
+from ..core.plan import LaunchPlan
 from ..ir.arena import ScratchArena
 from ..ir.compile import compile_kernel
 from ..ir.compilecache import enter_worker_mode, promote_spools
-from ..ir.verify import _args_env, abstract_accesses
 from ..ir.vectorizer import IndexDomain, fold_partials
 from .registry import CLUSTER_COUNTERS as _COUNTERS
 from .registry import cluster_stats, reset_cluster_stats
 
 __all__ = [
     "ClusterBackend",
-    "HaloSchedule",
-    "HaloSlab",
     "cluster_stats",
     "reset_cluster_stats",
     "default_num_workers",
@@ -576,158 +557,6 @@ class ClusterSupervisor:
 
 
 # ---------------------------------------------------------------------------
-# Halo schedule
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class HaloSlab:
-    """Bytes one shard needs from rows it does not own, for one array.
-
-    ``kind`` is ``"edge"`` (leading-axis-aligned stencil read: ``rows``
-    boundary rows on each applicable side) or ``"replicated"`` (the
-    effects lattice could not align the read with the shard axis — the
-    whole non-owned remainder is charged, the honest upper bound).
-    """
-
-    chunk: int
-    pos: int
-    kind: str
-    rows: int
-    nbytes: int
-
-
-@dataclass(frozen=True)
-class HaloSchedule:
-    """The per-plan exchange schedule: one slab per (chunk, read array)
-    needing non-owned data.  Computed once at schedule time, replayed
-    with the plan."""
-
-    slabs: tuple
-    nbytes: int
-
-    @property
-    def n_slabs(self) -> int:
-        return len(self.slabs)
-
-
-def _stencil_offsets(plan: LaunchPlan) -> dict:
-    """Per read-array position: the leading-axis stencil offsets.
-
-    Walks the verifier's raw access records and, for every *load*,
-    checks whether the array's leading axis is indexed by the identity
-    form ``i0 + c`` (coefficient 1 on launch axis 0, 0 elsewhere).  The
-    guard-refined global read region is useless here: a boundary guard
-    such as ``0 < i < n-1`` clips the union back inside the array, so
-    the ``±1`` of a stencil vanishes from the region but survives in
-    the per-access constants.
-
-    Returns ``{pos: [c, ...]}``; a position maps to ``None`` when any
-    of its loads is unaligned (non-affine leading index, non-unit
-    coefficient, or cross-axis dependence) — the replicated class.
-    """
-    offsets: dict[int, Optional[list]] = {}
-    try:
-        shapes, scalars = _args_env(plan.resolved_args)
-        accesses = abstract_accesses(
-            plan.kernel.trace,
-            dims=tuple(plan.dims),
-            shapes=shapes,
-            scalars=scalars,
-            kernel=getattr(plan.fn, "__name__", "<kernel>"),
-        )
-    except Exception:  # pragma: no cover - analysis must never break dispatch
-        return {}
-    for acc in accesses:
-        if acc.kind != "load":
-            continue
-        pos = acc.array.pos
-        form0 = acc.forms[0] if acc.forms else None
-        const = getattr(form0, "const", None)
-        aligned = (
-            form0 is not None
-            and len(form0.coeffs) >= 1
-            and form0.coeffs[0] == 1
-            and all(c == 0 for c in form0.coeffs[1:])
-            and isinstance(const, (int, np.integer))
-        )
-        if not aligned:
-            offsets[pos] = None
-        elif offsets.get(pos, []) is not None:
-            offsets.setdefault(pos, []).append(int(const))
-    return offsets
-
-
-def _halo_schedule(plan: LaunchPlan, chunks: list[tuple[int, int]]) -> HaloSchedule:
-    """Derive the exchange schedule from the per-access affine forms."""
-    dims0 = plan.dims[0]
-    slabs: list[HaloSlab] = []
-    stencil = _stencil_offsets(plan)
-    for pos, consts in sorted(stencil.items()):
-        arr = (
-            plan.resolved_args[pos]
-            if plan.resolved_args and pos < len(plan.resolved_args)
-            else None
-        )
-        if not isinstance(arr, np.ndarray) or arr.size == 0:
-            continue
-        aligned = (
-            consts is not None and arr.ndim >= 1 and arr.shape[0] == dims0
-        )
-        if aligned:
-            lo_off = max(0, -min(consts))
-            hi_off = max(0, max(consts))
-            if lo_off == 0 and hi_off == 0:
-                continue  # interior reads only — no exchange
-            if lo_off >= dims0 or hi_off >= dims0:
-                aligned = False  # wider than the domain: replicate
-        if aligned:
-            row_bytes = arr.nbytes // dims0
-            for ci, (lo, hi) in enumerate(chunks):
-                if hi <= lo:
-                    continue
-                rows = min(lo_off, lo) + min(hi_off, dims0 - hi)
-                if rows == 0:
-                    continue
-                slabs.append(
-                    HaloSlab(
-                        chunk=ci,
-                        pos=pos,
-                        kind="edge",
-                        rows=rows,
-                        nbytes=rows * row_bytes,
-                    )
-                )
-        else:
-            _COUNTERS.bump("replicated_arrays")
-            n_chunks = sum(1 for lo, hi in chunks if hi > lo)
-            if n_chunks <= 1:
-                continue
-            share = arr.nbytes // n_chunks
-            for ci, (lo, hi) in enumerate(chunks):
-                if hi <= lo:
-                    continue
-                slabs.append(
-                    HaloSlab(
-                        chunk=ci,
-                        pos=pos,
-                        kind="replicated",
-                        rows=hi - lo,
-                        nbytes=arr.nbytes - share,
-                    )
-                )
-    _COUNTERS.bump("halo_plans")
-    return HaloSchedule(
-        slabs=tuple(slabs), nbytes=sum(s.nbytes for s in slabs)
-    )
-
-
-def _move_slab(slab: HaloSlab) -> None:
-    """The guarded work of one exchange: shards map shared segments, so
-    nothing moves (a distributed-memory build copies ``slab.nbytes``)."""
-
-
-# ---------------------------------------------------------------------------
 # The backend
 # ---------------------------------------------------------------------------
 
@@ -840,28 +669,11 @@ class ClusterBackend(Backend):
         return self._supervisor.epoch
 
     def schedule(self, plan: LaunchPlan) -> LaunchSchedule:
-        """Record the shard split (and its halo schedule) for one plan.
-
-        Inline when sharding cannot pay: a sub-``min_parallel_size``
-        domain (process dispatch costs far more than a thread handoff),
-        an interpreter-tier kernel (closures over Python state do not
-        cross processes), or a single-worker set.
-        """
-        dims = plan.dims
-        width = self._target_width()
-        if (
-            width <= 1
-            or plan.lanes < self.min_parallel_size
-            or plan.kernel is None
-            or plan.kernel.trace is None
-        ):
-            return LaunchSchedule(domains=(IndexDomain.full(dims),), inline=True)
-        chunks = cpu_chunks(dims, width)
-        return LaunchSchedule(
-            domains=tuple(chunk_domains(dims, chunks)),
-            inline=False,
-            halo=_halo_schedule(plan, chunks),
-        )
+        """The shard split over the live workers (:func:`cpu_schedule`;
+        the default ``min_parallel_size`` is higher than the threads
+        backend's because a process dispatch costs far more than a
+        thread handoff)."""
+        return cpu_schedule(plan, self._target_width(), self.min_parallel_size)
 
     # -- argument shipping -------------------------------------------------
     def _segment_for(self, arr: np.ndarray) -> tuple[Optional[_Segment], bool]:
@@ -947,29 +759,6 @@ class ClusterBackend(Backend):
         except Exception:
             pass
         return shipped
-
-    # -- halo --------------------------------------------------------------
-    def _exchange_halos(self, plan: LaunchPlan, halo: HaloSchedule, fplan):
-        """Account (and fault-probe) the exchange the shard split needs.
-
-        Shards map shared segments, so no physical copy moves — the
-        schedule is the byte-exact cost model of the exchange a
-        distributed-memory run would perform, and ``cluster.halo`` is
-        its injection seam.  Probes happen before any shard dispatches:
-        a transient retries the (idempotent) exchange, a permanent
-        escapes to the dispatch ladder before any shard ran.
-        """
-        if not halo.slabs:
-            return
-        if fplan is not None:
-            base = fplan.next_ordinal("cluster.halo", len(halo.slabs))
-            for k, slab in enumerate(halo.slabs):
-                _faults.guarded(
-                    fplan, "cluster.halo", plan, _move_slab, slab,
-                    ordinal=base + k,
-                )
-        _COUNTERS.bump("halo_exchanges", len(halo.slabs))
-        _COUNTERS.bump("halo_bytes", halo.nbytes)
 
     # -- execution ---------------------------------------------------------
     def _run_inline(self, plan: LaunchPlan, fplan) -> Optional[float]:
@@ -1094,11 +883,13 @@ class ClusterBackend(Backend):
     ) -> list[tuple[int, Optional[float]]]:
         """Dispatch row spans over the worker set until all rows ran.
 
-        Round 1 follows the recorded schedule; a lost worker's span goes
-        back on the queue and later rounds rebalance it over the
-        survivors — the :class:`MultiDeviceBackend` recovery shape,
-        lifted to processes.  Raises ``PermanentDeviceError`` when no
-        worker remains (the dispatch ladder then demotes the backend).
+        Each round sends one queued span per live worker (extras wait
+        for the next round); a lost worker's span goes back on the
+        queue whole, so later rounds hand it to a survivor — the
+        :class:`MultiDeviceBackend` recovery shape, lifted to processes
+        — and the partials always cover the recorded shard split.
+        Raises ``PermanentDeviceError`` when no worker remains (the
+        dispatch ladder then demotes the backend).
         """
         sup = self._supervisor
         remaining: list[tuple[int, int]] = [
@@ -1106,7 +897,6 @@ class ClusterBackend(Backend):
             for dom in plan.schedule.domains
             if dom.ranges[0][1] > dom.ranges[0][0]
         ]
-        tail_dims = plan.dims[1:]
         policy = plan.policy or _faults.DEFAULT_POLICY
         timeout = (
             policy.watchdog if policy.watchdog is not None else self.shard_timeout
@@ -1126,21 +916,10 @@ class ClusterBackend(Backend):
                 )
             if not first_round:
                 _COUNTERS.bump("rebalances")
-            # Assign spans: a lone span re-splits over every survivor;
-            # multiple leftover spans go one-per-worker (extras queue).
             # Taken spans leave the queue here; a failed dispatch or
             # collection re-queues its span below.
-            if len(remaining) == 1 and len(workers) > 1:
-                lo, hi = remaining.pop()
-                spans = [
-                    (lo + c_lo, lo + c_hi)
-                    for c_lo, c_hi in cpu_chunks(
-                        (hi - lo,) + tuple(tail_dims), len(workers)
-                    )
-                ]
-            else:
-                spans = remaining[: len(workers)]
-                remaining = remaining[len(workers):]
+            spans = remaining[: len(workers)]
+            remaining = remaining[len(workers):]
             batch = list(zip(workers, spans))
             base = (
                 fplan.next_ordinal("cluster.shard", len(batch))
@@ -1185,40 +964,6 @@ class ClusterBackend(Backend):
             + (" after respawn" if refilled else ""),
         )
 
-    def _fold(self, partials, op: str, plan, fplan) -> float:
-        """Deterministic pairwise tree over per-shard partials.
-
-        Partials order by shard row offset (not arrival), so the fold
-        tree — and its last-bit rounding — is a pure function of the
-        final shard split.  ``cluster.reduce`` probes each combine.
-        """
-        values = [v for _lo, v in sorted(partials, key=lambda t: t[0])]
-        if not values:
-            raise KernelExecutionError("reduce plan produced no partials")
-        n_folds = len(values) - 1
-        base = (
-            fplan.next_ordinal("cluster.reduce", max(1, n_folds))
-            if fplan is not None
-            else 0
-        )
-        fold = partial(fold_partials, op)
-        k = 0
-        while len(values) > 1:
-            nxt = []
-            for i in range(0, len(values) - 1, 2):
-                nxt.append(
-                    _faults.guarded(
-                        fplan, "cluster.reduce", plan, fold, values[i : i + 2],
-                        ordinal=base + k,
-                    )
-                )
-                k += 1
-            if len(values) % 2:
-                nxt.append(values[-1])
-            values = nxt
-        _COUNTERS.bump("reduce_folds", n_folds)
-        return float(values[0])
-
     def execute(self, plan: LaunchPlan) -> Optional[float]:
         self.accounting.n_kernel_launches += 1
         fplan = _faults.active_plan()
@@ -1240,9 +985,6 @@ class ClusterBackend(Backend):
         if self._retired:
             retired, self._retired = self._retired, []
             self._supervisor.broadcast_forget(retired)
-        halo = getattr(sched, "halo", None)
-        if halo is not None:
-            self._exchange_halos(plan, halo, fplan)
         partials = self._run_sharded(plan, descs, fn_token, fn_bytes, fplan)
         # Shard writeback: commit staged results into the caller's
         # arrays *before* returning, so the dispatch stage's
@@ -1253,4 +995,12 @@ class ClusterBackend(Backend):
             _COUNTERS.bump("staged_out_bytes", arr.nbytes)
         if not plan.is_reduce:
             return None
-        return self._fold(partials, plan.op, plan, fplan)
+        # Row order, not arrival order (spans are disjoint, so no two
+        # share a start): the fold is the threads backend's over the
+        # same split, and ``cluster.reduce`` probes that one call.
+        partials.sort()
+        _COUNTERS.bump("reduce_folds", len(partials) - 1)
+        return _faults.guarded(
+            fplan, "cluster.reduce", plan, partial(fold_partials, plan.op),
+            [value for _lo, value in partials],
+        )

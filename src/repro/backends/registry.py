@@ -20,7 +20,7 @@ Built-in names
 ``hetero-sim`` future-work extension: mixed A100 + MI100 node with
                bandwidth-weighted work partitioning (paper §VII)
 ``cluster``    sharded multi-process backend: worker processes over
-               shared-memory segments with halo exchange, worker
+               shared-memory segments (nothing is exchanged), worker
                supervision and elastic recovery
 ========== =====================================================
 
@@ -162,7 +162,11 @@ register_backend("cluster", _make_cluster)
 
 #: Declared here, beside the backend's lazy factory, so the block reads
 #: (all zeros) without loading :mod:`repro.backends.cluster`; that module
-#: does all the bumping.
+#: does all the bumping.  ``halo_exchanges`` and ``halo_bytes`` are never
+#: bumped — shards share memory, nothing is exchanged — and stay as
+#: constant zeros because the frozen benchmark
+#: (benchmarks/perf/probes.counters → per-layer metrics
+#: ``backends.cluster.halo_{bytes,exchanges}_per_op``) indexes them by name.
 CLUSTER_COUNTERS = Counters(
     "cluster",
     (
@@ -173,10 +177,8 @@ CLUSTER_COUNTERS = Counters(
         "shards",
         "inline_launches",
         "unshippable",
-        "halo_plans",
         "halo_exchanges",
         "halo_bytes",
-        "replicated_arrays",
         "staged_in_bytes",
         "staged_out_bytes",
         "reduce_folds",
@@ -190,7 +192,7 @@ register(CLUSTER_COUNTERS)
 
 
 def cluster_stats() -> dict:
-    """Process-wide cluster-backend activity (shards, halo bytes,
+    """Process-wide cluster-backend activity (shards, staged bytes,
     respawns, rebalances, degradations, ...)."""
     return CLUSTER_COUNTERS.snapshot()
 

@@ -44,9 +44,9 @@ import numpy as np
 from .. import faults as _faults
 from ..core.backend import Backend
 from ..core.exceptions import PermanentDeviceError
-from ..core.launch import chunk_domains, cpu_chunks, usable_cpus
-from ..core.plan import LaunchPlan, LaunchSchedule
-from ..ir.vectorizer import IndexDomain, fold_partials
+from ..core.launch import LaunchSchedule, cpu_schedule, usable_cpus
+from ..core.plan import LaunchPlan
+from ..ir.vectorizer import fold_partials
 from ..perfmodel import PerfModel, get_overhead, get_profile
 
 __all__ = ["ThreadsBackend", "default_num_threads"]
@@ -113,25 +113,8 @@ class ThreadsBackend(Backend):
 
     # -- compute -----------------------------------------------------------
     def schedule(self, plan: LaunchPlan) -> LaunchSchedule:
-        """Coarse decomposition decision, recorded on the plan.
-
-        Inline (calling thread, full domain) when the pool cannot help:
-        one worker, a domain below ``min_parallel_size``, or an
-        interpreter-fallback kernel.  Otherwise one contiguous chunk of
-        the leading axis per worker (``Threads.@threads``' static
-        schedule).
-        """
-        dims = plan.dims
-        if (
-            self.n_threads == 1
-            or plan.lanes < self.min_parallel_size
-            or plan.kernel.trace is None  # interpreter fallback stays inline
-        ):
-            return LaunchSchedule(domains=(IndexDomain.full(dims),), inline=True)
-        chunks = cpu_chunks(dims, self.n_threads)
-        return LaunchSchedule(
-            domains=tuple(chunk_domains(dims, chunks)), inline=False
-        )
+        """Coarse decomposition over the pool (:func:`cpu_schedule`)."""
+        return cpu_schedule(plan, self.n_threads, self.min_parallel_size)
 
     def schedule_epoch(self) -> tuple:
         """The inputs :meth:`schedule` and :meth:`modeled_cost` read:

@@ -149,7 +149,7 @@ def main(argv=None) -> int:
         # shows a kernel that starts warning (``diagnostics``), scratch
         # buffer churn (``arena``), fault/retry/failover activity — zero
         # on a healthy run — (``faults``), capture/replay/fusion
-        # (``graph``) and shard/halo/recovery activity (``cluster``).
+        # (``graph``) and shard/staging/recovery activity (``cluster``).
         doc["diagnostics"] = obs.stats("verify")
         for name in ("arena", "faults", "graph", "cluster"):
             doc[name] = obs.stats(name)

@@ -20,15 +20,20 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass
-from typing import Sequence
+from typing import TYPE_CHECKING, Optional, Sequence
 
 from ..ir.vectorizer import IndexDomain
 from .exceptions import LaunchConfigError
 
+if TYPE_CHECKING:  # pragma: no cover - import cycle guard, types only
+    from .plan import LaunchPlan
+
 __all__ = [
     "LaunchConfig",
+    "LaunchSchedule",
     "gpu_launch_config",
     "cpu_chunks",
+    "cpu_schedule",
     "weighted_chunks",
     "chunk_domains",
     "DEFAULT_TILE_2D",
@@ -74,6 +79,31 @@ class LaunchConfig:
     @property
     def total_threads(self) -> int:
         return self.threads_per_block * self.n_blocks
+
+
+@dataclass(frozen=True)
+class LaunchSchedule:
+    """The recorded launch-shape decision for one plan.
+
+    Produced by :meth:`repro.core.backend.Backend.schedule` during the
+    schedule stage and consumed by ``execute``:
+
+    * ``domains`` — the :class:`IndexDomain` chunks the kernel runs over
+      (one full-domain entry for serial/GPU backends; one chunk per
+      worker/device for the threads, cluster and multi-device backends);
+    * ``inline`` — run in the calling thread instead of a worker pool
+      (the CPU backends' small-domain / interpreter-fallback path);
+    * ``launch_config`` — the GPU thread/block shape derived from the
+      paper's Figs. 6-7 formulas, when the backend owns a device.
+    """
+
+    domains: tuple[IndexDomain, ...]
+    inline: bool = True
+    launch_config: Optional[LaunchConfig] = None
+
+    @property
+    def n_chunks(self) -> int:
+        return len(self.domains)
 
 
 def _cld(a: int, b: int) -> int:
@@ -148,6 +178,32 @@ def cpu_chunks(dims: Sequence[int], n_workers: int) -> list[tuple[int, int]]:
         chunks.append((lo, hi))
         lo = hi
     return chunks
+
+
+def cpu_schedule(
+    plan: "LaunchPlan", width: int, min_parallel_size: int
+) -> LaunchSchedule:
+    """The CPU backends' one decomposition rule (threads and cluster).
+
+    Inline (calling thread, full domain) when ``width`` workers cannot
+    help: one worker, a domain below ``min_parallel_size`` lanes, or an
+    interpreter-tier kernel (no trace to run per chunk, and closures
+    over Python state do not cross processes).  Otherwise one
+    contiguous chunk of the leading axis per worker
+    (``Threads.@threads``' static schedule, :func:`cpu_chunks`).
+    """
+    dims = plan.dims
+    if (
+        width <= 1
+        or plan.lanes < min_parallel_size
+        or plan.kernel is None
+        or plan.kernel.trace is None
+    ):
+        return LaunchSchedule(domains=(IndexDomain.full(dims),), inline=True)
+    return LaunchSchedule(
+        domains=tuple(chunk_domains(dims, cpu_chunks(dims, width))),
+        inline=False,
+    )
 
 
 def weighted_chunks(

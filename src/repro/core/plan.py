@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Callable, Optional
 
 from ..ir.vectorizer import IndexDomain
-from .launch import LaunchConfig
+from .launch import LaunchSchedule
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, types only
     from concurrent.futures import Future
@@ -45,38 +45,6 @@ __all__ = [
     "LaunchHandle",
     "label_exception",
 ]
-
-
-@dataclass(frozen=True)
-class LaunchSchedule:
-    """The recorded launch-shape decision for one plan.
-
-    Produced by :meth:`repro.core.backend.Backend.schedule` during the
-    schedule stage and consumed by ``execute``:
-
-    * ``domains`` — the :class:`IndexDomain` chunks the kernel runs over
-      (one full-domain entry for serial/GPU backends; one chunk per
-      worker/device for the threads and multi-device backends);
-    * ``inline`` — run in the calling thread instead of a worker pool
-      (the threads backend's small-domain / interpreter-fallback path);
-    * ``launch_config`` — the GPU thread/block shape derived from the
-      paper's Figs. 6-7 formulas, when the backend owns a device;
-    * ``halo`` — the cluster backend's exchange schedule
-      (:class:`repro.backends.cluster.HaloSchedule`): which boundary
-      rows each shard reads from rows it does not own, derived from the
-      plan's memory-effects summary.  Computed once at schedule time and
-      replayed with the plan (graph replays rebind scalars only);
-      ``None`` for unsharded schedules and every other backend.
-    """
-
-    domains: tuple[IndexDomain, ...]
-    inline: bool = True
-    launch_config: Optional[LaunchConfig] = None
-    halo: Optional[Any] = None
-
-    @property
-    def n_chunks(self) -> int:
-        return len(self.domains)
 
 
 class LaunchRecord:

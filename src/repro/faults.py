@@ -23,8 +23,7 @@ Injection side — :class:`FaultPlan`
     - ``arena.frame`` — scratch-buffer frame open (allocation failure);
     - ``cluster.spawn`` — forking one cluster worker process;
     - ``cluster.shard`` — dispatching one shard to a cluster worker;
-    - ``cluster.halo`` — one halo-exchange slab of a sharded stencil;
-    - ``cluster.reduce`` — one combine of the cross-worker fold tree.
+    - ``cluster.reduce`` — the fold of a reduce's per-shard partials.
 
     Schedules are **deterministic**: whether probe ``k`` at a site faults
     is a pure function of ``(seed, site, k)`` (a stable blake2b hash, not
@@ -114,7 +113,6 @@ FAULT_SITES = (
     "arena.frame",
     "cluster.spawn",
     "cluster.shard",
-    "cluster.halo",
     "cluster.reduce",
 )
 
@@ -525,7 +523,7 @@ def parse_fault_spec(spec: str) -> Optional[FaultPlan]:
     receiving ordinal 7 (ordinals count dispatches process-wide, in
     ``next_ordinal`` reservation order).  Examples::
 
-        PYACC_FAULTS="seed=1,transient=0.01,sites=cluster.shard|cluster.halo"
+        PYACC_FAULTS="seed=1,transient=0.01,sites=cluster.shard|cluster.reduce"
         PYACC_FAULTS="seed=7,kill=cluster.shard:2"
         PYACC_FAULTS="seed=1337,transient=0.005,max=200,kill=cluster.shard:40"
     """

@@ -554,25 +554,31 @@ class LaunchGraph:
             for index, pn in enumerate(program.nodes)
         ]
 
-        # Pre-size the arena: per node, each schedule chunk opens one
-        # frame drawing one buffer per certified ``out=`` dtype of the
-        # current tile's shape (a chunk's tiles run one after another
-        # and recycle the frame's buffers); nodes run sequentially, so
-        # the pool only needs the *largest* per-node requirement per
-        # (shape, dtype) key.
+        # Pre-size the arena for what replay draws: per node, each
+        # schedule chunk opens one frame drawing, per tile shape, one
+        # buffer per certified ``out=`` dtype of a codegen node, or the
+        # float64 lane buffer of a native reduce that leases one
+        # (NativeKernel.leases_lanes); any other native node draws
+        # nothing — C has no temporaries.  A chunk's tiles run one after
+        # another and recycle the frame's buffers, and nodes run
+        # sequentially, so the pool only needs the *largest* per-node
+        # requirement per (shape, dtype) key.
         need: dict[tuple, int] = {}
         for template in templates:
-            kernel = template.plan.kernel
+            plan = template.plan
+            kernel = plan.kernel
             if kernel is None or kernel.codegen is None:
                 continue
-            codegen = template.hoisted[0] if template.hoisted else kernel.codegen
-            dtypes = list(codegen.out_dtypes)
-            if kernel.native is not None and kernel.native.has_result:
-                # The native reduce leases one float64 value buffer
-                # per tile (the C loop fills it, NumPy folds it).
-                dtypes.append(np.dtype(np.float64))
+            native = kernel.native
+            if native is None:
+                codegen = template.hoisted[0] if template.hoisted else kernel.codegen
+                dtypes = codegen.out_dtypes
+            elif plan.is_reduce and native.leases_lanes(plan.op):
+                dtypes = (np.dtype(np.float64),)
+            else:
+                continue
             per_node: dict[tuple, int] = {}
-            for dom in template.plan.schedule.domains:
+            for dom in plan.schedule.domains:
                 for shape in {tile.shape for tile in dom.tiles}:
                     for dt in dtypes:
                         key = (shape, dt)

@@ -1182,7 +1182,7 @@ class NativeKernel:
         if domain.size == 0:
             return _REDUCE_IDENTITY[op]
         words = self.preflight(domain, args)
-        if op == "add" and self._c_fold:
+        if not self.leases_lanes(op):
             n, table, _ = domain.tile_words
             slots = self._slots
             try:
@@ -1201,6 +1201,12 @@ class NativeKernel:
         return fold_partials(
             op, [self._fold_lanes(tile, words, op, arena) for tile in tiles]
         )
+
+    def leases_lanes(self, op: str) -> bool:
+        """Whether an ``op`` reduce leases a float64 lane buffer per tile
+        from the arena (:meth:`_fold_lanes`): every op but an ``add``
+        folded in C.  Graph builds reserve the buffer only when true."""
+        return op != "add" or not self._c_fold
 
     def _fold_lanes(self, tile: IndexDomain, words: list, op: str, arena) -> float:
         """One tile through the lane buffer: per-lane values land in an

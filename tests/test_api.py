@@ -238,8 +238,7 @@ class TestHotPathHygiene:
         monkeypatch.setenv("PYACC_CLUSTER_WORKERS", "2")
         active = repro.set_backend(backend)
         # Above the threads and cluster inline cutoffs: pool chunks, shard
-        # dispatch, the halo schedule and the partial fold are all inside
-        # the counted window.
+        # dispatch and the partial fold are all inside the counted window.
         n = 1 << 16
         x, y = repro.array(np.zeros(n)), repro.array(np.ones(n))
         try:

@@ -190,9 +190,13 @@ class TestFaultSpecParsing:
             "arena.frame",
             "cluster.spawn",
             "cluster.shard",
-            "cluster.halo",
             "cluster.reduce",
         }
+
+    def test_removed_halo_site_is_unknown(self):
+        # Cluster shards share memory: there is no exchange to guard.
+        with pytest.raises(ValueError, match="unknown fault sites"):
+            FaultPlan(sites=["cluster.halo"])
 
 
 class TestRetryPolicy:

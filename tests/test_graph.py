@@ -553,6 +553,58 @@ class TestResourceInvariants:
         assert after["buffers_created"] == created  # zero growth
         assert region.stats()["replays"] == 8
 
+    @pytest.mark.skipif(resolve_cc() is None, reason="no C compiler on host")
+    @pytest.mark.parametrize("solver", ["cg", "hpccg"])
+    def test_native_solver_graphs_reserve_no_arena_bytes(self, solver):
+        """Native nodes are C loops with no temporaries and their DOTs
+        add-fold in C: a solve's instantiations reserve nothing (the
+        arena allocates nothing at all) and replay draws nothing."""
+        from repro.ir.cgen import fold_in_c
+
+        set_executor_mode("native")
+        if not fold_in_c():
+            pytest.skip("this host's add-reduces lease lanes (fold decline)")
+        repro.set_backend("threads")
+        arena = current_context().arena
+        before = arena.stats()["bytes_allocated"]
+        if solver == "cg":
+            assert cg_solve(*tridiagonal_system(512)).converged
+        else:
+            a, b, _ = build_27pt_problem(6, 6, 6)
+            assert hpccg_solve(a, b).converged
+        stats = graph_stats()
+        assert stats["captures"] > 0 and stats["replays"] > 0
+        assert arena.stats()["bytes_allocated"] == before
+
+    @pytest.mark.parametrize(
+        "executor, op", [("native", "min"), ("codegen", "add")]
+    )
+    def test_leasing_graphs_still_replay_with_zero_arena_growth(
+        self, executor, op
+    ):
+        """What does draw from the arena — a native ``min`` reduce's
+        lane buffer, the codegen rung's ``out=`` temporaries — is still
+        reserved at instantiation, so replays allocate nothing."""
+        set_executor_mode(executor)
+        repro.set_backend("threads")
+        arena = current_context().arena
+        region = GraphRegion(f"t.lease.{executor}.{op}")
+        n = 1 << 15  # above the pool cutoff: one frame per chunk
+        x, y = repro.array(np.zeros(n)), repro.array(np.ones(n))
+
+        def body(alpha):
+            parallel_for(n, axpy, alpha, x, y)
+            return parallel_reduce(n, dot, x, y, op=op)
+
+        key = (id(x), id(y))
+        region.run(key, body, alpha=1.0)  # capture + instantiate(reserve)
+        created = arena.stats()["buffers_created"]
+        for k in range(4):
+            got = region.run(key, body, alpha=float(k))
+        assert region.stats()["replays"] == 4
+        assert arena.stats()["buffers_created"] == created
+        assert got == (n * 7.0 if op == "add" else 7.0)
+
     def test_replay_causes_zero_cache_misses(self):
         repro.set_backend("threads")
         region = GraphRegion("t.cache")

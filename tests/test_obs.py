@@ -158,8 +158,8 @@ CACHE_INFO_SHAPE = {
     "cluster": dict.fromkeys(
         (
             "spawns", "respawns", "kills", "worker_losses", "shards",
-            "inline_launches", "unshippable", "halo_plans", "halo_exchanges",
-            "halo_bytes", "replicated_arrays", "staged_in_bytes",
+            "inline_launches", "unshippable", "halo_exchanges", "halo_bytes",
+            "staged_in_bytes",
             "staged_out_bytes", "reduce_folds", "rebalances", "degradations",
             "shm_segments", "shm_bytes",
         ),
