@@ -44,8 +44,13 @@ whole-domain NumPy semantics:
   affine form agree on every in-range value.  On proof all stores share
   **one** loop nest in program order (``_invalidate`` reloads a lane's
   own load-after-store) and lose the scatter wrap / out-of-bounds exit,
-  dead code under (2); gathers keep their clamps.  The proof holds for
-  one ``(box, shapes, scalar values)``, so lane independence becomes a
+  dead code under (2); gathers keep their clamps.  A ``parallel_for``
+  unit also tells ``cc`` what the proof says, so the loop vectorizes:
+  the shared guard's index bounds clip the loop (``_clip_to_guard``),
+  a lane's reload of its own unconditional store takes the stored value
+  (``_forwarded``), and the inner loop is ``#pragma GCC ivdep``.  The
+  proof holds for one ``(box, shapes, scalar values)``, so lane
+  independence becomes a
   pre-flight assumption like contiguity: a single-loop kernel re-proves
   it per call (memoized) and declines ``lanes`` otherwise.  Kernels
   without a proof — data-dependent scatters, suppressed races — keep
@@ -165,6 +170,18 @@ _UN_OK = frozenset({"neg", "abs", "sqrt", "floor", "ceil"})
 
 _CMP_SYM = {"lt": "<", "le": "<=", "gt": ">", "ge": ">=", "eq": "==", "ne": "!="}
 _BOOL_SYM = {"and": "&&", "or": "||", "xor": "!="}
+
+
+#: Heads a licensed for-kernel's unit: gcc's default ``-O2`` cost model
+#: ("very cheap") refuses the epilogue a vector loop over a runtime trip
+#: count needs.  The bit-exactness flags ``fp-contract=off`` and
+#: ``wrapv`` are restated so no gcc version can let the pragma reopen
+#: FMA contraction or signed-overflow folding.  In the source, so the
+#: artifact key covers it; other compilers ignore a pragma they do not
+#: know.
+_VECTORIZE_PRAGMA = (
+    '#pragma GCC optimize ("vect-cost-model=dynamic", "fp-contract=off", "wrapv")'
+)
 
 
 def _dt_code(dt: np.dtype) -> str:
@@ -315,6 +332,7 @@ class _NativeLowering:
         self.ndim = trace.ndim
         self.args = args
         self.lanes = False  # lowered as one loop nest under the licence
+        self.ivdep = False  # ... and a for-kernel: clipped, forwarded, ivdep
         self.lat = Lattice(trace.ndim, args)
         # Per-array static facts, keyed by argument position.
         self.arr_dtype: dict[int, np.dtype] = {}
@@ -325,6 +343,18 @@ class _NativeLowering:
         self.fscalar: list[int] = []  # positions staged as double
         self.iscalar: list[int] = []  # positions staged as int64
         self.narrow_i4: set[int] = set()  # weak ints cast to int32 sites
+        # What a licensed for-kernel tells ``cc`` (see ``_clip_to_guard``):
+        # loop-bound clips, the guard conjuncts left as the store mask
+        # (``None``: the stores keep their own guards) and, per written
+        # array, the (index nodes, value) of its unconditional stores
+        # since its last conditional one.
+        self.clips: list[str] = []
+        self.residual: Optional[list] = None
+        self.forward: dict[int, list] = {}
+        # Whether a lane's stores are proven apart, and whether a forward
+        # passed a store on that proof (then the pre-flight re-proves it).
+        self.stores_apart = False
+        self.apart = False
         # Emission state (reset per loop body).
         self.body: list[str] = []
         self.emitted: dict[int, tuple[str, Any]] = {}
@@ -333,10 +363,12 @@ class _NativeLowering:
         self._scalar_codes: dict[int, tuple[str, Any]] = {}
 
     # -- the single-loop licence ---------------------------------------------
-    def lane_refusal(self) -> Optional[str]:
+    def lane_refusal(self, apart: bool = False) -> Optional[str]:
         """Why the stores of this trace may not share one loop nest, or
         ``None`` — the licence — when the lanes are *proven* independent
-        for the compiling call's ``args`` over any box, i.e. with the
+        (and, with ``apart``, a lane's stores to one array at different
+        index nodes proven to write different elements) for the
+        compiling call's ``args`` over any box, i.e. with the
         indices bounded by the kernel's guards alone (see
         :func:`repro.ir.verify.lane_conflict`; the pre-flight re-proves
         every call over its real box).  The proof speaks about the
@@ -364,7 +396,7 @@ class _NativeLowering:
                         )
         shapes, scalars = _verify._args_env(self.args)
         return _verify.lane_conflict(
-            self.trace, dims=None, shapes=shapes, scalars=scalars
+            self.trace, dims=None, shapes=shapes, scalars=scalars, apart=apart
         )
 
     # -- argument staging --------------------------------------------------
@@ -422,6 +454,7 @@ class _NativeLowering:
         self.body = []
         self.emitted = {}
         self.deps = {}
+        self.forward = {}
 
     def coerce(self, code_elem: tuple[str, Any], target: np.dtype) -> str:
         """C expression casting ``code`` (of lattice element ``elem``)
@@ -520,6 +553,9 @@ class _NativeLowering:
         if isinstance(node, N.Load):
             pos = self._array(node.array)
             arr_dt = self.arr_dtype[pos]
+            stored = self._forwarded(pos, node.indices)
+            if stored is not None:
+                return stored, arr_dt, frozenset({pos})
             if _static_identity(node.indices, self.ndim):
                 if self.arr_rank[pos] != self.ndim:
                     raise NativeLoweringError("rank")
@@ -619,6 +655,108 @@ class _NativeLowering:
         same-kind assignment cast = the C conversion)."""
         return self.coerce(code_elem, self.arr_dtype[pos])
 
+    def _forwarded(self, pos: int, indices: tuple) -> Optional[str]:
+        """The value this lane last stored at array ``pos``'s element
+        ``indices`` (the same index *nodes*), if a load may take it
+        instead of reloading: the licence proves the store's index in
+        range, so the reload's clamp would be the identity.  Later
+        unconditional stores to ``pos`` at other nodes are passed only
+        where the lane's stores are proven ``apart`` (the pre-flight
+        then re-proves that per call); a conditional one is never
+        passed."""
+        stores = self.forward.get(pos, [])
+        hits = [
+            k
+            for k, (nodes, _) in enumerate(stores)
+            if all(a is b for a, b in zip(nodes, indices))
+        ]
+        if not hits:
+            return None
+        if hits[-1] < len(stores) - 1:
+            if not self.stores_apart:
+                return None
+            self.apart = True
+        return stores[hits[-1]][1]
+
+    def _assign(self, st: N.Store, flat: str, val, mask: Optional[str]) -> None:
+        """``a<pos>[flat] = val`` under ``mask``.  Under :attr:`ivdep`
+        an unconditional store's post-cast value is remembered for the
+        lane's later loads of the same element (``forward``)."""
+        pos = st.array.pos
+        code = self._store_cast(val, pos)
+        keep = self.ivdep and mask is None
+        if keep and code != val[0]:
+            var = self._new_tmp()
+            self.body.append(f"const {_CTYPE[_dt_code(self.arr_dtype[pos])]} {var} = {code};")
+            code = var
+        assign = f"a{pos}[{flat}] = {code};"
+        self.body.append(assign if mask is None else f"if ({mask}) {{ {assign} }}")
+        self._invalidate(pos)
+        if keep:
+            self.forward.setdefault(pos, []).append((st.indices, code))
+        else:
+            self.forward.pop(pos, None)
+
+    def _store_mask(self, st: N.Store) -> Optional[str]:
+        """A store's mask: its guard, or — once the guard was clipped
+        into the loop bounds — the conjuncts the clips did not take."""
+        if self.residual is None:
+            if st.condition is None:
+                return None
+            return self._as_bool(self.emit(st.condition))
+        terms = [
+            ("" if pol else "!") + self._as_bool(self.emit(leaf))
+            for leaf, pol in self.residual
+        ]
+        return " && ".join(terms) or None
+
+    def _clip_to_guard(self) -> None:
+        """When every store carries one guard node, turn its integer
+        index-bound conjuncts (``i_ax < e`` and kin, either orientation,
+        ``e`` free of indices and loads) into saturating clips of the
+        loop bounds (``clips``, after the ``e`` temps in ``body``); the
+        other conjuncts stay the store mask (``residual``).  A lane
+        outside the clipped box stored nothing — every store was masked
+        off — and its loads are clamped and side-effect free, so
+        skipping it changes no bit."""
+        guard = self.trace.stores[0].condition
+        if guard is None or any(st.condition is not guard for st in self.trace.stores):
+            return
+        self.residual = []
+        for leaf, pol in _verify._conjuncts(guard, True):
+            clip = self._bound_clip(leaf, pol)
+            if clip is None:
+                self.residual.append((leaf, pol))
+            else:
+                self.clips.append(clip)
+
+    def _bound_clip(self, leaf: N.Node, pol: bool) -> Optional[str]:
+        """The C that clips the loop bounds to conjunct ``leaf`` holding
+        ``pol``, or ``None`` when it is not an int64 index bound."""
+        if not isinstance(leaf, N.Compare) or leaf.op in ("eq", "ne"):
+            return None
+        op = leaf.op if pol else _verify._NEGATE_CMP[leaf.op]
+        ix, e = leaf.lhs, leaf.rhs
+        if not isinstance(ix, N.Index):
+            ix, e, op = e, ix, _verify._MIRROR_CMP[op]
+        if not isinstance(ix, N.Index) or any(
+            isinstance(nd, (N.Index, N.Load)) for nd in N.walk(e)
+        ):
+            return None
+        # Only a comparison C evaluates in int64 is exactly a bound.
+        common = promote("add", self.lat.dtype(leaf.lhs), self.lat.dtype(leaf.rhs))
+        if not (isinstance(common, np.dtype) and common == _I8):
+            return None
+        b = self.coerce(self.emit(e), _I8)
+        lo, hi = f"lo{ix.axis}", f"hi{ix.axis}"
+        # ``b + 1`` only where ``b < hi``: no overflow at INT64_MAX.
+        return {
+            "lt": f"if ({b} < {hi}) {hi} = {b};",
+            "le": f"if ({b} < {hi}) {hi} = {b} + 1;",
+            "ge": f"if ({b} > {lo}) {lo} = {b};",
+            "gt": f"if ({b} >= {lo}) {lo} = {b} < {hi} ? {b} + 1 : {hi};",
+        }[op]
+
     def emit_store(self, st: N.Store) -> None:
         pos = self._array(st.array)
         identity = _static_identity(st.indices, self.ndim)
@@ -626,20 +764,13 @@ class _NativeLowering:
         # Evaluation order mirrors codegen: value, then mask, then (for
         # scatters) the index expressions.
         val = self.emit(st.value)
-        mask = None
-        if st.condition is not None:
-            mask = self._as_bool(self.emit(st.condition))
+        mask = self._store_mask(st)
         if identity:
             if self.arr_rank[pos] != self.ndim:
                 raise NativeLoweringError("rank")
             self.extent_slots.add(pos)
             flat = self._flat_index(pos, [f"i{ax}" for ax in range(self.ndim)])
-            assign = f"a{pos}[{flat}] = {self._store_cast(val, pos)};"
-            if mask is None:
-                self.body.append(assign)
-            else:
-                self.body.append(f"if ({mask}) {{ {assign} }}")
-            self._invalidate(pos)
+            self._assign(st, flat, val, mask)
             return
         # Scatter store: negative indices wrap, out-of-bounds on a taken
         # lane aborts the kernel (the Python wrapper raises the same
@@ -659,14 +790,7 @@ class _NativeLowering:
             # Licensed: the index is proven inside [0, extent) on every
             # taken lane (re-proven per call by the pre-flight), so the
             # wrap and the out-of-bounds exit would be dead code.
-            assign = (
-                f"a{pos}[{self._flat_index(pos, idx_codes)}] = "
-                f"{self._store_cast(val, pos)};"
-            )
-            self.body.append(
-                assign if mask is None else f"if ({mask}) {{ {assign} }}"
-            )
-            self._invalidate(pos)
+            self._assign(st, self._flat_index(pos, idx_codes), val, mask)
             return
         guard_open = f"if ({mask}) {{" if mask is not None else "{"
         self.body.append(guard_open)
@@ -691,6 +815,9 @@ class _NativeLowering:
         lines = []
         for ax in range(self.ndim):
             pad = "  " * ax
+            if self.ivdep and ax == self.ndim - 1:
+                # Lane independence is exactly what ``ivdep`` asserts.
+                lines.append(f"{pad}#pragma GCC ivdep")
             lines.append(
                 f"{pad}for (int64_t i{ax} = lo{ax}; i{ax} < hi{ax}; ++i{ax}) {{"
             )
@@ -741,20 +868,29 @@ class _NativeLowering:
 
     def lower(self) -> dict:
         groups = _partition_groups(self.trace)
-        if len(groups) > 1 and self.lane_refusal() is None:
+        has_result = self.trace.result is not None
+        if len(groups) > 1:
             # Independent lanes give the same bits in any order: run
             # every store of a lane in program order inside one loop
-            # nest (``_invalidate`` keeps its own load-after-store
-            # right) instead of one whole-domain pass per group.
-            self.lanes = True
+            # nest instead of one whole-domain pass per group.  A
+            # for-kernel also tells ``cc`` so: the guard box clips the
+            # loop, a lane's reload of its own store is forwarded, and
+            # the inner loop is ``ivdep``.  Asking for ``apart`` first
+            # costs a licensed for-kernel no second proof.
+            self.stores_apart = not has_result and self.lane_refusal(apart=True) is None
+            self.lanes = self.stores_apart or self.lane_refusal() is None
+            self.ivdep = self.lanes and not has_result
+        if self.lanes:
             groups = [list(self.trace.stores)]
         loops: list[list[str]] = []
         for group in groups:
             self._reset_body()
+            if self.ivdep:
+                self._clip_to_guard()
+            prologue, self.body = self.body, []
             for st in group:
                 self.emit_store(st)
-            loops.append(self._loop_nest(self.body))
-        has_result = self.trace.result is not None
+            loops.append(prologue + self.clips + self._loop_nest(self.body))
         if has_result:
             self._reset_body()
             value = self.coerce(self.emit(self.trace.result), _F8)
@@ -768,11 +904,13 @@ class _NativeLowering:
         arr_order = sorted(self.arr_dtype)
         head = 2 * self.ndim
         bounds = []
+        q = "" if self.clips else "const "  # clipped bounds are assigned
         for ax in range(self.ndim):
-            bounds.append(f"const int64_t lo{ax} = w[{2 * ax}];")
-            bounds.append(f"const int64_t hi{ax} = w[{2 * ax + 1}];")
-        for ax in range(1, self.ndim):
-            bounds.append(f"const int64_t e{ax} = hi{ax} - lo{ax};")
+            bounds.append(f"{q}int64_t lo{ax} = w[{2 * ax}];")
+            bounds.append(f"{q}int64_t hi{ax} = w[{2 * ax + 1}];")
+        if not self.ivdep:  # the row extents ``fill`` walks
+            for ax in range(1, self.ndim):
+                bounds.append(f"const int64_t e{ax} = hi{ax} - lo{ax};")
         off = head + (3 if has_result else 0)
         decls = []
         for k, pos in enumerate(arr_order):
@@ -812,6 +950,8 @@ class _NativeLowering:
             "  (void)w; (void)out;",
         ]
         lines = ["#include <stdint.h>", "#include <math.h>", ""]
+        if self.ivdep:
+            lines += [_VECTORIZE_PRAGMA, ""]
         if not has_result:
             lines += entry
             lines += ["  " + line for line in bounds + decls]
@@ -881,6 +1021,8 @@ class _NativeLowering:
             "lane_scalars": (
                 _verify.consumed_scalars(self.trace) if self.lanes else None
             ),
+            # ... and the ``apart`` half of it, where a forward relied on it.
+            "lane_apart": self.apart,
         }
 
 
@@ -940,7 +1082,8 @@ class NativeKernel:
     A *single-loop* kernel (``spec["lane_scalars"]`` is not ``None``)
     was lowered under the lane-independence licence and holds the
     ``trace`` to re-prove it: its C code is only correct for calls whose
-    lanes are proven independent, so :meth:`preflight` declines
+    lanes are proven independent (and, where ``spec["lane_apart"]``,
+    its stores apart within a lane), so :meth:`preflight` declines
     ``lanes`` for any other call.
     """
 
@@ -959,6 +1102,7 @@ class NativeKernel:
         "_iscalar",
         "_narrow_i4",
         "_lane_scalars",
+        "_lane_apart",
         "_lane_memo",
         "_trace",
         "_arrays",
@@ -982,6 +1126,7 @@ class NativeKernel:
         self._iscalar = spec["iscalar"]
         self._narrow_i4 = spec["narrow_i4"]
         self._lane_scalars = lanes = spec.get("lane_scalars")
+        self._lane_apart = spec.get("lane_apart", False)
         self._lane_memo: dict = {}
         self._trace = trace
         self._fn = compile_source(self.source)
@@ -1110,7 +1255,11 @@ class NativeKernel:
             try:
                 proven = (
                     _verify.lane_conflict(
-                        self._trace, dims=key[0], shapes=env_shapes, scalars=scalars
+                        self._trace,
+                        dims=key[0],
+                        shapes=env_shapes,
+                        scalars=scalars,
+                        apart=self._lane_apart,
                     )
                     is None
                 )

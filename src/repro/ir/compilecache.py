@@ -623,6 +623,7 @@ def _native_spec(nk) -> Optional[dict]:
         "iscalar": nk._iscalar,
         "narrow_i4": nk._narrow_i4,
         "lane_scalars": nk._lane_scalars,
+        "lane_apart": nk._lane_apart,
     }
 
 

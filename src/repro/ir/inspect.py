@@ -30,7 +30,8 @@ fusion runs, then the fused program with the pass trail.
 
 ``python -m repro.ir.inspect --native`` compiles the CG matvec, the
 LBM collide, a scatter and the BLAS dot kernel under the native executor
-and prints, per kernel, its loop nests and single-loop licence, which
+and prints, per kernel, its loop nests and single-loop licence, how many
+loops gcc vectorized (and its first reason for a loop it did not), which
 fold a reduce uses, and the generated C translation unit side by side
 with the codegen tier's NumPy source — the two artifacts the
 differential suite holds bit-identical.
@@ -329,11 +330,50 @@ def _demo_permute_kernel(i, y, z, p, x):
     z[i] = 2.0 * x[i]
 
 
+def _vectorize_report(source: str) -> Optional[tuple[int, Optional[str]]]:
+    """What gcc's vectorizer made of a native unit: ``(loops vectorized,
+    first reason a loop was not)`` from one extra compile under the
+    rung's flags plus ``-fopt-info-vec-all`` — an inspection cost, never
+    paid by a launch.  The outer-loop attempt every nest fails ("loop
+    nest containing ...") is skipped.  ``None`` without a compiler that
+    prints gcc's report."""
+    import subprocess
+    import tempfile
+    from pathlib import Path
+
+    from .nativecache import _flags, resolve_cc
+
+    cc = resolve_cc()
+    if cc is None:
+        return None
+    with tempfile.TemporaryDirectory() as tmp:
+        unit = Path(tmp) / "unit.c"
+        unit.write_text(source)
+        cmd = [cc, *_flags(), "-fopt-info-vec-all", "-c", str(unit), "-o", str(unit) + ".o"]
+        try:
+            proc = subprocess.run(cmd, capture_output=True, text=True, timeout=120)
+        except (OSError, subprocess.TimeoutExpired):
+            return None
+    lines = proc.stderr.splitlines()
+    if proc.returncode != 0 or not lines:
+        return None
+    missed = [
+        line.split("not vectorized:", 1)[1].strip()
+        for line in lines
+        if "missed: not vectorized:" in line and "loop nest" not in line
+    ]
+    # One loop can be vectorized twice (main loop and epilogue, at two
+    # vector widths): count source locations.
+    loops = {line.split(": optimized:", 1)[0] for line in lines if "loop vectorized" in line}
+    return len(loops), (missed[0] if missed else None)
+
+
 def _native_loops_report(ck: CompiledKernel, args) -> str:
     """How many loop nests the native lowering of ``ck`` has and why:
     whether the single-loop licence (see :mod:`repro.ir.cgen`) was
-    needed, granted, or refused — with the verifier's reason — and, for
-    a reduce kernel, where its values are folded."""
+    needed, granted, or refused — with the verifier's reason — what
+    gcc's vectorizer made of the unit and, for a reduce kernel, where
+    its values are folded."""
     from .cgen import _NativeLowering, _partition_groups
 
     nk = ck.native
@@ -345,11 +385,18 @@ def _native_loops_report(ck: CompiledKernel, args) -> str:
             "granted: lanes proven independent; re-proven per call on "
             f"(box, shapes, scalar args {list(nk._lane_scalars)})"
         )
+        if "#pragma GCC ivdep" in nk.source:
+            verdict += "; told to cc: guard-box clip, store forwarding, ivdep"
     elif len(_partition_groups(ck.trace)) <= 1:
         verdict = "not needed: one store group"
     else:
         verdict = "refused: " + str(_NativeLowering(ck.trace, args).lane_refusal())
     report = f"  loop nests: {nests}; single-loop licence {verdict}"
+    vec = _vectorize_report(nk.source)
+    if vec is None:
+        report += "\n  loops vectorized: n/a (no gcc vectorizer report)"
+    else:
+        report += f"\n  loops vectorized: {vec[0]}; first missed: {vec[1] or 'none'}"
     if nk.has_result:
         add = (
             "C pairwise sum, one partial per tile, no lane buffer"
@@ -450,8 +497,9 @@ def main(argv=None) -> int:
         action="store_true",
         help="compile the CG matvec, LBM collide, a scatter and a dot "
         "kernel on the native executor; print each one's loop-nest count "
-        "and single-loop licence (granted / refused and why), which fold "
-        "a reduce uses, and dump the generated C next to the codegen "
+        "and single-loop licence (granted / refused and why), the loops "
+        "gcc vectorized and why not, which fold a reduce uses, and dump "
+        "the generated C next to the codegen "
         "NumPy source",
     )
     parser.add_argument(

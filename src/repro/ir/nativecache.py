@@ -9,8 +9,9 @@ translation unit.  This module owns everything after that point:
 * a **content-addressed on-disk artifact cache** keyed by
   ``sha256(source ‖ compiler id)`` — the C source already embeds the
   dtype signature (every array access is emitted with its concrete C
-  element type), so the hash covers *source × dtype signature × compiler
-  id*.  Artifacts live under ``PYACC_NATIVE_CACHE`` (default
+  element type), and the compiler id is the binary, :data:`CFLAGS` and
+  the host ISA, so the hash covers *source × dtype signature × compiler
+  × flags × ISA*.  Artifacts live under ``PYACC_NATIVE_CACHE`` (default
   ``~/.cache/pyacc/native``) as ``<hash>.c`` / ``<hash>.so`` pairs; a
   warm process therefore performs **zero** compiler invocations
   (``cache_info()["native"]["disk_hits"]`` counts the loads that proved
@@ -63,10 +64,31 @@ __all__ = [
 CC_ENV = "PYACC_CC"
 CACHE_ENV = "PYACC_NATIVE_CACHE"
 
-#: Flags chosen for bit-exactness, not speed records: ``-ffp-contract=off``
-#: forbids FMA contraction (NumPy's ufunc loops don't fuse), ``-fwrapv``
-#: gives NumPy's two's-complement wrap on signed overflow.
-CFLAGS = ("-O2", "-fPIC", "-shared", "-fwrapv", "-ffp-contract=off")
+#: Bit-exactness first: ``-ffp-contract=off`` forbids FMA contraction
+#: (NumPy's ufunc loops don't fuse), ``-fwrapv`` gives NumPy's
+#: two's-complement wrap on signed overflow.  Then speed that moves no
+#: bit: ``-march=native`` lets a licensed loop nest vectorize on the host
+#: ISA (passed only where :func:`_isa` can name that ISA, because the
+#: artifact key must).  The flags actually passed (:func:`_flags`) are
+#: part of :func:`_compiler_id`.
+CFLAGS = (
+    "-O2",
+    "-fPIC",
+    "-shared",
+    "-fwrapv",
+    "-ffp-contract=off",
+    "-march=native",
+)
+
+#: CPU fields of ``/proc/cpuinfo`` that decide what ``-march=native``
+#: selects (x86 and arm64 spellings).
+_ISA_FIELDS = frozenset(
+    {
+        "vendor_id", "cpu family", "model", "flags",
+        "CPU implementer", "CPU architecture", "CPU variant", "CPU part",
+        "Features",
+    }
+)
 
 
 class NativeCompileError(Exception):
@@ -97,6 +119,9 @@ _MEM: dict[str, ctypes.CDLL] = {}
 
 #: Memoized compiler resolution per PYACC_CC value (None = unset).
 _CC_RESOLVED: dict[Optional[str], Optional[str]] = {}
+
+#: The host ISA token (:func:`_isa`; ``None`` = not read yet).
+_ISA: Optional[str] = None
 
 
 def record_decline(reason: str) -> None:
@@ -172,14 +197,45 @@ def cache_dir() -> Path:
     return Path.home() / ".cache" / "pyacc" / "native"
 
 
+def _isa() -> str:
+    """A digest of the CPU fields ``-march=native`` reads, taken from the
+    first processor of ``/proc/cpuinfo`` once per process; ``""`` where
+    that file is unreadable, and then ``-march=native`` is not passed."""
+    global _ISA
+    if _ISA is None:
+        try:
+            with open("/proc/cpuinfo") as fh:
+                first = fh.read().split("\n\n", 1)[0]
+        except OSError:
+            first = ""
+        fields = sorted(
+            line
+            for line in first.splitlines()
+            if line.split(":", 1)[0].strip() in _ISA_FIELDS
+        )
+        _ISA = hashlib.sha256("\n".join(fields).encode()).hexdigest()[:16] if fields else ""
+    return _ISA
+
+
+def _flags() -> tuple:
+    """The flags ``cc`` is invoked with: :data:`CFLAGS`, without
+    ``-march=native`` where the ISA is unknown."""
+    if _isa():
+        return CFLAGS
+    return tuple(f for f in CFLAGS if f != "-march=native")
+
+
 def _compiler_id(cc: str) -> str:
-    """A stable identity for the compiler binary (part of the cache key:
-    a toolchain upgrade must miss, never load stale codegen)."""
+    """A stable identity for the code ``cc`` emits — the binary, the
+    flags it is invoked with and the host ISA — which both artifact
+    tiers key on: a toolchain upgrade, a flag change or another CPU must
+    miss, never load stale code."""
     try:
         st = os.stat(cc)
-        return f"{cc}:{st.st_size}:{int(st.st_mtime)}"
+        binary = f"{cc}:{st.st_size}:{int(st.st_mtime)}"
     except OSError:
-        return cc
+        binary = cc
+    return f"{binary}|{' '.join(_flags())}|{_isa()}"
 
 
 def source_key(source: str, cc: str) -> str:
@@ -214,7 +270,7 @@ def _load(so_path: Path, symbol: str) -> ctypes.CDLL:
 
 
 def _invoke_cc(cc: str, c_path: Path, so_path: Path) -> None:
-    cmd = [cc, *CFLAGS, str(c_path), "-o", str(so_path), "-lm"]
+    cmd = [cc, *_flags(), str(c_path), "-o", str(so_path), "-lm"]
     try:
         proc = subprocess.run(
             cmd, capture_output=True, text=True, timeout=120

@@ -207,6 +207,20 @@ _NEGATE_CMP = {"lt": "ge", "le": "gt", "gt": "le", "ge": "lt", "eq": "ne", "ne":
 _MIRROR_CMP = {"lt": "gt", "le": "ge", "gt": "lt", "ge": "le", "eq": "eq", "ne": "ne"}
 
 
+def _conjuncts(node: N.Node, polarity: bool):
+    """Yield ``(leaf, polarity)`` conjuncts of a guard expression: the
+    guard holds iff every leaf evaluates to its polarity."""
+    if isinstance(node, N.Not):
+        yield from _conjuncts(node.operand, not polarity)
+    elif isinstance(node, N.BoolOp) and (
+        (node.op == "and" and polarity) or (node.op == "or" and not polarity)
+    ):
+        yield from _conjuncts(node.lhs, polarity)
+        yield from _conjuncts(node.rhs, polarity)
+    else:
+        yield node, polarity
+
+
 class _Verifier:
     """One verification run over a single optimized trace."""
 
@@ -330,24 +344,12 @@ class _Verifier:
         if cond is None:
             return box
         box = list(box)
-        for node, pol in self._conjuncts(cond, polarity):
+        for node, pol in _conjuncts(cond, polarity):
             if isinstance(node, N.Compare):
                 box = self._apply_compare(node, pol, box)
                 if box is None:
                     return None
         return box
-
-    def _conjuncts(self, node: N.Node, polarity: bool):
-        """Yield ``(leaf, polarity)`` conjuncts of a guard expression."""
-        if isinstance(node, N.Not):
-            yield from self._conjuncts(node.operand, not polarity)
-        elif isinstance(node, N.BoolOp) and (
-            (node.op == "and" and polarity) or (node.op == "or" and not polarity)
-        ):
-            yield from self._conjuncts(node.lhs, polarity)
-            yield from self._conjuncts(node.rhs, polarity)
-        else:
-            yield node, polarity
 
     def _apply_compare(self, cmp: N.Compare, polarity: bool, box: list):
         lhs = self._affine(cmp.lhs)
@@ -623,12 +625,14 @@ class _Verifier:
                     f"{a.text}; {b.text}",
                 )
 
-    def lane_conflict(self) -> Optional[str]:
+    def lane_conflict(self, apart: bool = False) -> Optional[str]:
         """``None`` iff lanes are *proven* independent (call after
         :meth:`collect`): every access to a written array names, through
         integer affine forms, an element inside ``[0, extent)``, and no
-        store can meet another store or a load from a different lane.
-        Otherwise the first failing access (pair) and the reason."""
+        store can meet another store or a load from a different lane —
+        and, with ``apart``, no two stores of one array at different
+        index nodes write one element from one lane.  Otherwise the
+        first failing access (pair) and the reason."""
         written = {st.array.pos for st in self.trace.stores}
         accesses = [x for x in self._accesses if x.array.pos in written]
         for acc in accesses:
@@ -637,7 +641,38 @@ class _Verifier:
                 return f"{acc.kind} {acc.text}: {reason}"
         for a, b, reason in self._races(accesses):
             return f"store {a.text}; {b.kind} {b.text}: {reason}"
+        stores = [x for x in accesses if x.kind == "store"] if apart else []
+        for k, a in enumerate(stores):
+            for b in stores[k + 1:]:
+                if (
+                    b.array.pos == a.array.pos
+                    and any(x is not y for x, y in zip(a.indices, b.indices))
+                    and not self._apart(a, b)
+                ):
+                    return (
+                        f"stores {a.text} and {b.text} may write one "
+                        "element from one lane"
+                    )
         return None
+
+    def _apart(self, a: _Access, b: _Access) -> bool:
+        """Is there, on every lane both stores run on, an axis whose
+        indices differ?  (Their forms are integer affine: checked
+        first.)"""
+        box = []
+        for (alo, ahi), (blo, bhi) in zip(a.box, b.box):
+            if max(alo, blo) > min(ahi, bhi):
+                return True  # no lane runs both
+            box.append((max(alo, blo), min(ahi, bhi)))
+        for fa, fb in zip(a.forms, b.forms):
+            diff = _Lin(
+                tuple(x - y for x, y in zip(fa.coeffs, fb.coeffs)),
+                fa.const - fb.const,
+            )
+            lo, hi = _lin_range(diff, box)
+            if lo > 0 or hi < 0:
+                return True
+        return False
 
     def _unproven_location(self, acc: _Access) -> Optional[str]:
         """Why ``acc``'s affine forms may not name the element it really
@@ -853,6 +888,7 @@ def lane_conflict(
     dims: Optional[tuple],
     shapes: dict,
     scalars: dict,
+    apart: bool = False,
 ) -> Optional[str]:
     """Proof that the lanes of one launch are independent, or why not.
 
@@ -861,8 +897,12 @@ def lane_conflict(
     ``scalars``, every access to a written array provably touches the
     in-range element its integer affine form names, and no store can
     meet another store or a load from a different lane — so any
-    execution order of the lanes produces the same bits.  A string
-    names the first access (pair) the analysis could not clear and why.
+    execution order of the lanes produces the same bits.  ``apart``
+    adds that two stores of one array at different index nodes never
+    write one element from one lane, which lets a lane's load take the
+    value of its own earlier store past later stores to that array.  A
+    string names the first access (pair) the analysis could not clear
+    and why.
 
     This is the licence the native rung (:mod:`repro.ir.cgen`) lowers
     and runs a multi-store kernel as one loop nest under, so it is a
@@ -875,7 +915,7 @@ def lane_conflict(
         trace, dims=dims, shapes=shapes, scalars=scalars, op=None, kernel=""
     )
     v.collect()
-    return v.lane_conflict()
+    return v.lane_conflict(apart)
 
 
 def _args_env(args: Sequence[Any]) -> tuple[dict, dict]:

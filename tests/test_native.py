@@ -21,8 +21,10 @@ import numpy as np
 import pytest
 
 import repro
+from repro.apps import lbm
 from repro.core.exceptions import KernelExecutionError
 from repro.faults import FaultPlan, InjectedFault, LaunchPolicy
+from repro.ir import nativecache
 from repro.ir.cgen import NativeDeclined, NativeKernel, try_lower_native
 from repro.ir.compile import (
     cache_info,
@@ -30,6 +32,7 @@ from repro.ir.compile import (
     compile_kernel,
     set_executor_mode,
 )
+from repro.ir.compilecache import disk_stats
 from repro.ir.nativecache import (
     cache_dir,
     native_stats,
@@ -200,6 +203,80 @@ class TestCompilerMissing:
         native = cache_info()["native"]
         assert native["compiled"] == 0
         assert native["declined"].get("cc-missing") == 1
+
+
+@needs_cc
+class TestArtifactKey:
+    """Both tiers — the ``.so`` artifacts and the persistent compile
+    cache — key on ``_compiler_id``: the binary, the flags passed and the
+    host ISA, so a warm cache never serves code built another way."""
+
+    @pytest.mark.parametrize(
+        "patch",
+        [("CFLAGS", nativecache.CFLAGS + ("-DPYACC_KEY_PROBE",)), ("_ISA", "another-cpu")],
+    )
+    def test_flags_and_isa_miss_both_tiers(self, patch, monkeypatch):
+        _compile_native()
+        clear_cache()
+        reset_state(drop_memory=True)
+        misses = disk_stats()["disk_misses"]
+        monkeypatch.setattr(nativecache, *patch)
+        ck = _compile_native()
+        assert ck.mode == "native"
+        assert disk_stats()["disk_misses"] == misses + 1  # compile-cache tier
+        stats = native_stats()
+        assert stats["compiled"] == 1 and stats["disk_hits"] == 0  # artifact tier
+        assert len(list(cache_dir().glob("*.so"))) == 2
+
+    def test_isa_is_read_once_per_process(self, monkeypatch):
+        reads = []
+
+        def counting(path, *a, **kw):
+            reads.append(path)
+            return open(path, *a, **kw)
+
+        monkeypatch.setattr(nativecache, "_ISA", None)
+        monkeypatch.setattr(nativecache, "open", counting, raising=False)
+        cc = resolve_cc()
+        ids = {nativecache._compiler_id(cc) for _ in range(3)}
+        assert reads == ["/proc/cpuinfo"] and len(ids) == 1
+
+    def test_unreadable_cpuinfo_drops_march_native(self, monkeypatch):
+        def unreadable(path, *a, **kw):
+            raise OSError(path)
+
+        monkeypatch.setattr(nativecache, "_ISA", None)
+        monkeypatch.setattr(nativecache, "open", unreadable, raising=False)
+        flags = nativecache._flags()
+        assert "-march=native" not in flags and "-ffp-contract=off" in flags
+        assert _compile_native().mode == "native"
+
+    def test_cc_refusing_gcc_options_still_runs_lbm_native(self, tmp_path, monkeypatch):
+        # A compiler that rejects gcc's ``--param``: no gcc-only option
+        # is on the command line (the licensed unit's ``#pragma GCC``
+        # lines are in the source, which other compilers ignore).
+        real = resolve_cc()
+        wrapper = tmp_path / "cc"
+        wrapper.write_text(
+            "#!/bin/sh\n"
+            'for a in "$@"; do case "$a" in --param*) exit 1;; esac; done\n'
+            f'exec "{real}" "$@"\n'
+        )
+        wrapper.chmod(0o755)
+        monkeypatch.setenv("PYACC_CC", str(wrapper))
+        reset_state()
+        n = 8
+        rng = np.random.default_rng(3)
+        args = [np.zeros(9 * n * n), rng.random(9 * n * n) + 0.5, np.zeros(9 * n * n),
+                0.8, lbm.WEIGHTS, lbm.CX, lbm.CY, n]
+        want = [a.copy() if isinstance(a, np.ndarray) else a for a in args]
+        dom = IndexDomain.full((n, n))
+        compile_kernel(lbm.lbm_kernel, 2, want, executor="codegen").run_for(dom, want)
+        ck = compile_kernel(lbm.lbm_kernel, 2, args, executor="native")
+        assert ck.mode == "native" and ck.native._lane_scalars is not None
+        ck.native.run_for(dom, args)
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(args[:3], want[:3]))
+        assert native_stats()["declined"] == {}
 
 
 # ---------------------------------------------------------------------------

@@ -24,6 +24,8 @@ the lowering decisions are checked on the C source, which needs no cc).
 import hashlib
 import json
 import os
+import re
+import shutil
 import subprocess
 import sys
 import textwrap
@@ -107,6 +109,26 @@ def unguarded(i, y, z, x, s):
     but nothing in the kernel bounds ``s * i``."""
     y[s * i] = x[i]
     z[i] = 2.0 * y[s * i]
+
+
+def two_planes(i, y, z, x, p, n):
+    """Lanes independent for every ``p``; at ``p == 0`` each lane's
+    second store overwrites its first, so the reload of ``y[i]`` must
+    see ``2·x``: the store may only be forwarded past the second one
+    while the two are proven apart."""
+    if 0 <= i and i < n:
+        y[i] = x[i]
+        y[i + p * n] = 2.0 * x[i]
+        z[i] = y[i] + 1.0
+
+
+def two_planes_read_first(i, y, z, x, p, n):
+    """``two_planes`` with the reload before the second store: its
+    forward passes no store, so nothing needs the stores apart."""
+    if 0 <= i and i < n:
+        y[i] = x[i]
+        z[i] = y[i] + 1.0
+        y[i + p * n] = 2.0 * x[i]
 
 
 def float_guarded(i, y, z, x, s, t):
@@ -267,6 +289,48 @@ class TestStructure:
         assert spec["lane_scalars"] == (7,)  # n, not tau
         # The unproven gather through the runtime ``cx[k]`` keeps its clamp.
         assert "a1_n0 - 1" in src
+
+    def test_lbm_tells_cc_what_the_licence_proved(self):
+        spec = _lower(lbm.lbm_kernel, 2, _lbm_args(8, np.random.default_rng(0)))
+        src = spec["source"]
+        assert src.count("#pragma GCC ivdep") == 1
+        assert (
+            '#pragma GCC optimize ("vect-cost-model=dynamic", "fp-contract=off", "wrapv")'
+            in src
+        )
+        # The guard became loop bounds: no store sits under an ``if``.
+        assert not re.search(r"if \(t\d+\) \{", src)
+        assert "if (t1 < hi0) hi0 = t1;" in src  # x < n - 1
+        # Every plane's reload of ``f`` (arg 0) takes its stored value,
+        # past the later planes' stores (proven apart): the nine
+        # references left are the nine stores.
+        assert spec["lane_apart"] is True
+        assert src.count("a0[") == 9 and src.count("] = ") == 18
+
+    def test_unlicensed_and_reduce_units_get_no_ivdep(self):
+        n = 8
+        args = [np.zeros(n), np.zeros(n), np.arange(n)[::-1].copy(), np.ones(n)]
+        assert "ivdep" not in _lower(perm_scatter, 1, args)["source"]
+        v = np.ones(n)
+        assert "ivdep" not in _lower(dot, 1, [v, v])["source"]
+
+    @pytest.mark.skipif(
+        not HAVE_CC or shutil.which("objdump") is None, reason="needs cc and objdump"
+    )
+    def test_the_vectorized_unit_has_no_fma(self, tmp_path, monkeypatch):
+        # ``-ffp-contract=off`` must survive the unit's optimize pragma:
+        # a fused multiply-add rounds once where NumPy rounds twice.
+        monkeypatch.setenv("PYACC_NATIVE_CACHE", str(tmp_path))
+        reset_state()
+        ck = compile_kernel(
+            lbm.lbm_kernel, 2, _lbm_args(8, np.random.default_rng(0)), executor="native"
+        )
+        assert ck.native is not None and "ivdep" in ck.native.source
+        (so,) = tmp_path.glob("*.so")
+        asm = subprocess.run(
+            ["objdump", "-d", str(so)], capture_output=True, text=True, check=True
+        ).stdout
+        assert not re.search(r"\s(v?fn?m(add|sub)\w*|fml[as])\s", asm)
 
     def test_lbm3d_and_obstacle_are_one_loop_nest(self):
         rng = np.random.default_rng(0)
@@ -450,6 +514,32 @@ class TestPreflightGuard:
         args = _guard_args(n, -1)
         self._declines(ck, args, "lanes")
         assert args[0][-1] == 1.0  # lane 0 wrapped onto the last element
+
+    def test_stores_no_longer_apart_decline(self):
+        # Compiled where the two stores are apart, so the reload of
+        # ``y[i]`` was forwarded past the second one; at ``p == 0`` they
+        # hit one element and the forwarded value would be stale.
+        n = self.N
+        ck = _licensed(two_planes, _guard_args(n, 1))
+        if HAVE_CC:
+            assert ck.native._lane_apart is True
+        args = _guard_args(n, 0)
+        self._declines(ck, args, "lanes")
+        assert np.array_equal(args[1], 2.0 * args[2] + 1.0)
+
+    def test_coinciding_stores_run_native_where_no_forward_passed_them(self):
+        # The same stores, but the forward of ``y[i]`` passes none: the
+        # kernel keeps the plain licence and runs native at ``p == 0``.
+        n = self.N
+        ck = _licensed(two_planes_read_first, _guard_args(n, 1))
+        if HAVE_CC:
+            assert ck.native._lane_apart is False
+        args = _guard_args(n, 0)
+        want = _codegen_result(two_planes_read_first, args, n)
+        ck.run_for(IndexDomain.full((n,)), args)
+        assert _same_bits(args, want)
+        assert np.array_equal(args[0][:n], 2.0 * args[2])
+        assert native_stats()["declined"] == ({} if HAVE_CC else {"cc-missing": 1})
 
     def test_shared_storage_declines_alias(self):
         n = self.N
@@ -701,3 +791,7 @@ def test_inspect_native_reports_loop_nests_and_the_licence():
         "loop nests: 2; single-loop licence refused: store arg0[arg2[i]]: "
         "index not affine in the launch indices" in report
     )
+    assert "told to cc: guard-box clip, store forwarding, ivdep" in report
+    # One line per kernel; the count depends on the ISA (a baseline
+    # x86-64 cannot gather), and a non-gcc cc prints no report.
+    assert len(re.findall(r"loops vectorized: (\d+; first missed: |n/a)", report)) == 4
