@@ -2,8 +2,8 @@
 
 PR 10's disk tier (``PYACC_COMPILE_CACHE``, repro.ir.compilecache)
 persists every compiled kernel — optimized trace, verifier diagnostics,
-generated codegen source, native C spec — plus the launch graphs'
-fuse/DSE/hoist/validate artifacts, content-addressed on the kernel
+generated codegen source, native C spec — plus each launch graph's
+fused/validated/hoisted structure, content-addressed on the kernel
 source fingerprint and full environment.  This is the pkgimages half of
 Julia's story: the JIT amortizes within a process, the cache across
 processes.

@@ -92,7 +92,6 @@ from ..core.launch import LaunchSchedule, cpu_schedule, usable_cpus
 from ..core.plan import LaunchPlan
 from ..ir.arena import ScratchArena
 from ..ir.compile import compile_kernel
-from ..ir.compilecache import enter_worker_mode, promote_spools
 from ..ir.vectorizer import IndexDomain, fold_partials
 from .registry import CLUSTER_COUNTERS as _COUNTERS
 from .registry import cluster_stats, reset_cluster_stats
@@ -257,10 +256,6 @@ def _worker_main(conn, worker_name: str) -> None:  # pragma: no cover - child
     ``("ok", task_id, partial)`` or ``("err", task_id, type, msg)``;
     ``("exit",)`` ends the loop.
     """
-    # Forked workers read the parent's compile cache but publish into a
-    # per-worker spool the parent promotes (handle_loss/shutdown) — a
-    # SIGKILLed worker can never corrupt the shared namespace.
-    enter_worker_mode()
     segments: dict = {}
     fns: dict = {}
     arena = ScratchArena()
@@ -482,14 +477,6 @@ class ClusterSupervisor:
         except Exception:
             pass
         self._drop(w)
-        # Absorb what the dead worker spooled into the shared compile
-        # cache, so the respawn warm-starts from disk instead of
-        # recompiling its shard kernels.  Only *its* spool: peers are
-        # still alive and may be mid-publish.
-        try:
-            promote_spools([w.proc.pid])
-        except Exception:
-            pass
         if self.respawns_used >= self.max_respawns:
             self.slots.pop(w.slot, None)
             self.epoch += 1
@@ -550,10 +537,6 @@ class ClusterSupervisor:
             self._drop(w)
         self.slots.clear()
         self._started = False
-        try:
-            promote_spools()
-        except Exception:
-            pass
 
 
 # ---------------------------------------------------------------------------

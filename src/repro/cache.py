@@ -12,7 +12,7 @@ Commands::
 
     python -m repro.cache ls                 # keys + sizes + metadata
     python -m repro.cache prune --max-bytes N  # LRU (mtime) eviction
-    python -m repro.cache clear              # drop every entry
+    python -m repro.cache clear              # drop every entry + stray temp file
     python -m repro.cache verify             # re-hash, unlink corrupted
 
 All commands accept ``--dir PATH`` to target an explicit directory,
@@ -73,7 +73,7 @@ def _entry_meta(path: Path) -> dict:
         if "mode" in payload:
             out["mode"] = payload["mode"]
         if payload.get("kind") == "program":
-            out["subentries"] = len(payload.get("subentries", {}))
+            out["nodes"] = len(payload.get("nodes", ()))
     return out
 
 
@@ -104,8 +104,8 @@ def _cmd_ls(dirpath: Path, suffixes: tuple, as_json: bool, deep: bool) -> int:
             )
         elif "kind" in r:
             extra = f"  {r['kind']}"
-            if "subentries" in r:
-                extra += f" subentries={r['subentries']}"
+            if "nodes" in r:
+                extra += f" nodes={r['nodes']}"
             if r.get("status") != "ok":
                 extra += f" [{r['status']}]"
         print(f"{r['key']}  {r['bytes']:>10}{extra}")
@@ -130,7 +130,9 @@ def _cmd_prune(
 
 
 def _cmd_clear(dirpath: Path, suffixes: tuple, as_json: bool) -> int:
-    removed = diskcache.clear_dir(dirpath, suffixes)
+    # Stray temp files too: a kernel or program entry writer killed
+    # between ``mkstemp`` and ``os.replace`` leaves a ``*.tmp`` behind.
+    removed = diskcache.clear_dir(dirpath, suffixes + (".tmp",))
     if as_json:
         print(json.dumps({"removed": removed}, indent=2))
     else:

@@ -19,12 +19,14 @@ The CUDA-Graphs model, transplanted to the staged dispatch pipeline
   **structure** (:class:`_Structure`: the post-fusion node list with
   its kernels, schedules and slot maps, and no array) and a **binding**
   (which recorded argument sits in which position).  The structure is
-  cached on the kernel cache under a structural key
-  (:meth:`LaunchGraph._structure_key`), so a later capture of the same
-  launch sequence over *other* arrays of the same shapes, dtypes,
-  strides and alias pattern **rebinds** — a few list writes per node —
-  instead of fusing, validating and hoisting again (CUDA-graph "exec
-  update").
+  cached on the kernel cache under a structural key, so a later capture
+  of the same launch sequence over *other* arrays of the same shapes,
+  dtypes, strides and alias pattern **rebinds** — a few list writes per
+  node — instead of fusing, validating and hoisting again (CUDA-graph
+  "exec update").  The persistent compile cache stores the same
+  structure under the disk projection of the same key
+  (:meth:`LaunchGraph._key_parts`), so a fresh process loads it instead
+  of building it.
 * **replay** — :meth:`InstantiatedGraph.replay` re-executes the
   sequence through the *same* execute stage as normal dispatch
   (:func:`repro.core.api._execute` per node: accounting, hooks, modeled
@@ -52,7 +54,7 @@ import numpy as np
 from ..core.api import _execute
 from ..core.exceptions import GraphError
 from ..core.plan import LaunchHandle, LaunchPlan
-from ..ir import writes
+from ..ir import compilecache, writes
 from ..ir.compile import compile_kernel, executor_mode, resolve_cache
 from ..ir.validate import active_validate_mode
 
@@ -78,6 +80,12 @@ def _pkg():
     if _graph is None:
         from .. import graph as _graph
     return _graph
+
+
+#: Scalar arguments a structure key may hold: they hash, compare and
+#: ``repr`` by value, so the in-memory and the disk projection of a key
+#: agree on them.  Any other scalar takes the full path on both tiers.
+_KEY_SCALARS = (bool, int, float, complex, str, bytes, type(None), np.generic)
 
 
 def _slot_algebra_error(op: str):
@@ -273,31 +281,32 @@ class LaunchGraph:
         self.backend = backend
         self.epoch = epoch
 
-    def _structure_key(self, ctx: "ExecutionContext", fuse: bool):
-        """The key identifying everything instantiation derives from
-        this recording *except* which arrays it ran on — or ``None``
-        when the recording must take the full path.
+    def _key_parts(self, ctx: "ExecutionContext", fuse: bool):
+        """The one walk over the recording that both structure keys are
+        projected from (see :meth:`instantiate`) — or ``None`` when the
+        recording must take the full path, on both tiers.
 
-        Per node: the compiled kernel (by ``id``; the stored structure
-        pins the kernels so the ids cannot recycle), construct, fold,
-        dims, launch policy, slot map, and per argument ``(storage
-        number, shape, dtype, strides)``, the slot name, or ``(type,
-        value)`` of a baked scalar.  Storages are numbered by first
-        occurrence across the whole graph, so the alias pattern — which
-        fusion legality and the hoist pass's const-candidate set depend
-        on — is in the key.  Plus the context (whose arena the plans
-        carry), the backend and schedule epoch every node was scheduled
-        under, the effective fuse flag, and the executor and validate
-        modes.
+        Per node: construct, fold, dims, launch policy, slot map, and per
+        argument ``(storage number, shape, dtype, strides)``, the slot
+        name, or ``(type, value)`` of a baked scalar.  Storages are
+        numbered by first occurrence across the whole graph, so the alias
+        pattern — which fusion legality and the hoist pass's
+        const-candidate set depend on — is in the key.  Plus the
+        effective fuse flag and the executor and validate modes.  The
+        member kernels and the backend are not in the parts: the
+        in-memory key adds the kernels' ``id`` (the stored structure pins
+        the kernels so the ids cannot recycle) with the context, backend
+        and schedule epoch every node was staged under; the disk key adds
+        the kernels' content digests and the backend's kind
+        (:func:`repro.ir.compilecache.graph_digest`).
 
-        No key for: a backend or epoch that moved since the capture
+        No parts for: a backend or epoch that moved since the capture
         began (a failover or device loss mid-capture leaves recorded
         schedules that are stale for the *next* capture), a node without
-        a compiled kernel or staged under another context, an unhashable
-        scalar (the lookup raises ``TypeError``, see
-        :meth:`instantiate`), or two *distinct* storages that may share
-        memory — the identity-based sharing analysis of the fusion pass
-        did not see that overlap.
+        a compiled kernel or staged under another context or backend, a
+        scalar that is not a number, string or NumPy scalar, or two
+        *distinct* storages that may share memory — the identity-based
+        sharing analysis of the fusion pass did not see that overlap.
         """
         backend = self.backend
         if backend is None or backend.schedule_epoch() != self.epoch:
@@ -323,11 +332,12 @@ class LaunchGraph:
                     argsig.append((number, a.shape, a.dtype, a.strides))
                 elif pos in slot_map:
                     argsig.append(slot_map[pos])
-                else:
+                elif isinstance(a, _KEY_SCALARS):
                     argsig.append((type(a), a))
+                else:
+                    return None
             parts.append(
                 (
-                    id(plan.kernel),
                     plan.construct,
                     plan.op,
                     plan.dims,
@@ -340,15 +350,7 @@ class LaunchGraph:
             for b in storages[i + 1 :]:
                 if np.may_share_memory(a, b):
                     return None
-        return (
-            ctx,
-            backend,
-            self.epoch,
-            fuse,
-            executor_mode(),
-            active_validate_mode(),
-            tuple(parts),
-        )
+        return (fuse, executor_mode(), active_validate_mode(), tuple(parts))
 
     def match_return(self, ret: Any) -> Optional[tuple]:
         """Infer how a captured body's return value maps onto node
@@ -398,16 +400,17 @@ class LaunchGraph:
             node.bake_const_slots()
         return nodes
 
-    def _validate(self, program):
+    def _validate(self, program, record):
         """Run the translation validator over the optimized program;
         returns ``(program, clean)``.
 
         Re-derives every applied rewrite from effects summaries
         (:mod:`repro.ir.validate`) and runs the program-level hazard
-        analyses (V602/V603).  ``error`` mode raises on any
-        error-severity finding; ``warn`` (default) warns and — when a
-        rewrite itself is unconfirmed or an error-severity hazard is
-        present — degrades to the unoptimized program, which is always
+        analyses (V602/V603), accounting through ``record`` (the
+        ``graph`` package's ``_record_validate``).  ``error`` mode raises
+        on any error-severity finding; ``warn`` (default) warns and —
+        when a rewrite itself is unconfirmed or an error-severity hazard
+        is present — degrades to the unoptimized program, which is always
         correct.  Degrading is a rebuild from the recording: fusion
         builds *new* plans and leaves the recorded ones intact.
         ``clean`` is false when the validator said anything at all.
@@ -415,36 +418,17 @@ class LaunchGraph:
         import warnings
 
         from ..core.exceptions import TranslationValidationError
-        from ..ir import compilecache
         from ..ir.diagnostics import KernelVerificationWarning
         from ..ir.program import Program
         from ..ir.validate import program_diagnostics, validate_program
 
-        _record_validate = _pkg()._record_validate
         vmode = active_validate_mode()
         if vmode == "off":
             return program, True
-        # Persistent program tier: a clean-validation certificate stored
-        # by an earlier instantiate of this exact program (same member
-        # digests, alias pattern, modes — all in the entry key) lets the
-        # warm path skip re-validation; the recorded counter trail is
-        # replayed so graph_stats() matches a cold instantiate.
-        trail = compilecache.validated_lookup()
-        if trail is not None:
-            for kind, kw in trail:
-                _record_validate(kind, **kw)
-            return program, True
-        trail_acc: list = []
-
-        def _rec(kind, **kw):
-            trail_acc.append((kind, kw))
-            _record_validate(kind, **kw)
-
-        diags = validate_program(program, _rec)
+        diags = validate_program(program, record)
         diags.extend(program_diagnostics(program))
-        _rec("", programs=1, diagnostics=diags)
+        record("", programs=1, diagnostics=diags)
         if not diags:
-            compilecache.validated_record(trail_acc)
             return program, True
         fatal = [d for d in diags if d.is_error]
         if vmode == "error" and fatal:
@@ -455,7 +439,7 @@ class LaunchGraph:
             # Undo the rewrites: rebuild the program from fresh nodes
             # over the recorded plans, with no pass run.
             program = Program(self.name, self._fresh_nodes())
-            _record_validate("", degraded=1)
+            record("", degraded=1)
         return program, False
 
     def _hoist(self, program) -> dict:
@@ -469,15 +453,12 @@ class LaunchGraph:
         between replays, so each one is tracked through the global
         write-version table (repro.ir.writes): replay re-validates the
         snapshot and demotes any array that moved (see _replay /
-        _rehoist).  Runs inside the persistent program scope: a warm
-        instantiate reuses the recorded prologue/main sources instead of
-        re-lowering.
+        _rehoist).
 
         Returns ``{node position: (hoisted program, const-candidate
         positions, const-scalar positions)}`` for the nodes that hoist;
         binding (:meth:`_NodeTemplate.bind`) installs them.
         """
-        from ..ir import compilecache
         from ..ir.codegen import lower_trace_hoisted
 
         nodes = [pn.gnode for pn in program.nodes]
@@ -517,76 +498,41 @@ class LaunchGraph:
                 for pos, a in enumerate(rargs)
                 if isinstance(a, np.ndarray) and id(a) not in written
             )
-            hoisted = compilecache.hoist_lookup(kernel, cand, const_scalars)
-            if hoisted is compilecache.MISSING:
-                hoisted = lower_trace_hoisted(
-                    kernel.trace, rargs, frozenset(cand), const_scalars
-                )
-                compilecache.hoist_record(
-                    kernel, cand, const_scalars, hoisted
-                )
+            hoisted = lower_trace_hoisted(
+                kernel.trace, rargs, frozenset(cand), const_scalars
+            )
             if hoisted is not None:
                 out[index] = (hoisted, cand, const_scalars)
         return out
 
-    def _build(self, ctx: "ExecutionContext", fuse: bool):
-        """The full path: fuse, validate, hoist and size the arena over
-        this recording.  Returns ``(structure, program, clean)``."""
-        from ..ir import compilecache
+    def _build(self, fuse: bool):
+        """The full path: fuse, validate and hoist over this recording.
+        Returns ``(structure, program, clean)``; the structure's trail
+        holds every pass and validator counter call the build made."""
         from ..ir.program import Program, run_passes
 
-        nodes = self._fresh_nodes()
+        pkg = _pkg()
+        trail: list = []
+
+        def recorder(kind, record):
+            def rec(name, **kw):
+                trail.append((kind, name, kw))
+                record(name, **kw)
+
+            return rec
+
+        program = Program(self.name, self._fresh_nodes())
         clean = True
-        # Persistent program tier: the member-plan key tuple identifies
-        # this instantiation across processes; inside the scope the
-        # derived artifacts (fused kernels, the validate certificate,
-        # hoisted prologue sources) are served from the entry and
-        # anything newly derived is published on exit.
-        gdigest = compilecache.graph_digest(nodes, ctx.backend(), fuse)
-        with compilecache.program_scope(gdigest):
-            program = Program(self.name, nodes)
-            if fuse:
-                run_passes(program, _pkg()._record_pass)
-                program, clean = self._validate(program)
-            hoisted = self._hoist(program)
+        if fuse:
+            run_passes(program, recorder("pass", pkg._record_pass))
+            program, clean = self._validate(
+                program, recorder("validate", pkg._record_validate)
+            )
+        hoisted = self._hoist(program)
         templates = [
-            _NodeTemplate(pn.gnode, hoisted.get(index))
+            _NodeTemplate(pn.gnode, hoisted.get(index), pn.origin[0])
             for index, pn in enumerate(program.nodes)
         ]
-
-        # Pre-size the arena for what replay draws: per node, each
-        # schedule chunk opens one frame drawing, per tile shape, one
-        # buffer per certified ``out=`` dtype of a codegen node, or the
-        # float64 lane buffer of a native reduce that leases one
-        # (NativeKernel.leases_lanes); any other native node draws
-        # nothing — C has no temporaries.  A chunk's tiles run one after
-        # another and recycle the frame's buffers, and nodes run
-        # sequentially, so the pool only needs the *largest* per-node
-        # requirement per (shape, dtype) key.
-        need: dict[tuple, int] = {}
-        for template in templates:
-            plan = template.plan
-            kernel = plan.kernel
-            if kernel is None or kernel.codegen is None:
-                continue
-            native = kernel.native
-            if native is None:
-                codegen = template.hoisted[0] if template.hoisted else kernel.codegen
-                dtypes = codegen.out_dtypes
-            elif plan.is_reduce and native.leases_lanes(plan.op):
-                dtypes = (np.dtype(np.float64),)
-            else:
-                continue
-            per_node: dict[tuple, int] = {}
-            for dom in plan.schedule.domains:
-                for shape in {tile.shape for tile in dom.tiles}:
-                    for dt in dtypes:
-                        key = (shape, dt)
-                        per_node[key] = per_node.get(key, 0) + 1
-            for key, count in per_node.items():
-                need[key] = max(need.get(key, 0), count)
-        reserve = [key for key, count in need.items() for _ in range(count)]
-
         # index_map: recorded node index → post-pipeline node index, so
         # the return convention (matched against the recording) survives
         # fusion and reordering.  A reduce absorbed into a fused node
@@ -596,7 +542,7 @@ class LaunchGraph:
             templates,
             program.index_map(),
             program.fused_pairs,
-            reserve,
+            trail,
             pins=tuple(node.plan.kernel for node in self.nodes),
         )
         return structure, program, clean
@@ -610,35 +556,44 @@ class LaunchGraph:
     ) -> "InstantiatedGraph":
         """Freeze the recording into a replayable program.
 
-        The first instantiation of a structure (see
-        :meth:`_structure_key`) builds the dataflow
+        The first instantiation of a structure builds the dataflow
         :class:`~repro.ir.program.Program` over the recorded plans, runs
-        global fusion over it (see :mod:`repro.ir.program`), validates,
-        hoists and sizes the context arena; ``fuse=False`` forces the
-        pass off (used under an active fault plan so replayed launch
-        counts — and therefore fault-injection ordinals — match
-        uncaptured dispatch).  The result is stored on the context's
-        kernel cache unless the validator said anything, and every
-        later instantiation of the same structure only *binds* it to
-        this recording's arguments (``graph_stats()["rebinds"]``).
-        Either way the graph is built by :meth:`_Structure.bind`, so the
-        two paths cannot drift.
+        global fusion over it (see :mod:`repro.ir.program`), validates
+        and hoists; ``fuse=False`` forces the pass off (used under an
+        active fault plan so replayed launch counts — and therefore
+        fault-injection ordinals — match uncaptured dispatch).  Unless
+        the validator said anything, the result is stored twice under
+        two projections of one walk (:meth:`_key_parts`): on the
+        context's kernel cache, where every later instantiation of the
+        same structure only *binds* it to this recording's arguments
+        (``graph_stats()["rebinds"]``), and in the persistent compile
+        cache, where a fresh process loads it instead of building it
+        (``cache_info()["disk"]["graph_hits"]``).  Either way the graph
+        is built by :meth:`_Structure.bind`, so the paths cannot drift.
         """
         fuse = fuse and _pkg().passes_mode() == "all"
         cache = resolve_cache(ctx.kernel_cache)
-        key = self._structure_key(ctx, fuse)
-        structure = program = None
-        if key is not None:
-            try:
-                structure = cache.structure(key)
-            except TypeError:  # an unhashable baked scalar
-                key = None
+        parts = self._key_parts(ctx, fuse)
+        key = digest = structure = program = None
+        if parts is not None:
+            kernels = [node.plan.kernel for node in self.nodes]
+            key = (ctx, self.backend, self.epoch, tuple(map(id, kernels)), parts)
+            structure = cache.structure(key)
+            if structure is not None:
+                _pkg()._bump("rebinds")
+                return structure.bind(self, ctx, return_convention)
+            digest = compilecache.graph_digest(kernels, self.backend, parts)
+            structure = compilecache.load_program(
+                digest, lambda payload: _Structure.load(payload, self)
+            )
         if structure is None:
-            structure, program, clean = self._build(ctx, fuse)
-            if key is not None and clean:
-                cache.store_structure(key, structure)
-        else:
-            _pkg()._bump("rebinds")
+            structure, program, clean = self._build(fuse)
+            if not clean:
+                key = digest = None
+            if digest is not None:
+                compilecache.store_program(digest, structure.payload())
+        if key is not None:
+            cache.store_structure(key, structure)
         return structure.bind(self, ctx, return_convention, program)
 
 
@@ -648,18 +603,20 @@ class _NodeTemplate:
     ``plan`` is an argument-less prototype carrying every staged
     decision (backend, kernel, schedule, policy, arena, diagnostics);
     ``sources[p]`` names the recorded node and position that supplies
-    argument ``p``.  ``hoisted`` is the node's :meth:`LaunchGraph._hoist`
-    decision; its program is never executed, so it holds no prologue
-    values.
+    argument ``p``, and ``root`` the recorded node whose domain, policy
+    and arena it took (the node itself, unless fusion merged others into
+    it).  ``hoisted`` is the node's :meth:`LaunchGraph._hoist` decision;
+    its program is never executed, so it holds no prologue values.
     """
 
-    __slots__ = ("plan", "sources", "slot_map", "hoisted")
+    __slots__ = ("plan", "sources", "slot_map", "hoisted", "root")
 
-    def __init__(self, gnode: GraphNode, hoisted: Optional[tuple]):
+    def __init__(self, gnode: GraphNode, hoisted: Optional[tuple], root: int):
         self.plan = _restaged(gnode.plan, (), None)
         self.sources = gnode.sources
         self.slot_map = gnode.slot_map
         self.hoisted = hoisted
+        self.root = root
 
     def bind(self, recorded: list[LaunchPlan]) -> GraphNode:
         """A replayable node over ``recorded``'s arguments."""
@@ -685,27 +642,155 @@ class _NodeTemplate:
         return node
 
 
+def _arena_reserve(templates: list[_NodeTemplate]) -> list:
+    """The arena buffers replay draws, as ``(shape, dtype)`` keys with
+    repeats.
+
+    Per node, each schedule chunk opens one frame drawing, per tile
+    shape, one buffer per certified ``out=`` dtype of a codegen node, or
+    the float64 lane buffer of a native reduce that leases one
+    (NativeKernel.leases_lanes); any other native node draws nothing — C
+    has no temporaries.  A chunk's tiles run one after another and
+    recycle the frame's buffers, and nodes run sequentially, so the pool
+    only needs the *largest* per-node requirement per (shape, dtype)
+    key.
+    """
+    need: dict[tuple, int] = {}
+    for template in templates:
+        plan = template.plan
+        kernel = plan.kernel
+        if kernel is None or kernel.codegen is None:
+            continue
+        native = kernel.native
+        if native is None:
+            codegen = template.hoisted[0] if template.hoisted else kernel.codegen
+            dtypes = codegen.out_dtypes
+        elif plan.is_reduce and native.leases_lanes(plan.op):
+            dtypes = (np.dtype(np.float64),)
+        else:
+            continue
+        per_node: dict[tuple, int] = {}
+        for dom in plan.schedule.domains:
+            for shape in {tile.shape for tile in dom.tiles}:
+                for dt in dtypes:
+                    key = (shape, dt)
+                    per_node[key] = per_node.get(key, 0) + 1
+        for key, count in per_node.items():
+            need[key] = max(need.get(key, 0), count)
+    return [key for key, count in need.items() for _ in range(count)]
+
+
 class _Structure:
     """Everything :meth:`LaunchGraph.instantiate` derives from a
     recording except the arrays: node templates, the recorded → final
-    index map, the fused-pair count and the arena reservation.
+    index map, the fused-pair count, the counter trail of the build
+    that produced it and the arena reservation (derived from the
+    templates' schedules, so a structure loaded from disk sizes the
+    arena for the backend it was staged on).
 
     Stored on the :class:`~repro.ir.compile.KernelCache` and shared by
-    every graph bound from it, so it is never mutated after ``_build``
+    every graph bound from it, so it is never mutated after it is made
     and holds **no array** — a stored operator copy would pin a solve's
     memory for the life of the process.  ``pins`` keeps alive the
     recorded kernels, whose ``id()`` the store key holds (fusion
-    replaces them in ``nodes``).
+    replaces them in ``nodes``).  The persistent compile cache holds
+    :meth:`payload`, read back by :meth:`load`.
     """
 
-    __slots__ = ("nodes", "index_map", "fused_pairs", "reserve", "pins")
+    __slots__ = ("nodes", "index_map", "fused_pairs", "trail", "reserve", "pins")
 
-    def __init__(self, nodes, index_map, fused_pairs, reserve, pins):
+    def __init__(self, nodes, index_map, fused_pairs, trail, pins):
         self.nodes: list[_NodeTemplate] = nodes
         self.index_map: dict[int, int] = index_map
         self.fused_pairs: int = fused_pairs
-        self.reserve: list = reserve
+        self.trail: list = trail
+        self.reserve: list = _arena_reserve(nodes)
         self.pins: tuple = pins
+
+    def payload(self) -> dict:
+        """This structure as a program entry (see :meth:`load`): per
+        template its root, the fused kernel (construct, op, name and
+        kernel payload; ``None`` for a recorded node), sources, slot map
+        and hoisted program (its sources; ``None`` if it does not
+        hoist)."""
+        nodes = []
+        for template in self.nodes:
+            plan = template.plan
+            fused = None
+            if plan.kernel is not self.pins[template.root]:
+                fused = (
+                    plan.construct,
+                    plan.op,
+                    plan.fn.__name__,
+                    compilecache.kernel_payload(plan.kernel, "derived"),
+                )
+            hoisted = template.hoisted
+            if hoisted is not None:
+                program, cand, const_scalars = hoisted
+                hoisted = (compilecache.hoisted_parts(program), cand, const_scalars)
+            nodes.append(
+                (template.root, fused, template.sources, template.slot_map, hoisted)
+            )
+        return {
+            "nodes": nodes,
+            "index_map": self.index_map,
+            "fused_pairs": self.fused_pairs,
+            "trail": self.trail,
+        }
+
+    @classmethod
+    def load(cls, payload: dict, graph: LaunchGraph) -> "Optional[_Structure]":
+        """The structure :meth:`payload` describes, staged over
+        ``graph``'s recording: a recorded node is taken as captured, a
+        fused one is rebuilt from its kernel payload and staged on the
+        recording's backend, a hoisted program from its sources.  Then
+        the build's counter trail is replayed, so ``graph_stats()`` reads
+        as if the build had run here.  ``None`` if a fused kernel does
+        not rebuild."""
+        from ..ir.fuse import _attach, _make_fused_fn
+
+        recorded = [node.plan for node in graph.nodes]
+        templates = []
+        for root, fused, sources, slot_map, hoisted in payload["nodes"]:
+            plan = recorded[root]
+            if fused is not None:
+                construct, op, name, kernel_payload = fused
+                kernel = compilecache.rebuild_kernel(
+                    kernel_payload, _make_fused_fn(name)
+                )
+                if kernel is None:
+                    return None
+                plan = _attach(
+                    kernel,
+                    plan,
+                    construct,
+                    op,
+                    [recorded[i].args[pos] for i, pos in sources],
+                    [recorded[i].resolved_args[pos] for i, pos in sources],
+                )
+            if hoisted is not None:
+                parts, cand, const_scalars = hoisted
+                hoisted = (compilecache.rebuild_hoisted(parts), cand, const_scalars)
+            templates.append(
+                _NodeTemplate(GraphNode(plan, slot_map, sources), hoisted, root)
+            )
+        structure = cls(
+            templates,
+            payload["index_map"],
+            payload["fused_pairs"],
+            payload["trail"],
+            pins=tuple(plan.kernel for plan in recorded),
+        )
+        structure.replay_trail()
+        return structure
+
+    def replay_trail(self) -> None:
+        """Move the pass and validator counters as the build that made
+        this structure moved them."""
+        pkg = _pkg()
+        record = {"pass": pkg._record_pass, "validate": pkg._record_validate}
+        for kind, name, kw in self.trail:
+            record[kind](name, **kw)
 
     def bind(
         self,
@@ -717,7 +802,8 @@ class _Structure:
         """The one constructor of instantiated graphs: this structure
         over ``graph``'s recorded arguments.  ``program`` is the
         dataflow program of the build that produced the structure
-        (``None`` on a rebind — it pins that build's arrays)."""
+        (``None`` on a rebind or a disk load — it pins that build's
+        arrays)."""
         recorded = [node.plan for node in graph.nodes]
         nodes = [template.bind(recorded) for template in self.nodes]
         kind = return_convention[0]

@@ -22,15 +22,17 @@ Two entry kinds share one directory (``PYACC_COMPILE_CACHE``, default
   rung's C spec — everything needed to rebuild a
   :class:`~repro.ir.compile.CompiledKernel` without tracing, verifying,
   or lowering.
-* **program entries** (``g<sha256>.pkl``) — one per instantiated launch
-  graph, keyed on the member-plan key tuple (each node's kernel digest,
-  canonical array-aliasing pattern, dims, scalar values, slot maps,
-  backend shape, fusion on/off, validate mode).  The payload persists
-  the derived artifacts — fused kernels, hoisted-program prologue/main
-  sources — plus the translation
-  validator's clean certificate, so a warm
-  ``LaunchGraph.instantiate()`` replays the recorded decisions without
-  re-lowering anything and skips validation entirely.
+* **program entries** (``g<sha256>.pkl``) — one per launch-graph
+  *structure*: the same :class:`~repro.graph.capture._Structure` the
+  in-memory tier holds, keyed by the disk projection of the one walk
+  that builds the in-memory key too (member kernel digests instead of
+  ids, the backend's kind instead of its identity, see
+  :func:`graph_digest`).  The payload holds the node templates — fused
+  kernels as kernel payloads, hoisted programs as their sources — plus
+  the build's pass/validator counter trail, written once per clean
+  build.  A warm ``LaunchGraph.instantiate()`` stages the templates on
+  the current backend and replays the trail: no fusion scan, no
+  lowering, no validation.
 
 Invalidation is structural: versions and modes are part of the key hash
 (a mismatch can never *hit*) **and** re-checked in the payload header
@@ -42,11 +44,9 @@ processes — closures over arrays, exotic globals, unhashable scalars —
 makes the kernel *ineligible* and it simply compiles as before: a wrong
 hit is impossible by construction, a missed optimization is not a bug.
 
-Cluster workers (forked) treat the parent's directory as read-only and
-publish into per-worker spool directories; the parent promotes spooled
-entries on worker respawn/shutdown (:func:`promote_spools`), so a
-``WorkerLostError`` respawn warm-starts from disk instead of
-recompiling.
+Cluster workers (forked) publish into the shared directory like any
+other process: every write is an atomic ``os.replace``, and a torn or
+damaged entry fails the frame check and is rebuilt.
 """
 
 from __future__ import annotations
@@ -56,8 +56,6 @@ import marshal
 import os
 import pickle
 import sys
-import threading
-import time
 import types
 import weakref
 from pathlib import Path
@@ -82,21 +80,14 @@ __all__ = [
     "record_compile",
     "record_verify_run",
     "graph_digest",
-    "program_scope",
-    "fused_lookup",
-    "fused_record",
-    "hoist_lookup",
-    "hoist_record",
-    "validated_lookup",
-    "validated_record",
-    "enter_worker_mode",
-    "promote_spools",
+    "load_program",
+    "store_program",
 ]
 
 CACHE_ENV = "PYACC_COMPILE_CACHE"
 
 #: Payload format version — bump on any change to the entry layout.
-FORMAT = 4
+FORMAT = 5
 
 _OFF = {"off", "0", "none", "disabled"}
 
@@ -125,13 +116,8 @@ _STATS = Counters(
         "graph_hits",
         "graph_misses",
         "graph_stores",
-        "promoted",
     ),
 )
-
-#: Worker spool directory (cluster children publish here; parent
-#: promotes).  ``None`` = normal (direct-publish) mode.
-_SPOOL: Optional[Path] = None
 
 #: Source fingerprints memoized per code object (weak: test modules
 #: come and go).  Cell/global values are folded in per call — they can
@@ -166,8 +152,7 @@ def disk_stats() -> dict:
     tests and bench assert on (``compiles``/``verify_runs`` count real
     ladder work performed this process, ``graph_*`` the program-entry
     tier, ``ineligible`` lookups skipped because the kernel cannot be
-    content-addressed, ``promoted`` spool entries absorbed from cluster
-    workers).
+    content-addressed).
     """
     out = _STATS.snapshot()
     out["enabled"] = enabled()
@@ -177,12 +162,9 @@ def disk_stats() -> dict:
 register(_STATS, disk_stats)
 
 
-def reset_state(*, drop_counters: bool = True) -> None:
+def reset_state() -> None:
     """Test hook: zero the counters (entries on disk are never touched)."""
-    global _SPOOL
-    if drop_counters:
-        _STATS.reset()
-    _SPOOL = None
+    _STATS.reset()
 
 
 def record_compile() -> None:
@@ -513,26 +495,24 @@ def _entry_path(digest: str, kind: str = "k") -> Optional[Path]:
     return d / f"{kind}{digest}.pkl"
 
 
-def _publish(digest: str, payload: dict, kind: str = "k") -> None:
-    """Serialize and atomically publish one entry.
+def _publish(digest: str, payload: dict, kind: str = "k") -> bool:
+    """Serialize and atomically publish one entry; ``False`` when
+    nothing was written.
 
-    Worker mode redirects the write into the per-worker spool; the
-    parent promotes later.  Publish failures (read-only dir, disk full)
-    degrade silently — the cache is an accelerator, never a correctness
-    dependency.
+    Publish failures (read-only dir, disk full) degrade silently — the
+    cache is an accelerator, never a correctness dependency.
     """
-    d = cache_dir()
-    if d is None:
-        return
-    target_dir = _SPOOL if _SPOOL is not None else d
-    path = target_dir / f"{kind}{digest}.pkl"
+    path = _entry_path(digest, kind)
+    if path is None:
+        return False
     try:
         blob = pickle.dumps(payload, protocol=4)
         n = diskcache.write_entry(path, blob)
     except Exception:
-        return
+        return False
     _STATS.bump("stores")
     _STATS.bump("bytes", n)
+    return True
 
 
 def _read(digest: str, kind: str = "k") -> Optional[dict]:
@@ -761,388 +741,93 @@ def note_verified(ck) -> None:
     _publish(digest, kernel_payload(ck, rung), "k")
 
 
+
+
 # ---------------------------------------------------------------------------
 # Program (launch-graph) entries
 # ---------------------------------------------------------------------------
 
 
-def kernel_digest_of(kernel) -> Optional[str]:
-    return getattr(kernel, "_pcc_digest", None) if kernel is not None else None
+def graph_digest(kernels: Sequence, backend, parts: tuple) -> Optional[str]:
+    """The disk key of one launch-graph structure, or ``None`` when the
+    tier is off or a member kernel was never content-addressed.
 
-
-def set_kernel_digest(kernel, parts: tuple) -> str:
-    """Assign a synthetic content digest to a derived (fused) kernel
-    so chained rewrites and hoist entries key on it stably."""
-    digest = _digest(("derived",) + parts)
-    object.__setattr__(kernel, "_pcc_digest", digest)
-    return digest
-
-
-def graph_digest(gnodes, backend, fuse: bool):
-    """The member-plan key tuple, hashed — or ``None`` when any member
-    cannot be content-addressed (its kernel has no digest, or a scalar
-    argument is exotic).  ``fuse`` is whether the fusion pass runs."""
+    ``parts`` are the identity-free key parts of the recording
+    (:meth:`repro.graph.capture.LaunchGraph._key_parts`, the one walk
+    the in-memory key is projected from too).  Where the in-memory key
+    holds identities, this projection holds what they stand for across
+    processes: each kernel's content digest for its ``id()``, and the
+    backend's kind (class and thread count) for the backend instance —
+    a loaded structure is staged on whatever instance the recording
+    ran on.  Plus the environment tag.
+    """
     if not enabled():
         return None
-    from .validate import active_validate_mode
-
-    canon: dict[int, int] = {}
-    parts: list = []
-    try:
-        for node in gnodes:
-            plan = node.plan
-            dg = kernel_digest_of(plan.kernel)
-            if dg is None:
-                return None
-            argsig: list = []
-            rargs = plan.resolved_args or []
-            for pos, a in enumerate(rargs):
-                if isinstance(a, np.ndarray):
-                    ci = canon.setdefault(id(a), len(canon))
-                    handle = True
-                    if pos < len(plan.args):
-                        from ..core.array import is_backend_array
-
-                        handle = is_backend_array(plan.args[pos])
-                    argsig.append(
-                        ("a", ci, tuple(a.shape), a.dtype.str, handle)
-                    )
-                else:
-                    argsig.append(("s", repr(_scalar_or_raise(a))))
-            parts.append(
-                (
-                    dg,
-                    plan.construct,
-                    plan.op,
-                    tuple(plan.dims),
-                    tuple(argsig),
-                    tuple(sorted(node.slot_map.items())),
-                    tuple(sorted(node.const_slots)),
-                )
-            )
-    except _Ineligible:
+    digests = tuple(getattr(k, "_pcc_digest", None) for k in kernels)
+    if None in digests:
         return None
-    parts.append(
-        (
-            "backend",
-            type(backend).__name__,
-            getattr(backend, "n_threads", None),
-        )
-    )
-    parts.append(("modes", bool(fuse), active_validate_mode()))
-    parts.append(_env_tag())
-    return _digest(tuple(parts))
+    kind = (type(backend).__name__, getattr(backend, "n_threads", None))
+    return _digest((_env_tag(), digests, kind, parts))
 
 
-class _ProgramScope:
-    """Per-instantiation staging area for the program entry."""
-
-    __slots__ = ("digest", "entry", "pending", "dirty")
-
-    def __init__(self, digest: Optional[str]):
-        self.digest = digest
-        self.entry: dict = {}
-        self.pending: dict = {}
-        self.dirty = False
-
-    def get(self, subkey: tuple):
-        if subkey in self.pending:
-            return self.pending[subkey]
-        return self.entry.get(subkey, _MISSING)
-
-    def put(self, subkey: tuple, value) -> None:
-        self.pending[subkey] = value
-        self.dirty = True
-
-
-_MISSING = object()
-
-#: Public sentinel for the program-tier lookups: "the active entry has
-#: nothing for this subkey — compute and record".  Distinct from
-#: ``None``, which is a *cached decline*.
-MISSING = _MISSING
-
-_TL = threading.local()
-
-
-def _scope() -> Optional[_ProgramScope]:
-    return getattr(_TL, "scope", None)
-
-
-class program_scope:
-    """Context manager bracketing ``LaunchGraph.instantiate``.
-
-    Loads the program entry for ``digest`` (if any), exposes it to the
-    pass-pipeline hooks via thread-local state, and publishes the merged
-    entry on clean exit when anything new was derived.
-    """
-
-    def __init__(self, digest: Optional[str]):
-        self.digest = digest
-
-    def __enter__(self) -> _ProgramScope:
-        scope = _ProgramScope(self.digest)
-        if self.digest is not None:
-            payload = _read(self.digest, "g")
-            if payload is not None and payload.get("kind") == "program":
-                scope.entry = payload.get("subentries", {})
-                _STATS.bump("graph_hits")
-            else:
-                _STATS.bump("graph_misses")
-        self._prev = _scope()
-        _TL.scope = scope
-        self.scope = scope
-        return scope
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        _TL.scope = self._prev
-        scope = self.scope
-        if exc_type is None and scope.dirty and scope.digest is not None:
-            merged = dict(scope.entry)
-            merged.update(scope.pending)
-            _publish(
-                scope.digest,
-                {"env": _env_tag(), "kind": "program", "subentries": merged},
-                "g",
-            )
-            _STATS.bump("graph_stores")
-
-
-def _alias_pairs(a_args, b_args) -> tuple:
-    pairs = []
-    for bp, bval in enumerate(b_args):
-        if not isinstance(bval, np.ndarray):
-            continue
-        for ap, aval in enumerate(a_args):
-            if aval is bval:
-                pairs.append((ap, bp))
-                break
-    return tuple(pairs)
-
-
-def _fuse_subkey(a_plan, b_plan) -> Optional[tuple]:
-    da = kernel_digest_of(a_plan.kernel)
-    db = kernel_digest_of(b_plan.kernel)
-    if da is None or db is None:
-        return None
+def hoisted_parts(program) -> tuple:
+    """The serializable form of one
+    :class:`~repro.ir.codegen.HoistedProgram` (sources, out dtypes and
+    the marshaled bytecode of both halves)."""
     return (
-        "fuse",
-        da,
-        db,
-        _alias_pairs(a_plan.resolved_args, b_plan.resolved_args),
-        tuple(a_plan.dims),
-        b_plan.construct,
-        b_plan.op,
+        program.prologue_source,
+        program.source,
+        program.ndim,
+        program.has_result,
+        tuple(dt.str for dt in program.out_dtypes),
+        program.n_hoisted,
+        _marshal_code(program.prologue_source, "<pyacc-hoist-pro>"),
+        _marshal_code(program.source, "<pyacc-hoist>"),
     )
 
 
-def fused_lookup(a_plan, b_plan, make_fn: Callable):
-    """Cached fusion result for plan pair ``(a, b)``.
-
-    Returns :data:`MISSING` when the active program entry has nothing
-    (compute and record), ``None`` for a cached lowering decline, or the
-    rebuilt fused :class:`CompiledKernel` (digest restamped so chained
-    fusions and hoist entries key on it).  ``make_fn(name)`` supplies
-    the placeholder function the fused plan carries.
-    """
-    scope = _scope()
-    if scope is None:
-        return _MISSING
-    sub = _fuse_subkey(a_plan, b_plan)
-    if sub is None:
-        return _MISSING
-    got = scope.get(sub)
-    if got is _MISSING or got is None:
-        return got
-    fn = make_fn(got.get("meta", {}).get("fused_name", "fused"))
-    ck = rebuild_kernel(got, fn)
-    if ck is None:
-        return _MISSING
-    set_kernel_digest(ck, sub)
-    return ck
-
-
-def fused_record(a_plan, b_plan, fused_kernel, fused_name: str = "") -> None:
-    """Record a fusion outcome (``fused_kernel=None`` = lowering
-    declined) under the pair's subkey, and stamp the fused kernel with a
-    derived digest for downstream (hoist/chained-fuse) keying."""
-    scope = _scope()
-    if scope is None:
-        return
-    sub = _fuse_subkey(a_plan, b_plan)
-    if sub is None:
-        return
-    if fused_kernel is None:
-        scope.put(sub, None)
-        return
-    set_kernel_digest(fused_kernel, sub)
-    payload = kernel_payload(fused_kernel, "derived")
-    payload["meta"] = {"fused_name": fused_name}
-    scope.put(sub, payload)
-
-
-def hoist_lookup(kernel, const_arrays: tuple, const_scalars: tuple):
-    """Cached :func:`lower_trace_hoisted` outcome; ``None`` payload =
-    cached "nothing hoists" decline."""
-    scope = _scope()
-    if scope is None:
-        return _MISSING
-    dg = kernel_digest_of(kernel)
-    if dg is None:
-        return _MISSING
-    sub = ("hoist", dg, tuple(const_arrays), tuple(sorted(const_scalars)))
-    got = scope.get(sub)
-    if got is _MISSING or got is None:
-        return got
+def rebuild_hoisted(parts: tuple):
+    """:func:`hoisted_parts` → :class:`~repro.ir.codegen.HoistedProgram`,
+    without lowering or parsing."""
     from .codegen import HoistedProgram
 
-    try:
-        pro_src, src, ndim, has_result, dtype_strs, n_hoisted, blobs = got
-        _seed_code(pro_src, "<pyacc-hoist-pro>", blobs[0])
-        _seed_code(src, "<pyacc-hoist>", blobs[1])
-        return HoistedProgram(
-            pro_src,
-            src,
-            ndim,
-            has_result,
-            tuple(np.dtype(s) for s in dtype_strs),
-            n_hoisted,
-        )
-    except Exception:
-        return _MISSING
-
-
-def hoist_record(
-    kernel, const_arrays: tuple, const_scalars: tuple, hoisted
-) -> None:
-    scope = _scope()
-    if scope is None:
-        return
-    dg = kernel_digest_of(kernel)
-    if dg is None:
-        return
-    sub = ("hoist", dg, tuple(const_arrays), tuple(sorted(const_scalars)))
-    if hoisted is None:
-        scope.put(sub, None)
-        return
-    scope.put(
-        sub,
-        (
-            hoisted.prologue_source,
-            hoisted.source,
-            hoisted.ndim,
-            hoisted.has_result,
-            tuple(dt.str for dt in hoisted.out_dtypes),
-            hoisted.n_hoisted,
-            (
-                _marshal_code(hoisted.prologue_source, "<pyacc-hoist-pro>"),
-                _marshal_code(hoisted.source, "<pyacc-hoist>"),
-            ),
-        ),
+    pro_src, src, ndim, has_result, dtype_strs, n_hoisted, pro_blob, blob = parts
+    _seed_code(pro_src, "<pyacc-hoist-pro>", pro_blob)
+    _seed_code(src, "<pyacc-hoist>", blob)
+    return HoistedProgram(
+        pro_src,
+        src,
+        ndim,
+        has_result,
+        tuple(np.dtype(s) for s in dtype_strs),
+        n_hoisted,
     )
 
 
-def validated_lookup():
-    """The stored validator certificate for the active program entry:
-    a list of counter kwargs to replay, or ``None`` when the warm path
-    must re-validate."""
-    scope = _scope()
-    if scope is None:
+def load_program(digest: Optional[str], rebuild: Callable[[dict], Any]):
+    """``rebuild(payload)`` of the program entry stored under ``digest``,
+    or ``None`` on a miss.  An entry ``rebuild`` cannot use (it raises or
+    returns ``None``) is unlinked, counted ``invalidated``, and read as a
+    miss."""
+    if digest is None:
         return None
-    got = scope.get(("validated",))
-    return None if got is _MISSING else got
-
-
-def validated_record(counter_trail: list) -> None:
-    """Certify the active program clean, with the accounting trail the
-    warm path replays so ``graph_stats()["validate"]`` counters match
-    a cold instantiate exactly."""
-    scope = _scope()
-    if scope is None:
-        return
-    scope.put(("validated",), list(counter_trail))
-
-
-# ---------------------------------------------------------------------------
-# Cluster worker spool (read-only inherit + parent promotion)
-# ---------------------------------------------------------------------------
-
-
-def enter_worker_mode() -> None:
-    """Switch this (forked worker) process to spool publishing.
-
-    Lookups keep reading the parent's directory; stores land in a
-    per-worker spool the parent promotes (the worker never writes the
-    shared namespace directly, so a SIGKILLed worker can at worst leave
-    an orphan spool file, never a half-promoted entry).
-    """
-    global _SPOOL
-    d = cache_dir()
-    if d is None:
-        _SPOOL = None
-        return
-    _SPOOL = d / "spool" / f"w{os.getpid()}"
-
-
-#: A spooling worker is between ``mkstemp`` and ``os.replace`` for at
-#: most the time it takes to write one pickled entry; a ``.tmp`` file
-#: older than this can only be the orphan of a dead worker.
-_SPOOL_TMP_GRACE = 60.0
-
-
-def _older_than(p: Path, age: float) -> bool:
-    try:
-        return (time.time() - p.stat().st_mtime) > age
-    except OSError:
-        return False
-
-
-def promote_spools(pids: Optional[Sequence[int]] = None) -> int:
-    """Parent-side: atomically promote spooled entries into the main
-    directory; returns the number promoted.
-
-    ``pids`` restricts promotion to those workers' spool directories —
-    pass the pid of a worker *known to be dead* (the cluster
-    supervisor's loss handler does), whose spool can also be reaped of
-    stray temp files outright.  Without ``pids`` every spool is swept,
-    which is safe at any time for the published ``.pkl`` entries
-    (promotion is a same-filesystem rename), but a live worker may be
-    mid-publish — between ``mkstemp`` and ``os.replace`` — so ``.tmp``
-    files are only reaped once they are older than any in-flight write
-    could be.
-    """
-    d = cache_dir()
-    if d is None:
-        return 0
-    spool_root = d / "spool"
-    promoted = 0
-    try:
-        worker_dirs = list(spool_root.iterdir())
-    except OSError:
-        return 0
-    if pids is not None:
-        want = {f"w{pid}" for pid in pids if pid is not None}
-        worker_dirs = [wd for wd in worker_dirs if wd.name in want]
-    for wd in worker_dirs:
-        owner_dead = pids is not None
+    payload = _read(digest, "g")
+    out = None
+    if payload is not None:
         try:
-            entries = list(wd.iterdir())
-        except OSError:
-            continue
-        for p in entries:
-            if not p.name.endswith(".pkl"):
-                if owner_dead or _older_than(p, _SPOOL_TMP_GRACE):
-                    diskcache.unlink_quiet(p)
-                continue
-            try:
-                os.replace(p, d / p.name)
-                promoted += 1
-            except OSError:
-                diskcache.unlink_quiet(p)
-        try:
-            wd.rmdir()
-        except OSError:
-            pass
-    if promoted:
-        _STATS.bump("promoted", promoted)
-    return promoted
+            out = rebuild(payload)
+        except Exception:
+            out = None
+        if out is None:
+            diskcache.unlink_quiet(_entry_path(digest, "g"))
+            _STATS.bump("invalidated")
+    _STATS.bump("graph_misses" if out is None else "graph_hits")
+    return out
+
+
+def store_program(digest: str, payload: dict) -> None:
+    """Publish one program entry; ``graph_stores`` counts entries that
+    were actually written."""
+    entry = {"env": _env_tag(), "kind": "program", **payload}
+    if _publish(digest, entry, "g"):
+        _STATS.bump("graph_stores")

@@ -237,8 +237,6 @@ def fuse_plans(
     """
     if not fusable(a, b):
         return None
-    from . import compilecache
-
     ta, tb = a.kernel.trace, b.kernel.trace
 
     # Union argument list: arrays dedupe on storage identity, scalars
@@ -256,16 +254,6 @@ def fuse_plans(
             pos_map[bp] = len(fused_resolved)
             fused_resolved.append(bval)
             fused_user.append(b.args[bp])
-
-    # Persistent program tier: an earlier instantiate of this graph
-    # already merged/lowered this pair (or proved it declines) — the
-    # argument remapping above is recomputed (cheap, pure bookkeeping),
-    # the lowering is not.
-    cached = compilecache.fused_lookup(a, b, _make_fused_fn)
-    if cached is None:
-        return None  # recorded lowering decline
-    if cached is not compilecache.MISSING:
-        return _attach(cached, a, b, fused_user, fused_resolved), pos_map
 
     memo: dict[int, N.Node] = {}
     b_stores = [
@@ -305,7 +293,6 @@ def fuse_plans(
     try:
         program = lower_trace(merged, fused_resolved)
     except CodegenError:
-        compilecache.fused_record(a, b, None)
         return None
 
     # Fused kernels inherit the native rung when both inputs held it:
@@ -336,24 +323,26 @@ def fuse_plans(
         codegen=program,
         native=native,
     )
-    compilecache.fused_record(a, b, kernel, fused_name)
-    return _attach(kernel, a, b, fused_user, fused_resolved), pos_map
+    return _attach(kernel, a, b.construct, b.op, fused_user, fused_resolved), pos_map
 
 
 def _attach(
     kernel: CompiledKernel,
     a: LaunchPlan,
-    b: LaunchPlan,
+    construct: str,
+    op: str,
     fused_user: list,
     fused_resolved: list,
 ) -> LaunchPlan:
-    """Stage the fused kernel as a full LaunchPlan on ``a``'s backend."""
+    """Stage a fused kernel as a full LaunchPlan on ``a``'s backend
+    (``a``'s domain, policy and arena; ``construct``/``op`` of the last
+    plan merged in)."""
     fused = LaunchPlan(
-        construct=b.construct,
+        construct=construct,
         dims=a.dims,
         fn=kernel.fn,
         args=tuple(fused_user),
-        op=b.op,
+        op=op,
     )
     fused.backend = a.backend
     fused.resolved_args = fused_resolved

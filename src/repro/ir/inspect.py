@@ -295,28 +295,28 @@ def _demo_program_describe(
             )
             parallel_reduce(n, dot_kernel_1d, dr, dr)
             parallel_for(n, axpy_kernel_1d, ScalarSlot("alpha", 0.5), dx, dp)
-        inst = cap.graph("cg.update").instantiate(ctx)
-        out = [inst.program.describe()]
+        # The build path, always: an instantiation served from a stored
+        # structure (memory or disk) keeps no dataflow program.
+        _, program, _ = cap.graph("cg.update")._build(mode == "all")
+        out = [program.describe()]
         if analysis:
             from .effects import plan_effects
             from .validate import validate_program
 
             out += ["", "--- memory-effects summaries ---"]
-            for pn in inst.program.nodes:
+            for pn in program.nodes:
                 out.append(plan_effects(pn.gnode.plan).describe())
             out += ["", "--- translation validation ---"]
-            rewrites = list(inst.program.rewrites)
             if seed_unsound:
-                inst.program.rewrites.append(_unsound_fuse_record(n))
-            diags = validate_program(inst.program)
-            n_total = len(inst.program.rewrites)
+                program.rewrites.append(_unsound_fuse_record(n))
+            diags = validate_program(program)
+            n_total = len(program.rewrites)
             out.append(
                 f"{n_total - len(diags)}/{n_total} applied rewrite(s) "
                 "independently confirmed from effects summaries"
             )
             for d in diags:
                 out.append(f"REJECTED: {d}")
-            inst.program.rewrites[:] = rewrites
         return "\n".join(out)
     finally:
         repro.set_passes_mode(None)

@@ -155,13 +155,15 @@ class Program:
         self.trail.append(message)
 
     def describe(self) -> str:
-        """Multi-line dump: nodes, rw sets, edges, and the pass trail."""
+        """Multi-line dump: nodes, rw sets, edges, and the pass trail.
+        Storages are named ``A0, A1, ...`` by first appearance in the
+        nodes' argument lists, so the dump does not depend on where the
+        arrays live."""
         id_names: dict[int, str] = {}
-
-        def nm(sid: int) -> str:
-            if sid not in id_names:
-                id_names[sid] = f"A{len(id_names)}"
-            return id_names[sid]
+        for pn in self.nodes:
+            for a in pn.gnode.plan.resolved_args:
+                if isinstance(a, np.ndarray):
+                    id_names.setdefault(id(a), f"A{len(id_names)}")
 
         lines = [f"program {self.name!r}: {len(self.nodes)} node(s)"]
         for pos, pn in enumerate(self.nodes):
@@ -169,8 +171,8 @@ class Program:
             suffix = "  [opaque]" if pn.opaque else ""
             lines.append(f"  [{pos}] {plan.label}{suffix}")
             lines.append(
-                f"       reads={{{', '.join(sorted(nm(i) for i in pn.reads))}}} "
-                f"writes={{{', '.join(sorted(nm(i) for i in pn.writes))}}}"
+                f"       reads={{{', '.join(sorted(id_names[i] for i in pn.reads))}}} "
+                f"writes={{{', '.join(sorted(id_names[i] for i in pn.writes))}}}"
             )
         edges = self.edges()
         if edges:

@@ -11,12 +11,13 @@ verify, and clear the directory.
 
 from __future__ import annotations
 
+import errno
 import json
 import os
+import pickle
 import subprocess
 import sys
 import textwrap
-import time
 import types
 from pathlib import Path
 
@@ -206,7 +207,10 @@ r2 = region.run((id(a), id(out)), body)
 host = repro.to_host(out)
 digest = hashlib.sha256(host.tobytes()).hexdigest()
 repro.set_backend("serial")
-print(json.dumps({"disk": disk_stats(), "digest": digest,
+g = repro.graph_stats()
+graph = [g["captures"], g["rebinds"], g["fused_pairs"], g["passes"]["fuse"],
+         g["validate"]["programs"], g["validate"]["fuse"]]
+print(json.dumps({"disk": disk_stats(), "digest": digest, "graph": graph,
                   "results": [float(r1), float(r2)]}))
 """
 
@@ -282,8 +286,12 @@ class TestWarmStart:
         assert warm["digest"] == cold["digest"]
         assert warm["results"] == cold["results"]
         assert warm["disk"]["graph_hits"] >= 1
+        assert warm["disk"]["graph_stores"] == 0
         assert warm["disk"]["compiles"] == 0
         assert warm["disk"]["verify_runs"] == 0
+        # The stored build's pass and validator counters are replayed:
+        # graph_stats() reads as if the build had run.
+        assert warm["graph"] == cold["graph"]
 
 
 # ---------------------------------------------------------------------------
@@ -522,65 +530,117 @@ class TestConcurrentWriters:
 
 
 # ---------------------------------------------------------------------------
-# Cluster worker spool
+# Cluster workers and program entries
 # ---------------------------------------------------------------------------
 
+#: Child: fork a two-worker cluster while the tier is on, then switch the
+#: tier off in this process only (the workers keep the environment they
+#: forked with) and launch: every entry in the directory afterwards was
+#: compiled and published by a worker.
+WORKER_CHILD = """
+import json, os
+import numpy as np
+import repro
+from repro.backends.cluster import ClusterBackend
+from repro.ir.compilecache import disk_stats
 
-class TestWorkerSpool:
-    def test_worker_publishes_to_spool_parent_promotes(self, fresh_cache):
+def axpy_kernel(i, alpha, x, y):
+    y[i] = y[i] + alpha * x[i]
+
+cluster = ClusterBackend(2, min_parallel_size=1, shm_threshold=1)
+repro.set_backend(cluster)
+cluster.supervisor.ensure_started(None, None)
+os.environ["PYACC_COMPILE_CACHE"] = "off"
+n = 256
+x = repro.array(np.arange(n, dtype=float))
+y = repro.array(np.ones(n))
+repro.parallel_for(n, axpy_kernel, 0.5, x, y)
+shards = repro.cluster_stats()["shards"]
+cluster.close()
+repro.set_backend("serial")
+print(json.dumps({"disk": disk_stats(), "shards": shards}))
+"""
+
+#: Child: the same kernel and signature in a fresh serial process.
+WARM_AXPY_CHILD = """
+import json
+import numpy as np
+from repro.ir.compile import compile_kernel
+from repro.ir.compilecache import disk_stats
+
+def axpy_kernel(i, alpha, x, y):
+    y[i] = y[i] + alpha * x[i]
+
+n = 256
+compile_kernel(axpy_kernel, 1, [0.5, np.arange(n, dtype=float), np.ones(n)])
+print(json.dumps({"disk": disk_stats()}))
+"""
+
+
+def _instantiate_pair():
+    """Capture ``y += 2x; x.y`` on the serial backend and instantiate
+    it (a fusable pair: one program entry)."""
+    with repro.use_backend("serial") as ctx:
+        x, y = repro.array(np.zeros(64)), repro.array(np.ones(64))
+        with ctx.capture() as cap:
+            repro.parallel_for(64, axpy_kernel, 2.0, x, y)
+            repro.parallel_reduce(64, dot_kernel, x, y)
+        return cap.graph("pcc.pair").instantiate(ctx)
+
+
+class TestClusterWorkers:
+    def test_a_worker_compiled_entry_is_a_warm_hit(self, tmp_path):
+        env = {"PYACC_NATIVE_CACHE": str(tmp_path / "native")}
+        cold = run_child(WORKER_CHILD, tmp_path, extra_env=env)
+        assert cold["shards"] >= 2
+        assert cold["disk"]["stores"] == 0  # nothing from the parent
+        assert _entries(tmp_path)
+
+        warm = run_child(WARM_AXPY_CHILD, tmp_path, extra_env=env)
+        assert warm["disk"]["disk_hits"] == 1
+        assert warm["disk"]["compiles"] == 0
+
+
+class TestProgramEntries:
+    @pytest.mark.parametrize("failure", ["read-only", "disk-full"])
+    def test_a_failed_publish_is_not_a_store(
+        self, fresh_cache, monkeypatch, failure
+    ):
+        if failure == "read-only":
+            if os.geteuid() == 0:
+                pytest.skip("root writes through directory permissions")
+            fresh_cache.mkdir(parents=True)
+            fresh_cache.chmod(0o555)
+        else:
+
+            def full(path, data):
+                raise OSError(errno.ENOSPC, "No space left on device")
+
+            monkeypatch.setattr(diskcache, "atomic_write", full)
         try:
-            compilecache.enter_worker_mode()
-            _compile_axpy()
-            # Nothing lands in the shared namespace while spooling...
-            assert not _entries(fresh_cache)
-            spooled = list((fresh_cache / "spool").rglob("k*.pkl"))
-            assert spooled
+            _instantiate_pair()
         finally:
-            compilecache.reset_state(drop_counters=False)
+            if failure == "read-only":
+                fresh_cache.chmod(0o755)
+        st = compilecache.disk_stats()
+        assert st["graph_misses"] == 1  # looked up, built ...
+        assert st["graph_stores"] == 0  # ... and nothing written
+        assert st["stores"] == 0
+        assert not _entries(fresh_cache, "g")
 
-        promoted = compilecache.promote_spools()
-        assert promoted == len(spooled)
-        assert compilecache.disk_stats()["promoted"] == promoted
-        assert len(_entries(fresh_cache)) == promoted
-        assert not list((fresh_cache / "spool").rglob("*.pkl"))
-
-        # The promoted entry is a real warm hit.
+    def test_a_corrupt_structure_is_rebuilt(self, fresh_cache):
+        _instantiate_pair()
+        (entry,) = _entries(fresh_cache, "g")
+        payload = pickle.loads(diskcache.read_entry(entry))
+        payload["nodes"] = [("not", "a", "template")]
+        diskcache.write_entry(entry, pickle.dumps(payload))
         clear_cache()
         compilecache.reset_state()
-        _compile_axpy()
-        assert compilecache.disk_stats()["disk_hits"] == 1
-
-    def test_promote_tolerates_missing_spool(self, fresh_cache):
-        assert compilecache.promote_spools() == 0
-
-    def test_promote_by_pid_leaves_live_workers_alone(self, fresh_cache):
-        """handle_loss promotes only the dead worker's spool; a live
-        peer's published entries and in-flight temp files survive."""
-        dead = fresh_cache / "spool" / "w111"
-        live = fresh_cache / "spool" / "w222"
-        diskcache.write_entry(dead / "kdead.pkl", b"dead-entry")
-        diskcache.write_entry(live / "klive.pkl", b"live-entry")
-        # A live worker mid-publish: mkstemp done, os.replace pending.
-        in_flight = live / "klive.pkl.abc123.tmp"
-        in_flight.write_bytes(b"partial")
-
-        assert compilecache.promote_spools([111]) == 1
-        assert (fresh_cache / "kdead.pkl").exists()
-        assert not dead.exists()
-        assert (live / "klive.pkl").exists()
-        assert in_flight.exists()
-
-        # A full sweep (shutdown: all workers joined) promotes the rest
-        # but still spares the fresh temp file.
-        assert compilecache.promote_spools() == 1
-        assert (fresh_cache / "klive.pkl").exists()
-        assert in_flight.exists()
-
-        # Once stale (no publish can still be in flight), it is reaped.
-        old = time.time() - 2 * compilecache._SPOOL_TMP_GRACE
-        os.utime(in_flight, (old, old))
-        compilecache.promote_spools()
-        assert not in_flight.exists()
+        inst = _instantiate_pair()
+        st = compilecache.disk_stats()
+        assert (st["graph_hits"], st["graph_misses"]) == (0, 1)
+        assert st["invalidated"] == 1 and st["graph_stores"] == 1
+        assert inst.program is not None  # the full build ran
 
 
 # ---------------------------------------------------------------------------
@@ -627,6 +687,15 @@ class TestCacheCLI:
     def test_clear_empties_directory(self, fresh_cache, capsys):
         _compile_axpy()
         assert cache_main(["clear", "--dir", str(fresh_cache)]) == 0
+        assert not _entries(fresh_cache)
+
+    def test_clear_removes_stray_temp_files(self, fresh_cache, capsys):
+        # What a writer SIGKILLed between mkstemp and os.replace leaves.
+        _compile_axpy()
+        stray = fresh_cache / "kdead.pkl.abc123.tmp"
+        stray.write_bytes(b"partial")
+        assert cache_main(["clear", "--dir", str(fresh_cache)]) == 0
+        assert not stray.exists()
         assert not _entries(fresh_cache)
 
     def test_disabled_cache_without_dir_is_usage_error(

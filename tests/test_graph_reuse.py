@@ -12,6 +12,9 @@ post-fusion node list, no array) stored on the kernel cache and a
   scalar, a foreign context) takes the full path and stores nothing;
 * the store holds no array, is bounded, and is emptied by
   ``clear_cache()``;
+* the persistent compile cache keys the same walk: whatever the memory
+  tier misses or refuses, the disk tier misses or refuses too, and a
+  structure loaded from disk replays bitwise like the full build;
 * hoisted (codegen-rung) nodes get prologue state per binding;
 * the apps' per-solve regions ride on it: exact counter deltas per warm
   HPCCG solve, bitwise equal to graphs-off on serial/threads/cluster.
@@ -36,6 +39,7 @@ from repro.backends.serial import SerialBackend
 from repro.core import current_context, parallel_for, parallel_reduce
 from repro.faults import FaultPlan, InjectedFault, LaunchPolicy
 from repro.graph import GraphRegion, ScalarSlot, graph_stats, reset_graph_stats
+from repro.ir import compilecache
 from repro.ir.compile import (
     KernelCache,
     clear_cache,
@@ -185,7 +189,9 @@ class TestRebind:
             np.testing.assert_array_equal(rebound.x, built.x)
         assert graph_stats()["rebinds"] == 6
 
-    def test_cold_and_rebound_graphs_have_the_same_shape(self):
+    def test_cold_and_rebound_graphs_have_the_same_shape(self, monkeypatch):
+        # Only a full build keeps its dataflow program: no disk load.
+        monkeypatch.setenv("PYACC_COMPILE_CACHE", "off")
         ctx = current_context()
         cold = _pair().instantiate(ctx)
         warm = _pair().instantiate(ctx)
@@ -381,6 +387,152 @@ class TestFallbacks:
             recording.instantiate(other)
             recording.instantiate(other)
         assert graph_stats()["rebinds"] == 0 and _stored() == 0
+
+
+# ---------------------------------------------------------------------------
+# The disk tier: the same structure under a projection of the same walk
+# ---------------------------------------------------------------------------
+
+
+@pytest.fixture
+def disk(tmp_path, monkeypatch):
+    """A private, empty persistent compile cache, counters zeroed."""
+    monkeypatch.setenv("PYACC_COMPILE_CACHE", str(tmp_path / "compile"))
+    clear_cache()
+    compilecache.reset_state()
+    yield
+    compilecache.reset_state()
+
+
+def _disk_lookups() -> tuple:
+    st = compilecache.disk_stats()
+    return st["graph_hits"], st["graph_misses"]
+
+
+def _after(setup):
+    """``_pair()``, captured after ``setup()`` changed a mode."""
+
+    def variant():
+        setup()
+        return _pair()
+
+    return variant
+
+
+def _aliased():
+    x = repro.array(np.ones(64))
+    return _pair(x=x, y=x)
+
+
+def _overlapping():
+    base = np.zeros(65)
+    return _pair(x=base[1:], y=base[:-1])
+
+
+#: Per key component: a recording that differs from ``_pair()``'s in
+#: that component alone, and the ``instantiate`` keywords to use.
+VARIANTS = {
+    "shape": (
+        lambda: _pair(
+            dims=64, x=repro.array(np.zeros(80)), y=repro.array(np.ones(80))
+        ),
+        {},
+    ),
+    "dtype": (lambda: _pair(dtype=np.float32), {}),
+    "strided view": (lambda: _pair(x=np.zeros(128)[::2]), {}),
+    "alias pattern": (_aliased, {}),
+    "baked scalar value": (lambda: _pair(alpha=3.0), {}),
+    "baked scalar type": (lambda: _pair(alpha=2), {}),
+    "dims": (lambda: _pair(dims=32), {}),
+    "backend kind": (_after(lambda: repro.set_backend("threads")), {}),
+    "launch policy": (
+        _after(lambda: repro.set_launch_policy(LaunchPolicy(max_retries=1))),
+        {},
+    ),
+    "executor mode": (_after(lambda: set_executor_mode("vector")), {}),
+    "passes mode": (_after(lambda: repro.set_passes_mode("none")), {}),
+    "validate mode": (_after(lambda: set_validate_mode("off")), {}),
+    "fault plan (fuse off)": (_pair, {"fuse": False}),
+    "overlapping views": (_overlapping, {}),
+}
+
+#: Components whose recordings neither tier keys at all.
+REFUSED = {"overlapping views"}
+
+
+class TestDiskTier:
+    @pytest.fixture(autouse=True)
+    def base_structure(self, fresh, disk):
+        assert _rebinds(_pair()) == 0  # built: stored in memory and on disk
+        assert compilecache.disk_stats()["graph_stores"] == 1
+
+    def test_a_fresh_process_loads_the_base(self):
+        clear_cache()
+        compilecache.reset_state()
+        inst = _pair().instantiate(current_context())
+        assert _disk_lookups() == (1, 0)
+        assert compilecache.disk_stats()["graph_stores"] == 0
+        assert _stored() == 1 and graph_stats()["rebinds"] == 0
+        assert inst.program is None and inst.fused_pairs == 1
+
+    @pytest.mark.parametrize("component", sorted(VARIANTS))
+    def test_a_memory_miss_is_a_disk_miss(self, component):
+        make, kw = VARIANTS[component]
+        recording = make()
+        stored = _stored()
+        hits, misses = _disk_lookups()
+        assert _rebinds(recording, **kw) == 0  # the memory tier misses
+        if component in REFUSED:
+            # ... or refuses: nothing stored, nothing looked up on disk.
+            assert _stored() == stored
+            assert _disk_lookups() == (hits, misses)
+        else:
+            assert _disk_lookups() == (hits, misses + 1)
+
+    @pytest.mark.parametrize("component", ["backend instance", "context"])
+    def test_process_local_identities_project_out(self, component):
+        # Both exist only in this process: the disk key holds the
+        # backend's kind instead, and a load is staged on the current
+        # backend — so a memory miss on either alone is a disk hit.
+        hits, misses = _disk_lookups()
+        if component == "backend instance":
+            repro.set_backend(SerialBackend())
+            assert _rebinds(_pair()) == 0
+        else:
+            with repro.use_backend(current_context().backend()):
+                assert _rebinds(_pair()) == 0
+        assert _disk_lookups() == (hits + 1, misses)
+
+
+class TestDiskLoad:
+    @pytest.mark.parametrize("kind", ["serial", "threads", "cluster"])
+    def test_a_disk_load_replays_bitwise_like_the_full_build(self, disk, kind):
+        if kind == "cluster":
+            backend = ClusterBackend(2, min_parallel_size=1, shm_threshold=1)
+            repro.set_backend(backend)
+        else:
+            backend = repro.set_backend(kind)
+        try:
+            a, b, _ = build_27pt_problem(4, 4, 4)
+            built = hpccg_solve(a, b, tol=1e-8)
+            assert _disk_lookups() == (0, 3)
+            stats = graph_stats()
+            clear_cache()
+            compilecache.reset_state()
+            reset_graph_stats()
+            loaded = hpccg_solve(a, b, tol=1e-8)
+            assert _disk_lookups() == (3, 0)
+            # The loads replayed the builds' pass and validator counters.
+            after = graph_stats()
+            assert after["passes"] == stats["passes"]
+            assert after["validate"] == stats["validate"]
+            assert after["fused_pairs"] == stats["fused_pairs"]
+        finally:
+            repro.set_backend("serial")
+            if kind == "cluster":
+                backend.close()
+        assert loaded.residual_norms == built.residual_norms
+        np.testing.assert_array_equal(loaded.x, built.x)
 
 
 # ---------------------------------------------------------------------------

@@ -149,7 +149,7 @@ CACHE_INFO_SHAPE = {
             (
                 "disk_hits", "disk_misses", "stores", "invalidated", "bytes",
                 "ineligible", "compiles", "verify_runs", "graph_hits",
-                "graph_misses", "graph_stores", "promoted",
+                "graph_misses", "graph_stores",
             ),
             "int",
         ),

@@ -113,6 +113,11 @@ class TestPassesKnob:
 
 
 class TestProgramConstruction:
+    @pytest.fixture(autouse=True)
+    def full_build(self, monkeypatch):
+        # Only a full build keeps its dataflow program: no disk load.
+        monkeypatch.setenv("PYACC_COMPILE_CACHE", "off")
+
     def test_nodes_edges_and_rw_sets(self):
         repro.set_backend("threads")
         repro.set_passes_mode("none")

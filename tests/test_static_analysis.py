@@ -659,3 +659,18 @@ class TestInspectProgramAnalysis:
         assert main(["--program", "--seed-unsound"]) == 0
         out = capsys.readouterr().out
         assert "REJECTED: V610" in out
+
+    def test_dump_is_the_same_against_a_warm_cache(
+        self, capsys, tmp_path, monkeypatch
+    ):
+        # The dump takes the build path: a structure the first run left
+        # in the kernel cache or on disk keeps no dataflow program.
+        from repro.ir.inspect import main
+
+        monkeypatch.setenv("PYACC_COMPILE_CACHE", str(tmp_path))
+        outs = []
+        for _ in range(2):
+            assert main(["--program", "--seed-unsound"]) == 0
+            outs.append(capsys.readouterr().out)
+        assert outs[0] == outs[1]
+        assert "REJECTED: V610" in outs[1]
