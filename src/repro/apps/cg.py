@@ -30,7 +30,7 @@ import numpy as np
 
 from ..core import array, parallel_for, parallel_reduce, to_host
 from ..core.exceptions import DeviceError
-from ..graph import GraphRegion
+from ..graph import GraphLoop, GraphRegion
 from .blas import axpy_kernel_1d, dot_kernel_1d
 
 __all__ = [
@@ -180,48 +180,68 @@ def cg_solve_operator(
     # split the body into segments; see docs/API.md "Launch graphs &
     # fusion").  First iteration captures, the rest replay; a checkpoint
     # restore rebinds the device arrays, landing on a fresh region key
-    # and recapturing.  PYACC_GRAPH=off turns all three into plain calls.
+    # and recapturing.  The loop unit records the first iteration's
+    # scalar recurrence and, where its fences allow, runs the remaining
+    # iterations in one native call.  PYACC_GRAPH=off turns all of it
+    # into plain calls.
     region_matvec_dot = GraphRegion("cg.matvec_dot")
     region_update = GraphRegion("cg.update")
     region_direction = GraphRegion("cg.direction")
+    loop = GraphLoop()
+
+    def _matvec_dot():
+        apply_matvec(dp, ds)  # s = A p
+        return parallel_reduce(n, dot_kernel_1d, dp, ds)
+
+    def _update(alpha, neg_alpha):
+        # The r-update must precede the r·r dot, but the x-update is
+        # independent of both.  Issuing it *after* the dot exercises the
+        # graph pipeline's global (non-adjacent) fusion: the x-axpy hops
+        # back over the reduce to merge with the r-axpy.
+        parallel_for(n, axpy_kernel_1d, neg_alpha, dr, ds)
+        rr_new = parallel_reduce(n, dot_kernel_1d, dr, dr)
+        parallel_for(n, axpy_kernel_1d, alpha, dx, dp)
+        return rr_new
+
+    def _direction(beta):
+        parallel_for(n, xpby_kernel, beta, dr, dp)  # p = r + beta p
+
+    def iteration(rr):
+        """One CG iteration from ``rr = r·r``: ``(r·r, ‖r‖, converged)``."""
+        ps = loop.run(region_matvec_dot, (id(dp), id(ds)), _matvec_dot)
+        alpha = rr / ps
+        # x += alpha p ; r -= alpha s ; rr_new = r.r
+        rr_new = loop.run(
+            region_update,
+            (id(dx), id(dp), id(dr), id(ds)),
+            _update,
+            alpha=alpha,
+            neg_alpha=-alpha,
+        )
+        norm = np.sqrt(rr_new)
+        done = norm <= threshold
+        if not done:
+            beta = rr_new / rr
+            loop.run(region_direction, (id(dr), id(dp)), _direction, beta=beta)
+        return rr_new, norm, done
 
     converged = False
     it = 0
     i = 1
     while i <= max_iter:
         try:
-
-            def _matvec_dot():
-                apply_matvec(dp, ds)  # s = A p
-                return parallel_reduce(n, dot_kernel_1d, dp, ds)
-
-            def _update(alpha, neg_alpha):
-                # The r-update must precede the r·r dot, but the x-update
-                # is independent of both.  Issuing it *after* the dot
-                # exercises the graph pipeline's global (non-adjacent)
-                # fusion: the x-axpy hops back over the reduce to merge
-                # with the r-axpy.
-                parallel_for(n, axpy_kernel_1d, neg_alpha, dr, ds)
-                rr_new = parallel_reduce(n, dot_kernel_1d, dr, dr)
-                parallel_for(n, axpy_kernel_1d, alpha, dx, dp)
-                return rr_new
-
-            def _direction(beta):
-                parallel_for(n, xpby_kernel, beta, dr, dp)  # p = r + beta p
-
-            ps = region_matvec_dot.run((id(dp), id(ds)), _matvec_dot)
-            alpha = rr / ps
-            # x += alpha p ; r -= alpha s ; rr_new = r.r
-            rr_new = region_update.run(
-                (id(dx), id(dp), id(dr), id(ds)),
-                _update,
-                alpha=alpha,
-                neg_alpha=-alpha,
-            )
-            done = float(np.sqrt(rr_new)) <= threshold
-            if not done:
-                beta = rr_new / rr
-                region_direction.run((id(dr), id(dp)), _direction, beta=beta)
+            for rr, norm, done in loop.steps(
+                iteration, rr, max_iter - i + 1, checkpoint=checkpoint
+            ):
+                it = i
+                norms.append(float(norm))
+                if done:
+                    converged = True
+                    break
+                if checkpoint is not None and checkpoint.due(i):
+                    checkpoint.save(i, x=dx, r=dr, p=dp, rr=rr, norms=list(norms))
+                i += 1
+            break
         except DeviceError:
             # A fault escaped the launch policy (retry exhausted, or no
             # failover rung left).  Roll back to the last snapshot: the
@@ -234,16 +254,6 @@ def cg_solve_operator(
             rr = float(snap["rr"])
             norms = list(snap["norms"])
             i = checkpoint.iteration + 1
-            continue
-        it = i
-        norms.append(float(np.sqrt(rr_new)))
-        rr = rr_new
-        if done:
-            converged = True
-            break
-        if checkpoint is not None and checkpoint.due(i):
-            checkpoint.save(i, x=dx, r=dr, p=dp, rr=rr, norms=list(norms))
-        i += 1
 
     return CGResult(
         x=to_host(dx), iterations=it, converged=converged, residual_norms=norms

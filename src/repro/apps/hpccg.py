@@ -154,6 +154,10 @@ class ELLMatrix:
             )
         if self.cols.ndim != 2:
             raise ValueError("ELL storage must be 2-D (n rows × width slots)")
+        # The operator is read-only from here on, so a solve's
+        # ``repro.array`` shares it instead of copying it.
+        self.cols.flags.writeable = False
+        self.vals.flags.writeable = False
 
     @property
     def n(self) -> int:

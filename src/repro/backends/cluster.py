@@ -613,9 +613,10 @@ class ClusterBackend(Backend):
         pages.  Small or non-numeric payloads stay ordinary ndarrays
         (they ship through the staging pool when a launch needs them).
         """
-        host = np.array(data, copy=True)
+        host = np.asarray(data)
         if host.nbytes < self.shm_threshold or host.dtype.hasobject:
-            return host
+            return np.array(host, copy=True)
+        # Straight into the segment: one copy of a large payload.
         seg = _new_segment(host.shape, host.dtype, host.nbytes)
         view = np.ndarray(host.shape, dtype=host.dtype, buffer=seg.shm.buf)
         view[...] = host

@@ -13,6 +13,7 @@ Two registry entries share this module:
 
 Neither owns a device boundary: ``array`` copies (value semantics match
 the GPU backends, where ``JACC.array`` always materializes a new buffer)
+unless nothing can write the input (:func:`~repro.core.backend.host_array`),
 and the inherited ``to_host`` returns the same storage.
 """
 
@@ -23,7 +24,7 @@ from typing import Any, Optional
 import numpy as np
 
 from .. import faults as _faults
-from ..core.backend import Backend
+from ..core.backend import Backend, host_array
 from ..core.plan import LaunchPlan
 from ..ir.interpreter import interpret_for, interpret_reduce
 
@@ -37,7 +38,10 @@ class SerialBackend(Backend):
     device_kind = "cpu"
 
     def array(self, data: Any) -> np.ndarray:
-        return np.array(data, copy=True)
+        return host_array(data)
+
+    def loop_charges(self, plan: LaunchPlan) -> Optional[tuple]:
+        return ()  # no modeled clock
 
     def execute(self, plan: LaunchPlan) -> Optional[float]:
         self.accounting.n_kernel_launches += 1
@@ -55,6 +59,7 @@ class InterpreterBackend(SerialBackend):
     """Scalar interpretation of the original kernel (reference oracle)."""
 
     name = "interp"
+    loop_charges = Backend.loop_charges  # never the compiled kernel
 
     def execute(self, plan: LaunchPlan) -> Optional[float]:
         self.accounting.n_kernel_launches += 1

@@ -42,7 +42,7 @@ from typing import Any, Optional
 import numpy as np
 
 from .. import faults as _faults
-from ..core.backend import Backend
+from ..core.backend import Backend, host_array
 from ..core.exceptions import PermanentDeviceError
 from ..core.launch import LaunchSchedule, cpu_schedule, usable_cpus
 from ..core.plan import LaunchPlan
@@ -95,7 +95,7 @@ class ThreadsBackend(Backend):
 
     # -- memory ----------------------------------------------------------
     def array(self, data: Any) -> np.ndarray:
-        return np.array(data, copy=True)
+        return host_array(data)
 
     # -- pool -------------------------------------------------------------
     def _ensure_pool(self) -> ThreadPoolExecutor:
@@ -124,6 +124,11 @@ class ThreadsBackend(Backend):
     def modeled_cost(self, plan: LaunchPlan) -> float:
         cost = self.model.reduce_cost if plan.is_reduce else self.model.for_cost
         return cost(plan.kernel.stats, plan.lanes, plan.ndim).total
+
+    def loop_charges(self, plan: LaunchPlan) -> Optional[tuple]:
+        oh = self._overhead
+        latency = oh.for_latency if plan.construct == "for" else oh.reduce_latency
+        return (latency, plan.record.cost)
 
     def execute(self, plan: LaunchPlan) -> Optional[float]:
         accounting = self.accounting

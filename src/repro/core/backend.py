@@ -34,7 +34,7 @@ from ..ir.verify import verify_launch
 from .context import current_context
 from .plan import LaunchPlan, LaunchRecord, LaunchSchedule
 
-__all__ = ["Accounting", "Backend", "normalize_dims"]
+__all__ = ["Accounting", "Backend", "host_array", "normalize_dims"]
 
 
 @dataclass
@@ -97,6 +97,20 @@ def normalize_dims(dims) -> tuple[int, ...]:
     if any(d <= 0 for d in out):
         raise ValueError(f"launch dims must be positive, got {out!r}")
     return out
+
+
+def host_array(data: Any) -> np.ndarray:
+    """``JACC.array`` on a host-memory backend: a private copy of
+    ``data`` — or ``data`` itself when nothing can write through it: a
+    C-contiguous, aligned ndarray that, like every ``.base`` it views,
+    is read-only (a shared operator is then not copied per solve)."""
+    if isinstance(data, np.ndarray) and data.flags.c_contiguous and data.flags.aligned:
+        owner = data
+        while isinstance(owner, np.ndarray) and not owner.flags.writeable:
+            owner = owner.base
+        if owner is None:
+            return data
+    return np.array(data, copy=True)
 
 
 class Backend(ABC):
@@ -213,6 +227,13 @@ class Backend(ABC):
         plan.schedule = record.schedule
         plan.written_ids = launches.written_ids(args)
         return record
+
+    def loop_charges(self, plan: LaunchPlan) -> Optional[tuple]:
+        """The modeled-clock increments, in order, of one execution of
+        ``plan`` that is nothing but its inline kernel call (which the
+        loop driver, :mod:`repro.graph.loop`, may make instead), or
+        ``None``: this backend's execute does more."""
+        return None
 
     @abstractmethod
     def execute(self, plan: LaunchPlan) -> Optional[float]:

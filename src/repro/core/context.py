@@ -215,6 +215,11 @@ class ExecutionContext:
         except ValueError:
             pass
 
+    @property
+    def hooked(self) -> bool:
+        """Whether a launch or completion hook is attached."""
+        return bool(self._on_launch or self._on_complete)
+
     def fire_launch(self, plan: "LaunchPlan") -> None:
         for cb in list(self._on_launch):
             cb(plan)

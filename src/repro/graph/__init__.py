@@ -22,7 +22,9 @@ amortizes the *orchestration* the same way CUDA Graphs do:
   accounting).
 
 :class:`~repro.graph.region.GraphRegion` packages the capture-or-replay
-decision for the apps.  The whole subsystem is a pure performance layer:
+decision for the apps, and :class:`~repro.graph.loop.GraphLoop` runs a
+loop of region runs and host scalar algebra in one C call after its
+first iteration.  The whole subsystem is a pure performance layer:
 ``PYACC_GRAPH=off`` (or ``graph = "off"`` in LocalPreferences.toml)
 restores per-launch staged dispatch, and the differential suite holds
 the two modes bit-identical across every backend.
@@ -42,11 +44,13 @@ from .capture import (
     LaunchGraph,
     ScalarSlot,
 )
+from .loop import GraphLoop
 from .region import GraphRegion
 
 __all__ = [
     "GraphCapture",
     "GraphError",
+    "GraphLoop",
     "GraphNode",
     "GraphRegion",
     "InstantiatedGraph",
@@ -103,8 +107,10 @@ _COUNTS = Counters(
         "fuse_rejected",
         "programs",
         "degraded",
+        "loop_calls",
+        "loop_iterations",
     ),
-    keyed=("declined", "diagnostics"),
+    keyed=("declined", "diagnostics", "loop_declined"),
 )
 _bump = _COUNTS.bump
 
@@ -164,8 +170,10 @@ def graph_stats() -> dict:
     pass's applied/declined counts (declines keyed by reason — the
     decline taxonomy is documented in docs/API.md), ``"validate"`` the
     translation validator's confirmed/rejected counts plus
-    program-level diagnostic tallies, and ``"passes_mode"`` the mode
-    they ran under.
+    program-level diagnostic tallies, ``"loop"`` the loop driver's
+    calls, the iterations they ran and its declines by reason (see
+    :mod:`repro.graph.loop`), and ``"passes_mode"`` the mode the passes
+    ran under.
     """
     out = _COUNTS.snapshot()
     out["passes"] = {
@@ -187,6 +195,11 @@ def graph_stats() -> dict:
         "programs": out.pop("programs"),
         "degraded": out.pop("degraded"),
         "diagnostics": out.pop("diagnostics"),
+    }
+    out["loop"] = {
+        "calls": out.pop("loop_calls"),
+        "iterations": out.pop("loop_iterations"),
+        "declined": out.pop("loop_declined"),
     }
     out["mode"] = graph_mode()
     out["passes_mode"] = passes_mode()

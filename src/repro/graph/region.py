@@ -34,15 +34,19 @@ keys; the bound keeps pinned arrays from accumulating).
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Any, Callable
+from typing import Any, Callable, Optional
 
 from ..core.context import current_context
 from ..ir.compile import executor_mode
-from .capture import GraphCapture, ScalarSlot, _pkg
+from .capture import GraphCapture, InstantiatedGraph, ScalarSlot, _pkg
 
 __all__ = ["GraphRegion"]
 
 _UNCAPTUREABLE = object()
+
+
+def _full_key(ctx, key: tuple) -> tuple:
+    return (id(ctx), id(ctx.backend()), executor_mode(), key)
 
 
 class GraphRegion:
@@ -72,7 +76,7 @@ class GraphRegion:
         if ctx.graph_capture is not None:
             return body(**slots)
 
-        full_key = (id(ctx), id(ctx.backend()), executor_mode(), key)
+        full_key = _full_key(ctx, key)
         entry = self._graphs.get(full_key)
         if entry is _UNCAPTUREABLE:
             return body(**slots)
@@ -102,6 +106,11 @@ class GraphRegion:
             self._graphs.popitem(last=False)
         self._graphs[full_key] = inst
         return ret
+
+    def graph(self, key: tuple) -> Optional[InstantiatedGraph]:
+        """The valid graph :meth:`run` replays for ``key`` here, or ``None``."""
+        entry = self._graphs.get(_full_key(current_context(), key))
+        return entry if isinstance(entry, InstantiatedGraph) and entry.valid else None
 
     def stats(self) -> dict:
         """Introspection for tests/bench: cached instantiations."""

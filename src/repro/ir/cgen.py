@@ -92,6 +92,7 @@ from __future__ import annotations
 import ctypes
 import math
 import struct
+import weakref
 from typing import Any, Optional, Sequence
 
 import numpy as np
@@ -1045,6 +1046,11 @@ _LANES = (0, 0, 0)
 _LANE_MEMO_MAX = 64
 
 
+#: :func:`_readonly_ptr`'s memo: ``id → (weak reference, data pointer)``,
+#: cleared whole at :data:`_LANE_MEMO_MAX` entries.
+_RO_PTRS: dict = {}
+
+
 def _data_ptr(arr: np.ndarray) -> int:
     """Raw data pointer without the ``.ctypes`` interface object.
 
@@ -1052,12 +1058,26 @@ def _data_ptr(arr: np.ndarray) -> int:
     access (~3x the cost of the whole pointer extraction); going through
     the buffer protocol keeps the per-launch marshal overhead at the
     level of the C call itself.  Read-only arrays refuse the writable
-    buffer protocol and take the attribute path.
+    buffer protocol and take :func:`_readonly_ptr`.
     """
     try:
         return _ADDRESSOF(_RAW0.from_buffer(arr))
     except (TypeError, ValueError, BufferError):
-        return arr.ctypes.data
+        return _readonly_ptr(arr)
+
+
+def _readonly_ptr(arr: np.ndarray) -> int:
+    """A read-only array's data pointer: through ``.ctypes`` once, then
+    remembered by identity — an array's data never moves, and the weak
+    reference tells a recycled ``id`` apart.  A shared operator (the
+    ELL matvec's ``cols``/``vals``) is read-only, and this keeps its
+    pre-flight below the writable path's cost."""
+    hit = _RO_PTRS.get(id(arr))
+    if hit is None or hit[0]() is not arr:
+        if len(_RO_PTRS) >= _LANE_MEMO_MAX:
+            _RO_PTRS.clear()
+        hit = _RO_PTRS[id(arr)] = (weakref.ref(arr), arr.ctypes.data)
+    return hit[1]
 
 
 class NativeKernel:
@@ -1108,6 +1128,7 @@ class NativeKernel:
         "_arrays",
         "_alias_pairs",
         "_pack",
+        "_n_words",
         "_c_fold",
         "_slots",
     )
@@ -1164,6 +1185,7 @@ class NativeKernel:
             + len(self._iscalar)
         )
         self._pack = struct.Struct(f"{n_words}q{len(self._fscalar)}d").pack
+        self._n_words = n_words
         # Add-reduces fold in C (``_c_fold``: the shared fold's address)
         # unless this host's NumPy sums in another order, see fold_in_c.
         # ``_slots`` recycles the partials' out buffers: pop/append are
@@ -1207,7 +1229,7 @@ class NativeKernel:
                     if hi > n:
                         raise NativeDeclined("extent")
             arrs.append(arr)
-            words.append(_data_ptr(arr))
+            words.append(_data_ptr(arr) if flags.writeable else _readonly_ptr(arr))
             shapes += shape
         for kw, ko, strict in self._alias_pairs:
             aw, ao = arrs[kw], arrs[ko]
@@ -1351,6 +1373,32 @@ class NativeKernel:
             op, [self._fold_lanes(tile, words, op, arena) for tile in tiles]
         )
 
+    def float_word(self, pos: int) -> Optional[int]:
+        """Index of float scalar ``pos`` in the packed call buffer — or
+        ``None`` when ``pos`` is no plain float word: an integer word,
+        or a scalar the lane proof reads."""
+        if pos not in self._fscalar or pos in (self._lane_scalars or ()):
+            return None
+        return self._n_words + self._fscalar.index(pos)
+
+    def loop_call(
+        self, domain: IndexDomain, args: Sequence[Any], reduce: bool
+    ) -> tuple:
+        """One :meth:`_call` over ``domain``, pre-flighted and packed
+        but not made: ``(entry address, word buffer, out buffer, tile
+        count)`` for the loop driver (:func:`loop_driver`), which
+        patches the float words named by :meth:`float_word` and folds
+        a ``reduce``'s per-tile partials left to right, as
+        ``fold_partials`` does.  Raises :class:`NativeDeclined` like
+        :meth:`preflight`."""
+        words = self.preflight(domain, args)
+        head, out, n = (_LANES if self.has_result else ()), None, 0
+        if reduce:
+            n, table, _ = domain.tile_words
+            head, out = (n, table, self._c_fold), (ctypes.c_double * n)()
+        w = ctypes.create_string_buffer(self._pack(*domain.bounds, *head, *words))
+        return ctypes.cast(self._fn, ctypes.c_void_p).value, w, out, n
+
     def leases_lanes(self, op: str) -> bool:
         """Whether an ``op`` reduce leases a float64 lane buffer per tile
         from the arena (:meth:`_fold_lanes`): every op but an ``add``
@@ -1411,6 +1459,88 @@ def fold_in_c() -> int:
             record_decline("fold")
         _FOLD = addr.value if ok else 0
     return _FOLD
+
+
+#: The loop driver (:func:`loop_driver`): a fixed interpreter of a
+#: recorded host loop (:mod:`repro.graph.loop`).  Per iteration it calls
+#: native nodes with float words patched from a register file and runs
+#: the scalar recurrence between them, every value a double and every
+#: op the IEEE op Python applies.  A ``÷`` by ±0.0 and a node's error
+#: code stop it, so the caller raises where Python would.  ``st``
+#: receives the iteration it stopped in (or the count run), why (0 count
+#: reached, 1 exit test, 2 zero divisor, 3 node error), the program
+#: counter and the node's error code.
+_LOOP_SOURCE = """\
+#include <math.h>
+#include <stdint.h>
+
+typedef int64_t (*pyacc_node)(const int64_t *w, double *out);
+
+enum { CALL, DIV, DIVF, MUL, ADD, SUB, NEG, SQRT, LE, HIST, EXIT, MOV };
+
+void pyacc_loop(const int64_t *code, int64_t n, double *r, double *hist,
+                int64_t max_it, int64_t *st) {
+  int64_t it, pc = 0, why = 0, err = 0, k;
+  for (it = 0; it < max_it; ++it) {
+    for (pc = 0; pc < n;) {
+      const int64_t *c = code + pc;
+      switch (c[0]) {
+      case CALL: { /* entry, words, out, tiles, dst, slots, (word, reg)... */
+        double *w = (double *)(intptr_t)c[2], *out = (double *)(intptr_t)c[3];
+        for (k = 0; k < c[6]; ++k) w[c[7 + 2 * k]] = r[c[8 + 2 * k]];
+        err = ((pyacc_node)(intptr_t)c[1])((const int64_t *)w, out);
+        if (err) { why = 3; goto stop; }
+        if (c[5] >= 0) {
+          double v = out[0];
+          for (k = 1; k < c[4]; ++k) v = v + out[k];
+          r[c[5]] = v;
+        }
+        pc += 7 + 2 * c[6];
+        break;
+      }
+      case DIV: if (r[c[3]] == 0.0) { why = 2; goto stop; } /* fall through */
+      case DIVF: r[c[1]] = r[c[2]] / r[c[3]]; pc += 4; break;
+      case MUL: r[c[1]] = r[c[2]] * r[c[3]]; pc += 4; break;
+      case ADD: r[c[1]] = r[c[2]] + r[c[3]]; pc += 4; break;
+      case SUB: r[c[1]] = r[c[2]] - r[c[3]]; pc += 4; break;
+      case NEG: r[c[1]] = -r[c[2]]; pc += 3; break;
+      case SQRT: r[c[1]] = sqrt(r[c[2]]); pc += 3; break;
+      case LE: r[c[1]] = r[c[2]] <= r[c[3]]; pc += 4; break;
+      case HIST: hist[2 * it] = r[c[1]]; hist[2 * it + 1] = r[c[2]]; pc += 3; break;
+      case EXIT: if (r[c[1]] != 0.0) { why = 1; goto stop; } pc += 2; break;
+      case MOV: r[c[1]] = r[c[2]]; pc += 3; break;
+      }
+    }
+  }
+stop:
+  st[0] = it; st[1] = why; st[2] = pc; st[3] = err;
+}
+"""
+
+#: The driver's opcodes, numbered as its ``enum``.
+LOOP_OPS = {
+    op: code
+    for code, op in enumerate("call div divf mul add sub neg sqrt le hist exit mov".split())
+}
+
+#: :func:`loop_driver`'s answer for this process (``None``: not yet asked).
+_LOOP: Any = None
+
+
+def loop_driver():
+    """The loop driver's ctypes entry, compiled once per host and loaded
+    once per process — or ``None`` when it cannot be built here."""
+    global _LOOP
+    if _LOOP is None:
+        try:
+            _LOOP = compile_source(_LOOP_SOURCE, "pyacc_loop")
+        except NativeCompileError:
+            _LOOP = False
+        else:
+            _LOOP.restype = None
+            _LOOP.argtypes = [ctypes.c_void_p, ctypes.c_int64, ctypes.c_void_p,
+                              ctypes.c_void_p, ctypes.c_int64, ctypes.c_void_p]
+    return _LOOP or None
 
 
 def lower_native(trace: N.Trace, args: Sequence[Any]) -> NativeKernel:

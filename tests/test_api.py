@@ -367,6 +367,35 @@ class TestHotPathBudget:
         for count, pinned in zip(counts, self.PINNED):
             assert count <= pinned, (counts, self.PINNED)
 
+    #: A warm 8³ HPCCG solve with the loop driver running iterations
+    #: 2-11: 1,020 calls measured (1,789 when every iteration replayed
+    #: region by region), plus a slack of ten.
+    SOLVE_PINNED = 1020 + 10
+
+    def test_calls_per_warm_hpccg_solve(self):
+        from repro import faults
+        from repro.apps.hpccg import build_27pt_problem, hpccg_solve
+        from repro.graph import graph_stats
+        from repro.ir.compile import set_executor_mode
+        from repro.ir.nativecache import resolve_cc
+
+        if resolve_cc() is None or faults.injection_possible():
+            pytest.skip("the budget is the loop driver's, with no injection armed")
+        set_executor_mode("native")
+        repro.set_backend("threads")
+        repro.set_graph_mode("on")
+        a, b, _ = build_27pt_problem(8, 8, 8)
+        try:
+            for _ in range(2):
+                hpccg_solve(a, b, tol=1e-8)
+            calls = graph_stats()["loop"]["calls"]
+            count = _python_calls(lambda: hpccg_solve(a, b, tol=1e-8))
+            assert graph_stats()["loop"]["calls"] == calls + 1
+        finally:
+            set_executor_mode(None)
+            repro.set_graph_mode(None)
+        assert count <= self.SOLVE_PINNED, count
+
 
 class TestEveryLaunchRunsTheWholeContract:
     """A launch record spares recomputation, never a seam: hooks, the
@@ -434,6 +463,50 @@ class TestEveryLaunchRunsTheWholeContract:
         assert after["n_kernel_launches"] - before["n_kernel_launches"] == 200
         assert after["sim_time"] > before["sim_time"]
         assert repro.to_host(x)[0] == 204.0
+
+    def test_a_cg_solve_with_hooks_fires_every_node(self):
+        """Hooks decline the CG loop driver (repro.graph.loop), so every
+        iteration's replayed nodes fire them, as do the eager launches."""
+        from repro.apps.hpccg import build_27pt_problem, hpccg_solve
+        from repro.graph import graph_stats
+
+        repro.set_backend("threads")
+        repro.set_graph_mode("on")
+        a, b, _ = build_27pt_problem(4, 4, 4)
+        ctx = repro.current_context()
+        backend = ctx.backend()
+        fired = {"launch": 0, "complete": 0}
+
+        def count(name):
+            def hook(plan):
+                fired[name] += 1
+
+            return hook
+
+        try:
+            hpccg_solve(a, b)  # compile, and store the structures
+            undo = [
+                ctx.on_launch(count("launch")),
+                ctx.on_complete(count("complete")),
+            ]
+            before, graph0 = backend.accounting.snapshot(), graph_stats()
+            result = hpccg_solve(a, b)
+            after, graph = backend.accounting.snapshot(), graph_stats()
+            for off in undo:
+                off()
+        finally:
+            repro.set_graph_mode(None)
+        launches = (after["n_for"] - before["n_for"]) + (
+            after["n_reduce"] - before["n_reduce"]
+        )
+        replayed = graph["nodes_replayed"] - graph0["nodes_replayed"]
+        assert result.converged and result.iterations > 2
+        assert fired == {"launch": launches, "complete": launches}
+        # six set-up launches, six eager ones in the capturing iteration,
+        # then every replayed node of iterations 2 onwards
+        assert launches == 6 + 6 + replayed
+        assert replayed >= 2 * (result.iterations - 1)
+        assert graph["loop"]["calls"] == graph0["loop"]["calls"]
 
 
 class TestLaunchRecord:

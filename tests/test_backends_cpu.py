@@ -24,6 +24,40 @@ def compiled(fn, ndim, args, reduce=False):
     return compile_kernel(fn, ndim, args, reduce=reduce)
 
 
+class TestHostArray:
+    """``array()`` on serial and threads shares an input nothing can
+    write through, and copies everything else."""
+
+    BACKENDS = (SerialBackend, lambda: ThreadsBackend(1))
+
+    @pytest.mark.parametrize("make", BACKENDS)
+    def test_read_only_input_and_its_read_only_views_are_shared(self, make):
+        host = np.arange(12.0).reshape(3, 4).copy()  # owns its data
+        host.flags.writeable = False
+        b = make()
+        assert b.array(host) is host
+        row = host[1]
+        assert b.array(row) is row
+
+    @pytest.mark.parametrize("make", BACKENDS)
+    def test_a_read_only_view_of_writable_data_is_copied(self, make):
+        base = np.arange(8.0)
+        view = base[2:]
+        view.flags.writeable = False
+        dev = make().array(view)
+        assert dev is not view
+        base[:] = -1.0
+        np.testing.assert_array_equal(dev, np.arange(2.0, 8.0))
+
+    @pytest.mark.parametrize("make", BACKENDS)
+    def test_a_strided_read_only_input_is_copied(self, make):
+        host = np.arange(8.0)
+        host.flags.writeable = False
+        strided = host[::2]
+        dev = make().array(strided)
+        assert dev is not strided and dev.flags.c_contiguous
+
+
 class TestSerial:
     def test_for_and_reduce(self):
         b = SerialBackend()

@@ -121,6 +121,26 @@ class TestConstruction:
             "cluster.reduce",
         } <= set(FAULT_SITES)
 
+    def test_a_large_payload_is_copied_once(self):
+        """At or above ``shm_threshold`` the payload goes straight into
+        its shared segment: less than one payload of host memory."""
+        import tracemalloc
+
+        backend = _cluster(2, shm_threshold=1 << 12)
+        payload = np.random.default_rng(0).standard_normal(1 << 19)  # 4 MiB
+        try:
+            tracemalloc.start()
+            try:
+                dev = backend.array(payload)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak < payload.nbytes
+            np.testing.assert_array_equal(dev, payload)
+            assert backend.array(np.ones(8)).base is None  # small: a copy
+        finally:
+            backend.close()
+
     def test_workers_spawn_lazily(self, cluster2):
         repro.set_backend(cluster2)
         assert cluster2.alive_workers() == ()

@@ -584,6 +584,7 @@ class TestStore:
         finally:
             unsubscribe()
         assert graph_stats()["rebinds"] == 3 and _stored() == 3
+        del a  # a read-only operator is shared by the solves, not copied
         gc.collect()
         assert len(seen) > 40
         # dcols, dvals and every CG vector of both solves are gone; the

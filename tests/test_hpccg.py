@@ -38,6 +38,12 @@ class TestELLMatrix:
         with pytest.raises(ValueError):
             ELLMatrix(cols=np.zeros(3, dtype=np.int64), vals=np.zeros(3))
 
+    def test_operator_is_read_only_and_shared_by_a_solve(self):
+        a = random_ell(8, 3)
+        with pytest.raises(ValueError):
+            a.vals[0, 0] = 1.0
+        assert repro.array(a.vals) is a.vals and repro.array(a.cols) is a.cols
+
     def test_matvec_host_matches_dense(self):
         a = random_ell(20, 5)
         x = np.random.default_rng(1).random(20)

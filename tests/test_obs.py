@@ -125,6 +125,8 @@ CACHE_INFO_SHAPE = {
             "degraded": "int",
             "diagnostics": {},
         },
+        # the loop driver's block, added with it; nothing renamed
+        "loop": {"calls": "int", "iterations": "int", "declined": {}},
         "mode": "str",
         "passes_mode": "str",
     },
