@@ -84,7 +84,6 @@ from .ir import (
     cache_info,
     clear_cache,
     executor_mode,
-    inspect_kernel,
     set_executor_mode,
     set_validate_mode,
     set_verify_mode,
@@ -98,6 +97,15 @@ from . import math
 
 
 __version__ = "1.1.0"
+
+
+def __getattr__(name: str):
+    # Loaded on first use, like ``repro.ir``'s (see there).
+    if name == "inspect_kernel":
+        from .ir.inspect import inspect_kernel
+
+        return inspect_kernel
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 __all__ = [
     "__version__",

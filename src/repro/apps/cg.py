@@ -143,6 +143,10 @@ def cg_solve_operator(
     backend (``dp``/``ds`` are backend arrays) using portable constructs —
     this is how the HPCCG 27-point and MiniFE FE operators plug in while
     the vector algebra stays shared.  Convergence: ``‖r‖₂ ≤ tol·‖b‖₂``.
+    It may be called more than once per solve — with launch graphs on,
+    the first iteration is also recorded without running (docs/API.md
+    "The loop unit") — so its only effects may be its constructs: no
+    host-side counters, logging, or host reads of ``dp``/``ds``.
 
     ``checkpoint`` (a :class:`repro.checkpoint.SolverCheckpoint`) enables
     periodic snapshots of the CG recurrence state; if a device fault
@@ -180,10 +184,12 @@ def cg_solve_operator(
     # split the body into segments; see docs/API.md "Launch graphs &
     # fusion").  First iteration captures, the rest replay; a checkpoint
     # restore rebinds the device arrays, landing on a fresh region key
-    # and recapturing.  The loop unit records the first iteration's
-    # scalar recurrence and, where its fences allow, runs the remaining
-    # iterations in one native call.  PYACC_GRAPH=off turns all of it
-    # into plain calls.
+    # and recapturing.  The loop unit records the first iteration dry
+    # and, where its fences allow, runs every iteration in one native
+    # call when an earlier solve of the same shapes stored the program,
+    # or the ones after the first otherwise — so ``iteration`` may run
+    # twice and has no effect but its constructs.  PYACC_GRAPH=off turns
+    # all of it into plain calls.
     region_matvec_dot = GraphRegion("cg.matvec_dot")
     region_update = GraphRegion("cg.update")
     region_direction = GraphRegion("cg.direction")

@@ -175,6 +175,8 @@ def _dispatch(construct: str, dims, f: Callable, args: tuple, op: str) -> Launch
         # their concrete values first (slots are a graph-level concept —
         # the tracer and cache keys only ever see real scalars).
         args, slot_map = cap.strip_slots(args)
+        if cap.dry:  # record only (repro.graph.loop's dry iteration)
+            return cap.record_dry(ctx, construct, dims, f, args, op, slot_map)
     plan = _stage(ctx, construct, dims, f, args, op)
     _execute(plan, ctx)
     if cap is not None:

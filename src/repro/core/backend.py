@@ -94,7 +94,7 @@ def normalize_dims(dims) -> tuple[int, ...]:
         out = tuple(_as_launch_extent(d) for d in items)
     if not 1 <= len(out) <= 3:
         raise ValueError(f"launch domain must be 1-D..3-D, got {out!r}")
-    if any(d <= 0 for d in out):
+    if min(out) <= 0:
         raise ValueError(f"launch dims must be positive, got {out!r}")
     return out
 

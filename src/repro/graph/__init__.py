@@ -23,9 +23,10 @@ amortizes the *orchestration* the same way CUDA Graphs do:
 
 :class:`~repro.graph.region.GraphRegion` packages the capture-or-replay
 decision for the apps, and :class:`~repro.graph.loop.GraphLoop` runs a
-loop of region runs and host scalar algebra in one C call after its
-first iteration.  The whole subsystem is a pure performance layer:
-``PYACC_GRAPH=off`` (or ``graph = "off"`` in LocalPreferences.toml)
+loop of region runs and host scalar algebra in one C call — every
+iteration once a loop of the same shapes has stored its program, the
+ones after the first until then.  The whole subsystem is a pure
+performance layer: ``PYACC_GRAPH=off`` (or ``graph = "off"`` in LocalPreferences.toml)
 restores per-launch staged dispatch, and the differential suite holds
 the two modes bit-identical across every backend.
 """
@@ -94,7 +95,9 @@ def graphs_enabled() -> bool:
 _COUNTS = Counters(
     "graph",
     (
-        "captures",  # every instantiated graph, built in full or rebound
+        # Every instantiated graph, built in full or rebound, and every
+        # region a bound loop rebinds through its template ...
+        "captures",
         "rebinds",  # ... of which: a stored structure bound to new arrays
         "replays",
         "nodes_replayed",
@@ -109,6 +112,7 @@ _COUNTS = Counters(
         "degraded",
         "loop_calls",
         "loop_iterations",
+        "loop_bound",  # ... of which: a stored template bound, iteration 1 driven
     ),
     keyed=("declined", "diagnostics", "loop_declined"),
 )
@@ -171,9 +175,9 @@ def graph_stats() -> dict:
     decline taxonomy is documented in docs/API.md), ``"validate"`` the
     translation validator's confirmed/rejected counts plus
     program-level diagnostic tallies, ``"loop"`` the loop driver's
-    calls, the iterations they ran and its declines by reason (see
-    :mod:`repro.graph.loop`), and ``"passes_mode"`` the mode the passes
-    ran under.
+    calls, the iterations they ran, the loops bound to a stored template
+    and its declines by reason (see :mod:`repro.graph.loop`), and
+    ``"passes_mode"`` the mode the passes ran under.
     """
     out = _COUNTS.snapshot()
     out["passes"] = {
@@ -199,6 +203,7 @@ def graph_stats() -> dict:
     out["loop"] = {
         "calls": out.pop("loop_calls"),
         "iterations": out.pop("loop_iterations"),
+        "bound": out.pop("loop_bound"),
         "declined": out.pop("loop_declined"),
     }
     out["mode"] = graph_mode()

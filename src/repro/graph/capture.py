@@ -52,11 +52,13 @@ from typing import TYPE_CHECKING, Any, Optional
 import numpy as np
 
 from ..core.api import _execute
+from ..core.backend import normalize_dims
 from ..core.exceptions import GraphError
 from ..core.plan import LaunchHandle, LaunchPlan
 from ..ir import compilecache, writes
 from ..ir.compile import compile_kernel, executor_mode, resolve_cache
 from ..ir.validate import active_validate_mode
+from ..ir.verify import active_verify_mode
 
 if TYPE_CHECKING:  # pragma: no cover - types only
     from ..core.context import ExecutionContext
@@ -222,6 +224,10 @@ class GraphCapture:
     absorb the inner body's launches.
     """
 
+    #: Whether constructs in scope run (``False``) or are only recorded
+    #: (:class:`DryCapture`).
+    dry = False
+
     def __init__(self, ctx: "ExecutionContext"):
         self._ctx = ctx
         self._nodes: list[GraphNode] = []
@@ -246,7 +252,10 @@ class GraphCapture:
         """Replace :class:`ScalarSlot` wrappers with their values,
         returning the concrete args and the position → name map."""
         slot_map: dict[int, str] = {}
-        if not any(isinstance(a, ScalarSlot) for a in args):
+        for a in args:
+            if isinstance(a, ScalarSlot):
+                break
+        else:
             return args, slot_map
         out = list(args)
         for i, a in enumerate(out):
@@ -262,6 +271,100 @@ class GraphCapture:
     def graph(self, name: str = "capture") -> "LaunchGraph":
         """The recording as a :class:`LaunchGraph`."""
         return LaunchGraph(name, self._nodes, self._backend, self._epoch)
+
+
+class DryEscape(Exception):
+    """A dry recording met what it cannot record without running it."""
+
+
+def _abandon(self, *args):
+    raise DryEscape
+
+
+class _Pending:
+    """The value of a reduce a dry recording did not run.  A region body
+    may only return it; any other use of it abandons the recording
+    (arithmetic and conversions raise ``TypeError`` on their own)."""
+
+    __slots__ = ()
+    __bool__ = __eq__ = __ne__ = _abandon
+    __hash__ = None
+
+
+class _DryLaunch:
+    """A launch a dry recording holds: what staging would start from —
+    the resolved arguments, policy, arena and the cached kernel — and no
+    schedule.  It stands for both a :class:`GraphNode` and its plan."""
+
+    __slots__ = (
+        "construct", "dims", "op", "slot_map", "backend", "resolved_args",
+        "arena", "policy", "kernel", "is_reduce", "result",
+    )
+
+    @property
+    def plan(self) -> "_DryLaunch":
+        return self
+
+
+class DryCapture(GraphCapture):
+    """A capture that runs nothing: each construct in scope becomes a
+    :class:`_DryLaunch` that holds the kernel the compile cache already
+    has for it (``None``: none) and is neither staged nor executed — a
+    reduce's value is a :class:`_Pending`.  The loop unit
+    (:mod:`repro.graph.loop`) records an iteration this way to find a
+    stored template before running anything."""
+
+    dry = True
+    _taken = 0
+
+    def __enter__(self) -> "DryCapture":
+        super().__enter__()
+        ctx = self._ctx
+        # Fixed while the recording runs: read once.
+        self._fixed = (
+            self._backend, ctx.arena, ctx.launch_policy,
+            resolve_cache(ctx.kernel_cache), executor_mode(),
+            (self._backend.token, self._epoch, active_verify_mode()),
+        )
+        return self
+
+    def take(self, name: str) -> "LaunchGraph":
+        """The launches recorded since the last take, as a graph."""
+        start, self._taken = self._taken, len(self._nodes)
+        return LaunchGraph(name, self._nodes[start:], self._backend, self._epoch)
+
+    @property
+    def untaken(self) -> bool:
+        """Whether launches were recorded since the last take."""
+        return len(self._nodes) > self._taken
+
+    def record_dry(self, ctx, construct, dims, f, args: tuple, op, slot_map) -> _DryLaunch:
+        """Called by ``_dispatch`` in place of staging and executing.  A
+        launch with no cached kernel (one a ``_Pending`` argument cannot
+        have either) keys nothing, and a loop whose first launch the
+        backend chunks (its launch record says so) can never be driven,
+        so the recording stops there."""
+        launch = _DryLaunch()
+        launch.construct, launch.op, launch.slot_map = construct, op, slot_map
+        backend, launch.arena, launch.policy, cache, executor, staged = self._fixed
+        dims = launch.dims = normalize_dims(dims)
+        resolved = launch.resolved_args = backend.resolve_args(args)
+        reduce = launch.is_reduce = construct == "reduce"
+        launch.backend = backend
+        kernel = launch.kernel = cache.find(f, len(dims), resolved, reduce, executor)
+        if kernel is None:
+            raise DryEscape
+        if not self._nodes:
+            # The record Backend.stage would bind, if a launch made it.
+            launches = kernel.launches
+            record = launches.records.get(
+                (launches.signature(dims, resolved, op if reduce else None), *staged)
+            )
+            if record is not None and not record.schedule.inline:
+                raise DryEscape
+        launch.result = _Pending() if reduce else None
+        self._nodes.append(launch)
+        return launch
 
 
 class LaunchGraph:
@@ -314,12 +417,13 @@ class LaunchGraph:
         numbers: dict[int, int] = {}
         storages: list[np.ndarray] = []
         parts = []
+        arena = ctx.arena
         for node in self.nodes:
             plan, slot_map = node.plan, node.slot_map
             if (
                 plan.kernel is None
                 or plan.backend is not backend
-                or plan.arena is not ctx.arena
+                or plan.arena is not arena
             ):
                 return None
             argsig: list = []
@@ -348,9 +452,22 @@ class LaunchGraph:
             )
         for i, a in enumerate(storages):
             for b in storages[i + 1 :]:
-                if np.may_share_memory(a, b):
+                # Two arrays that each own their memory cannot overlap.
+                if (a.base is not None or b.base is not None) and np.may_share_memory(a, b):
                     return None
         return (fuse, executor_mode(), active_validate_mode(), tuple(parts))
+
+    def _memory_key(self, ctx: "ExecutionContext", parts: tuple) -> tuple:
+        """The in-memory structure key of :meth:`instantiate` over ``parts``."""
+        kernels = tuple([id(node.plan.kernel) for node in self.nodes])
+        return (ctx, self.backend, self.epoch, kernels, parts)
+
+    def structure_key(self, ctx: "ExecutionContext", fuse: bool) -> Optional[tuple]:
+        """The key :meth:`instantiate` stores this recording's structure
+        under in memory, or ``None``: no structure is stored for it."""
+        fuse = fuse and _pkg().passes_mode() == "all"
+        parts = self._key_parts(ctx, fuse)
+        return None if parts is None else self._memory_key(ctx, parts)
 
     def match_return(self, ret: Any) -> Optional[tuple]:
         """Infer how a captured body's return value maps onto node
@@ -577,11 +694,11 @@ class LaunchGraph:
         key = digest = structure = program = None
         if parts is not None:
             kernels = [node.plan.kernel for node in self.nodes]
-            key = (ctx, self.backend, self.epoch, tuple(map(id, kernels)), parts)
+            key = self._memory_key(ctx, parts)
             structure = cache.structure(key)
             if structure is not None:
                 _pkg()._bump("rebinds")
-                return structure.bind(self, ctx, return_convention)
+                return structure.bind(self, ctx, return_convention, key=key)
             digest = compilecache.graph_digest(kernels, self.backend, parts)
             structure = compilecache.load_program(
                 digest, lambda payload: _Structure.load(payload, self)
@@ -594,7 +711,7 @@ class LaunchGraph:
                 compilecache.store_program(digest, structure.payload())
         if key is not None:
             cache.store_structure(key, structure)
-        return structure.bind(self, ctx, return_convention, program)
+        return structure.bind(self, ctx, return_convention, program, key)
 
 
 class _NodeTemplate:
@@ -798,12 +915,13 @@ class _Structure:
         ctx: "ExecutionContext",
         return_convention: tuple,
         program=None,
+        key: Optional[tuple] = None,
     ) -> "InstantiatedGraph":
         """The one constructor of instantiated graphs: this structure
         over ``graph``'s recorded arguments.  ``program`` is the
         dataflow program of the build that produced the structure
         (``None`` on a rebind or a disk load — it pins that build's
-        arrays)."""
+        arrays); ``key`` the in-memory key it is stored under, if any."""
         recorded = [node.plan for node in graph.nodes]
         nodes = [template.bind(recorded) for template in self.nodes]
         kind = return_convention[0]
@@ -821,7 +939,7 @@ class _Structure:
         if self.fused_pairs:
             bump("fused_pairs", self.fused_pairs)
         return InstantiatedGraph(
-            graph.name, ctx, nodes, return_convention, self.fused_pairs, program
+            graph.name, ctx, nodes, return_convention, self.fused_pairs, program, key
         )
 
 
@@ -845,6 +963,7 @@ class InstantiatedGraph:
         return_convention: tuple,
         fused_pairs: int,
         program=None,
+        key: Optional[tuple] = None,
     ):
         self.name = name
         self.ctx = ctx
@@ -859,6 +978,9 @@ class InstantiatedGraph:
         #: (``None`` when it was rebound from a stored structure: the
         #: program pins the arrays of the build that produced it).
         self.program = program
+        #: The in-memory key its structure is stored under (``None``: not
+        #: stored) — what a loop template checks its recording against.
+        self.key = key
         self.slot_names = frozenset(
             name for node in nodes for name in node.slot_map.values()
         )

@@ -35,7 +35,6 @@ from .compile import (
     set_executor_mode,
 )
 from .diagnostics import Diagnostic, KernelVerificationWarning
-from .inspect import KernelReport, inspect_kernel
 from .nativecache import native_stats
 from .validate import (
     set_validate_mode,
@@ -50,6 +49,17 @@ from .verify import (
     verify_mode,
     verify_trace,
 )
+
+
+def __getattr__(name: str):
+    # ``repro.ir.inspect`` is also the ``python -m repro.ir.inspect`` CLI:
+    # importing it with the package would make runpy execute a second
+    # copy, so its names load on first use.
+    if name in ("KernelReport", "inspect_kernel"):
+        from . import inspect
+
+        return getattr(inspect, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 __all__ = [
     "CompiledKernel",

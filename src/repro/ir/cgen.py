@@ -1131,6 +1131,7 @@ class NativeKernel:
         "_n_words",
         "_c_fold",
         "_slots",
+        "_entry",
     )
 
     def __init__(self, spec: dict, trace: N.Trace):
@@ -1151,6 +1152,7 @@ class NativeKernel:
         self._lane_memo: dict = {}
         self._trace = trace
         self._fn = compile_source(self.source)
+        self._entry = ctypes.cast(self._fn, ctypes.c_void_p).value
         if lanes is not None:
             record_single_loop()
         # Pre-flight tables, resolved once: per-array facts, and the
@@ -1397,7 +1399,7 @@ class NativeKernel:
             n, table, _ = domain.tile_words
             head, out = (n, table, self._c_fold), (ctypes.c_double * n)()
         w = ctypes.create_string_buffer(self._pack(*domain.bounds, *head, *words))
-        return ctypes.cast(self._fn, ctypes.c_void_p).value, w, out, n
+        return self._entry, w, out, n
 
     def leases_lanes(self, op: str) -> bool:
         """Whether an ``op`` reduce leases a float64 lane buffer per tile

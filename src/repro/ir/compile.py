@@ -253,6 +253,27 @@ def _value_signature(args: Sequence[Any]) -> tuple:
     return tuple(sig)
 
 
+def _ladder_key(
+    fn: Callable,
+    ndim: int,
+    reduce: bool,
+    executor: str,
+    args: Sequence[Any],
+    rung: str = "base",
+    base: Optional[tuple] = None,
+) -> tuple:
+    """The memory key of one rung of the specialization ladder: ``base``
+    (type-specialized), ``shape`` (the kernel observed ``len()``/shape)
+    or ``value`` (it needed concrete scalars).  ``base`` is the base
+    rung's key when the caller already holds it."""
+    if base is None:
+        base = (_fn_key(fn), ndim, bool(reduce), executor, _type_signature(args))
+    if rung == "base":
+        return base
+    shape = base + ("shape", _shape_signature(args))
+    return shape if rung == "shape" else shape + ("values", _value_signature(args))
+
+
 @dataclass
 class KernelCache:
     """Per-process cache of compiled kernels.
@@ -267,10 +288,11 @@ class KernelCache:
     hits: int = 0
     misses: int = 0
     #: Instantiated launch-graph *structures* (see
-    #: :meth:`repro.graph.capture.LaunchGraph.instantiate`), oldest
-    #: first.  They live here because their keys hold the ``id()`` of
-    #: this cache's :class:`CompiledKernel` objects: dropping the
-    #: kernels drops every structure built over them.
+    #: :meth:`repro.graph.capture.LaunchGraph.instantiate`) and driven
+    #: loops' templates (:mod:`repro.graph.loop`), oldest first.  They
+    #: live here because their keys hold the ``id()`` of this cache's
+    #: :class:`CompiledKernel` objects: dropping the kernels drops every
+    #: structure and template built over them.
     structures: dict = field(default_factory=dict, repr=False)
     _lock: threading.Lock = field(default_factory=threading.Lock, repr=False)
 
@@ -279,24 +301,36 @@ class KernelCache:
     #: to five structures per problem size.
     MAX_STRUCTURES = 64
 
-    def lookup(
-        self, key: tuple, *, count_miss: bool = False
+    def find(
+        self,
+        fn: Callable,
+        ndim: int,
+        args: Sequence[Any],
+        reduce: bool,
+        executor: str,
+        *,
+        count: bool = False,
     ) -> Optional[CompiledKernel]:
-        """Fetch a compiled kernel; a hit always counts.
-
-        A miss is counted only when ``count_miss`` is set — the compile
-        driver sets it on the *final* ladder rung, so one full cache-miss
-        walk counts exactly one miss, and a compile that subsequently
-        raises (e.g. ``TraceError`` for a valueless reduce kernel) is
-        still counted instead of silently inflating the hit rate.
-        """
-        with self._lock:
-            ck = self.entries.get(key)
-            if ck is not None:
-                self.hits += 1
-            elif count_miss:
-                self.misses += 1
-            return ck
+        """The kernel this cache's memory holds for this call under
+        ``executor``, walking the specialization ladder's three rungs
+        (:func:`_ladder_key`), or ``None``.  It never compiles or reads
+        disk.  With ``count`` the walk is one look-up: a hit counts, and
+        so does a miss (:func:`compile_kernel` counts; the loop unit's
+        dry recording does not)."""
+        entries = self.entries  # a dict get needs no lock
+        base = _ladder_key(fn, ndim, reduce, executor, args)
+        ck = entries.get(base)
+        if ck is None:
+            ck = entries.get(_ladder_key(fn, ndim, reduce, executor, args, "shape", base))
+            if ck is None:
+                ck = entries.get(_ladder_key(fn, ndim, reduce, executor, args, "value", base))
+        if count:
+            with self._lock:
+                if ck is not None:
+                    self.hits += 1
+                else:
+                    self.misses += 1
+        return ck
 
     def store(self, key: tuple, ck: CompiledKernel) -> None:
         with self._lock:
@@ -419,25 +453,9 @@ def compile_kernel(
         executor = executor_mode()
     else:
         _EXECUTOR.check(executor)
-    base_key = (_fn_key(fn), ndim, bool(reduce), executor, _type_signature(args))
-
-    # 1. Generic (type-specialized) entry.
-    ck = cache.lookup(base_key)
-    if ck is not None:
-        return ck
-    # 2. Shape-specialized entry (kernel observed len()/shape).
-    shape_key = base_key + ("shape", _shape_signature(args))
-    ck = cache.lookup(shape_key)
-    if ck is not None:
-        return ck
-    # 3. Value-specialized entry (kernel needed concrete scalars).  This
-    # is the final rung: a miss here is *the* cache miss for this call.
-    value_key = (
-        base_key
-        + ("shape", _shape_signature(args))
-        + ("values", _value_signature(args))
-    )
-    ck = cache.lookup(value_key, count_miss=True)
+    # 1-3. The generic, shape- and value-specialized memory entries; a
+    # miss on all three is *the* cache miss for this call.
+    ck = cache.find(fn, ndim, args, reduce, executor, count=True)
     if ck is not None:
         return ck
 
@@ -452,12 +470,7 @@ def compile_kernel(
     if pkeys is not None:
         ck, disk_rung = compilecache.load_kernel(pkeys, fn)
         if ck is not None:
-            mem_key = {
-                "base": base_key,
-                "shape": shape_key,
-                "value": value_key,
-            }[disk_rung]
-            cache.store(mem_key, ck)
+            cache.store(_ladder_key(fn, ndim, reduce, executor, args, disk_rung), ck)
             return ck
     compilecache.record_compile()
 
@@ -571,17 +584,15 @@ def compile_kernel(
         "native-specialized",
     )
     if trace is not None and not specialized and not trace.shape_dependent:
-        cache.store(base_key, ck)
         disk_rung = "base"
     elif trace is not None and not specialized:
-        cache.store(shape_key, ck)
         disk_rung = "shape"
     else:
         # Value-specialized traces and interpreter fallbacks: cache under
         # the value key so a different scalar value (e.g. a different
         # loop bound) recompiles.
-        cache.store(value_key, ck)
         disk_rung = "value"
+    cache.store(_ladder_key(fn, ndim, reduce, executor, args, disk_rung), ck)
     if pkeys is not None:
         compilecache.store_kernel(pkeys, disk_rung, ck)
     return ck

@@ -52,10 +52,11 @@ _clock = 0
 _MAX_ENTRIES = 1_000_000
 
 
-def note_writes(ids: Iterable[int]) -> None:
-    """Record that the arrays with these storage ids were written."""
+def note_writes(ids: Iterable[int], count: int = 1) -> None:
+    """Record that the arrays with these storage ids were written, by
+    the last of ``count`` launches: the clock advances by ``count``."""
     global _clock
-    _clock += 1
+    _clock += count
     version = _clock
     for i in ids:
         _versions[i] = version

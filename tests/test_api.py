@@ -367,10 +367,11 @@ class TestHotPathBudget:
         for count, pinned in zip(counts, self.PINNED):
             assert count <= pinned, (counts, self.PINNED)
 
-    #: A warm 8³ HPCCG solve with the loop driver running iterations
-    #: 2-11: 1,020 calls measured (1,789 when every iteration replayed
+    #: A warm 8³ HPCCG solve, its loop bound to a stored template and
+    #: the driver running iterations 1-11: 640 calls measured (1,020 when
+    #: iteration 1 ran eagerly, 1,789 when every iteration replayed
     #: region by region), plus a slack of ten.
-    SOLVE_PINNED = 1020 + 10
+    SOLVE_PINNED = 640 + 10
 
     def test_calls_per_warm_hpccg_solve(self):
         from repro import faults
@@ -395,6 +396,61 @@ class TestHotPathBudget:
             set_executor_mode(None)
             repro.set_graph_mode(None)
         assert count <= self.SOLVE_PINNED, count
+
+    def test_warm_hpccg_solve_stages_only_its_set_up(self, monkeypatch):
+        """A warm 8³ solve stages its set-up's six launches and nothing
+        else: iteration 1 is recorded dry and driven with the rest, so
+        no region instantiates a graph — its three stored structures are
+        rebound through the loop template, none built — and one driver
+        call runs it all."""
+        from repro import faults
+        from repro.apps.hpccg import build_27pt_problem, hpccg_solve
+        from repro.core import api
+        from repro.graph import capture, graph_stats
+        from repro.ir.compile import set_executor_mode
+        from repro.ir.nativecache import resolve_cc
+
+        if resolve_cc() is None or faults.injection_possible():
+            pytest.skip("the budget is the loop driver's, with no injection armed")
+        set_executor_mode("native")
+        repro.set_backend("threads")
+        repro.set_graph_mode("on")
+        a, b, _ = build_27pt_problem(8, 8, 8)
+        staged, instantiated = [], []
+
+        def spy(real, log):
+            def counting(*args, **kwargs):
+                log.append(args)
+                return real(*args, **kwargs)
+
+            return counting
+
+        try:
+            for _ in range(2):
+                hpccg_solve(a, b, tol=1e-8)
+            before = graph_stats()
+            monkeypatch.setattr(api, "_stage", spy(api._stage, staged))
+            monkeypatch.setattr(
+                capture._Structure, "bind", spy(capture._Structure.bind, instantiated)
+            )
+            hpccg_solve(a, b, tol=1e-8)
+            after = graph_stats()
+        finally:
+            set_executor_mode(None)
+            repro.set_graph_mode(None)
+        moved = {
+            "staged": len(staged),
+            "instantiated": len(instantiated),
+            "captures": after["captures"] - before["captures"],
+            "rebinds": after["rebinds"] - before["rebinds"],
+            "loop calls": after["loop"]["calls"] - before["loop"]["calls"],
+            "loop bound": after["loop"]["bound"] - before["loop"]["bound"],
+        }
+        assert moved == {
+            "staged": 6, "instantiated": 0, "captures": 3, "rebinds": 3,
+            "loop calls": 1, "loop bound": 1,
+        }, [args[3].__name__ for args in staged]
+        assert after["loop"]["declined"] == before["loop"]["declined"]
 
 
 class TestEveryLaunchRunsTheWholeContract:

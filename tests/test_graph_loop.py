@@ -2,14 +2,19 @@
 and ``PYACC_GRAPH=off``, bit for bit, on seeded random SPD systems.
 
 After the first CG iteration has captured its three regions, the loop
-driver runs the remaining iterations in one C call.  Each seed here
-builds one diagonally dominant symmetric ELL system — random width up
-to 27, ``n`` from 2 up to three arithmetic tiles (so the dots fold 1–3
-tile partials), random ``tol`` and ``max_iter``, including solves that
-stop at ``max_iter`` and solves that converge on iteration 1 or 2 — and
-solves it three ways:
+driver runs the remaining iterations in one C call; a later solve in
+the same context binds the stored template and the driver runs every
+iteration.  Each seed here builds one diagonally dominant symmetric ELL
+system — random width up to 27, ``n`` from 2 up to three arithmetic
+tiles (so the dots fold 1–3 tile partials), random ``tol`` and
+``max_iter``, including solves that stop at ``max_iter`` and solves
+that converge on iteration 1 or 2 — and solves it four ways:
 
-* ``loop`` — the defaults: the driver runs iterations 2…;
+* ``loop`` — the defaults on a fresh context: the driver runs
+  iterations 2…;
+* ``bound`` — the defaults, twice on one context (a miss, then a hit
+  that drives iteration 1 too), then a second operator of the same
+  shape with a fresh ``b`` (a hit over other arrays);
 * ``regions`` — a launch hook attached, which declines the driver, so
   every iteration replays region by region;
 * ``off`` — launch graphs off: plain staged dispatch.
@@ -23,8 +28,10 @@ slice is :data:`SEEDS`; a longer sweep::
 """
 
 import argparse
+import gc
 import os
 import sys
+import weakref
 
 import numpy as np
 import pytest
@@ -35,10 +42,18 @@ from repro.apps.hpccg import ELLMatrix, build_27pt_problem, hpccg_solve
 from repro.backends.serial import SerialBackend
 from repro.backends.threads import ThreadsBackend
 from repro.checkpoint import SolverCheckpoint
-from repro.graph import graph_stats
+from repro.graph import GraphLoop, GraphRegion, graph_stats
+from repro.graph.loop import _Template
 from repro.ir import writes
-from repro.ir.compile import clear_cache, executor_mode, set_executor_mode
+from repro.ir.compile import (
+    KernelCache,
+    clear_cache,
+    executor_mode,
+    resolve_cache,
+    set_executor_mode,
+)
 from repro.ir.nativecache import reset_state, resolve_cc
+from repro.ir.validate import active_validate_mode
 from repro.ir.vectorizer import TILE_LANES
 
 #: The tier-1 slice: fixed seeds, a few seconds with warm kernels.
@@ -73,17 +88,9 @@ def _closed_gate():
 # ---------------------------------------------------------------------------
 
 
-def spd_system(seed: int):
-    """``(A, b, tol, max_iter, make_backend)`` for ``seed``: a symmetric,
-    strictly diagonally dominant ELL operator with positive diagonal,
-    and the backend to solve it on."""
-    rng = np.random.default_rng(seed)
-    if seed % 4 == 3:  # 1-3 tiles: a narrow band keeps the operator small
-        n = int(rng.integers(TILE_LANES - 4096, 3 * TILE_LANES + 1))
-        half = int(rng.integers(0, 3))
-    else:
-        n = int(rng.integers(2, 3000))
-        half = int(rng.integers(0, 14))
+def _operator(rng, n: int, half: int) -> tuple:
+    """A symmetric, strictly diagonally dominant ``n``-row ELL operator
+    with ``min(half, n - 1)`` off-diagonal pairs, and a ``b``."""
     offsets = rng.choice(np.arange(1, n), size=min(half, n - 1), replace=False)
     width = 1 + 2 * len(offsets)
     cols = np.tile(np.arange(n, dtype=np.int32)[:, None], (1, width))
@@ -94,7 +101,22 @@ def spd_system(seed: int):
         cols[rows, 1 + 2 * k], vals[rows, 1 + 2 * k] = rows + d, w
         cols[rows + d, 2 + 2 * k], vals[rows + d, 2 + 2 * k] = rows, w
     vals[:, 0] = np.abs(vals).sum(axis=1) + rng.uniform(0.05, 2.0, n)
-    b = rng.standard_normal(n)
+    return ELLMatrix(cols=cols, vals=vals), rng.standard_normal(n)
+
+
+def spd_system(seed: int, other: bool = False):
+    """``(A, b, tol, max_iter, make_backend)`` for ``seed``: a symmetric,
+    strictly diagonally dominant ELL operator with positive diagonal,
+    and the backend to solve it on.  ``other`` swaps in another operator
+    and ``b`` of the same shapes."""
+    rng = np.random.default_rng(seed)
+    if seed % 4 == 3:  # 1-3 tiles: a narrow band keeps the operator small
+        n = int(rng.integers(TILE_LANES - 4096, 3 * TILE_LANES + 1))
+        half = int(rng.integers(0, 3))
+    else:
+        n = int(rng.integers(2, 3000))
+        half = int(rng.integers(0, 14))
+    a, b = _operator(rng, n, half)
     kind = seed % 5
     if kind == 0:  # stops at max_iter
         tol, max_iter = 1e-15, int(rng.integers(2, 9))
@@ -108,7 +130,9 @@ def spd_system(seed: int):
     else:  # inline at every size, with a modeled clock
         def make_backend():
             return ThreadsBackend(2, min_parallel_size=1 << 20)
-    return ELLMatrix(cols=cols, vals=vals), b, tol, max_iter, make_backend
+    if other:
+        a, b = _operator(np.random.default_rng([seed, 1]), n, half)
+    return a, b, tol, max_iter, make_backend
 
 
 def _bits(result) -> tuple:
@@ -142,11 +166,30 @@ def solve(a, b, mode: str, make_backend, **kw) -> tuple:
     return _bits(result), counters, _loop_moved(graph0["loop"], graph["loop"])
 
 
+def solve_bound(seed: int, **kw) -> list:
+    """``seed``'s system solved twice on one context, then the other
+    operator of the same shapes: per solve ``(bits, loop counters,
+    captures and rebinds)``."""
+    a, b, _, _, make_backend = spd_system(seed)
+    a2, b2 = spd_system(seed, other=True)[:2]
+    repro.set_graph_mode("on")
+    out = []
+    with repro.use_backend(make_backend()):
+        for op, rhs in ((a, b), (a, b), (a2, b2)):
+            graph0 = graph_stats()
+            result = hpccg_solve(op, rhs, **kw)
+            graph = graph_stats()
+            moved = {k: graph[k] - graph0[k] for k in ("captures", "rebinds")}
+            out.append((_bits(result), _loop_moved(graph0["loop"], graph["loop"]), moved))
+    return out
+
+
 def _loop_moved(before: dict, after: dict) -> dict:
     """What moved in ``graph_stats()["loop"]`` between two snapshots."""
     return {
         "calls": after["calls"] - before["calls"],
         "iterations": after["iterations"] - before["iterations"],
+        "bound": after["bound"] - before["bound"],
         "declined": {
             r: c - before["declined"].get(r, 0)
             for r, c in after["declined"].items()
@@ -156,29 +199,45 @@ def _loop_moved(before: dict, after: dict) -> dict:
 
 
 def check_seed(seed: int) -> tuple:
-    """Solve ``seed``'s system three ways and hold them to each other;
+    """Solve ``seed``'s system four ways and hold them to each other;
     returns ``(iterations, converged, max_iter)``."""
     a, b, tol, max_iter, backend = spd_system(seed)
     kw = dict(tol=tol, max_iter=max_iter)
     loop_bits, loop_counters, loop_stats = solve(a, b, "loop", backend, **kw)
     reg_bits, reg_counters, reg_stats = solve(a, b, "regions", backend, **kw)
     off_bits, _, off_stats = solve(a, b, "off", backend, **kw)
-    assert loop_bits == reg_bits == off_bits, seed
+    miss, hit, other = solve_bound(seed, **kw)
+    a2, b2 = spd_system(seed, other=True)[:2]
+    other_off = solve(a2, b2, "off", backend, **kw)[0]
+    assert loop_bits == reg_bits == off_bits == miss[0] == hit[0], seed
+    assert other[0] == other_off, seed
     iterations = loop_bits[2]
-    assert off_stats == {"calls": 0, "iterations": 0, "declined": {}}
+    assert off_stats == {"calls": 0, "iterations": 0, "bound": 0, "declined": {}}
     if driver_expected():
         driven = iterations >= 2
-        assert loop_stats == {
+        assert loop_stats == miss[1] == {
             "calls": int(driven),
             "iterations": iterations - 1 if driven else 0,
+            "bound": 0,
             "declined": {},
         }, seed
         assert reg_stats == {
             "calls": 0,
             "iterations": 0,
+            "bound": 0,
             "declined": {"hooks": 1} if driven else {},
         }, seed
         assert loop_counters == reg_counters, seed
+        # The miss stored the program it drove; each later solve binds it
+        # and drives every iteration, its three regions' structures
+        # rebound through the template and none built.
+        for solved in (hit, other) if driven else ():
+            assert solved[1:] == (
+                {"calls": 1, "iterations": solved[0][2], "bound": 1, "declined": {}},
+                {"captures": 3, "rebinds": 3},
+            ), seed
+        if not driven:
+            assert hit[1] == miss[1], seed
     return iterations, loop_bits[3], max_iter
 
 
@@ -350,15 +409,184 @@ def test_warm_default_solve_is_one_call():
         pytest.skip("the driver runs on the native rung with no injection armed")
     a, b, _ = build_27pt_problem(8, 8, 8)
     with repro.use_backend("threads"):
-        hpccg_solve(a, b, tol=1e-8)
+        # A cold process compiles the last region's kernel in the first
+        # solve's iteration 1: only the second can key and store a template.
+        for _ in range(2):
+            hpccg_solve(a, b, tol=1e-8)
         before = graph_stats()["loop"]
         result = hpccg_solve(a, b, tol=1e-8)
     assert result.converged
     assert _loop_moved(before, graph_stats()["loop"]) == {
         "calls": 1,
-        "iterations": result.iterations - 1,
+        "iterations": result.iterations,
+        "bound": 1,
         "declined": {},
     }
+
+
+# ---------------------------------------------------------------------------
+# The bound path: what its key holds, and what a template does not
+# ---------------------------------------------------------------------------
+
+
+def _dot(i, x, y):
+    return x[i] * y[i]
+
+
+def _dot_swapped(i, x, y):
+    return y[i] * x[i]
+
+
+def _relax(i, a, c, x, y):
+    y[i] = a * x[i] + c * y[i]
+
+
+def small_loop(n=64, dtype=np.float64, dot=_dot, alias=False, strided=False,
+               c=0.5, c_slot=False):
+    """A two-region loop over fresh arrays: ``(loop, iteration, arrays)``.
+    Each keyword changes one fact its recording is keyed on."""
+    x = repro.array(np.linspace(1.0, 2.0, 2 * n if strided else n).astype(dtype))
+    if strided:
+        x = x[::2]
+    y = x if alias else repro.array(np.full(n, 0.5, dtype=dtype))
+    first, second, loop = GraphRegion("first"), GraphRegion("second"), GraphLoop()
+
+    def measure():
+        return repro.parallel_reduce(n, dot, x, y)
+
+    def relax(a, c=c):
+        repro.parallel_for(n, _relax, a, c, x, y)
+
+    def iteration(s):
+        d = loop.run(first, (id(x), id(y)), measure)
+        t = s / d
+        done = t <= 0.0
+        if not done:
+            slots = dict(a=t, c=c) if c_slot else dict(a=t)
+            loop.run(second, (id(x), id(y)), relax, **slots)
+        return t, d, done
+
+    return loop, iteration, (x, y)
+
+
+def _key(**variant):
+    """The key a dry recording of ``small_loop(**variant)``'s first
+    iteration looks a template up under, its kernels compiled first."""
+    loop, iteration, _ = small_loop(**variant)
+    for _ in loop.steps(iteration, 1.0, 2):
+        pass
+    return loop._dry(iteration, 1.0, repro.current_context())[0]
+
+
+#: One changed recording fact per entry, each a different key.
+_VARIANTS = {
+    "kernel function": dict(dot=_dot_swapped),
+    "dtype": dict(dtype=np.float32),
+    "shape": dict(n=65),
+    "strides": dict(strided=True),
+    "alias pattern": dict(alias=True),
+    "baked scalar value": dict(c=0.25),
+    "slot vs baked scalar": dict(c_slot=True),
+}
+
+
+def _threads():
+    return ThreadsBackend(2, min_parallel_size=1 << 20)
+
+
+@pytest.mark.parametrize("component", sorted(_VARIANTS))
+def test_each_recorded_fact_is_in_the_key(component):
+    with repro.use_backend(_threads()):
+        base = _key()
+        assert base is not None and _key() == base  # fresh arrays, same facts
+        assert _key(**_VARIANTS[component]) not in (None, base)
+
+
+@pytest.mark.parametrize(
+    "component, mode, set_mode, values",
+    [
+        ("executor", executor_mode, set_executor_mode, ("codegen", "vector")),
+        ("validate mode", active_validate_mode, repro.set_validate_mode, ("off", "warn")),
+        ("passes mode", repro.passes_mode, repro.set_passes_mode, ("none", "all")),
+    ],
+)
+def test_each_mode_is_in_the_key(component, mode, set_mode, values):
+    with repro.use_backend(_threads()) as ctx:
+        if component == "passes mode" and ctx.fault_plan is not None:
+            pytest.skip("a fault plan turns fusion off whatever the passes mode")
+        base = _key()
+        set_mode(values[mode() == values[0]])  # whichever is not in effect
+        try:
+            other = _key()
+        finally:
+            set_mode(None)
+    assert other not in (None, base)
+
+
+def test_backend_epoch_and_context_are_in_the_key():
+    backend = _threads()
+    with repro.use_backend(backend) as ctx:
+        base = _key()
+        ctx.set_backend(_threads())
+        other_backend = _key()
+        ctx.set_backend(backend)
+        backend.min_parallel_size += 1  # a new schedule epoch
+        other_epoch = _key()
+        backend.min_parallel_size -= 1
+        assert _key() == base
+    with repro.use_backend(backend):
+        other_context = _key()
+    for key in (other_backend, other_epoch, other_context):
+        assert key not in (None, base)
+
+
+def test_a_chunked_loop_stops_its_dry_recording_at_the_first_launch(monkeypatch):
+    """A loop whose first launch the backend chunks can never be driven:
+    its dry recording looks up one kernel and keys nothing."""
+    with repro.use_backend(ThreadsBackend(2, min_parallel_size=1)) as ctx:
+        loop, iteration, _ = small_loop()
+        for _ in loop.steps(iteration, 1.0, 2):  # compiles and stages both
+            pass
+        found = []
+        real = KernelCache.find
+
+        def counting(self, *args, **kwargs):
+            found.append(args[0])
+            return real(self, *args, **kwargs)
+
+        monkeypatch.setattr(KernelCache, "find", counting)
+        assert loop._dry(iteration, 1.0, ctx) == (None, None)
+    assert found == [_dot]
+
+
+def test_a_bound_loop_matches_graph_off_and_pins_no_array():
+    """Without hooks (they fence the bound path): the third run binds
+    the template the second stored and gives graph-off's bits, and once
+    they return nothing holds the arrays of either."""
+    if not driver_expected():
+        pytest.skip("the driver runs on the native rung with no injection armed")
+
+    def run():
+        loop, iteration, arrays = small_loop()
+        rows = [(float(t).hex(), float(d).hex(), bool(done))
+                for t, d, done in loop.steps(iteration, 1.0, 6)]
+        return rows, [weakref.ref(a) for a in arrays]
+
+    with repro.use_backend(_threads()) as ctx:
+        run()  # compiles the kernels
+        refs = run()[1]  # stores the template
+        before = graph_stats()["loop"]
+        rows, bound_refs = run()
+        refs += bound_refs
+        moved = _loop_moved(before, graph_stats()["loop"])
+        stored = list(resolve_cache(ctx.kernel_cache).structures.values())
+        repro.set_graph_mode("off")
+        off_rows, _ = run()
+    assert moved == {"calls": 1, "iterations": 6, "bound": 1, "declined": {}}
+    assert rows == off_rows
+    gc.collect()
+    assert [r() is None for r in refs] == [True] * 4
+    assert any(isinstance(v, _Template) for v in stored)
 
 
 # ---------------------------------------------------------------------------
@@ -380,7 +608,7 @@ def _sweep(argv=None) -> int:
         else:
             stops["converged"] += 1
     driven = "driven" if driver_expected() else "declined"
-    print(f"{ns.seeds} random SPD solves bitwise equal three ways ({driven}): {stops}")
+    print(f"{ns.seeds} random SPD solves bitwise equal four ways ({driven}): {stops}")
     return 0
 
 

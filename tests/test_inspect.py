@@ -113,3 +113,23 @@ class TestReportContents:
         results = doctest.testmod(inspect_mod, verbose=False)
         assert results.failed == 0
         assert results.attempted >= 2
+
+
+@pytest.mark.parametrize("flag", ["--program", "--native"])
+def test_cli_runs_warning_free(flag):
+    """``python -m repro.ir.inspect`` as docs/API.md gives it: the
+    package must not import the module runpy is about to execute, or a
+    second copy runs and runpy warns — an error under ``-W error``."""
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    src = str(Path(repro.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    done = subprocess.run(
+        [sys.executable, "-W", "error", "-m", "repro.ir.inspect", flag],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert "RuntimeWarning" not in done.stderr

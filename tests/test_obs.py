@@ -125,8 +125,9 @@ CACHE_INFO_SHAPE = {
             "degraded": "int",
             "diagnostics": {},
         },
-        # the loop driver's block, added with it; nothing renamed
-        "loop": {"calls": "int", "iterations": "int", "declined": {}},
+        # the loop driver's block, added with it; nothing renamed.  "bound"
+        # was added with the stored loop templates; nothing renamed
+        "loop": {"calls": "int", "iterations": "int", "bound": "int", "declined": {}},
         "mode": "str",
         "passes_mode": "str",
     },
