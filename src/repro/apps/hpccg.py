@@ -192,8 +192,10 @@ def build_27pt_problem(
     if min(nx, ny, nz) < 1:
         raise ValueError(f"grid dims must be positive, got {(nx, ny, nz)}")
     n = nx * ny * nz
-    cols = np.tile(
-        np.arange(n, dtype=_index_dtype(n))[:, None], (1, _STENCIL_WIDTH)
+    # ``np.repeat`` owns its result (``np.tile`` returns a view), so the
+    # read-only operator is shared by ``repro.array``, not copied.
+    cols = np.repeat(
+        np.arange(n, dtype=_index_dtype(n))[:, None], _STENCIL_WIDTH, axis=1
     )
     vals = np.zeros((n, _STENCIL_WIDTH), dtype=np.float64)
 

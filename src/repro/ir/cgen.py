@@ -6,9 +6,9 @@ temporaries.  Julia's LLVM JIT — the performance baseline the paper
 leans on — emits one fused scalar loop instead.  This module closes that
 last gap: a verified, optimized :class:`~repro.ir.nodes.Trace` is
 lowered into a single C translation unit — fused scalar loop nests,
-guards as branches, gathers via clamped indexing, add-reduces folded
-per tile — compiled once with the system C compiler
-(``PYACC_CC``, see :mod:`repro.ir.nativecache`) and called through
+guards as branches, gathers clamped only where an index can leave its
+array, add-reduces folded per tile — compiled once with the system C
+compiler (``PYACC_CC``, see :mod:`repro.ir.nativecache`) and called through
 stdlib :mod:`ctypes` with per-chunk bounds, so every backend family
 (serial / threads / cuda-sim / multi-sim) runs the same machine loop
 over its own chunks.  The ctypes call releases the GIL, so the threads
@@ -44,8 +44,9 @@ whole-domain NumPy semantics:
   affine form agree on every in-range value.  On proof all stores share
   **one** loop nest in program order (``_invalidate`` reloads a lane's
   own load-after-store) and lose the scatter wrap / out-of-bounds exit,
-  dead code under (2); gathers keep their clamps.  A ``parallel_for``
-  unit also tells ``cc`` what the proof says, so the loop vectorizes:
+  dead code under (2); a gather is lowered as in any other unit
+  (below).  A ``parallel_for`` unit also tells ``cc`` what the proof
+  says, so the loop vectorizes:
   the shared guard's index bounds clip the loop (``_clip_to_guard``),
   a lane's reload of its own unconditional store takes the stored value
   (``_forwarded``), and the inner loop is ``#pragma GCC ivdep``.  The
@@ -55,6 +56,17 @@ whole-domain NumPy semantics:
   it per call (memoized) and declines ``lanes`` otherwise.  Kernels
   without a proof — data-dependent scatters, suppressed races — keep
   the grouped lowering; a kernel has one lowering, chosen by proof.
+* **Gathers.**  The vectorizer reads an out-of-range gather index as
+  the nearest element (``_gather`` clamps), so C must too — where the
+  index can be out of range.  A load whose indices are the launch
+  indices ``i0 … i{ndim-1}`` on its leading axes (or none), then
+  non-negative integer constants below the compiling call's extents, is
+  *proven*: a direct flat index, its launch axes checked like an
+  identity access (``hi <= shape``) and each constant ``k`` by
+  ``shape > k`` in the pre-flight (``extent`` otherwise).  Any other
+  gather index keeps its two-sided clamp.  A guard masks a lane's
+  stores, not its loads, and a clamp into an empty axis has no element
+  to land on: a gathered empty axis declines ``extent``.
 * **Reduction fold.**  A reduce kernel walks the
   :attr:`~repro.ir.vectorizer.IndexDomain.tiles` of its chunk in one
   call.  ``add`` folds each tile in C — a transcription of NumPy's
@@ -81,8 +93,9 @@ whole-domain NumPy semantics:
 
 Run-time pre-flight declines (see :class:`NativeKernel`) re-check the
 assumptions the C code bakes in — dtype/rank/contiguity, identity-access
-extents, written-array aliasing, weak-int narrowing, lane independence
-of a single-loop kernel — before any side effect, so an ineligible
+and proven-load extents, non-empty gathered axes, written-array
+aliasing, weak-int narrowing, lane independence of a single-loop
+kernel — before any side effect, so an ineligible
 *call* (not just an ineligible kernel) falls back with the arrays
 untouched.
 """
@@ -338,8 +351,15 @@ class _NativeLowering:
         # Per-array static facts, keyed by argument position.
         self.arr_dtype: dict[int, np.dtype] = {}
         self.arr_rank: dict[int, int] = {}
-        self.extent_slots: set[int] = set()  # identity access: hi <= shape
+        # Identity access or proven launch-led load: hi <= shape on the
+        # launch axes.
+        self.extent_slots: set[int] = set()
         self.gather_slots: set[int] = set()  # has non-identity loads
+        # pos -> {axis: k}: the pre-flight requires shape[axis] > k (a
+        # proven constant index k; 0 for a clamped gather axis).
+        self.need: dict[int, dict[int, int]] = {}
+        # Gather indices by lowering: proven in range, or clamped.
+        self.gathers = {"proven": 0, "clamped": 0}
         self.written: dict[int, bool] = {}  # pos -> has scatter store
         self.fscalar: list[int] = []  # positions staged as double
         self.iscalar: list[int] = []  # positions staged as int64
@@ -532,6 +552,38 @@ class _NativeLowering:
                 terms.append(f"({code})")
         return " + ".join(terms)
 
+    def _require(self, pos: int, ax: int, k: int) -> None:
+        """Have the pre-flight decline ``extent`` unless ``shape[ax] > k``."""
+        axes = self.need.setdefault(pos, {})
+        axes[ax] = max(axes.get(ax, 0), k)
+
+    def _proven_lead(self, pos: int, indices: tuple) -> Optional[int]:
+        """How many launch indices lead a load the pre-flight can bound
+        (``ndim`` or 0), or ``None``: the index tuple must be ``i0 …
+        i{ndim-1}`` or nothing, then non-negative integer constants each
+        below its axis's extent in the compiling call."""
+        rank = self.arr_rank[pos]
+        if len(indices) != rank:
+            return None
+        lead = self.ndim if isinstance(indices[0], N.Index) else 0
+        if lead > rank:
+            return None
+        if any(
+            not (isinstance(ix, N.Index) and ix.axis == ax)
+            for ax, ix in enumerate(indices[:lead])
+        ):
+            return None
+        shape = self.args[pos].shape
+        for ax in range(lead, rank):
+            ix = indices[ax]
+            if not (
+                isinstance(ix, N.Const)
+                and type(ix.value) is int
+                and 0 <= ix.value < shape[ax]
+            ):
+                return None
+        return lead
+
     def _gather_index(self, pos: int, ix: N.Node, ax: int) -> str:
         """Clamped int64 index for a gather load (mirrors ``_gather``)."""
         code, elem = self.emit(ix)
@@ -545,6 +597,10 @@ class _NativeLowering:
             raise NativeLoweringError("float-index")
         var = self._new_tmp()
         n = f"a{pos}_n{ax}"
+        # The clamp reads ``n - 1`` for an index at or past the end: an
+        # empty axis declines in the pre-flight.
+        self._require(pos, ax, 0)
+        self.gathers["clamped"] += 1
         self.body.append(f"int64_t {var} = {code};")
         self.body.append(f"if ({var} < 0) {var} = 0;")
         self.body.append(f"if ({var} >= {n}) {var} = {n} - 1;")
@@ -566,10 +622,23 @@ class _NativeLowering:
                 )
             else:
                 self.gather_slots.add(pos)
-                idx = [
-                    self._gather_index(pos, ix, ax)
-                    for ax, ix in enumerate(node.indices)
-                ]
+                lead = self._proven_lead(pos, node.indices)
+                if lead is None:
+                    idx = [
+                        self._gather_index(pos, ix, ax)
+                        for ax, ix in enumerate(node.indices)
+                    ]
+                else:
+                    # In range wherever the pre-flight admits the call:
+                    # the launch axes by ``hi <= shape``, a constant by
+                    # ``shape > k``, so the clamp would be the identity.
+                    if lead:
+                        self.extent_slots.add(pos)
+                    idx = [f"i{ax}" for ax in range(lead)]
+                    for ax, ix in enumerate(node.indices[lead:], lead):
+                        self._require(pos, ax, ix.value)
+                        idx.append(str(ix.value))
+                    self.gathers["proven"] += len(idx)
                 flat = self._flat_index(pos, idx)
             code = f"a{pos}[{flat}]"
             if _dt_code(arr_dt) == "b1":
@@ -1012,6 +1081,8 @@ class _NativeLowering:
             "arr_rank": {p: self.arr_rank[p] for p in arr_order},
             "extent_slots": tuple(sorted(self.extent_slots)),
             "gather_slots": frozenset(self.gather_slots),
+            "need": {p: tuple(sorted(ax.items())) for p, ax in self.need.items()},
+            "gathers": dict(self.gathers),
             "written": dict(self.written),
             "fscalar": tuple(self.fscalar),
             "iscalar": tuple(self.iscalar),
@@ -1117,6 +1188,7 @@ class NativeKernel:
         "_arr_rank",
         "_extent_slots",
         "_gather_slots",
+        "_need",
         "_written",
         "_fscalar",
         "_iscalar",
@@ -1143,6 +1215,7 @@ class NativeKernel:
         self._arr_rank = spec["arr_rank"]
         self._extent_slots = spec["extent_slots"]
         self._gather_slots = spec["gather_slots"]
+        self._need = spec["need"]
         self._written = spec["written"]
         self._fscalar = spec["fscalar"]
         self._iscalar = spec["iscalar"]
@@ -1166,7 +1239,7 @@ class NativeKernel:
         order = self._arr_order
         self._arrays = tuple(
             (p, self._arr_dtype[p], self._arr_rank[p], p in self._written,
-             p in self._extent_slots)
+             p in self._extent_slots, self._need.get(p, ()))
             for p in order
         )
         self._alias_pairs = tuple(
@@ -1208,11 +1281,12 @@ class NativeKernel:
         ranges = domain.ranges
         if len(ranges) != self.ndim:
             raise NativeDeclined("domain-rank")
-        # An identity-accessed array the zero-based box covers exactly
+        # An array whose launch axes the zero-based box covers exactly
         # needs no per-axis extent walk.
+        nd = self.ndim
         full = domain.shape if domain.zero_based else None
         arrs, words, shapes = [], [], []
-        for pos, dtype, rank, written, extent in self._arrays:
+        for pos, dtype, rank, written, extent, need in self._arrays:
             arr = args[pos]
             if not isinstance(arr, np.ndarray):
                 raise NativeDeclined("not-an-array")
@@ -1226,10 +1300,13 @@ class NativeKernel:
             if written and not flags.writeable:
                 raise NativeDeclined("read-only")
             shape = arr.shape
-            if extent and shape != full:
+            if extent and shape[:nd] != full:
                 for (_, hi), n in zip(ranges, shape):
                     if hi > n:
                         raise NativeDeclined("extent")
+            for ax, k in need:  # a constant index, or a non-empty gather axis
+                if shape[ax] <= k:
+                    raise NativeDeclined("extent")
             arrs.append(arr)
             words.append(_data_ptr(arr) if flags.writeable else _readonly_ptr(arr))
             shapes += shape

@@ -87,7 +87,7 @@ __all__ = [
 CACHE_ENV = "PYACC_COMPILE_CACHE"
 
 #: Payload format version — bump on any change to the entry layout.
-FORMAT = 5
+FORMAT = 6
 
 _OFF = {"off", "0", "none", "disabled"}
 
@@ -598,6 +598,7 @@ def _native_spec(nk) -> Optional[dict]:
         "arr_rank": nk._arr_rank,
         "extent_slots": nk._extent_slots,
         "gather_slots": nk._gather_slots,
+        "need": nk._need,
         "written": nk._written,
         "fscalar": nk._fscalar,
         "iscalar": nk._iscalar,

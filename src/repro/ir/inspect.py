@@ -28,12 +28,14 @@ pass pipeline optimizes, see :mod:`repro.ir.program`)::
 captures a CG-style iteration body, prints its dataflow graph before
 fusion runs, then the fused program with the pass trail.
 
-``python -m repro.ir.inspect --native`` compiles the CG matvec, the
-LBM collide, a scatter and the BLAS dot kernel under the native executor
-and prints, per kernel, its loop nests and single-loop licence, how many
-loops gcc vectorized (and its first reason for a loop it did not), which
-fold a reduce uses, and the generated C translation unit side by side
-with the codegen tier's NumPy source — the two artifacts the
+``python -m repro.ir.inspect --native`` compiles the CG and HPCCG
+matvecs, the LBM collide, a scatter and the BLAS dot kernel under the
+native executor and prints, per kernel, its loop nests and single-loop
+licence, how many of its gather indices are proven in range and how
+many keep their clamp, how many loops gcc vectorized (and its first
+reason for a loop it did not), which fold a reduce uses, and the
+generated C translation unit side by side with the codegen tier's
+NumPy source — the two artifacts the
 differential suite holds bit-identical.
 """
 
@@ -371,9 +373,9 @@ def _vectorize_report(source: str) -> Optional[tuple[int, Optional[str]]]:
 def _native_loops_report(ck: CompiledKernel, args) -> str:
     """How many loop nests the native lowering of ``ck`` has and why:
     whether the single-loop licence (see :mod:`repro.ir.cgen`) was
-    needed, granted, or refused — with the verifier's reason — what
-    gcc's vectorizer made of the unit and, for a reduce kernel, where
-    its values are folded."""
+    needed, granted, or refused — with the verifier's reason — how its
+    gather indices are lowered, what gcc's vectorizer made of the unit
+    and, for a reduce kernel, where its values are folded."""
     from .cgen import _NativeLowering, _partition_groups
 
     nk = ck.native
@@ -392,6 +394,8 @@ def _native_loops_report(ck: CompiledKernel, args) -> str:
     else:
         verdict = "refused: " + str(_NativeLowering(ck.trace, args).lane_refusal())
     report = f"  loop nests: {nests}; single-loop licence {verdict}"
+    g = _NativeLowering(ck.trace, args).lower()["gathers"]
+    report += f"\n  gather indices: {g['proven']} proven in range, {g['clamped']} clamped"
     vec = _vectorize_report(nk.source)
     if vec is None:
         report += "\n  loops vectorized: n/a (no gcc vectorizer report)"
@@ -409,18 +413,19 @@ def _native_loops_report(ck: CompiledKernel, args) -> str:
 
 
 def _demo_native_describe() -> str:
-    """Compile the CG matvec, LBM collide and a permutation-scatter
-    kernel on the native rung; report each one's loop nests and
-    single-loop licence, and dump the generated C next to the codegen
-    NumPy source."""
+    """Compile the CG and HPCCG matvecs, LBM collide, a
+    permutation-scatter and the dot kernel on the native rung; report
+    each one's loop nests, single-loop licence and gather lowering, and
+    dump the generated C next to the codegen NumPy source."""
     import numpy as np
 
-    from ..apps import blas, cg, lbm
+    from ..apps import blas, cg, hpccg, lbm
     from .compile import compile_kernel
 
     out = []
     n = 64
     rng = np.random.default_rng(0)
+    ell, _, _ = hpccg.build_27pt_problem(4, 4, 4)
     probes = [
         (
             "cg.matvec_tridiag_kernel",
@@ -434,6 +439,12 @@ def _demo_native_describe() -> str:
                 np.zeros(n),
                 n,
             ),
+        ),
+        (
+            "hpccg.matvec_ell_kernel",
+            hpccg.matvec_ell_kernel,
+            1,
+            (ell.cols, ell.vals, rng.random(n), np.zeros(n)),
         ),
         (
             "lbm.lbm_kernel",

@@ -44,6 +44,18 @@ class TestELLMatrix:
             a.vals[0, 0] = 1.0
         assert repro.array(a.vals) is a.vals and repro.array(a.cols) is a.cols
 
+    @pytest.mark.parametrize("backend", ["serial", "threads"])
+    def test_built_operators_own_their_storage(self, backend):
+        # A view of a writable array is copied by ``repro.array``, so
+        # both problem constructors must hand ``ELLMatrix`` owning arrays.
+        from repro.apps.minife import BrickMesh, assemble_poisson
+
+        ops = [build_27pt_problem(4, 3, 5)[0], assemble_poisson(BrickMesh(3, 2, 2))]
+        with repro.use_backend(backend):
+            for op in ops:
+                assert np.shares_memory(repro.array(op.cols), op.cols)
+                assert np.shares_memory(repro.array(op.vals), op.vals)
+
     def test_matvec_host_matches_dense(self):
         a = random_ell(20, 5)
         x = np.random.default_rng(1).random(20)

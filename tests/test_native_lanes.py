@@ -792,6 +792,9 @@ def test_inspect_native_reports_loop_nests_and_the_licence():
         "index not affine in the launch indices" in report
     )
     assert "told to cc: guard-box clip, store forwarding, ivdep" in report
+    # The ELL matvec: only its 27 data-dependent gathers are clamped.
+    assert "gather indices: 108 proven in range, 27 clamped" in report
     # One line per kernel; the count depends on the ISA (a baseline
     # x86-64 cannot gather), and a non-gcc cc prints no report.
-    assert len(re.findall(r"loops vectorized: (\d+; first missed: |n/a)", report)) == 4
+    assert len(re.findall(r"loops vectorized: (\d+; first missed: |n/a)", report)) == 5
+    assert report.count("gather indices: ") == 5
