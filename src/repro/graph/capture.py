@@ -623,9 +623,11 @@ class LaunchGraph:
         return out
 
     def _build(self, fuse: bool):
-        """The full path: fuse, validate and hoist over this recording.
+        """The full path: fuse, validate, lower the surviving fused nodes
+        to C and hoist over this recording.
         Returns ``(structure, program, clean)``; the structure's trail
         holds every pass and validator counter call the build made."""
+        from ..ir.fuse import lower_fused
         from ..ir.program import Program, run_passes
 
         pkg = _pkg()
@@ -645,6 +647,8 @@ class LaunchGraph:
             program, clean = self._validate(
                 program, recorder("validate", pkg._record_validate)
             )
+            for pn in program.nodes:
+                lower_fused(pn.gnode.plan)
         hoisted = self._hoist(program)
         templates = [
             _NodeTemplate(pn.gnode, hoisted.get(index), pn.origin[0])

@@ -91,6 +91,20 @@ whole-domain NumPy semantics:
   indices — **declines** with a recorded reason and the kernel falls to
   codegen, exactly like codegen declines to vector.
 
+Translation units
+-----------------
+No unit includes a header: each starts with :data:`_PRELUDE`, which
+declares what the units use — integer types from the compiler's own
+macros, ``INT64_C``, ``INFINITY`` and ``NAN`` as glibc spells them, and
+the prototypes of ``sqrt``/``floor``/``ceil``/``fabs`` (and their
+``float`` variants) and ``memcpy``.  Preprocessing ``<math.h>`` cost
+every ``cc`` call about 12 ms (gcc 12, 2-core x86-64 VM), a third of a
+small unit's compile; the instructions are those the headers gave
+(``tests/test_native_prelude.py`` compares the assembly).  Besides the
+kernels there is one fixed unit, :data:`_RUNTIME_SOURCE`: the add-fold,
+its self-check and the loop driver of :mod:`repro.graph.loop`, compiled
+once per host and loaded once per process.
+
 Run-time pre-flight declines (see :class:`NativeKernel`) re-check the
 assumptions the C code bakes in — dtype/rank/contiguity, identity-access
 and proven-load extents, non-empty gathered axes, written-array
@@ -198,6 +212,27 @@ _VECTORIZE_PRAGMA = (
 )
 
 
+#: Heads every unit in place of ``<stdint.h>``, ``<math.h>`` and
+#: ``<string.h>`` (see "Translation units" above); a call it does not
+#: declare fails to compile (``-Werror=implicit-function-declaration``).
+_PRELUDE = """\
+typedef __INT64_TYPE__ int64_t;
+typedef __INT32_TYPE__ int32_t;
+typedef __UINT8_TYPE__ uint8_t;
+typedef __UINT64_TYPE__ uint64_t;
+typedef __INTPTR_TYPE__ intptr_t;
+typedef __SIZE_TYPE__ size_t;
+#define INT64_C(c) __INT64_C(c)
+#define INFINITY (__builtin_inff())
+#define NAN (__builtin_nanf(""))
+double sqrt(double); float sqrtf(float);
+double floor(double); float floorf(float);
+double ceil(double); float ceilf(float);
+double fabs(double); float fabsf(float);
+void *memcpy(void *, const void *, size_t);
+"""
+
+
 def _dt_code(dt: np.dtype) -> str:
     return dt.kind + str(dt.itemsize)
 
@@ -288,9 +323,6 @@ def _partition_groups(trace: N.Trace) -> list[list[N.Store]]:
 #: so :func:`fold_in_c` checks it once per process through
 #: ``pyacc_fold_check``, which also hands out ``pyacc_fold``'s address.
 _FOLD_SOURCE = """\
-#include <stdint.h>
-#include <string.h>
-
 typedef void (*pyacc_fill)(const void *cx, int64_t k, int64_t m, double *blk);
 
 static double pairwise(pyacc_fill fill, const void *cx, int64_t k, int64_t n) {
@@ -1019,7 +1051,7 @@ class _NativeLowering:
             "int64_t pyacc_kernel(const int64_t *w, double *out) {",
             "  (void)w; (void)out;",
         ]
-        lines = ["#include <stdint.h>", "#include <math.h>", ""]
+        lines = [_PRELUDE]
         if self.ivdep:
             lines += [_VECTORIZE_PRAGMA, ""]
         if not has_result:
@@ -1511,7 +1543,8 @@ def _fold_reference(values: np.ndarray) -> float:
 
 
 def fold_in_c() -> int:
-    """Address of the shared C add-fold (:data:`_FOLD_SOURCE`), or 0
+    """Address of the shared C add-fold (:data:`_FOLD_SOURCE`, in the
+    runtime unit :data:`_RUNTIME_SOURCE`), or 0
     when add-reduces must not use it here.  The fold transcribes NumPy's
     pairwise sum, whose order NumPy does not promise; so once per
     process it is run against ``ndarray.sum()`` on fixed vectors (both
@@ -1524,7 +1557,7 @@ def fold_in_c() -> int:
         v = (k * 0.7 - 300.1) * 10.0 ** (k % 17 - 8)
         addr = ctypes.c_int64()
         try:
-            check = compile_source(_FOLD_SOURCE, "pyacc_fold_check")
+            check = compile_source(_RUNTIME_SOURCE, "pyacc_fold_check")
             check.restype = ctypes.c_double
             check.argtypes = [ctypes.c_void_p, ctypes.c_int64, ctypes.c_void_p]
             ok = all(
@@ -1550,9 +1583,6 @@ def fold_in_c() -> int:
 #: reached, 1 exit test, 2 zero divisor, 3 node error), the program
 #: counter and the node's error code.
 _LOOP_SOURCE = """\
-#include <math.h>
-#include <stdint.h>
-
 typedef int64_t (*pyacc_node)(const int64_t *w, double *out);
 
 enum { CALL, DIV, DIVF, MUL, ADD, SUB, NEG, SQRT, LE, HIST, EXIT, MOV };
@@ -1596,6 +1626,10 @@ stop:
 }
 """
 
+#: The one fixed unit: :func:`fold_in_c` and :func:`loop_driver` each
+#: take their symbol from it.
+_RUNTIME_SOURCE = _PRELUDE + "\n" + _FOLD_SOURCE + "\n" + _LOOP_SOURCE
+
 #: The driver's opcodes, numbered as its ``enum``.
 LOOP_OPS = {
     op: code
@@ -1607,12 +1641,13 @@ _LOOP: Any = None
 
 
 def loop_driver():
-    """The loop driver's ctypes entry, compiled once per host and loaded
-    once per process — or ``None`` when it cannot be built here."""
+    """The loop driver's ctypes entry in the runtime unit
+    (:data:`_RUNTIME_SOURCE`) — or ``None`` when it cannot be built
+    here.  A failed fold self-check leaves it usable."""
     global _LOOP
     if _LOOP is None:
         try:
-            _LOOP = compile_source(_LOOP_SOURCE, "pyacc_loop")
+            _LOOP = compile_source(_RUNTIME_SOURCE, "pyacc_loop")
         except NativeCompileError:
             _LOOP = False
         else:

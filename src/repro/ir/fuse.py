@@ -35,11 +35,15 @@ Everything else is conservative: both kernels must be codegen-tier
 (fusing would otherwise *change* executor tier mid-ladder), same domain,
 same backend, and the merged trace must lower — any
 :class:`~repro.ir.codegen.CodegenError` declines the pair and the graph
-simply replays them back-to-back.
+simply replays them back-to-back.  A pair of native kernels stays on
+the native rung, but its C translation unit is built only when the
+fused node survives the whole pass (:func:`lower_fused`, called by the
+graph build): a merge that a later one absorbs costs no compiler call.
 """
 
 from __future__ import annotations
 
+from dataclasses import replace
 from typing import Optional
 
 import numpy as np
@@ -52,7 +56,7 @@ from .compile import CompiledKernel
 from .optimize import optimize_trace
 from .stats import analyze
 
-__all__ = ["fuse_plans", "fusable", "fuse_decline_reason"]
+__all__ = ["fuse_plans", "fusable", "fuse_decline_reason", "lower_fused"]
 
 
 # ---------------------------------------------------------------------------
@@ -295,17 +299,9 @@ def fuse_plans(
     except CodegenError:
         return None
 
-    # Fused kernels inherit the native rung when both inputs held it:
-    # the merged trace gets its own C translation unit (the cross-launch
-    # fusion win compounds with the compiled-loop win).  A decline keeps
-    # the fused codegen program — same ladder as single kernels.
-    native = None
-    if a.kernel.mode.startswith("native") and b.kernel.mode.startswith(
-        "native"
-    ):
-        from .cgen import try_lower_native
-
-        native, _ = try_lower_native(merged, fused_resolved)
+    # Fused kernels inherit the native rung when both inputs held it; the
+    # C unit is built once the pass is done (:func:`lower_fused`).
+    native = a.kernel.mode.startswith("native") and b.kernel.mode.startswith("native")
 
     name_a = getattr(a.fn, "__name__", "kernel")
     name_b = getattr(b.fn, "__name__", "kernel")
@@ -317,13 +313,30 @@ def fuse_plans(
     kernel = CompiledKernel(
         fn=_make_fused_fn(fused_name),
         ndim=merged.ndim,
-        mode="native-fused" if native is not None else "codegen-fused",
+        mode="native-fused" if native else "codegen-fused",
         trace=merged,
         stats=analyze(merged),
         codegen=program,
-        native=native,
     )
     return _attach(kernel, a, b.construct, b.op, fused_user, fused_resolved), pos_map
+
+
+def lower_fused(plan: LaunchPlan) -> None:
+    """Give a fused plan that survived the pass its C translation unit.
+
+    A ``native-fused`` kernel leaves :func:`fuse_plans` without one; here
+    it is lowered over the plan's arguments and the plan re-staged on
+    the result.  A decline keeps the fused codegen program — same ladder
+    as single kernels — as a ``codegen-fused`` kernel."""
+    kernel = plan.kernel
+    if kernel is None or kernel.mode != "native-fused":
+        return
+    from .cgen import try_lower_native
+
+    native, _ = try_lower_native(kernel.trace, plan.resolved_args)
+    mode = "native-fused" if native is not None else "codegen-fused"
+    plan.kernel = replace(kernel, mode=mode, native=native)
+    plan.backend.stage(plan)
 
 
 def _attach(

@@ -421,6 +421,7 @@ def _demo_native_describe() -> str:
 
     from ..apps import blas, cg, hpccg, lbm
     from .compile import compile_kernel
+    from .nativecache import native_stats
 
     out = []
     n = 64
@@ -482,6 +483,8 @@ def _demo_native_describe() -> str:
         out.append("--- native tier: generated C translation unit ---")
         out.append(ck.native.source if ck.native is not None else "(declined)")
         out.append("")
+    cc = native_stats()
+    out.append(f"cc: {cc['compiled']} unit(s) compiled, {cc['cc_ms']} ms waited this process")
     return "\n".join(out)
 
 
@@ -511,7 +514,7 @@ def main(argv=None) -> int:
         "and single-loop licence (granted / refused and why), the loops "
         "gcc vectorized and why not, which fold a reduce uses, and dump "
         "the generated C next to the codegen "
-        "NumPy source",
+        "NumPy source; end with the wall time waited on cc",
     )
     parser.add_argument(
         "--passes",

@@ -20,8 +20,9 @@ translation unit.  This module owns everything after that point:
   added), with corrupted/stale artifacts unlinked and recompiled once
   before declining,
 * the locked counter block surfaced as ``cache_info()["native"]`` —
-  ``{compiled, disk_hits, mem_hits, bytes, single_loop, declined:
-  {reason: n}}``.  ``single_loop`` counts the kernels this process
+  ``{compiled, disk_hits, mem_hits, bytes, single_loop, c_fold, cc_ms,
+  declined: {reason: n}}`` (``cc_ms``: wall milliseconds this process
+  waited on the compiler).  ``single_loop`` counts the kernels this process
   built under the lane-independence licence (one loop nest for all
   stores, see :mod:`repro.ir.cgen`).  Declines cover the whole
   taxonomy: trace-time (``op:<name>``, ``dtype:<str>``), compile-time
@@ -41,6 +42,7 @@ import shutil
 import subprocess
 import tempfile
 import threading
+import time
 from pathlib import Path
 from typing import Optional
 
@@ -69,8 +71,9 @@ CACHE_ENV = "PYACC_NATIVE_CACHE"
 #: two's-complement wrap on signed overflow.  Then speed that moves no
 #: bit: ``-march=native`` lets a licensed loop nest vectorize on the host
 #: ISA (passed only where :func:`_isa` can name that ISA, because the
-#: artifact key must).  The flags actually passed (:func:`_flags`) are
-#: part of :func:`_compiler_id`.
+#: artifact key must).  No unit includes a header, so a call without a
+#: prototype in ``cgen._PRELUDE`` must fail, not become an ``int``
+#: function.  The flags passed (:func:`_flags`) are in :func:`_compiler_id`.
 CFLAGS = (
     "-O2",
     "-fPIC",
@@ -78,6 +81,7 @@ CFLAGS = (
     "-fwrapv",
     "-ffp-contract=off",
     "-march=native",
+    "-Werror=implicit-function-declaration",
 )
 
 #: CPU fields of ``/proc/cpuinfo`` that decide what ``-march=native``
@@ -105,7 +109,7 @@ class NativeCompileError(Exception):
 
 _STATS = Counters(
     "native",
-    ("compiled", "disk_hits", "mem_hits", "bytes", "single_loop", "c_fold"),
+    ("compiled", "disk_hits", "mem_hits", "bytes", "single_loop", "c_fold", "cc_ms"),
     keyed=("declined",),
 )
 register(_STATS)
@@ -142,8 +146,9 @@ def record_c_fold() -> None:
 
 def native_stats() -> dict:
     """Locked snapshot: ``{compiled, disk_hits, mem_hits, bytes,
-    single_loop, declined}`` — ``bytes`` counts artifact bytes (``.c`` +
-    ``.so``) published by *this process*."""
+    single_loop, c_fold, cc_ms, declined}`` — ``bytes`` counts artifact
+    bytes (``.c`` + ``.so``) published by *this process*, ``cc_ms`` the
+    wall milliseconds it waited on the compiler."""
     return _STATS.snapshot()
 
 
@@ -271,12 +276,15 @@ def _load(so_path: Path, symbol: str) -> ctypes.CDLL:
 
 def _invoke_cc(cc: str, c_path: Path, so_path: Path) -> None:
     cmd = [cc, *_flags(), str(c_path), "-o", str(so_path), "-lm"]
+    t0 = time.perf_counter()
     try:
         proc = subprocess.run(
             cmd, capture_output=True, text=True, timeout=120
         )
     except (OSError, subprocess.TimeoutExpired) as exc:
         raise NativeCompileError("compile-failed", str(exc)) from exc
+    finally:
+        _STATS.bump("cc_ms", round((time.perf_counter() - t0) * 1e3))
     if proc.returncode != 0:
         raise NativeCompileError(
             "compile-failed",

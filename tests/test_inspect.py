@@ -133,3 +133,5 @@ def test_cli_runs_warning_free(flag):
     )
     assert done.returncode == 0, done.stderr
     assert "RuntimeWarning" not in done.stderr
+    if flag == "--native":
+        assert "ms waited this process" in done.stdout

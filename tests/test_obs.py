@@ -145,6 +145,7 @@ CACHE_INFO_SHAPE = {
         "bytes": "int",
         "single_loop": "int",  # added by the lane licence (ISSUE 21)
         "c_fold": "int",  # added by the C add-fold (ISSUE 23)
+        "cc_ms": "int",  # wall ms waited on cc, added with the prelude; nothing renamed
         "declined": {},
     },
     "disk": {
@@ -238,7 +239,7 @@ class TestPublicShapes:
         reset_state(drop_memory=False, drop_counters=True)
         assert native_stats() == {
             "compiled": 0, "disk_hits": 0, "mem_hits": 0, "bytes": 0,
-            "single_loop": 0, "c_fold": 0, "declined": {},
+            "single_loop": 0, "c_fold": 0, "cc_ms": 0, "declined": {},
         }
 
 
