@@ -92,6 +92,7 @@ from ..core.launch import LaunchSchedule, cpu_schedule, usable_cpus
 from ..core.plan import LaunchPlan
 from ..ir.arena import ScratchArena
 from ..ir.compile import compile_kernel
+from ..ir.nativecache import wait_compiles
 from ..ir.vectorizer import IndexDomain, fold_partials
 from .registry import CLUSTER_COUNTERS as _COUNTERS
 from .registry import cluster_stats, reset_cluster_stats
@@ -380,7 +381,9 @@ class ClusterSupervisor:
             pass
 
     def _fork(self, slot: int, name: str) -> _Worker:
-        """Fork one worker process and health-check it."""
+        """Fork one worker process and health-check it — after the
+        native compiles in flight, which the worker then loads."""
+        wait_compiles()
         parent_conn, child_conn = self._mp.Pipe()
         proc = self._mp.Process(
             target=_worker_main,
@@ -969,6 +972,7 @@ class ClusterBackend(Backend):
         if self._retired:
             retired, self._retired = self._retired, []
             self._supervisor.broadcast_forget(retired)
+        wait_compiles()  # workers load the parent's artifacts, never re-run cc
         partials = self._run_sharded(plan, descs, fn_token, fn_bytes, fplan)
         # Shard writeback: commit staged results into the caller's
         # arrays *before* returning, so the dispatch stage's

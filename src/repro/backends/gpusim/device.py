@@ -268,7 +268,8 @@ class Device:
             except NativeDeclined as exc:
                 from ...ir.nativecache import record_decline
 
-                record_decline(exc.reason)
+                if not exc.recorded:
+                    record_decline(exc.reason)
                 values = evaluate_values(
                     kernel.trace, IndexDomain.full(dims), kargs
                 ).reshape(-1)

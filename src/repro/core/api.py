@@ -30,7 +30,7 @@ from __future__ import annotations
 from typing import Any, Callable, Union
 
 from .. import faults
-from ..ir import writes
+from ..ir import nativecache, writes
 from ..ir.compile import compile_kernel
 from ..ir.verify import active_verify_mode
 from .backend import Backend, normalize_dims
@@ -93,7 +93,9 @@ def reset_backend() -> None:
 
 def synchronize() -> None:
     """Synchronization point: drain the context's asynchronous launch
-    queue, then synchronize the backend device.
+    queue, then synchronize the backend device; also waits for native
+    compiles in flight (a cold process's first small launches may run
+    codegen while ``cc`` runs, see ``repro.ir.nativecache``).
 
     The default constructs are already synchronous; this is required
     only after ``launch(..., sync=False)`` (and kept for symmetry with
@@ -103,6 +105,7 @@ def synchronize() -> None:
     ctx = current_context()
     ctx.drain()
     ctx.backend().synchronize()
+    nativecache.wait_compiles()
 
 
 # ---------------------------------------------------------------------------

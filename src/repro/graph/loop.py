@@ -528,8 +528,8 @@ def _node(node, backend, regs: dict, pc: int, dst: int):
         entry, words, out, tiles = native.loop_call(
             schedule.domains[0], plan.resolved_args, plan.is_reduce
         )
-    except NativeDeclined:
-        return "preflight"
+    except NativeDeclined as exc:
+        return "compiling" if exc.reason == "pending" else "preflight"
     instruction = (
         LOOP_OPS["call"], entry, ctypes.addressof(words),
         0 if out is None else ctypes.addressof(out), tiles, dst,

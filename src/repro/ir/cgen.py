@@ -112,6 +112,15 @@ aliasing, weak-int narrowing, lane independence of a single-loop
 kernel — before any side effect, so an ineligible
 *call* (not just an ineligible kernel) falls back with the arrays
 untouched.
+
+Tiering
+-------
+A kernel built by ``compile_kernel`` or fusion in a cold process does
+not wait for ``cc``: its unit compiles on :mod:`repro.ir.nativecache`'s
+worker thread, and the end of the pre-flight decides per call — a call
+over at most one tile (:data:`~repro.ir.vectorizer.TILE_LANES` lanes)
+declines ``pending`` and runs the codegen program, the same bits by the
+contract above; a larger call waits for the unit.
 """
 
 from __future__ import annotations
@@ -130,16 +139,19 @@ from . import verify as _verify
 from .arena import ChunkArena, ScratchArena, resolve as _resolve_arena
 from .nativecache import (
     NativeCompileError,
+    _Unit,
     compile_source,
     record_c_fold,
     record_decline,
     record_single_loop,
+    wait_compiles,
 )
 from .shapes import Lattice, _static_identity, promote, scalar_dtype
 from .vectorizer import (
     _check_reduce,
     _fold_lanes,
     _REDUCE_IDENTITY,
+    TILE_LANES,
     IndexDomain,
     fold_partials,
 )
@@ -165,11 +177,14 @@ class NativeLoweringError(Exception):
 class NativeDeclined(Exception):
     """A *call* failed the run-time pre-flight (taxonomy token in
     ``reason``); the caller falls through to the codegen program with
-    every argument untouched."""
+    every argument untouched, and records ``reason`` unless
+    ``recorded`` (a deferred compile's failure, counted once when it
+    failed)."""
 
-    def __init__(self, reason: str):
+    def __init__(self, reason: str, recorded: bool = False):
         super().__init__(reason)
         self.reason = reason
+        self.recorded = recorded
 
 
 # ---------------------------------------------------------------------------
@@ -1208,6 +1223,11 @@ class NativeKernel:
     lanes are proven independent (and, where ``spec["lane_apart"]``,
     its stores apart within a lane), so :meth:`preflight` declines
     ``lanes`` for any other call.
+
+    Built with ``_defer`` (``compile_kernel`` and fusion), a kernel
+    whose unit must be compiled holds the in-flight unit
+    (``nativecache._Unit``) instead of an entry point until a
+    pre-flight finds it built (:meth:`_await_unit`).
     """
 
     __slots__ = (
@@ -1236,9 +1256,10 @@ class NativeKernel:
         "_c_fold",
         "_slots",
         "_entry",
+        "_unit",
     )
 
-    def __init__(self, spec: dict, trace: N.Trace):
+    def __init__(self, spec: dict, trace: N.Trace, _defer: bool = False):
         self.source = spec["source"]
         self.ndim = spec["ndim"]
         self.has_result = spec["has_result"]
@@ -1256,8 +1277,12 @@ class NativeKernel:
         self._lane_apart = spec.get("lane_apart", False)
         self._lane_memo: dict = {}
         self._trace = trace
-        self._fn = compile_source(self.source)
-        self._entry = ctypes.cast(self._fn, ctypes.c_void_p).value
+        self._fn, self._entry, self._unit = None, 0, None
+        got = compile_source(self.source, _defer=_defer)
+        if isinstance(got, _Unit):
+            self._unit = got
+        else:
+            self._install(got)
         if lanes is not None:
             record_single_loop()
         # Pre-flight tables, resolved once: per-array facts, and the
@@ -1363,7 +1388,29 @@ class NativeKernel:
             words.append(v)
         for pos in self._fscalar:
             words.append(float(args[pos]))
+        if self._fn is None:
+            self._await_unit(domain.size)
         return words
+
+    def _await_unit(self, size: int) -> None:
+        """The one tiering decision, after every other check: a launch
+        of at most one tile runs codegen (``pending``) while the unit
+        compiles, a larger one waits for it — codegen would lease
+        whole-domain scratch the C loop never needs."""
+        unit = self._unit
+        if not unit.done:
+            if size <= TILE_LANES:
+                raise NativeDeclined("pending")
+            wait_compiles((unit,))
+        if unit.reason is not None:
+            raise NativeDeclined(unit.reason, recorded=True)
+        self._install(unit.lib.pyacc_kernel)
+
+    def _install(self, fn) -> None:
+        """Set the entry point — its address before the function, whose
+        presence is what a pool thread tests."""
+        self._entry = ctypes.cast(fn, ctypes.c_void_p).value
+        self._fn = fn
 
     def _check_lanes(self, ranges, shapes: list, args: Sequence[Any]) -> None:
         """Decline ``lanes`` unless this call's lanes are proven
@@ -1657,7 +1704,7 @@ def loop_driver():
     return _LOOP or None
 
 
-def lower_native(trace: N.Trace, args: Sequence[Any]) -> NativeKernel:
+def lower_native(trace: N.Trace, args: Sequence[Any], _defer: bool = False) -> NativeKernel:
     """Lower an optimized trace to a compiled :class:`NativeKernel`.
 
     Raises :class:`NativeLoweringError` (trace outside the bit-identity
@@ -1674,19 +1721,21 @@ def lower_native(trace: N.Trace, args: Sequence[Any]) -> NativeKernel:
     except Exception as exc:  # defensive: never break compilation
         raise NativeLoweringError("lowering-failed", str(exc)) from exc
     spec["ndim"] = trace.ndim
-    return NativeKernel(spec, trace)
+    return NativeKernel(spec, trace, _defer)
 
 
 def try_lower_native(
-    trace: Optional[N.Trace], args: Sequence[Any]
+    trace: Optional[N.Trace], args: Sequence[Any], _defer: bool = False
 ) -> tuple[Optional[NativeKernel], Optional[str]]:
     """Best-effort native lowering: ``(kernel, None)`` on success,
     ``(None, reason)`` on decline — with the decline recorded in the
-    native counters (see :func:`repro.ir.nativecache.native_stats`)."""
+    native counters (see :func:`repro.ir.nativecache.native_stats`).
+    ``_defer`` (``compile_kernel`` and fusion only) returns a kernel
+    whose ``cc`` still runs, see :class:`NativeKernel`."""
     if trace is None:
         return None, "no-trace"
     try:
-        return lower_native(trace, args), None
+        return lower_native(trace, args, _defer), None
     except (NativeLoweringError, NativeCompileError) as exc:
         record_decline(exc.reason)
         return None, exc.reason

@@ -133,10 +133,11 @@ class CompiledKernel:
                 self.native.run_for(domain, args, arena)
                 return
             except NativeDeclined as exc:
-                # Per-call ineligibility (aliasing, extent, dtype drift):
-                # record and fall through to the codegen program — the
-                # pre-flight ran before any side effect.
-                record_decline(exc.reason)
+                # Per-call ineligibility (aliasing, extent, dtype drift,
+                # a unit still compiling): record and fall through to the
+                # codegen program — the pre-flight ran before any side effect.
+                if not exc.recorded:
+                    record_decline(exc.reason)
         if self.trace is None:
             interpret_for(self.fn, domain, args)
             return
@@ -170,7 +171,8 @@ class CompiledKernel:
                 return self.native.run_reduce(domain, args, op, arena)
             except NativeDeclined as exc:
                 # Raised by the pre-flight, before any tile has run.
-                record_decline(exc.reason)
+                if not exc.recorded:
+                    record_decline(exc.reason)
         program, tiles = self.codegen, domain.tiles
         if len(tiles) > 1:
             arena = ChunkArena(arena)
@@ -552,7 +554,7 @@ def compile_kernel(
         # Top rung: compile the trace to a C shared object.  Declines
         # (unsupported op/dtype, missing compiler, compile failure) are
         # recorded in the native counters and the kernel stays codegen.
-        native, nreason = try_lower_native(trace, args)
+        native, nreason = try_lower_native(trace, args, _defer=True)
         if native is not None:
             nreason = None
             mode = "native" if mode == "codegen" else "native-specialized"

@@ -333,7 +333,7 @@ def lower_fused(plan: LaunchPlan) -> None:
         return
     from .cgen import try_lower_native
 
-    native, _ = try_lower_native(kernel.trace, plan.resolved_args)
+    native, _ = try_lower_native(kernel.trace, plan.resolved_args, _defer=True)
     mode = "native-fused" if native is not None else "codegen-fused"
     plan.kernel = replace(kernel, mode=mode, native=native)
     plan.backend.stage(plan)

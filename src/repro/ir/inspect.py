@@ -421,7 +421,7 @@ def _demo_native_describe() -> str:
 
     from ..apps import blas, cg, hpccg, lbm
     from .compile import compile_kernel
-    from .nativecache import native_stats
+    from .nativecache import native_stats, wait_compiles
 
     out = []
     n = 64
@@ -483,8 +483,13 @@ def _demo_native_describe() -> str:
         out.append("--- native tier: generated C translation unit ---")
         out.append(ck.native.source if ck.native is not None else "(declined)")
         out.append("")
+    wait_compiles()
     cc = native_stats()
-    out.append(f"cc: {cc['compiled']} unit(s) compiled, {cc['cc_ms']} ms waited this process")
+    out.append(
+        f"cc: {cc['compiled']} unit(s) compiled, {cc['cc_ms']} ms cc ran, "
+        f"{cc['cc_wait_ms']} ms waited this process, {cc['pending']} call(s) ran "
+        "codegen while their unit compiled"
+    )
     return "\n".join(out)
 
 

@@ -21,9 +21,12 @@ translation unit.  This module owns everything after that point:
   before declining,
 * the locked counter block surfaced as ``cache_info()["native"]`` —
   ``{compiled, disk_hits, mem_hits, bytes, single_loop, c_fold, cc_ms,
-  declined: {reason: n}}`` (``cc_ms``: wall milliseconds this process
-  waited on the compiler).  ``single_loop`` counts the kernels this process
-  built under the lane-independence licence (one loop nest for all
+  cc_wait_ms, pending, declined: {reason: n}}`` (``cc_ms``: wall
+  milliseconds ``cc`` ran for this process; ``cc_wait_ms``: what its
+  calling threads blocked on it; ``pending``: calls that ran codegen
+  because their unit was still compiling — not a decline).
+  ``single_loop`` counts the kernels this process built under the
+  lane-independence licence (one loop nest for all
   stores, see :mod:`repro.ir.cgen`).  Declines cover the whole
   taxonomy: trace-time (``op:<name>``, ``dtype:<str>``), compile-time
   (``cc-missing``, ``compile-failed``), *link/load*-time
@@ -31,10 +34,29 @@ translation unit.  This module owns everything after that point:
   run-time pre-flight (``non-contiguous``, ``extent``, ``alias``,
   ``scalar-overflow``, and ``lanes`` — a single-loop kernel called
   with arguments whose lanes are not proven independent).
+
+Tiered compilation
+------------------
+A unit that is neither in memory nor on disk is handed to **one**
+lazily started worker thread, which runs the ``cc`` calls one at a time
+in FIFO order.  :func:`compile_source` waits for it (its contract is
+synchronous); a kernel built by ``compile_kernel`` or fusion asks for
+the deferred path instead, gets the in-flight :class:`_Unit` back and
+runs its codegen program on launches of at most one tile while ``cc``
+runs (:class:`repro.ir.cgen.NativeKernel`).  The compiler and the cache
+directory are resolved at submission; in-flight units are deduplicated
+by source key, and every wait — :func:`wait_compiles` (called by
+``repro.synchronize()``), :func:`reset_state`, interpreter exit, the
+cluster's fork and kernel shipping — is counted in ``cc_wait_ms``.
+``compiled`` counts a unit when it is submitted and ``cc_ms`` the wall
+time ``cc`` ran, so both read the same whenever they are read; a
+deferred unit that fails records its decline once, here.
 """
 
 from __future__ import annotations
 
+import atexit
+import collections
 import ctypes
 import hashlib
 import os
@@ -61,6 +83,7 @@ __all__ = [
     "record_c_fold",
     "native_stats",
     "reset_state",
+    "wait_compiles",
 ]
 
 CC_ENV = "PYACC_CC"
@@ -109,12 +132,17 @@ class NativeCompileError(Exception):
 
 _STATS = Counters(
     "native",
-    ("compiled", "disk_hits", "mem_hits", "bytes", "single_loop", "c_fold", "cc_ms"),
+    (
+        "compiled", "disk_hits", "mem_hits", "bytes", "single_loop", "c_fold",
+        "cc_ms", "cc_wait_ms", "pending",
+    ),
     keyed=("declined",),
 )
 register(_STATS)
 
 _LOCK = threading.Lock()
+#: The worker's queue signal and every waiter's, over :data:`_LOCK`.
+_COND = threading.Condition(_LOCK)
 
 #: In-memory handle cache: source hash -> ctypes function pointer.  Kept
 #: separate from the on-disk artifacts so tests can drop only the memory
@@ -127,10 +155,21 @@ _CC_RESOLVED: dict[Optional[str], Optional[str]] = {}
 #: The host ISA token (:func:`_isa`; ``None`` = not read yet).
 _ISA: Optional[str] = None
 
+#: Units submitted and not yet built, by source key, and the worker's
+#: FIFO of them (a synchronous request goes first); the worker thread.
+_INFLIGHT: dict[str, "_Unit"] = {}
+_QUEUE: collections.deque = collections.deque()
+_WORKER: Optional[threading.Thread] = None
+
 
 def record_decline(reason: str) -> None:
-    """Count one native decline under ``reason`` (taxonomy in module doc)."""
-    _STATS.bump_key("declined", reason)
+    """Count one native decline under ``reason`` (taxonomy in module
+    doc); ``"pending"`` — a call that ran codegen while its unit
+    compiled — is counted apart, as ``pending``."""
+    if reason == "pending":
+        _STATS.bump("pending")
+    else:
+        _STATS.bump_key("declined", reason)
 
 
 def record_single_loop() -> None:
@@ -146,9 +185,10 @@ def record_c_fold() -> None:
 
 def native_stats() -> dict:
     """Locked snapshot: ``{compiled, disk_hits, mem_hits, bytes,
-    single_loop, c_fold, cc_ms, declined}`` — ``bytes`` counts artifact
-    bytes (``.c`` + ``.so``) published by *this process*, ``cc_ms`` the
-    wall milliseconds it waited on the compiler."""
+    single_loop, c_fold, cc_ms, cc_wait_ms, pending, declined}`` —
+    ``bytes`` counts artifact bytes (``.c`` + ``.so``) published by
+    *this process*, ``cc_ms`` the wall milliseconds ``cc`` ran and
+    ``cc_wait_ms`` those its calling threads blocked on it."""
     return _STATS.snapshot()
 
 
@@ -159,8 +199,9 @@ def reset_state(*, drop_memory: bool = True, drop_counters: bool = True) -> None
     compile of the same source re-loads from disk, counting a
     ``disk_hits``); the on-disk artifacts are never touched here.
     Also drops the memoized compiler resolution so a changed
-    ``PYACC_CC`` is re-probed.
+    ``PYACC_CC`` is re-probed.  Waits for the units in flight first.
     """
+    wait_compiles()
     with _LOCK:
         if drop_memory:
             _MEM.clear()
@@ -318,22 +359,134 @@ def _compile_to_disk(cc: str, source: str, key: str, cdir: Path) -> Path:
     finally:
         for leftover in (tmp_c, tmp_so):
             diskcache.unlink_quiet(Path(leftover))
-    _STATS.bump("compiled")
     _STATS.bump("bytes", nbytes)
     return so_path
 
 
-def compile_source(source: str, symbol: str = "pyacc_kernel"):
+class _Unit:
+    """One submitted ``cc`` job: what the worker needs, resolved at
+    submission, and its outcome — ``lib`` once built, or the decline
+    ``reason`` (and ``detail``)."""
+
+    __slots__ = ("key", "source", "symbol", "cc", "cdir", "deferred", "lib", "reason", "detail")
+
+    def __init__(self, key: str, source: str, symbol: str, cc: str, cdir: Path, deferred: bool):
+        self.key, self.source, self.symbol = key, source, symbol
+        self.cc, self.cdir, self.deferred = cc, cdir, deferred
+        self.lib = self.reason = self.detail = None
+
+    @property
+    def done(self) -> bool:
+        return self.lib is not None or self.reason is not None
+
+
+def _build(unit: _Unit) -> None:
+    """The worker's step for one unit: today's compile and load.  Any
+    exception is the unit's decline — the worker must not die."""
+    reason = "compile-failed"
+    try:
+        so_path = _compile_to_disk(unit.cc, unit.source, unit.key, unit.cdir)
+        reason = "load-failed"
+        lib = _load(so_path, unit.symbol)
+    except Exception as exc:  # NativeCompileError, an unwritable cache dir, junk
+        unit.detail = str(exc)
+        reason = getattr(exc, "reason", reason)
+        if unit.deferred:
+            record_decline(reason)
+        unit.reason = reason
+        return
+    with _LOCK:
+        _MEM[unit.key] = lib
+    unit.lib = lib
+
+
+def _work() -> None:
+    """The worker thread: build queued units one at a time, FIFO."""
+    while True:
+        with _COND:
+            while not _QUEUE:
+                _COND.wait()
+            unit = _QUEUE.popleft()
+        _build(unit)
+        with _COND:
+            _INFLIGHT.pop(unit.key, None)
+            _COND.notify_all()
+
+
+def _start() -> None:
+    """Start the worker if this process has none (under :data:`_LOCK`,
+    or in a forked child before it runs anything else)."""
+    global _WORKER
+    if _WORKER is None:
+        _WORKER = threading.Thread(target=_work, name="pyacc-cc", daemon=True)
+        _WORKER.start()
+
+
+def _submit(key: str, source: str, symbol: str, cc: str, cdir: Path, deferred: bool) -> _Unit:
+    """The in-flight unit of ``key``, submitting it if there is none —
+    or a built one, when the worker loaded it since the caller looked."""
+    with _COND:
+        unit = _INFLIGHT.get(key)
+        if unit is None:
+            unit = _Unit(key, source, symbol, cc, cdir, deferred)
+            unit.lib = _MEM.get(key)
+            if unit.lib is None:
+                _INFLIGHT[key] = unit
+                (_QUEUE.append if deferred else _QUEUE.appendleft)(unit)
+                _STATS.bump("compiled")
+                _start()
+                _COND.notify_all()
+    return unit
+
+
+def wait_compiles(units: Optional[tuple] = None) -> None:
+    """Block until ``units`` (default: every unit in flight) are built;
+    the time blocked is counted in ``cc_wait_ms``."""
+    if not _INFLIGHT and units is None:
+        return
+    t0 = time.perf_counter()
+    with _COND:
+        while any(not u.done for u in units) if units else _INFLIGHT:
+            _COND.wait()
+    _STATS.bump("cc_wait_ms", round((time.perf_counter() - t0) * 1e3))
+
+
+def _after_fork() -> None:
+    """In a forked child: no worker runs, the lock may have been held by
+    it; the units it had in flight are queued again for a new one."""
+    global _WORKER
+    _COND._at_fork_reinit()
+    _STATS._lock._at_fork_reinit()
+    _WORKER = None
+    _QUEUE.clear()
+    for key, unit in list(_INFLIGHT.items()):
+        if unit.done:
+            del _INFLIGHT[key]
+        else:
+            _QUEUE.append(unit)
+    if _QUEUE:
+        _start()
+
+
+os.register_at_fork(after_in_child=_after_fork)
+# Every artifact a process promised is on disk before it exits.
+atexit.register(wait_compiles)
+
+
+def compile_source(source: str, symbol: str = "pyacc_kernel", _defer: bool = False):
     """Source → loaded ctypes function ``symbol`` (a kernel's entry
     point; the caller declares the signature of any other symbol).
 
     Ladder: in-memory handle (``mem_hits``) → on-disk artifact
-    (``disk_hits``) → compiler invocation (``compiled``).  A corrupted
+    (``disk_hits``) → compiler invocation (``compiled``) on the worker,
+    waited for.  A corrupted
     or stale on-disk artifact is unlinked and recompiled once; if the
     rebuilt artifact still fails to load, raises
     :class:`NativeCompileError` with reason ``"load-failed"`` (the
     link/load-time decline slot).  Raises with ``"cc-missing"`` when no
-    compiler resolves *and* no cached artifact exists.
+    compiler resolves *and* no cached artifact exists.  With ``_defer``
+    a unit that must be compiled is not waited for: its :class:`_Unit`
+    is returned instead.
     """
     cc = resolve_cc()
     cdir = cache_dir()
@@ -348,7 +501,7 @@ def compile_source(source: str, symbol: str = "pyacc_kernel"):
         _STATS.bump("mem_hits")
         return getattr(lib, symbol)
     so_path = cdir / f"{key}.so"
-    if so_path.exists():
+    if key not in _INFLIGHT and so_path.exists():
         try:
             lib = _load(so_path, symbol)
             _STATS.bump("disk_hits")
@@ -359,16 +512,10 @@ def compile_source(source: str, symbol: str = "pyacc_kernel"):
             # Corrupted/stale artifact: drop it and fall through to a
             # fresh compile (counted once, below).
             diskcache.unlink_quiet(so_path)
-    try:
-        so_path = _compile_to_disk(cc, source, key, cdir)
-    except NativeCompileError:
-        raise
-    except OSError as exc:  # unwritable cache dir etc.
-        raise NativeCompileError("compile-failed", str(exc)) from exc
-    try:
-        lib = _load(so_path, symbol)
-    except (OSError, AttributeError) as exc:
-        raise NativeCompileError("load-failed", str(exc)) from exc
-    with _LOCK:
-        _MEM[key] = lib
-    return getattr(lib, symbol)
+    unit = _submit(key, source, symbol, cc, cdir, _defer)
+    if _defer:
+        return unit
+    wait_compiles((unit,))
+    if unit.reason is not None:
+        raise NativeCompileError(unit.reason, unit.detail)
+    return getattr(unit.lib, symbol)

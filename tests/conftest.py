@@ -25,3 +25,17 @@ if "PYACC_COMPILE_CACHE" not in os.environ:
     _session_cache = tempfile.mkdtemp(prefix="pyacc-test-compile-")
     os.environ["PYACC_COMPILE_CACHE"] = _session_cache
     atexit.register(shutil.rmtree, _session_cache, ignore_errors=True)
+
+
+import pytest  # noqa: E402
+
+
+@pytest.fixture(autouse=True)
+def _no_compile_outlives_its_test():
+    """A cold C unit compiles on a worker thread while its first small
+    launches run codegen; wait for it at teardown, so it lands in its
+    own test's cache directory and counters, never in the next test's."""
+    yield
+    from repro.ir import nativecache
+
+    nativecache.wait_compiles()

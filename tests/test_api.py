@@ -245,6 +245,7 @@ class TestHotPathHygiene:
             for _ in range(3):  # warm-up: compile, verify, pool/worker start
                 repro.parallel_for(n, axpy, 1.0, x, y)
                 repro.parallel_reduce(n, dot, x, y)
+            repro.synchronize()
             imports = []
             real_import = builtins.__import__
 
@@ -285,6 +286,7 @@ class TestHotPathHygiene:
         try:
             for _ in range(3):  # capture + instantiate, then two replays
                 region.run((id(x), id(y)), body, alpha=1.0)
+            repro.synchronize()
             imports = []
             real_import = builtins.__import__
 
@@ -359,6 +361,7 @@ class TestHotPathBudget:
             for _ in range(3):
                 for launch in launches:
                     launch()
+            repro.synchronize()
             counts = [_python_calls(launch) - 1 for launch in launches]
         finally:
             set_executor_mode(None)
@@ -389,6 +392,7 @@ class TestHotPathBudget:
         try:
             for _ in range(2):
                 hpccg_solve(a, b, tol=1e-8)
+                repro.synchronize()
             calls = graph_stats()["loop"]["calls"]
             count = _python_calls(lambda: hpccg_solve(a, b, tol=1e-8))
             assert graph_stats()["loop"]["calls"] == calls + 1
@@ -428,6 +432,7 @@ class TestHotPathBudget:
         try:
             for _ in range(2):
                 hpccg_solve(a, b, tol=1e-8)
+                repro.synchronize()
             before = graph_stats()
             monkeypatch.setattr(api, "_stage", spy(api._stage, staged))
             monkeypatch.setattr(
@@ -488,6 +493,7 @@ class TestEveryLaunchRunsTheWholeContract:
             for _ in range(2):  # compile, capture, instantiate
                 repro.parallel_for(n, axpy, 1.0, x, y)
                 region.run((id(x), id(y)), body)
+            repro.synchronize()
             undo = [
                 ctx.on_launch(counting("launch", lambda plan: None)),
                 ctx.on_complete(counting("complete", lambda plan: None)),

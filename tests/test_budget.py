@@ -13,17 +13,29 @@ An intermediate fusion that a later merge absorbs compiles nothing, and
 the fold and loop driver share one unit; undoing either shows here as 9.
 Dropping every in-memory handle and kernel and solving again compiles
 nothing: each unit loads from disk.
+
+The tier's two pins (kernel units compile on a worker thread while
+launches of at most one tile run codegen):
+
+* a cold solve blocks its thread on ``cc`` for the runtime unit alone —
+  every kernel unit compiles off the launch path;
+* a cold launch larger than one tile waits for its unit and leases no
+  codegen scratch, whose whole-domain temporaries are what the rule
+  keeps out of peak memory.
 """
 
 import os
 
+import numpy as np
 import pytest
 
 import repro
 from repro import faults
 from repro.apps import cg, hpccg
 from repro.ir import cgen, nativecache
+from repro.ir.arena import global_stats
 from repro.ir.compile import clear_cache, set_executor_mode
+from repro.ir.vectorizer import TILE_LANES
 
 
 def _cg():
@@ -73,3 +85,42 @@ def test_a_cold_solve_compiles_its_budget_and_a_rerun_nothing(cold, solve, units
     stats = nativecache.native_stats()
     assert stats["compiled"] == 0 and stats["disk_hits"] > 0
     assert stats["declined"] == {}
+
+
+@pytest.fixture
+def blocked(monkeypatch):
+    """The units a calling thread blocked on, in order: each wait for a
+    unit not yet built, through either name of ``wait_compiles``."""
+    units = []
+    real = nativecache.wait_compiles
+
+    def recording(waited=None):
+        units.extend(u for u in waited or () if not u.done)
+        real(waited)
+
+    monkeypatch.setattr(nativecache, "wait_compiles", recording)
+    monkeypatch.setattr(cgen, "wait_compiles", recording)
+    return units
+
+
+@pytest.mark.parametrize("solve", [_cg, _hpccg], ids=["cg", "hpccg"])
+def test_a_cold_solve_waits_on_cc_for_the_runtime_unit_only(cold, blocked, solve):
+    solve()
+    assert [u.source for u in blocked] == [cgen._RUNTIME_SOURCE]
+    repro.synchronize()
+    stats = nativecache.native_stats()
+    assert stats["compiled"] == 8 and stats["declined"] == {}
+
+
+def _scale(i, a, x, y):
+    x[i] = a * x[i] + y[i] * y[i]
+
+
+def test_a_cold_launch_past_one_tile_waits_and_leases_no_scratch(cold, blocked):
+    n = 2 * TILE_LANES
+    x, y = repro.array(np.ones(n)), repro.array(np.full(n, 2.0))
+    before = global_stats()["bytes_allocated"]
+    repro.parallel_for(n, _scale, 3.0, x, y)
+    assert global_stats()["bytes_allocated"] == before
+    assert len(blocked) == 1 and nativecache.native_stats()["pending"] == 0
+    assert repro.to_host(x).tolist() == [7.0] * n

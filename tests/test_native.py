@@ -76,7 +76,9 @@ def isolated_cache(tmp_path, monkeypatch):
 def _compile_native(fn=axpy, args=None, **kw):
     if args is None:
         args = [2.0, np.ones(8), np.ones(8)]
-    return compile_kernel(fn, 1, args, executor="native", **kw)
+    ck = compile_kernel(fn, 1, args, executor="native", **kw)
+    repro.synchronize()
+    return ck
 
 
 # ---------------------------------------------------------------------------
@@ -137,6 +139,7 @@ class TestArtifactCache:
         prog = textwrap.dedent(
             """
             import numpy as np
+            import repro
             from repro.ir.compile import compile_kernel
             from repro.ir.nativecache import native_stats
             from repro.ir.vectorizer import TILE_LANES, IndexDomain
@@ -147,6 +150,7 @@ class TestArtifactCache:
             ck = compile_kernel(
                 axpy, 1, [2.0, np.ones(8), np.ones(8)], executor="native"
             )
+            repro.synchronize()
             assert ck.mode == "native", ck.mode  # recovered, not declined
             stats = native_stats()
             assert stats["compiled"] == 1, stats  # exactly one rebuild
@@ -273,6 +277,7 @@ class TestArtifactKey:
         dom = IndexDomain.full((n, n))
         compile_kernel(lbm.lbm_kernel, 2, want, executor="codegen").run_for(dom, want)
         ck = compile_kernel(lbm.lbm_kernel, 2, args, executor="native")
+        repro.synchronize()
         assert ck.mode == "native" and ck.native._lane_scalars is not None
         ck.native.run_for(dom, args)
         assert all(a.tobytes() == b.tobytes() for a, b in zip(args[:3], want[:3]))
@@ -344,6 +349,7 @@ class TestExecutionContracts:
 
         x = np.zeros(8)
         ck = compile_kernel(bad, 1, [x, 4], executor="native")
+        repro.synchronize()
         assert ck.mode == "native"
         with pytest.raises(KernelExecutionError):
             ck.native.run_for(IndexDomain.full((8,)), [x, 4])
@@ -352,6 +358,7 @@ class TestExecutionContracts:
         r = np.random.default_rng(7)
         x, y = r.standard_normal(1000), r.standard_normal(1000)
         nk = compile_kernel(dot, 1, [x, y], reduce=True, executor="native")
+        repro.synchronize()
         gk = compile_kernel(
             dot, 1, [x, y], reduce=True, executor="codegen"
         )
@@ -365,6 +372,7 @@ class TestExecutionContracts:
         nk = compile_kernel(
             dot, 1, [np.ones(4), np.ones(4)], reduce=True, executor="native"
         )
+        repro.synchronize()
         dom = IndexDomain([(2, 2)])
         assert nk.run_reduce(dom, [np.ones(4), np.ones(4)], "add") == 0.0
         assert nk.run_reduce(dom, [np.ones(4), np.ones(4)], "min") == np.inf
@@ -374,6 +382,7 @@ class TestExecutionContracts:
         y = r.standard_normal(100)
         full, halves = np.zeros(100), np.zeros(100)
         ck = compile_kernel(axpy, 1, [2.0, full, y], executor="native")
+        repro.synchronize()
         assert ck.mode == "native"
         ck.native.run_for(IndexDomain.full((100,)), [2.0, full, y])
         ck.native.run_for(IndexDomain([(0, 50)]), [2.0, halves, y])
@@ -400,6 +409,8 @@ class TestExecutionContracts:
 class TestFaultParity:
     def _solve(self, executor):
         set_executor_mode(executor)
+        compile_kernel(axpy, 1, [1.5, np.ones(8), np.ones(8)], executor=executor)
+        repro.synchronize()  # the launches below run the C loop from the first
         repro.set_backend("threads")
         repro.set_launch_policy(FAST)
         repro.set_fault_plan(
@@ -458,6 +469,7 @@ class TestPreflightOncePerChunk:
         r = np.random.default_rng(n_tiles)
         x, y = r.standard_normal(n), r.standard_normal(n)
         nk = compile_kernel(dot, 1, [x, y], reduce=True, executor="native")
+        repro.synchronize()
         gk = compile_kernel(dot, 1, [x, y], reduce=True, executor="codegen")
         dom = IndexDomain.full((n,))
         assert nk.mode == "native" and len(dom.tiles) == n_tiles
@@ -473,6 +485,7 @@ class TestPreflightOncePerChunk:
         r = np.random.default_rng(5)
         x, y = r.standard_normal(2 * n)[::2], r.standard_normal(n)
         nk = compile_kernel(dot, 1, [y, y], reduce=True, executor="native")
+        repro.synchronize()
         gk = compile_kernel(dot, 1, [y, y], reduce=True, executor="codegen")
 
         def no_call(*a):
@@ -496,6 +509,7 @@ class TestPackedABI:
     @staticmethod
     def _both(fn, ndim, args, **kw):
         nk = compile_kernel(fn, ndim, args, executor="native", **kw)
+        repro.synchronize()
         gk = compile_kernel(fn, ndim, args, executor="codegen", **kw)
         assert nk.mode.startswith("native"), nk.fallback_reason
         return nk, gk

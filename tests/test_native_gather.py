@@ -236,6 +236,7 @@ def _run(gen, fn, args, box, executor, compile_args=None):
     ck = compile_kernel(
         fn, gen.ndim, _copy(compile_args or args), reduce=gen.reduce, executor=executor
     )
+    repro.synchronize()  # a native run is the C unit's, not its codegen's
     dom = IndexDomain.of(box)
     value = ck.run_reduce(dom, out) if gen.reduce else ck.run_for(dom, out)
     bits = [a.tobytes() for a in out if isinstance(a, np.ndarray)]

@@ -197,6 +197,11 @@ def _launch(backend, executor, fn, dims, host_args):
     set_executor_mode(executor)
     clear_cache()
     with repro.use_backend(backend):
+        if executor == "native":  # warm-up: the launch below runs the C unit
+            repro.parallel_for(dims, fn, *[
+                repro.array(a) if isinstance(a, np.ndarray) else a for a in host_args
+            ])
+            repro.synchronize()
         dev = [
             repro.array(a) if isinstance(a, np.ndarray) else a for a in host_args
         ]
@@ -325,6 +330,7 @@ class TestStructure:
         ck = compile_kernel(
             lbm.lbm_kernel, 2, _lbm_args(8, np.random.default_rng(0)), executor="native"
         )
+        repro.synchronize()
         assert ck.native is not None and "ivdep" in ck.native.source
         (so,) = tmp_path.glob("*.so")
         asm = subprocess.run(
@@ -363,6 +369,7 @@ class TestStructure:
             ),
         ):
             ck = compile_kernel(fn, 1, args, reduce=reduce, executor="native")
+            repro.synchronize()
             spec = _NativeLowering(ck.trace, args).lower()
             assert spec["source"].count(LOOP) == 1
             assert spec["lane_scalars"] is None
@@ -448,6 +455,7 @@ class TestStructure:
 
 def _licensed(fn, args):
     ck = compile_kernel(fn, 1, args, executor="native")
+    repro.synchronize()
     if HAVE_CC:
         assert ck.native is not None and ck.native._lane_scalars == (3, 4)
     return ck
@@ -581,6 +589,7 @@ class TestPreflightGuard:
         good = _guard_args(n, 2)
         good[4] = float(n)
         ck = compile_kernel(float_guarded, 1, good, executor="native")
+        repro.synchronize()
         if HAVE_CC:
             assert ck.native._lane_scalars == (3, 4)
         args = _guard_args(n, 2)
@@ -631,6 +640,7 @@ class TestPreflightGuard:
         clear_cache()
         hits = repro.cache_info()["disk"]["disk_hits"]
         ck = compile_kernel(strided, 1, _guard_args(n, 2), executor="native")
+        repro.synchronize()
         assert repro.cache_info()["disk"]["disk_hits"] == hits + 1
         assert ck.native._lane_scalars == (3, 4) and ck.native._lane_memo == {}
         self._declines(ck, _guard_args(n, 0), "lanes")
@@ -709,6 +719,7 @@ def test_proof_granted_means_order_invariant(monkeypatch, case):
     ndim = len(dims)
     clear_cache()
     ck = compile_kernel(fn, ndim, args, executor="native")
+    repro.synchronize()
     low = _NativeLowering(ck.trace, args)
     refusal = low.lane_refusal()
     _assert_consumed_covers_used(ck.trace, args, dims)

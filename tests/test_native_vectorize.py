@@ -291,7 +291,9 @@ def _bits(args):
 
 def _run(fn, ndim, args, box, executor):
     out = _copy(args)
-    compile_kernel(fn, ndim, out, executor=executor).run_for(IndexDomain.of(box), out)
+    ck = compile_kernel(fn, ndim, out, executor=executor)
+    repro.synchronize()  # a native run is the C unit's, not its codegen's
+    ck.run_for(IndexDomain.of(box), out)
     return _bits(out)
 
 
