@@ -159,7 +159,12 @@ class LaunchPlan:
         """Run the compiled kernel over ``domain`` — the whole launch or
         one backend chunk.  Returns the reduce partial (``None`` for a
         for-plan).  The one for/reduce branch outside ``CompiledKernel``:
-        every backend's chunk body is this call."""
+        every backend's chunk body is this call.  A kernel whose C unit
+        still compiles settles on the whole launch's lane count first,
+        so a chunk runs codegen only when the launch could."""
+        native = self.kernel.native
+        if native is not None and native._fn is None:
+            native.settle(self.lanes)
         if self.construct == "reduce":
             return self.kernel.run_reduce(
                 domain, self.resolved_args, self.op, self.arena

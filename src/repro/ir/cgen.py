@@ -117,10 +117,12 @@ Tiering
 -------
 A kernel built by ``compile_kernel`` or fusion in a cold process does
 not wait for ``cc``: its unit compiles on :mod:`repro.ir.nativecache`'s
-worker thread, and the end of the pre-flight decides per call — a call
-over at most one tile (:data:`~repro.ir.vectorizer.TILE_LANES` lanes)
-declines ``pending`` and runs the codegen program, the same bits by the
-contract above; a larger call waits for the unit.
+worker thread, and :meth:`NativeKernel.settle` decides on the whole
+launch's lane count — a launch of at most one tile
+(:data:`~repro.ir.vectorizer.TILE_LANES` lanes) declines ``pending`` at
+the end of the pre-flight and runs the codegen program, the same bits
+by the contract above; a larger launch waits for the unit, even when
+its chunks are smaller.
 """
 
 from __future__ import annotations
@@ -143,6 +145,7 @@ from .nativecache import (
     compile_source,
     record_c_fold,
     record_decline,
+    record_pending,
     record_single_loop,
     wait_compiles,
 )
@@ -1392,16 +1395,31 @@ class NativeKernel:
             self._await_unit(domain.size)
         return words
 
-    def _await_unit(self, size: int) -> None:
-        """The one tiering decision, after every other check: a launch
-        of at most one tile runs codegen (``pending``) while the unit
-        compiles, a larger one waits for it — codegen would lease
-        whole-domain scratch the C loop never needs."""
+    def settle(self, lanes: int) -> bool:
+        """The one tiering rule, for a launch of ``lanes`` lanes whose
+        unit may still compile: ``True`` while it may run codegen (at
+        most one tile); a larger launch waits for the unit here —
+        codegen would lease scratch the C loop never needs.  A launch
+        split into chunks settles on its whole lane count first
+        (:meth:`repro.core.plan.LaunchPlan.run`), so the rule holds
+        for the launch, not per chunk."""
         unit = self._unit
-        if not unit.done:
-            if size <= TILE_LANES:
-                raise NativeDeclined("pending")
-            wait_compiles((unit,))
+        if unit.done:
+            return False
+        if lanes <= TILE_LANES:
+            return True
+        wait_compiles((unit,))
+        return False
+
+    def _await_unit(self, size: int) -> None:
+        """Run :meth:`settle` on this call, after every other check:
+        decline ``pending`` (counted apart) while codegen may run, else
+        install the built entry point or decline the unit's failure,
+        recorded once when it failed."""
+        if self.settle(size):
+            record_pending()
+            raise NativeDeclined("pending", recorded=True)
+        unit = self._unit
         if unit.reason is not None:
             raise NativeDeclined(unit.reason, recorded=True)
         self._install(unit.lib.pyacc_kernel)

@@ -79,6 +79,7 @@ __all__ = [
     "resolve_cc",
     "compile_source",
     "record_decline",
+    "record_pending",
     "record_single_loop",
     "record_c_fold",
     "native_stats",
@@ -163,13 +164,14 @@ _WORKER: Optional[threading.Thread] = None
 
 
 def record_decline(reason: str) -> None:
-    """Count one native decline under ``reason`` (taxonomy in module
-    doc); ``"pending"`` — a call that ran codegen while its unit
-    compiled — is counted apart, as ``pending``."""
-    if reason == "pending":
-        _STATS.bump("pending")
-    else:
-        _STATS.bump_key("declined", reason)
+    """Count one native decline under ``reason`` (taxonomy in module doc)."""
+    _STATS.bump_key("declined", reason)
+
+
+def record_pending() -> None:
+    """Count one call that ran codegen because its unit was still
+    compiling — not a decline."""
+    _STATS.bump("pending")
 
 
 def record_single_loop() -> None:
@@ -390,10 +392,7 @@ def _build(unit: _Unit) -> None:
         lib = _load(so_path, unit.symbol)
     except Exception as exc:  # NativeCompileError, an unwritable cache dir, junk
         unit.detail = str(exc)
-        reason = getattr(exc, "reason", reason)
-        if unit.deferred:
-            record_decline(reason)
-        unit.reason = reason
+        unit.reason = getattr(exc, "reason", reason)
         return
     with _LOCK:
         _MEM[unit.key] = lib
@@ -410,6 +409,10 @@ def _work() -> None:
         _build(unit)
         with _COND:
             _INFLIGHT.pop(unit.key, None)
+            # A unit a synchronous caller joined is no longer deferred:
+            # that caller records its failure (NativeCompileError).
+            if unit.reason is not None and unit.deferred:
+                record_decline(unit.reason)
             _COND.notify_all()
 
 
@@ -424,10 +427,17 @@ def _start() -> None:
 
 def _submit(key: str, source: str, symbol: str, cc: str, cdir: Path, deferred: bool) -> _Unit:
     """The in-flight unit of ``key``, submitting it if there is none —
-    or a built one, when the worker loaded it since the caller looked."""
+    or a built one, when the worker loaded it since the caller looked.
+    A synchronous request that joins a queued deferred unit moves it to
+    the head and takes over recording its failure."""
     with _COND:
         unit = _INFLIGHT.get(key)
-        if unit is None:
+        if unit is not None and unit.deferred and not deferred:
+            unit.deferred = False
+            if unit in _QUEUE:
+                _QUEUE.remove(unit)
+                _QUEUE.appendleft(unit)
+        elif unit is None:
             unit = _Unit(key, source, symbol, cc, cdir, deferred)
             unit.lib = _MEM.get(key)
             if unit.lib is None:

@@ -21,7 +21,8 @@ launches of at most one tile run codegen):
   every kernel unit compiles off the launch path;
 * a cold launch larger than one tile waits for its unit and leases no
   codegen scratch, whose whole-domain temporaries are what the rule
-  keeps out of peak memory.
+  keeps out of peak memory — on ``serial`` and when ``threads`` splits
+  it into chunks of less than one tile each.
 """
 
 import os
@@ -32,6 +33,7 @@ import pytest
 import repro
 from repro import faults
 from repro.apps import cg, hpccg
+from repro.backends.threads import ThreadsBackend
 from repro.ir import cgen, nativecache
 from repro.ir.arena import global_stats
 from repro.ir.compile import clear_cache, set_executor_mode
@@ -116,11 +118,21 @@ def _scale(i, a, x, y):
     x[i] = a * x[i] + y[i] * y[i]
 
 
-def test_a_cold_launch_past_one_tile_waits_and_leases_no_scratch(cold, blocked):
+@pytest.mark.parametrize("width", [1, 4], ids=["serial", "threads4"])
+def test_a_cold_launch_past_one_tile_waits_and_leases_no_scratch(cold, blocked, width):
+    # Four chunks of half a tile each: the rule is the launch's, so they
+    # wait too, whatever the host's core count.
+    backend = "serial" if width == 1 else ThreadsBackend(width, min_parallel_size=1)
     n = 2 * TILE_LANES
     x, y = repro.array(np.ones(n)), repro.array(np.full(n, 2.0))
     before = global_stats()["bytes_allocated"]
-    repro.parallel_for(n, _scale, 3.0, x, y)
+    try:
+        with repro.use_backend(backend):
+            repro.parallel_for(n, _scale, 3.0, x, y)
+    finally:
+        if width > 1:
+            backend.close()
     assert global_stats()["bytes_allocated"] == before
-    assert len(blocked) == 1 and nativecache.native_stats()["pending"] == 0
+    assert len({id(u) for u in blocked}) == 1
+    assert nativecache.native_stats()["pending"] == 0
     assert repro.to_host(x).tolist() == [7.0] * n

@@ -57,25 +57,35 @@ def held(k: int):
     fixed launch."""
     gate, calls = threading.Event(), [0]
     build, preflight = nativecache._build, cgen.NativeKernel.preflight
+    settle = cgen.NativeKernel.settle
 
     def gated_build(unit):
         if unit.deferred:
             gate.wait(60)
         build(unit)
 
-    def counting_preflight(self, domain, args):
-        calls[0] += 1
-        if not gate.is_set() and (calls[0] > k or domain.size > TILE_LANES):
+    def release():
+        if not gate.is_set():
             gate.set()
             nativecache.wait_compiles()
+
+    def counting_preflight(self, domain, args):
+        calls[0] += 1
+        if calls[0] > k or domain.size > TILE_LANES:
+            release()
         return preflight(self, domain, args)
+
+    def releasing_settle(self, lanes):
+        if lanes > TILE_LANES:  # a launch that waits: release first
+            release()
+        return settle(self, lanes)
 
     # The runtime unit is built synchronously: build it before holding.
     cgen.fold_in_c()
     cgen.loop_driver()
     with mock.patch.object(nativecache, "_build", gated_build), mock.patch.object(
         cgen.NativeKernel, "preflight", counting_preflight
-    ):
+    ), mock.patch.object(cgen.NativeKernel, "settle", releasing_settle):
         try:
             yield
         finally:
@@ -355,6 +365,51 @@ def test_a_failed_deferred_compile_declines_once_and_stays_correct(tmp_path, mon
         assert repro.to_host(x).tobytes() == want.tobytes()
         declined = nativecache.native_stats()["declined"]
         assert declined.get("compile-failed", 0) == before + 1
+
+
+def test_a_synchronous_request_takes_a_queued_unit_to_the_head(tmp_path, monkeypatch):
+    """A synchronous ``compile_source`` that joins a queued deferred unit
+    is built next, and its failure is left to the synchronous caller:
+    the worker records the deferred units' declines, not that one."""
+    failing = tmp_path / "cc"
+    failing.write_text("#!/bin/sh\nexit 1\n")
+    failing.chmod(0o755)
+    monkeypatch.setenv(nativecache.CC_ENV, str(failing))
+    gate, order = threading.Event(), []
+    build = nativecache._build
+
+    def gated(unit):
+        gate.wait(60)
+        order.append(unit.source)
+        build(unit)
+
+    sources = [f"/* unit {name} */\n" for name in "abc"]
+    errors = []
+
+    def synchronous():
+        try:
+            nativecache.compile_source(sources[2])
+        except nativecache.NativeCompileError as exc:
+            errors.append(exc.reason)
+
+    with cold(), mock.patch.object(nativecache, "_build", gated):
+        before = nativecache.native_stats()["declined"].get("compile-failed", 0)
+        units = [nativecache.compile_source(src, _defer=True) for src in sources]
+        deadline = time.monotonic() + 10
+        while units[0] in nativecache._QUEUE and time.monotonic() < deadline:
+            time.sleep(0.001)  # the worker holds the first unit at the gate
+        joiner = threading.Thread(target=synchronous)
+        joiner.start()
+        while units[2].deferred and time.monotonic() < deadline:
+            time.sleep(0.001)
+        assert list(nativecache._QUEUE) == [units[2], units[1]]
+        gate.set()
+        joiner.join(10)
+        nativecache.wait_compiles()
+        declined = nativecache.native_stats()["declined"]
+    assert order == [sources[0], sources[2], sources[1]]
+    assert errors == ["compile-failed"]
+    assert declined.get("compile-failed", 0) == before + 2
 
 
 def test_racing_threads_submit_one_unit_and_run_one_entry():
