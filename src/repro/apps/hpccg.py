@@ -192,30 +192,37 @@ def build_27pt_problem(
     if min(nx, ny, nz) < 1:
         raise ValueError(f"grid dims must be positive, got {(nx, ny, nz)}")
     n = nx * ny * nz
-    # ``np.repeat`` owns its result (``np.tile`` returns a view), so the
-    # read-only operator is shared by ``repro.array``, not copied.
-    cols = np.repeat(
-        np.arange(n, dtype=_index_dtype(n))[:, None], _STENCIL_WIDTH, axis=1
-    )
-    vals = np.zeros((n, _STENCIL_WIDTH), dtype=np.float64)
-
-    idx = np.arange(n)
-    iz, iy, ix = np.unravel_index(idx, (nz, ny, nx))
+    # One stencil slot at a time: its columns are computed in a
+    # contiguous row buffer, then copied into the slot's strided column
+    # (a masked scatter into that column costs ≈ 10x as much).  A padding
+    # slot keeps its row index.  No temporary larger than one column is
+    # freed: freeing a large one raises glibc's mmap threshold, and a
+    # solve's vectors then stay resident on the heap (+19 MiB peak at 64³).
+    rows = np.arange(n, dtype=_index_dtype(n))
+    cols = np.empty((n, _STENCIL_WIDTH), dtype=rows.dtype)
+    col = np.empty_like(rows)
+    # Per axis and offset, whether the neighbour is inside the grid.
+    inside = [
+        [(0 <= i + d) & (i + d < m) for d in (-1, 0, 1)]
+        for i, m in zip(np.unravel_index(np.arange(n), (nz, ny, nx)), (nz, ny, nx))
+    ]
     slot = 0
     for dz in (-1, 0, 1):
         for dy in (-1, 0, 1):
+            ok_zy = inside[0][dz + 1] & inside[1][dy + 1]
             for dx in (-1, 0, 1):
-                jz, jy, jx = iz + dz, iy + dy, ix + dx
-                ok = (
-                    (0 <= jz) & (jz < nz)
-                    & (0 <= jy) & (jy < ny)
-                    & (0 <= jx) & (jx < nx)
-                )
-                j = (jz * ny + jy) * nx + jx
-                value = 27.0 if (dz == 0 and dy == 0 and dx == 0) else -1.0
-                cols[ok, slot] = j[ok]
-                vals[ok, slot] = value
+                col[:] = rows
+                ok = ok_zy & inside[2][dx + 1]
+                np.add(rows, (dz * ny + dy) * nx + dx, out=col, where=ok)
+                cols[:, slot] = col
                 slot += 1
+    # A neighbour is never the row itself: a slot couples (−1) exactly
+    # where its column left the row index (``0.0 - 1.0``; ``0.0 - 0.0``
+    # keeps padding a positive zero), and the diagonal holds 27.
+    vals = np.empty((n, _STENCIL_WIDTH))
+    np.not_equal(cols, rows[:, None], out=vals)
+    np.subtract(0.0, vals, out=vals)
+    vals[:, _STENCIL_WIDTH // 2] = 27.0
 
     a = ELLMatrix(cols=cols, vals=vals)
     x_exact = np.ones(n)

@@ -29,9 +29,11 @@ from __future__ import annotations
 
 from typing import Any, Callable, Union
 
+import numpy as np
+
 from .. import faults
 from ..ir import nativecache, writes
-from ..ir.compile import compile_kernel
+from ..ir.compile import _fn_key, compile_kernel, executor_mode, resolve_cache
 from ..ir.verify import active_verify_mode
 from .backend import Backend, normalize_dims
 from .context import ExecutionContext, current_context, use_backend
@@ -116,14 +118,32 @@ def synchronize() -> None:
 def _execute(plan: LaunchPlan, ctx: ExecutionContext) -> LaunchPlan:
     """Stage 4: account the dispatch, fire hooks, and hand the plan to
     the backend's narrowed ``execute`` entry point (with the launch
-    policy's permanent-failure failover ladder around it)."""
+    policy's permanent-failure failover ladder around it).
+
+    An inline launch on a backend whose execute is nothing but the
+    kernel call (:meth:`Backend.loop_charges` is not ``None``), in a
+    context whose fences are clear (:meth:`ExecutionContext.fence`: no
+    faults armed, so no failover either, no hooks, no queue), makes
+    that call here, as the loop driver does: the same counters, the
+    same modeled-clock charges in the same order, the same seam
+    (:meth:`LaunchPlan.run`)."""
     backend = plan.backend
     accounting = backend.accounting
     if plan.construct == "reduce":
         accounting.n_reduce += 1
     else:
         accounting.n_for += 1
-    plan.sim_time_before = accounting.sim_time
+    sim = plan.sim_time_before = accounting.sim_time
+    schedule = plan.schedule
+    charges = backend.loop_charges(plan) if schedule.inline else None
+    if charges is not None and ctx.fence() is None:
+        accounting.n_kernel_launches += 1
+        for charge in charges:
+            sim += charge
+        accounting.sim_time = plan.sim_time_after = sim
+        plan.result = plan.run(schedule.domains[0])
+        writes.note_writes(plan.written_ids)
+        return plan
     ctx.fire_launch(plan)
     backend.account_portable_dispatch(plan.construct, plan.dims)
     plan.result = faults.execute_plan(plan, ctx)
@@ -146,17 +166,39 @@ def _stage(
     against the context's kernel cache) and — one look-up in the
     kernel's launch records (:meth:`Backend.stage`) — **verify** (the
     parallel contract, enforced under the active mode) and **schedule**
-    (the backend's launch-shape/chunking decision)."""
+    (the backend's launch-shape/chunking decision).
+
+    A warm launch does all but resolve in one look-up: the kernel
+    cache's warm-launch table (:meth:`KernelCache.find_launch`), keyed on
+    everything the ladder and the launch record key on, returns the
+    kernel and its record together."""
     dims = normalize_dims(dims)
     plan = LaunchPlan(construct, dims, f, args, op)
     backend = plan.backend = ctx.backend()
     resolved = plan.resolved_args = backend.resolve_args(args)
     plan.arena = ctx.arena
     plan.policy = ctx.launch_policy
-    plan.kernel = compile_kernel(
-        f, len(dims), resolved, reduce=construct == "reduce", cache=ctx.kernel_cache
+    cache = resolve_cache(ctx.kernel_cache)
+    mode = active_verify_mode()
+    key = (
+        _fn_key(f) if getattr(f, "__closure__", None) else f,
+        dims, construct, op, executor_mode(), mode,
+        backend.token, backend.schedule_epoch(),
+        *[(a.dtype, a.shape) if isinstance(a, np.ndarray) else type(a) for a in resolved],
     )
-    plan.diagnostics = backend.stage(plan, active_verify_mode()).diagnostics
+    warm = cache.find_launch(key, resolved)
+    if warm is not None:
+        kernel, record = plan.kernel, plan.record = warm
+        plan.schedule = record.schedule
+        plan.diagnostics = record.diagnostics
+        plan.written_ids = kernel.launches.written_ids(resolved)
+        return plan
+    kernel = plan.kernel = compile_kernel(
+        f, len(dims), resolved, reduce=construct == "reduce", cache=cache
+    )
+    record = backend.stage(plan, mode)
+    plan.diagnostics = record.diagnostics
+    cache.store_launch(key, kernel, record, resolved)
     return plan
 
 
@@ -167,7 +209,9 @@ def _dispatch(construct: str, dims, f: Callable, args: tuple, op: str) -> Launch
     their effects: the context queue is drained first (program order).
     """
     ctx = current_context()
-    if ctx.pending_launches:
+    # The queue's truthiness, read without its lock: only a launch this
+    # thread made can order before this one, and the drain takes the lock.
+    if ctx._pending:
         ctx.drain()
     cap = ctx.graph_capture
     slot_map = None

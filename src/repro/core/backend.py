@@ -80,6 +80,8 @@ def normalize_dims(dims) -> tuple[int, ...]:
     tuple.  Anything else raises :class:`ValueError` here rather than
     deep inside a backend.
     """
+    if type(dims) is int and dims > 0:  # the common case, exactly
+        return (dims,)
     if isinstance(dims, (int, np.integer)) and not isinstance(
         dims, (bool, np.bool_)
     ):

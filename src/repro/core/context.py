@@ -39,7 +39,7 @@ from contextlib import contextmanager
 from contextvars import ContextVar
 from typing import TYPE_CHECKING, Any, Callable, Iterator, Optional, Union
 
-from ..faults import DEFAULT_POLICY
+from ..faults import DEFAULT_POLICY, injection_possible
 from ..ir.arena import ScratchArena
 from .exceptions import BackendError, LaunchTimeoutError
 
@@ -215,10 +215,18 @@ class ExecutionContext:
         except ValueError:
             pass
 
-    @property
-    def hooked(self) -> bool:
-        """Whether a launch or completion hook is attached."""
-        return bool(self._on_launch or self._on_complete)
+    def fence(self) -> Optional[str]:
+        """Why a launch in this context must take the staged execute path
+        — faults armed, a hook attached, asynchronous launches pending —
+        or ``None``: then the inline kernel call alone may stand in for
+        it (the loop driver, :mod:`repro.graph.loop`, and the eager
+        shortcut in :func:`repro.core.api._execute`)."""
+        return (
+            "faults" if injection_possible()
+            else "hooks" if self._on_launch or self._on_complete
+            else "pending" if self._pending
+            else None
+        )
 
     def fire_launch(self, plan: "LaunchPlan") -> None:
         for cb in list(self._on_launch):

@@ -26,7 +26,6 @@ from typing import Any, Callable, Iterator, Optional
 
 import numpy as np
 
-from .. import faults
 from ..core.backend import Backend
 from ..core.context import current_context
 from ..core.exceptions import KernelExecutionError
@@ -129,13 +128,7 @@ def _plain(fn: Callable, carry: Any, limit: int) -> Iterator[tuple]:
 def _fence(ctx, checkpoint) -> Optional[str]:
     """The reason no driver may run this loop, checked before anything
     runs — or ``None``."""
-    return (
-        "checkpoint" if checkpoint is not None
-        else "faults" if faults.injection_possible()
-        else "hooks" if ctx.hooked
-        else "pending" if ctx.pending_launches
-        else None
-    )
+    return "checkpoint" if checkpoint is not None else ctx.fence()
 
 
 class _Call:

@@ -296,6 +296,12 @@ class KernelCache:
     #: :class:`CompiledKernel` objects: dropping the kernels drops every
     #: structure and template built over them.
     structures: dict = field(default_factory=dict, repr=False)
+    #: The warm-launch table: an eager launch's whole signature (see
+    #: :func:`repro.core.api._stage`) → ``(kernel, consumed scalar
+    #: positions, {their values: LaunchRecord})``, so a warm launch is
+    #: one look-up.  Filled only after a full stage, never for a
+    #: value-specialized or interpreter-tier kernel.
+    launches: dict = field(default_factory=dict, repr=False)
     _lock: threading.Lock = field(default_factory=threading.Lock, repr=False)
 
     #: Bound on ``structures`` — a backstop against key churn (a solver
@@ -334,6 +340,42 @@ class KernelCache:
                     self.misses += 1
         return ck
 
+    def find_launch(self, key: tuple, args: Sequence[Any]) -> Optional[tuple]:
+        """``(kernel, record)`` the warm-launch table holds for ``key``
+        and the values of ``args`` at the kernel's consumed scalar
+        positions, or ``None``.  A hit counts one memory hit, as the
+        ladder walk it stands in for would."""
+        entry = self.launches.get(key)
+        if entry is None:
+            return None
+        kernel, scalars, records = entry
+        record = records.get(tuple([args[pos] for pos in scalars]) if scalars else ())
+        if record is None:
+            return None
+        with self._lock:
+            self.hits += 1
+        return kernel, record
+
+    def store_launch(self, key: tuple, kernel: CompiledKernel, record, args) -> None:
+        """File a fully staged launch under ``key`` in the table, which
+        is bounded like a kernel's launch records
+        (:attr:`repro.ir.verify.LaunchRecords.MAX` entries, each of as
+        many records)."""
+        if kernel.trace is None or kernel.mode.endswith("-specialized"):
+            return  # the value rung and the interpreter stay on the ladder
+        scalars = kernel.launches.scalars
+        values = tuple([args[pos] for pos in scalars])
+        with self._lock:
+            entry = self.launches.get(key)
+            if entry is None or entry[0] is not kernel:
+                if len(self.launches) >= LaunchRecords.MAX:
+                    self.launches.clear()
+                entry = self.launches[key] = (kernel, scalars, {})
+            records = entry[2]
+            if len(records) >= LaunchRecords.MAX:
+                records.clear()
+            records[values] = record
+
     def store(self, key: tuple, ck: CompiledKernel) -> None:
         with self._lock:
             self.entries[key] = ck
@@ -353,6 +395,7 @@ class KernelCache:
         with self._lock:
             self.entries.clear()
             self.structures.clear()
+            self.launches.clear()
             self.hits = 0
             self.misses = 0
 

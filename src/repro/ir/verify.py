@@ -978,6 +978,11 @@ class LaunchRecords:
             self._static = static
         return static
 
+    @property
+    def scalars(self) -> tuple:
+        """Positions of the scalars whose values a signature holds."""
+        return (self._static or self._positions())[0]
+
     def signature(self, dims: tuple, args: Sequence[Any], op: Optional[str]) -> tuple:
         scalars = (self._static or self._positions())[0]
         return (

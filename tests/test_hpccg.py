@@ -107,6 +107,34 @@ class TestProblemGenerator:
         with pytest.raises(ValueError):
             build_27pt_problem(0, 2, 2)
 
+    @pytest.mark.parametrize("grid", [(3, 4, 5), (1, 1, 1), (2, 3, 1), (1, 1, 7), (5, 1, 2)])
+    def test_matches_a_per_node_builder_byte_for_byte(self, grid):
+        nx, ny, nz = grid
+        n = nx * ny * nz
+        cols = np.empty((n, 27), dtype=np.int64)
+        vals = np.zeros((n, 27))
+        for row in range(n):
+            iz, rest = divmod(row, ny * nx)
+            iy, ix = divmod(rest, nx)
+            slot = 0
+            for dz in (-1, 0, 1):
+                for dy in (-1, 0, 1):
+                    for dx in (-1, 0, 1):
+                        jz, jy, jx = iz + dz, iy + dy, ix + dx
+                        if 0 <= jz < nz and 0 <= jy < ny and 0 <= jx < nx:
+                            cols[row, slot] = (jz * ny + jy) * nx + jx
+                            vals[row, slot] = 27.0 if dz == dy == dx == 0 else -1.0
+                        else:
+                            cols[row, slot] = row
+                        slot += 1
+        a, b, _ = build_27pt_problem(nx, ny, nz)
+        want = ELLMatrix(cols=cols, vals=vals)
+        assert a.cols.dtype == want.cols.dtype
+        assert a.cols.tobytes() == want.cols.tobytes()
+        assert a.vals.tobytes() == want.vals.tobytes()
+        assert b.tobytes() == want.matvec_host(np.ones(n)).tobytes()
+        assert a.cols.base is None and a.vals.base is None
+
     def test_degenerate_1d_grid(self):
         a, b, x = build_27pt_problem(5, 1, 1)
         res = hpccg_solve(a, b, tol=1e-12)
