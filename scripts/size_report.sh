@@ -37,6 +37,14 @@ print(next(len(n.value.elts) for n in tree.body if isinstance(n, ast.Assign)
            and any(getattr(t, "id", None) == "FAULT_SITES" for t in n.targets)))
 EOF
 }
+public_names() {
+  python - <<'EOF'
+import ast
+tree = ast.parse(open("src/repro/__init__.py").read())
+print(next(len(n.value.elts) for n in tree.body if isinstance(n, ast.Assign)
+           and any(getattr(t, "id", None) == "__all__" for t in n.targets)))
+EOF
+}
 knobs=$(grep -rhoE --include='*.py' 'PYACC_[A-Z_]+' src | sort -u)
 
 echo "### Size report"
@@ -49,6 +57,7 @@ echo "| \`PYACC_*\` names in \`src\` | $(echo "$knobs" | wc -l) |"
 echo "| \`threading.Lock()\` sites in \`src\` | $(grep -rF --include='*.py' 'threading.Lock()' src | wc -l) |"
 echo "| \`retry_transients(\` sites in \`src\` (the seam's call + the definition) | $(grep -rF --include='*.py' 'retry_transients(' src | wc -l) |"
 echo "| \`FAULT_SITES\` entries | $(fault_sites) |"
+echo "| names in \`repro.__all__\` (the public surface) | $(public_names) |"
 echo "| \`benchmarks/bench_*.py\` lines / \`BENCH_*.json\` files | $(cat benchmarks/bench_*.py | wc -l) / $(ls BENCH_*.json | wc -l) |"
 echo "| loop nests in \`lbm_kernel\`'s native lowering (1 = the single-loop licence holds) | $lbm_nests |"
 echo "| loops vectorized in \`lbm_kernel\`'s native unit (gcc's report; n/a without \`cc\`) | $lbm_vectorized |"

@@ -17,14 +17,13 @@ Backend selection follows the paper's Preferences mechanism
 (``LocalPreferences.toml`` / ``PYACC_BACKEND``) and defaults to the
 threads (Base.Threads-analogue) backend; ``repro.set_backend("cuda-sim")``
 switches to a simulated GPU, and ``repro.use_backend(...)`` scopes a
-backend to the current thread/task only.  ``repro.launch(dims, f, *args,
-sync=False)`` dispatches a reified ``LaunchPlan`` asynchronously;
-``repro.synchronize()`` drains the queue.  See README.md and DESIGN.md.
+backend to the current thread/task only.  Every construct synchronizes
+before returning; ``repro.launch(dims, f, *args)`` runs one and returns
+its executed ``LaunchPlan``.  See README.md and DESIGN.md.
 """
 
 from .core import (
     ExecutionContext,
-    LaunchHandle,
     LaunchPlan,
     active_backend,
     array,
@@ -47,7 +46,6 @@ from .core.exceptions import (
     CheckpointError,
     DeviceError,
     KernelVerificationError,
-    LaunchTimeoutError,
     PermanentDeviceError,
     TransientDeviceError,
     TranslationValidationError,
@@ -123,10 +121,8 @@ __all__ = [
     "KernelCache",
     "KernelVerificationError",
     "KernelVerificationWarning",
-    "LaunchHandle",
     "LaunchPlan",
     "LaunchPolicy",
-    "LaunchTimeoutError",
     "PermanentDeviceError",
     "ScalarSlot",
     "SolverCheckpoint",

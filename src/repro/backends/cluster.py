@@ -46,7 +46,7 @@ ping/pong handshake deadline.  Shard dispatch probes ``cluster.shard``
 (ordinals reserved through :meth:`repro.faults.FaultPlan.next_ordinal`,
 so the schedule is deterministic), honours ``kill=`` entries by
 actually ``SIGKILL``-ing the child, and collection enforces a per-launch
-deadline (``LaunchPolicy.watchdog`` when set).  Failures classify into
+deadline (``ClusterBackend.shard_timeout``).  Failures classify into
 the existing taxonomy:
 
 * transient (injected at a seam) → capped-exponential retry on the same
@@ -108,7 +108,7 @@ _ENV_WORKERS = "PYACC_CLUSTER_WORKERS"
 
 #: Spawn handshake deadline (fork + import + pong), seconds.
 _SPAWN_TIMEOUT = 30.0
-#: Per-launch collection deadline when the policy sets no watchdog.
+#: Per-launch collection deadline (``ClusterBackend.shard_timeout``).
 _SHARD_TIMEOUT = 60.0
 
 
@@ -884,10 +884,6 @@ class ClusterBackend(Backend):
             for dom in plan.schedule.domains
             if dom.ranges[0][1] > dom.ranges[0][0]
         ]
-        policy = plan.policy or _faults.DEFAULT_POLICY
-        timeout = (
-            policy.watchdog if policy.watchdog is not None else self.shard_timeout
-        )
         partials: list[tuple[int, Optional[float]]] = []
         first_round = True
         while remaining:
@@ -927,7 +923,7 @@ class ClusterBackend(Backend):
                     remaining.append(span)
                     continue
                 inflight.append((w, span, task_id))
-            deadline = time.monotonic() + timeout
+            deadline = time.monotonic() + self.shard_timeout
             for w, span, task_id in inflight:
                 try:
                     partial = self._collect_shard(w, task_id, deadline)

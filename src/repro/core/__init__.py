@@ -16,14 +16,13 @@ from .array import array, is_backend_array, ones, to_host, zeros
 from .backend import Accounting, Backend, normalize_dims
 from .context import ExecutionContext, current_context
 from .launch import LaunchConfig, cpu_chunks, gpu_launch_config
-from .plan import LaunchHandle, LaunchPlan, LaunchSchedule
+from .plan import LaunchPlan, LaunchSchedule
 
 __all__ = [
     "Accounting",
     "Backend",
     "ExecutionContext",
     "LaunchConfig",
-    "LaunchHandle",
     "LaunchPlan",
     "LaunchSchedule",
     "active_backend",

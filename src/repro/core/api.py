@@ -12,12 +12,9 @@ specialization ladder, against the context's kernel cache) → ``schedule``
 (record the launch-shape/chunking decision on the plan) → ``execute``
 (the backend consumes the plan through ``Backend.execute``).
 
-:func:`launch` exposes the plan machinery directly and adds the
-asynchronous path: ``launch(dims, f, *args, sync=False)`` enqueues the
-plan on the context's in-order launch stream and returns a
-:class:`~repro.core.plan.LaunchHandle`; :func:`synchronize` drains the
-stream.  The default constructs never queue — the paper's synchronous
-guarantee is preserved bit-for-bit.
+:func:`launch` exposes the plan machinery directly: it runs one
+construct, synchronously like the other two, and returns the executed
+:class:`~repro.core.plan.LaunchPlan`.
 
 Backend selection follows the paper's Preferences mechanism (see
 :mod:`repro.core.preferences`) on the process-default context;
@@ -38,7 +35,7 @@ from ..ir.verify import active_verify_mode
 from .backend import Backend, normalize_dims
 from .context import ExecutionContext, current_context, use_backend
 from .exceptions import BackendError, InvalidReduceOpError
-from .plan import LaunchHandle, LaunchPlan
+from .plan import LaunchPlan
 from .preferences import write_preference
 
 __all__ = [
@@ -94,19 +91,14 @@ def reset_backend() -> None:
 
 
 def synchronize() -> None:
-    """Synchronization point: drain the context's asynchronous launch
-    queue, then synchronize the backend device; also waits for native
-    compiles in flight (a cold process's first small launches may run
-    codegen while ``cc`` runs, see ``repro.ir.nativecache``).
+    """Synchronization point: synchronize the backend device and wait
+    for native compiles in flight (a cold process's first small launches
+    may run codegen while ``cc`` runs, see ``repro.ir.nativecache``).
 
-    The default constructs are already synchronous; this is required
-    only after ``launch(..., sync=False)`` (and kept for symmetry with
-    the vendor models — it is a no-op on CPU backends with an empty
-    queue).  Errors raised by queued kernels surface here.
+    The constructs are already synchronous; this is kept for symmetry
+    with the vendor models, and for a caller that needs the C path warm.
     """
-    ctx = current_context()
-    ctx.drain()
-    ctx.backend().synchronize()
+    current_context().backend().synchronize()
     nativecache.wait_compiles()
 
 
@@ -123,9 +115,9 @@ def _execute(plan: LaunchPlan, ctx: ExecutionContext) -> LaunchPlan:
     An inline launch on a backend whose execute is nothing but the
     kernel call (:meth:`Backend.loop_charges` is not ``None``), in a
     context whose fences are clear (:meth:`ExecutionContext.fence`: no
-    faults armed, so no failover either, no hooks, no queue), makes
-    that call here, as the loop driver does: the same counters, the
-    same modeled-clock charges in the same order, the same seam
+    faults armed, so no failover either, and no hooks), makes that call
+    here, as the loop driver does: the same counters, the same
+    modeled-clock charges in the same order, the same seam
     (:meth:`LaunchPlan.run`)."""
     backend = plan.backend
     accounting = backend.accounting
@@ -203,16 +195,8 @@ def _stage(
 
 
 def _dispatch(construct: str, dims, f: Callable, args: tuple, op: str) -> LaunchPlan:
-    """Run a construct through the full pipeline, synchronously.
-
-    A synchronous construct issued after asynchronous launches observes
-    their effects: the context queue is drained first (program order).
-    """
+    """Run a construct through the full pipeline, synchronously."""
     ctx = current_context()
-    # The queue's truthiness, read without its lock: only a launch this
-    # thread made can order before this one, and the drain takes the lock.
-    if ctx._pending:
-        ctx.drain()
     cap = ctx.graph_capture
     slot_map = None
     if cap is not None:
@@ -292,70 +276,16 @@ def launch(
     *args: Any,
     reduce: bool = False,
     op: str = "add",
-    sync: bool = True,
-) -> LaunchHandle:
+) -> LaunchPlan:
     """Dispatch a construct as an explicit :class:`LaunchPlan`.
 
-    With ``sync=True`` (default) this is :func:`parallel_for` /
-    :func:`parallel_reduce` returning an already-completed
-    :class:`LaunchHandle` — same synchronous guarantee as the paper's
-    constructs.
-
-    With ``sync=False`` the fully staged plan (resolved, compiled,
-    scheduled) is enqueued on the context's launch stream and the handle
-    returns immediately.  Launches on one stream execute in submission
-    order (so dependent kernels stay correct); they overlap with the
-    submitting thread.  ``handle.wait()`` blocks for one launch,
-    ``handle.result()`` additionally returns the reduce value, and
-    :func:`synchronize` drains the whole stream.  Staging errors (unknown
-    backend, untraceable kernel, bad op) still raise immediately at the
-    call site; only execution is deferred.
+    This is :func:`parallel_for` (or, with ``reduce=True``,
+    :func:`parallel_reduce`) returning the executed plan instead of
+    ``None`` or the value: ``.result`` holds the reduce value, and
+    ``.kernel``, ``.record``, ``.diagnostics``, ``.fault_events`` and
+    ``.label`` what staging and execution made of the launch.  Same
+    synchronous guarantee as the paper's constructs.
     """
     if reduce:
         _validate_op(op)
-    construct = "reduce" if reduce else "for"
-    if sync:
-        return LaunchHandle(_dispatch(construct, dims, f, args, op=op))
-    ctx = current_context()
-    plan = _stage(ctx, construct, dims, f, args, op)
-    _check_async_hazards(plan, ctx)
-    future = ctx.submit(lambda: _execute(plan, ctx))
-    handle = LaunchHandle(plan, future)
-    ctx.enqueue(handle)
-    return handle
-
-
-def _check_async_hazards(plan: LaunchPlan, ctx: ExecutionContext) -> None:
-    """V601: flag a ``sync=False`` launch racing an unsynchronized one.
-
-    Launches on one context's stream execute in submission order, so a
-    data dependence between pending launches is *correct* — but it means
-    the new launch cannot overlap the stream, which is the only reason
-    to pass ``sync=False``.  The diagnostic catches the pattern where a
-    user assumed two async launches run concurrently while they in fact
-    serialize on a RAW/WAW dependence (or would race on a multi-stream
-    backend).  Enforcement follows the kernel-verifier mode: ``warn``
-    emits :class:`~repro.ir.diagnostics.KernelVerificationWarning`,
-    ``error`` raises, ``off`` skips the analysis entirely.
-    """
-    mode = active_verify_mode()
-    if mode == "off":
-        return
-    pending = ctx.pending_handles()
-    if not pending:
-        return
-    from ..ir.effects import async_hazards
-
-    diags = async_hazards(plan, [h.plan for h in pending])
-    if not diags:
-        return
-    if mode == "error":
-        from .exceptions import KernelVerificationError
-
-        raise KernelVerificationError(plan.label, diags)
-    import warnings
-
-    from ..ir.diagnostics import KernelVerificationWarning
-
-    for d in diags:
-        warnings.warn(str(d), KernelVerificationWarning, stacklevel=3)
+    return _dispatch("reduce" if reduce else "for", dims, f, args, op=op)

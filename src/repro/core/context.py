@@ -1,4 +1,4 @@
-"""Context-local execution state: backend, kernel cache, hooks, queue.
+"""Context-local execution state: backend, kernel cache, hooks, arena.
 
 The reproduction originally kept the active backend in a module-global —
 faithful to the paper's single-tenant workflow, but hostile to concurrent
@@ -22,9 +22,6 @@ Each context also owns:
   with the :class:`~repro.core.plan.LaunchPlan`, so observers (the bench
   harness, future tracing layers) subscribe instead of reaching into
   backend accounting fields;
-* an **asynchronous launch queue** — an in-order stream (one worker, like
-  a CUDA stream) that ``repro.launch(..., sync=False)`` submits to and
-  ``repro.synchronize()`` drains;
 * a **scratch-buffer arena** (:class:`repro.ir.arena.ScratchArena`) that
   the codegen executor draws ``out=`` temporaries from — per-context, so
   concurrent tenants never exchange buffers.
@@ -33,21 +30,19 @@ Each context also owns:
 from __future__ import annotations
 
 import threading
-from collections import deque
-from concurrent.futures import Future, ThreadPoolExecutor
 from contextlib import contextmanager
 from contextvars import ContextVar
 from typing import TYPE_CHECKING, Any, Callable, Iterator, Optional, Union
 
 from ..faults import DEFAULT_POLICY, injection_possible
 from ..ir.arena import ScratchArena
-from .exceptions import BackendError, LaunchTimeoutError
+from .exceptions import BackendError
 
 if TYPE_CHECKING:  # pragma: no cover - types only
     from ..faults import FaultEvent, FaultPlan, LaunchPolicy
     from ..ir.compile import KernelCache
     from .backend import Backend
-    from .plan import LaunchHandle, LaunchPlan
+    from .plan import LaunchPlan
 
 __all__ = [
     "ExecutionContext",
@@ -65,7 +60,7 @@ def _instantiate(name: str) -> "Backend":
 
 
 class ExecutionContext:
-    """One tenant's execution state: backend + cache + hooks + queue."""
+    """One tenant's execution state: backend + cache + hooks + arena."""
 
     def __init__(
         self,
@@ -83,9 +78,6 @@ class ExecutionContext:
         self.arena = ScratchArena()
         self._on_launch: list[Callable[["LaunchPlan"], None]] = []
         self._on_complete: list[Callable[["LaunchPlan"], None]] = []
-        self._lock = threading.Lock()
-        self._pending: deque["LaunchHandle"] = deque()
-        self._executor: Optional[ThreadPoolExecutor] = None
         #: Fault-injection plan (see :mod:`repro.faults`).  ``None`` until
         #: first resolution; the sentinel distinguishes "not yet resolved
         #: from env/prefs" from "resolved to no injection".
@@ -95,7 +87,7 @@ class ExecutionContext:
         #: Fault-handling contract applied to launches in this context.
         self._launch_policy: Optional["LaunchPolicy"] = None
         #: Fault-handling activity observed in this context (retries,
-        #: failovers, watchdog timeouts, checkpoint restores).
+        #: failovers, checkpoint restores).
         self.fault_events: list["FaultEvent"] = []
         #: The active :class:`repro.graph.capture.GraphCapture`, or
         #: ``None``.  When set, ``_dispatch`` records every staged plan
@@ -217,14 +209,13 @@ class ExecutionContext:
 
     def fence(self) -> Optional[str]:
         """Why a launch in this context must take the staged execute path
-        — faults armed, a hook attached, asynchronous launches pending —
-        or ``None``: then the inline kernel call alone may stand in for
-        it (the loop driver, :mod:`repro.graph.loop`, and the eager
-        shortcut in :func:`repro.core.api._execute`)."""
+        — faults armed or a hook attached — or ``None``: then the inline
+        kernel call alone may stand in for it (the loop driver,
+        :mod:`repro.graph.loop`, and the eager shortcut in
+        :func:`repro.core.api._execute`)."""
         return (
             "faults" if injection_possible()
             else "hooks" if self._on_launch or self._on_complete
-            else "pending" if self._pending
             else None
         )
 
@@ -235,102 +226,6 @@ class ExecutionContext:
     def fire_complete(self, plan: "LaunchPlan") -> None:
         for cb in list(self._on_complete):
             cb(plan)
-
-    # -- asynchronous launch queue --------------------------------------------
-    def _ensure_executor(self) -> ThreadPoolExecutor:
-        with self._lock:
-            if self._executor is None:
-                # One worker = an in-order stream: async launches overlap
-                # with the submitting thread but execute in submission
-                # order relative to each other, so dependent kernels stay
-                # correct without explicit events (CUDA-stream semantics).
-                self._executor = ThreadPoolExecutor(
-                    max_workers=1, thread_name_prefix="pyacc-launch"
-                )
-            return self._executor
-
-    def submit(self, fn: Callable[[], Any]) -> Future:
-        """Submit work to this context's launch stream."""
-        return self._ensure_executor().submit(fn)
-
-    def enqueue(self, handle: "LaunchHandle") -> None:
-        """Track an in-flight asynchronous launch for :meth:`drain`."""
-        with self._lock:
-            self._pending.append(handle)
-
-    @property
-    def pending_launches(self) -> int:
-        """Number of asynchronous launches not yet waited on."""
-        with self._lock:
-            return len(self._pending)
-
-    def pending_handles(self) -> list:
-        """Snapshot of in-flight asynchronous launches (not yet done).
-
-        Used by the V601 cross-launch race check in
-        :func:`repro.core.api.launch`: a new ``sync=False`` launch whose
-        reads/writes overlap a still-pending handle's writes is a
-        RAW/WAW race against the launch stream.
-        """
-        with self._lock:
-            return [h for h in self._pending if not h.done()]
-
-    def drain(self) -> None:
-        """Wait for every queued asynchronous launch.
-
-        All pending launches are waited even if one fails; the first
-        error is re-raised afterwards (matching how a device ``sync``
-        surfaces asynchronous kernel failures).  Errors carry the
-        failing plan's label (``plan_label``/``plan_repr``).  When the
-        launch policy sets a ``watchdog``, a handle that does not finish
-        within that many wall-clock seconds raises
-        :class:`~repro.core.exceptions.LaunchTimeoutError`.
-        """
-        import concurrent.futures as _futures
-
-        watchdog = self.launch_policy.watchdog
-        first_error: Optional[BaseException] = None
-        while True:
-            with self._lock:
-                if not self._pending:
-                    break
-                handle = self._pending.popleft()
-            try:
-                handle.wait(watchdog)
-            except _futures.TimeoutError:
-                plan = handle.plan
-                timeout_exc = LaunchTimeoutError(
-                    getattr(plan.fn, "__name__", repr(plan.fn)),
-                    repr(plan),
-                    watchdog,
-                )
-                from ..faults import FaultEvent, record_event
-
-                record_event(
-                    FaultEvent(
-                        site="queue",
-                        kind="timeout",
-                        action="watchdog",
-                        kernel=getattr(plan.fn, "__name__", None),
-                        detail=f"exceeded {watchdog:g}s watchdog",
-                    ),
-                    plan,
-                )
-                if first_error is None:
-                    first_error = timeout_exc
-            except BaseException as exc:  # re-raised after the drain
-                if first_error is None:
-                    first_error = exc
-        if first_error is not None:
-            raise first_error
-
-    def close(self) -> None:
-        """Drain the queue and shut the launch stream down."""
-        self.drain()
-        with self._lock:
-            executor, self._executor = self._executor, None
-        if executor is not None:
-            executor.shutdown(wait=True)
 
 
 #: The process-default context: what ``set_backend``/``active_backend``
@@ -362,8 +257,7 @@ def use_backend(
     Pass ``kernel_cache=KernelCache()`` to also scope compiles to this
     context instead of the process-global trace cache.
 
-    On exit the scope's asynchronous launch queue is drained (no launch
-    escapes its context) and the previous context is restored.
+    On exit the previous context is restored.
     """
     if backend is None:
         raise BackendError("use_backend requires a backend name or instance")
@@ -374,4 +268,3 @@ def use_backend(
         yield ctx
     finally:
         _CURRENT.reset(token)
-        ctx.close()

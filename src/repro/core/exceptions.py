@@ -215,24 +215,6 @@ class WorkerLostError(PermanentDeviceError):
     """
 
 
-class LaunchTimeoutError(PyACCError):
-    """An asynchronous launch exceeded its policy's wall-clock watchdog.
-
-    Raised by :func:`repro.synchronize` when a ``sync=False`` handle does
-    not complete within ``LaunchPolicy.watchdog`` seconds.  Carries the
-    kernel label and plan repr so the hung launch is identifiable.
-    """
-
-    def __init__(self, kernel: str, plan_repr: str, timeout: float):
-        self.kernel = kernel
-        self.plan_repr = plan_repr
-        self.timeout = timeout
-        super().__init__(
-            f"launch of kernel {kernel!r} did not complete within the "
-            f"{timeout:g}s watchdog ({plan_repr})"
-        )
-
-
 class CheckpointError(PyACCError):
     """Checkpoint/restore misuse (restore with no snapshot, budget
     exhausted)."""

@@ -17,8 +17,8 @@ through four explicit stages (see :mod:`repro.core.api`):
 
 Reifying the launch is what the OpenACC-era JACC runtime does to enable
 kernel-level scheduling (Matsumura et al.): once a launch is data, it can
-be queued, observed, split, or fused.  :class:`LaunchHandle` is the
-user-facing half — the return value of ``repro.launch(..., sync=False)``.
+be observed, recorded, split, or fused.  ``repro.launch`` returns the
+executed plan.
 """
 
 from __future__ import annotations
@@ -31,8 +31,6 @@ from ..ir.vectorizer import IndexDomain
 from .launch import LaunchSchedule
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, types only
-    from concurrent.futures import Future
-
     from ..faults import FaultEvent, LaunchPolicy
     from ..ir.arena import ScratchArena
     from ..ir.compile import CompiledKernel
@@ -42,8 +40,6 @@ __all__ = [
     "LaunchPlan",
     "LaunchRecord",
     "LaunchSchedule",
-    "LaunchHandle",
-    "label_exception",
 ]
 
 
@@ -86,9 +82,9 @@ class LaunchPlan:
     # -- filled by the resolve stage --------------------------------------
     backend: Optional["Backend"] = None
     resolved_args: Optional[list] = None
-    #: The fault-handling contract for this launch (retry/failover/
-    #: watchdog); resolved from the execution context.  ``None`` means
-    #: the default policy.
+    #: The fault-handling contract for this launch (retry/failover);
+    #: resolved from the execution context.  ``None`` means the default
+    #: policy.
     policy: Optional["LaunchPolicy"] = None
     #: The execution context's scratch-buffer arena; backends hand it to
     #: ``CompiledKernel.run_for``/``run_reduce`` so generated kernels
@@ -118,8 +114,7 @@ class LaunchPlan:
     #: The reduce value (``None`` for for-plans).
     result: Any = None
     #: Fault-handling activity observed while executing this plan
-    #: (retries, failovers, watchdog timeouts) — see
-    #: :class:`repro.faults.FaultEvent`.
+    #: (retries, failovers) — see :class:`repro.faults.FaultEvent`.
     fault_events: list = field(default_factory=list)
     #: Storage ids this plan's kernel stores to, for write-version
     #: tracking (repro.ir.writes): bound with the arguments when the plan
@@ -195,78 +190,3 @@ class LaunchPlan:
             f"<LaunchPlan {self.construct} dims={self.dims} "
             f"fn={getattr(self.fn, '__name__', self.fn)!r} stage={stage}>"
         )
-
-
-def label_exception(exc: BaseException, plan: LaunchPlan) -> BaseException:
-    """Attach a plan's identity to an exception escaping its launch.
-
-    Asynchronous failures surface at ``synchronize()``, far from the
-    ``launch`` call that queued them — without a label the traceback
-    points at the drain loop, not the kernel.  Sets ``plan_label`` /
-    ``plan_repr`` attributes (stable, testable) and adds a traceback
-    note on Python 3.11+.  Labels only once: a failover re-raise keeps
-    the original attribution.
-    """
-    if getattr(exc, "plan_label", None) is None:
-        try:
-            exc.plan_label = plan.label
-            exc.plan_repr = repr(plan)
-        except AttributeError:  # exceptions with __slots__: skip labeling
-            return exc
-        add_note = getattr(exc, "add_note", None)
-        if add_note is not None:  # Python 3.11+
-            add_note(f"while executing {plan.label} ({plan!r})")
-    return exc
-
-
-class LaunchHandle:
-    """Handle to a launched construct (``repro.launch``).
-
-    Synchronous launches return an already-completed handle; asynchronous
-    launches (``sync=False``) return a live one.  ``wait()`` blocks until
-    the launch finishes (re-raising any kernel error); ``result()`` waits
-    and returns the reduce value (``None`` for for-kernels).
-    """
-
-    __slots__ = ("plan", "_future")
-
-    def __init__(self, plan: LaunchPlan, future: Optional["Future"] = None):
-        self.plan = plan
-        self._future = future
-
-    @property
-    def label(self) -> str:
-        """The underlying plan's human-readable identity."""
-        return self.plan.label
-
-    @property
-    def fault_events(self) -> list:
-        """Fault-handling activity recorded for this launch."""
-        return self.plan.fault_events
-
-    def done(self) -> bool:
-        """True once the launch has completed (always true for sync)."""
-        return self._future is None or self._future.done()
-
-    def wait(self, timeout: Optional[float] = None) -> "LaunchHandle":
-        """Block until the launch completes; re-raises kernel errors.
-
-        Errors from the queued execution carry the plan label
-        (``plan_label``/``plan_repr`` attributes, see
-        :func:`label_exception`).
-        """
-        if self._future is not None:
-            try:
-                self._future.result(timeout)
-            except BaseException as exc:
-                raise label_exception(exc, self.plan)
-        return self
-
-    def result(self, timeout: Optional[float] = None) -> Any:
-        """Wait, then return the reduce value (``None`` for a for-plan)."""
-        self.wait(timeout)
-        return self.plan.result
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        state = "done" if self.done() else "pending"
-        return f"<LaunchHandle {self.plan.construct} dims={self.plan.dims} {state}>"

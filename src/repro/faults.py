@@ -55,8 +55,6 @@ Policy side — :class:`LaunchPolicy`
       demoted down the ladder (multidevice → single device → threads →
       serial) by the dispatch stage, stickily, reusing the already
       resolved host storage so results stay correct;
-    - ``sync=False`` handles drained by ``synchronize()`` honour a
-      wall-clock watchdog (:class:`~repro.core.exceptions.LaunchTimeoutError`);
     - every injection/retry/failover is recorded as a :class:`FaultEvent`
       on the plan, the context, and process-wide counters (``repro.bench
       --json`` embeds them).
@@ -129,13 +127,13 @@ class FaultEvent:
     ``action`` is what the runtime did: ``"inject"`` (a fault was
     raised), ``"retry"`` (a transient is being retried), ``"exhausted"``
     (retry budget spent, original error re-raised), ``"failover"`` (work
-    moved off a failed device/backend), ``"watchdog"`` (an async handle
-    timed out), ``"restore"`` (a solver rolled back to a checkpoint),
-    ``"kill"`` (a cluster worker process was SIGKILLed by schedule).
+    moved off a failed device/backend), ``"restore"`` (a solver rolled
+    back to a checkpoint), ``"kill"`` (a cluster worker process was
+    SIGKILLed by schedule).
     """
 
     site: str
-    kind: str  # "transient" | "permanent" | "timeout" | "checkpoint" | "kill"
+    kind: str  # "transient" | "permanent" | "checkpoint" | "kill"
     action: str
     attempt: int = 0
     device_id: Optional[str] = None
@@ -154,7 +152,6 @@ _COUNTERS = Counters(
         "retry_exhausted",
         "failovers",
         "kills",
-        "watchdog_timeouts",
         "checkpoint_saves",
         "checkpoint_restores",
     ),
@@ -188,8 +185,6 @@ def record_event(event: FaultEvent, plan: Optional["LaunchPlan"] = None) -> None
         _COUNTERS.bump("failovers")
     elif event.action == "kill":
         _COUNTERS.bump("kills")
-    elif event.action == "watchdog":
-        _COUNTERS.bump("watchdog_timeouts")
     elif event.action == "restore":
         _COUNTERS.bump("checkpoint_restores")
 
@@ -717,17 +712,13 @@ class LaunchPolicy:
       ``min(cap, base · 2^(attempt-1))`` wall-clock seconds between
       retries;
     - ``failover`` — whether permanent failures demote down the backend
-      ladder instead of raising;
-    - ``watchdog`` — wall-clock seconds an asynchronous handle may run
-      before ``synchronize()`` raises ``LaunchTimeoutError`` (``None``
-      disables the watchdog).
+      ladder instead of raising.
     """
 
     max_retries: int = 3
     backoff_base: float = 0.0005
     backoff_cap: float = 0.05
     failover: bool = True
-    watchdog: Optional[float] = None
 
     def backoff(self, attempt: int) -> float:
         """Delay before retry ``attempt`` (1-based), in seconds."""

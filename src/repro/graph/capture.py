@@ -54,7 +54,7 @@ import numpy as np
 from ..core.api import _execute
 from ..core.backend import normalize_dims
 from ..core.exceptions import GraphError
-from ..core.plan import LaunchHandle, LaunchPlan
+from ..core.plan import LaunchPlan
 from ..ir import compilecache, writes
 from ..ir.compile import compile_kernel, executor_mode, resolve_cache
 from ..ir.validate import active_validate_mode
@@ -691,7 +691,20 @@ class LaunchGraph:
         cache, where a fresh process loads it instead of building it
         (``cache_info()["disk"]["graph_hits"]``).  Either way the graph
         is built by :meth:`_Structure.bind`, so the paths cannot drift.
+
+        A recording that spans two backends (``set_backend`` inside the
+        capture) is refused: replay would take the switch for a failover.
+        A recording with a capture-time failover is exempt; its first
+        replay finishes on the fallback and invalidates the graph.
         """
+        backends = {id(n.plan.backend): n.plan.backend for n in self.nodes}
+        if len(backends) > 1 and not any(
+            event.action == "failover" for n in self.nodes for event in n.plan.fault_events
+        ):
+            names = " and ".join(repr(b.name) for b in backends.values())
+            raise GraphError(
+                f"graph {self.name!r} spans backends {names}: capture it on one backend"
+            )
         fuse = fuse and _pkg().passes_mode() == "all"
         cache = resolve_cache(ctx.kernel_cache)
         parts = self._key_parts(ctx, fuse)
@@ -947,15 +960,6 @@ class _Structure:
         )
 
 
-def _graph_handle_fn(name: str):
-    def _graph(*args):  # pragma: no cover - never executed
-        raise GraphError("graph handle plans do not execute directly")
-
-    _graph.__name__ = f"graph[{name}]"
-    _graph.__qualname__ = _graph.__name__
-    return _graph
-
-
 class InstantiatedGraph:
     """A frozen launch graph: pre-staged plans, replayed on demand."""
 
@@ -974,7 +978,9 @@ class InstantiatedGraph:
         self.nodes = nodes
         self.return_convention = return_convention
         self.fused_pairs = fused_pairs
-        self.backend = ctx.backend()
+        #: The backend the nodes were staged on (the fallback, after a
+        #: capture-time failover), which may not be the context's.
+        self.backend = nodes[-1].plan.backend if nodes else ctx.backend()
         self.epoch = self.backend.schedule_epoch()
         self.valid = True
         self.replays = 0
@@ -1004,16 +1010,10 @@ class InstantiatedGraph:
             self.valid = False
             _pkg()._bump("invalidations")
 
-    def replay(self, sync: bool = True, **slots: Any):
-        """Re-execute the captured sequence with fresh slot values.
-
-        ``sync=True`` (default) runs in the calling thread and returns
-        the captured body's value (per the recorded return convention).
-        ``sync=False`` submits the whole replay to the context's
-        in-order launch stream and returns **one**
-        :class:`~repro.core.plan.LaunchHandle` for the entire graph;
-        ``handle.result()`` / :func:`repro.synchronize` wait for it.
-        """
+    def replay(self, **slots: Any):
+        """Re-execute the captured sequence with fresh slot values and
+        return the captured body's value (per the recorded return
+        convention)."""
         if not self.valid:
             raise GraphError(
                 f"graph {self.name!r} was invalidated (backend demoted); "
@@ -1026,26 +1026,7 @@ class InstantiatedGraph:
                 f"graph {self.name!r} slots mismatch: "
                 f"missing={sorted(missing)} unknown={sorted(unknown)}"
             )
-        if sync:
-            if self.ctx.pending_launches:
-                self.ctx.drain()
-            return self._replay(slots)
-        handle_plan = LaunchPlan(
-            construct="graph",
-            dims=(max(1, len(self.nodes)),),
-            fn=_graph_handle_fn(self.name),
-            args=(),
-        )
-        handle_plan.policy = self.ctx.launch_policy
-
-        def _run():
-            handle_plan.result = self._replay(slots)
-            return handle_plan.result
-
-        future = self.ctx.submit(_run)
-        handle = LaunchHandle(handle_plan, future)
-        self.ctx.enqueue(handle)
-        return handle
+        return self._replay(slots)
 
     def _rehoist(self, node: GraphNode, current: tuple) -> None:
         """React to a write-version mismatch on a hoisted node.

@@ -37,6 +37,7 @@ from collections import OrderedDict
 from typing import Any, Callable, Optional
 
 from ..core.context import current_context
+from ..core.exceptions import GraphError
 from ..ir.compile import executor_mode
 from .capture import GraphCapture, InstantiatedGraph, ScalarSlot, _pkg
 
@@ -90,18 +91,24 @@ class GraphRegion:
             ret = body(**wrapped)
         recording = cap.graph(name=self.name)
         convention = recording.match_return(ret) if recording.nodes else None
-        if convention is None:
+        inst = None
+        if convention is not None:
+            try:
+                inst = recording.instantiate(
+                    ctx,
+                    # With an active fault plan, fusion would change the
+                    # launch count and shift every injection ordinal; keep
+                    # the replayed sequence node-for-node identical to
+                    # uncaptured dispatch.
+                    fuse=ctx.fault_plan is None,
+                    return_convention=convention,
+                )
+            except GraphError:  # the body switched backends
+                pass
+        if inst is None:
             self._graphs[full_key] = _UNCAPTUREABLE
             graph._bump("uncaptureable")
             return ret
-        inst = recording.instantiate(
-            ctx,
-            # With an active fault plan, fusion would change the launch
-            # count and shift every injection ordinal; keep the replayed
-            # sequence node-for-node identical to uncaptured dispatch.
-            fuse=ctx.fault_plan is None,
-            return_convention=convention,
-        )
         while len(self._graphs) >= self.max_graphs:
             self._graphs.popitem(last=False)
         self._graphs[full_key] = inst

@@ -101,12 +101,6 @@ RULES: dict[str, tuple[str, str]] = {
         "or specializes on scalar values, so graph replay with "
         "different bindings may be stale",
     ),
-    "V601": (
-        "error",
-        "cross-launch race: an unsynchronized launch(..., sync=False) "
-        "reads or overwrites arrays a still-pending launch writes "
-        "(RAW/WAW) without an intervening synchronize()",
-    ),
     "V602": (
         "warning",
         "graph-level dead store: a launch's writes are fully "
@@ -192,12 +186,6 @@ RULE_EXAMPLES: dict[str, str] = {
         "def k(i, x, n):\n"
         "    if i < n - 1:     # trace specialized on the value of n;\n"
         "        x[i] = x[i + 1]  # replaying with a new n is stale"
-    ),
-    "V601": (
-        "h1 = repro.launch('for', n, writer, x, sync=False)\n"
-        "h2 = repro.launch('for', n, reader, x, y, sync=False)\n"
-        "# reader consumes x while writer may still be in flight;\n"
-        "# call repro.synchronize() (or h1.wait()) between them"
     ),
     "V602": (
         "with ctx.capture('g'):\n"

@@ -13,11 +13,8 @@ The summaries are the shared foundation for:
 
 * the translation validator (:mod:`repro.ir.validate`), which re-derives
   the legality of every applied pass rewrite from summaries alone;
-* the cross-launch diagnostics — V601 (async RAW/WAW race between
-  unsynchronized ``launch(..., sync=False)`` handles, the hazard the
-  original JACC OpenACC runtime manages dynamically across streams),
-  V602 (graph-level dead store spanning launches) and V603
-  (reduce-into-aliased-input hazard on fused nodes).
+* the cross-launch diagnostics — V602 (graph-level dead store spanning
+  launches) and V603 (reduce-into-aliased-input hazard on fused nodes).
 
 Summaries are conservative by construction: anything the affine lattice
 cannot bound widens to an unbounded region, and untraced
@@ -37,7 +34,6 @@ from .deadstore import fully_overwritten_positions
 from .diagnostics import Diagnostic, rule_severity
 from .shapes import _static_identity
 from .verify import _args_env, _lin_range, abstract_accesses
-from .writes import hazards
 
 __all__ = [
     "ArrayEffect",
@@ -45,7 +41,6 @@ __all__ = [
     "summarize_trace",
     "snapshot_effects",
     "plan_effects",
-    "async_hazards",
     "program_dead_stores",
     "reduce_alias_hazards",
     "regions_may_overlap",
@@ -371,43 +366,6 @@ def _diag(rule: str, kernel: str, message: str, provenance: str = ""):
         message=message,
         provenance=provenance,
     )
-
-
-def async_hazards(plan, pending_plans) -> list:
-    """V601: RAW/WAW races between a new async launch and pending ones.
-
-    ``pending_plans`` are the staged plans of still-running
-    ``launch(..., sync=False)`` handles on the same context.  On the
-    current single in-order stream these are ordered; the diagnostic
-    flags the *portability* hazard — on a true multi-stream device the
-    new launch's reads/writes race the pending writes unless the host
-    synchronizes between them.
-    """
-    new = plan_effects(plan)
-    diags = []
-    for prev in pending_plans:
-        if prev is plan:
-            continue
-        old = plan_effects(prev)
-        kinds = hazards(
-            old.write_ids, old.read_ids, new.write_ids, new.read_ids
-        )
-        kinds = tuple(k for k in kinds if k != "WAR")
-        if not kinds:
-            continue
-        shared = old.write_ids & (new.read_ids | new.write_ids)
-        diags.append(
-            _diag(
-                "V601",
-                new.kernel,
-                f"unsynchronized launch overlaps pending launch "
-                f"{old.kernel!r} ({'/'.join(kinds)} on {len(shared)} shared "
-                "array(s)); call synchronize() or handle.wait() between "
-                "them",
-                provenance=f"pending={old.kernel}",
-            )
-        )
-    return diags
 
 
 def program_dead_stores(labeled_summaries: Sequence[tuple]) -> list:

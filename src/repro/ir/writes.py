@@ -41,7 +41,7 @@ from __future__ import annotations
 
 from typing import Iterable
 
-__all__ = ["note_writes", "versions_of", "hazards", "reset"]
+__all__ = ["note_writes", "versions_of", "reset"]
 
 _versions: dict[int, int] = {}
 _epoch = 0
@@ -62,32 +62,6 @@ def note_writes(ids: Iterable[int], count: int = 1) -> None:
         _versions[i] = version
     if len(_versions) > _MAX_ENTRIES:  # pragma: no cover - backstop
         reset()
-
-
-def hazards(
-    prev_writes: Iterable[int],
-    prev_reads: Iterable[int],
-    new_writes: Iterable[int],
-    new_reads: Iterable[int],
-) -> tuple:
-    """Classify the data hazards between an earlier and a later access
-    set, by storage id.
-
-    Returns a tuple drawn from ``("RAW", "WAW", "WAR")`` — read-after-
-    write, write-after-write, write-after-read, in that order.  Shared
-    by the program IR's def-use edges and the cross-launch race
-    diagnostic (V601 in :mod:`repro.ir.effects`).
-    """
-    pw, pr = set(prev_writes), set(prev_reads)
-    nw, nr = set(new_writes), set(new_reads)
-    found = []
-    if pw & nr:
-        found.append("RAW")
-    if pw & nw:
-        found.append("WAW")
-    if pr & nw:
-        found.append("WAR")
-    return tuple(found)
 
 
 def versions_of(ids: Iterable[int]) -> tuple:

@@ -1,5 +1,5 @@
-"""Tests for execution contexts, use_backend isolation, LaunchPlans and
-the asynchronous launch queue (repro.core.context / repro.core.plan)."""
+"""Tests for execution contexts, use_backend isolation and LaunchPlans
+(repro.core.context / repro.core.plan)."""
 
 import threading
 
@@ -11,7 +11,8 @@ from repro.backends.serial import SerialBackend
 from repro.backends.threads import ThreadsBackend
 from repro.core.context import current_context, use_backend
 from repro.core.exceptions import BackendError
-from repro.core.plan import LaunchHandle, LaunchPlan
+from repro.core.plan import LaunchPlan
+from repro.graph import GraphError
 
 
 @pytest.fixture(autouse=True)
@@ -160,23 +161,22 @@ class TestLaunchSync:
     def test_sync_launch_matches_parallel_for(self):
         x = repro.array(np.zeros(6))
         y = repro.array(np.ones(6))
-        handle = repro.launch(6, axpy, 3.0, x, y)
-        assert isinstance(handle, LaunchHandle)
-        assert handle.done()
+        plan = repro.launch(6, axpy, 3.0, x, y)
+        assert isinstance(plan, LaunchPlan)
+        assert plan.sim_time_after is not None
         assert np.allclose(repro.to_host(x), 3.0)
 
     def test_sync_reduce_result(self):
         x = repro.array(np.full(5, 2.0))
         y = repro.array(np.full(5, 3.0))
-        handle = repro.launch(5, dot, x, y, reduce=True)
-        assert handle.result() == pytest.approx(30.0)
-        assert handle.plan.is_reduce
+        plan = repro.launch(5, dot, x, y, reduce=True)
+        assert plan.result == pytest.approx(30.0)
+        assert plan.is_reduce
 
     def test_plan_is_fully_staged(self):
         x = repro.array(np.zeros(4))
         y = repro.array(np.ones(4))
-        handle = repro.launch(4, axpy, 1.0, x, y)
-        plan = handle.plan
+        plan = repro.launch(4, axpy, 1.0, x, y)
         assert isinstance(plan, LaunchPlan)
         assert plan.backend is repro.active_backend()
         assert plan.kernel is not None
@@ -188,67 +188,26 @@ class TestLaunchSync:
     def test_bad_op_raises_at_call_site(self):
         x = repro.array(np.ones(3))
         with pytest.raises(ValueError):
-            repro.launch(3, dot, x, x, reduce=True, op="mul", sync=False)
+            repro.launch(3, dot, x, x, reduce=True, op="mul")
 
+    def test_launch_has_no_sync_option(self):
+        # One launch model: a leftover asynchronous caller fails loudly.
+        x = repro.array(np.zeros(4))
+        y = repro.array(np.ones(4))
+        with pytest.raises(TypeError):
+            repro.launch(4, axpy, 1.0, x, y, sync=False)
+        assert np.allclose(repro.to_host(x), 0.0)
 
-class TestLaunchAsync:
-    def test_two_overlapping_launches_complete_after_synchronize(self):
-        # The acceptance scenario: two async launches in flight at once,
-        # in-order on the context stream, correct after synchronize().
-        n = 10_000
-        x = repro.array(np.zeros(n))
-        y = repro.array(np.ones(n))
-        h1 = repro.launch(n, axpy, 1.0, x, y, sync=False)
-        h2 = repro.launch(n, axpy, 2.0, x, y, sync=False)  # depends on h1's x
-        assert isinstance(h1, LaunchHandle)
-        assert isinstance(h2, LaunchHandle)
-        repro.synchronize()
-        assert h1.done() and h2.done()
-        assert np.allclose(repro.to_host(x), 3.0)
-
-    def test_async_reduce_result_via_handle(self):
-        x = repro.array(np.full(8, 2.0))
-        y = repro.array(np.full(8, 5.0))
-        handle = repro.launch(8, dot, x, y, reduce=True, sync=False)
-        assert handle.result() == pytest.approx(80.0)
-
-    def test_pending_count_drains(self):
+    def test_replay_has_no_sync_option(self):
+        x = repro.array(np.zeros(4))
+        y = repro.array(np.ones(4))
         ctx = current_context()
-        x = repro.array(np.zeros(16))
-        y = repro.array(np.ones(16))
-        repro.launch(16, axpy, 1.0, x, y, sync=False)
-        repro.launch(16, axpy, 1.0, x, y, sync=False)
-        repro.synchronize()
-        assert ctx.pending_launches == 0
-        assert np.allclose(repro.to_host(x), 2.0)
-
-    def test_sync_construct_observes_prior_async_launches(self):
-        # A synchronous construct issued after async launches must see
-        # their effects (program order: the queue drains first).
-        x = repro.array(np.zeros(32))
-        y = repro.array(np.ones(32))
-        repro.launch(32, axpy, 1.0, x, y, sync=False)
-        total = repro.parallel_reduce(32, dot, x, y)
-        assert total == pytest.approx(32.0)
-
-    def test_scope_exit_drains_queue(self):
-        with use_backend("serial"):
-            x = repro.array(np.zeros(8))
-            y = repro.array(np.ones(8))
-            handle = repro.launch(8, axpy, 4.0, x, y, sync=False)
-        # leaving the scope waited for the launch
-        assert handle.done()
-        assert np.allclose(repro.to_host(x), 4.0)
-
-    def test_in_order_stream_chains_many(self):
-        x = repro.array(np.zeros(64))
-        y = repro.array(np.ones(64))
-        handles = [
-            repro.launch(64, axpy, 1.0, x, y, sync=False) for _ in range(10)
-        ]
-        repro.synchronize()
-        assert all(h.done() for h in handles)
-        assert np.allclose(repro.to_host(x), 10.0)
+        with ctx.capture() as cap:
+            repro.parallel_for(4, axpy, 1.0, x, y)
+        inst = cap.graph("g").instantiate(ctx)
+        with pytest.raises(GraphError, match="slots mismatch"):
+            inst.replay(sync=False)
+        assert np.allclose(repro.to_host(x), 1.0)
 
 
 class TestDispatchHooks:

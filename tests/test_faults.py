@@ -20,7 +20,6 @@ from repro.checkpoint import SolverCheckpoint
 from repro.core.exceptions import (
     CheckpointError,
     DeviceError,
-    LaunchTimeoutError,
     MemoryError_,
     PermanentDeviceError,
     PreferencesError,
@@ -413,75 +412,6 @@ class TestMultiDeviceFailover:
         assert total == float(n)
 
 
-class TestAsyncErrorsAndWatchdog:
-    def test_async_error_carries_plan_label(self):
-        repro.set_backend("threads")
-        repro.set_launch_policy(LaunchPolicy(max_retries=1, backoff_base=0.0))
-        repro.set_fault_plan(
-            FaultPlan(
-                scheduled=[
-                    InjectedFault("threads.chunk", k, "transient")
-                    for k in range(2)
-                ]
-            )
-        )
-        repro.launch(64, axpy, 1.0, np.zeros(64), np.ones(64), sync=False)
-        with pytest.raises(TransientDeviceError) as ei:
-            repro.synchronize()
-        assert "axpy" in ei.value.plan_label
-        assert "LaunchPlan" in ei.value.plan_repr
-
-    def test_queue_drains_remaining_after_failure(self):
-        repro.set_backend("threads")
-        repro.set_launch_policy(LaunchPolicy(max_retries=1, backoff_base=0.0))
-        repro.set_fault_plan(
-            FaultPlan(
-                scheduled=[
-                    InjectedFault("threads.chunk", k, "transient")
-                    for k in range(2)
-                ]
-            )
-        )
-        x = np.zeros(64)
-        repro.launch(64, axpy, 1.0, np.zeros(64), np.ones(64), sync=False)  # fails
-        repro.launch(64, axpy, 5.0, x, np.ones(64), sync=False)
-        with pytest.raises(TransientDeviceError):
-            repro.synchronize()
-        # The second launch still ran to completion before the raise.
-        np.testing.assert_array_equal(x, 5.0)
-        assert repro.current_context().pending_launches == 0
-
-    def test_watchdog_raises_launch_timeout(self):
-        repro.set_backend("threads")
-        # Retries sleep 20 ms each; the handle cannot finish inside the
-        # 50 ms watchdog, so synchronize() must raise — deterministically,
-        # without depending on kernel wall-clock speed.
-        repro.set_launch_policy(
-            LaunchPolicy(
-                max_retries=20,
-                backoff_base=0.02,
-                backoff_cap=0.02,
-                watchdog=0.05,
-            )
-        )
-        repro.set_fault_plan(
-            FaultPlan(
-                scheduled=[
-                    InjectedFault("threads.chunk", k, "transient")
-                    for k in range(8)
-                ]
-            )
-        )
-        handle = repro.launch(64, axpy, 1.0, np.zeros(64), np.ones(64), sync=False)
-        with pytest.raises(LaunchTimeoutError) as ei:
-            repro.synchronize()
-        assert ei.value.kernel == "axpy"
-        assert ei.value.timeout == 0.05
-        stats = global_fault_stats()
-        assert stats["watchdog_timeouts"] >= 1
-        handle.wait()  # let the straggler finish cleanly (8 retries later)
-
-
 class TestStructuredDeviceErrors:
     def test_transient_and_permanent_flags(self):
         assert TransientDeviceError(device_id="d0", operation="launch").transient
@@ -679,7 +609,6 @@ class TestBenchIntegration:
             "retries",
             "retry_exhausted",
             "failovers",
-            "watchdog_timeouts",
             "checkpoint_saves",
             "checkpoint_restores",
         ):

@@ -135,21 +135,45 @@ class TestCapture:
         with pytest.raises(GraphError, match="invalidated"):
             inst.replay()
 
-    def test_async_replay_returns_single_handle(self):
-        repro.set_backend("threads")
+    def test_capture_across_backends_is_refused(self):
+        # A set_backend inside the capture is not a failover: replay would
+        # take it for one, run once, then refuse "(backend demoted)".  A
+        # graph replays on the backend it was recorded on.
+        repro.set_backend("serial")
         ctx = current_context()
-        x, y = repro.array(np.zeros(64)), repro.array(np.ones(64))
+        x = repro.array(np.ones(8))
         with ctx.capture() as cap:
-            parallel_for(64, axpy, 2.0, x, y)
-            parallel_reduce(64, dot, x, y)
-        inst = cap.graph("t").instantiate(
-            ctx, return_convention=("single", 1)
+            for _ in range(3):
+                parallel_for(8, scale, 2.0, x)
+            repro.set_backend("threads")
+            parallel_for(8, scale, 2.0, x)
+        with pytest.raises(GraphError, match="'serial' and 'threads'"):
+            cap.graph("t").instantiate(ctx)
+        with ctx.capture() as cap:
+            parallel_for(8, scale, 2.0, x)
+        repro.set_backend("serial")  # between the capture and instantiate
+        inst = cap.graph("t").instantiate(ctx)
+        inst.replay()
+        inst.replay()
+        assert inst.valid and np.all(repro.to_host(x) == 2.0**7)
+
+    def test_capture_time_failover_replays_once_then_invalidates(self):
+        repro.set_backend("threads")
+        repro.set_launch_policy(FAST)
+        repro.set_fault_plan(
+            FaultPlan(scheduled=[InjectedFault("threads.chunk", 1, "permanent")])
         )
-        handle = inst.replay(sync=False)
-        assert handle.plan.construct == "graph"
-        got = handle.result()
-        host = repro.to_host(x)
-        assert got == pytest.approx(float(np.dot(host, np.ones(64))))
+        ctx = current_context()
+        x, y = np.zeros(64), np.ones(64)
+        with ctx.capture() as cap:
+            parallel_for(64, axpy, 1.0, x, y)
+            parallel_for(64, axpy, 1.0, x, y)  # fails over to serial
+        graph = cap.graph("t")
+        assert graph.nodes[0].plan.backend is not graph.nodes[1].plan.backend
+        inst = graph.instantiate(ctx, fuse=False)
+        inst.replay()
+        np.testing.assert_array_equal(x, 4.0)
+        assert not inst.valid
 
     def test_value_specialized_slot_recompiles_on_change(self):
         # loop bound baked into the trace: rebinding it must recompile,
@@ -290,6 +314,22 @@ class TestGraphRegion:
         for _ in range(3):
             region.run((id(x),), lambda: parallel_for(16, scale, 2.0, x))
         assert np.allclose(repro.to_host(x), 8.0)
+        assert region.stats()["graphs"] == 0
+
+    def test_region_body_switching_backends_is_uncaptureable(self):
+        repro.set_backend("serial")
+        region = GraphRegion("t.switch")
+        x = repro.array(np.ones(16))
+
+        def body():
+            repro.set_backend("serial")
+            parallel_for(16, scale, 2.0, x)
+            repro.set_backend("threads")
+            parallel_for(16, scale, 2.0, x)
+
+        for _ in range(3):
+            region.run((id(x),), body)
+        assert np.allclose(repro.to_host(x), 64.0)
         assert region.stats()["graphs"] == 0
 
     def test_region_inside_capture_degrades_to_direct(self):

@@ -204,7 +204,7 @@ class TestPublicShapes:
             (
                 "probes", "transients_injected", "permanents_injected",
                 "retries", "retry_exhausted", "failovers", "kills",
-                "watchdog_timeouts", "checkpoint_saves", "checkpoint_restores",
+                "checkpoint_saves", "checkpoint_restores",
             ),
             "int",
         )

@@ -215,7 +215,6 @@ class TestGuardFreePath:
         assert set(writes.__all__) == {
             "note_writes",
             "versions_of",
-            "hazards",
             "reset",
         }
 

@@ -5,7 +5,7 @@ Covers the three new analysis layers and their enforcement surface:
 * :mod:`repro.ir.shapes` — the NEP-50 symbolic shape/dtype lattice that
   certifies ``out=``-fusion beyond float64;
 * :mod:`repro.ir.effects` — per-plan memory-effects summaries and the
-  cross-launch hazard analyses (V601/V602/V603);
+  cross-launch hazard analyses (V602/V603);
 * :mod:`repro.ir.validate` — the translation validator that re-derives
   every applied pass rewrite from effects summaries alone (V610), plus
   the static reduce-operator checker (V311/V312).
@@ -15,7 +15,6 @@ pipeline applies on the CG, HPCCG, LBM and LBM3D bodies with zero
 spurious rejections under ``error`` mode — runs the real solvers.
 """
 
-import threading
 import warnings
 
 import numpy as np
@@ -28,7 +27,6 @@ from repro.apps.lbm import LBM
 from repro.apps.lbm3d import LBM3D
 from repro.core.context import current_context
 from repro.core.exceptions import (
-    KernelVerificationError,
     PreferencesError,
     TranslationValidationError,
 )
@@ -375,64 +373,6 @@ class TestValidatorRejectsUnsound:
 
 
 # ---------------------------------------------------------------------------
-# V601: cross-launch async races
-# ---------------------------------------------------------------------------
-
-
-class TestAsyncRaceV601:
-    def _blocked_stream(self):
-        """Occupy the single stream worker so launches stay pending."""
-        ctx = current_context()
-        gate = threading.Event()
-        ctx.submit(lambda: gate.wait())
-        return ctx, gate
-
-    def test_warn_mode_warns_on_dependent_async_launches(self):
-        repro.set_verify_mode("warn")  # whatever PYACC_VERIFY says
-        repro.set_backend("threads")
-        ctx, gate = self._blocked_stream()
-        try:
-            x = repro.array(np.zeros(64))
-            repro.launch(64, fill, x, 1.0, sync=False)
-            with pytest.warns(KernelVerificationWarning, match="V601"):
-                repro.launch(64, fill, x, 2.0, sync=False)
-        finally:
-            gate.set()
-            ctx.drain()
-        assert np.allclose(repro.to_host(x), 2.0)
-
-    def test_error_mode_raises(self):
-        repro.set_backend("threads")
-        ctx, gate = self._blocked_stream()
-        try:
-            x = repro.array(np.zeros(64))
-            repro.launch(64, fill, x, 1.0, sync=False)
-            with repro.verify_mode("error"):
-                with pytest.raises(KernelVerificationError) as ei:
-                    repro.launch(64, fill, x, 2.0, sync=False)
-            assert any(d.rule == "V601" for d in ei.value.diagnostics)
-        finally:
-            gate.set()
-            ctx.drain()
-
-    def test_independent_async_launches_are_silent(self):
-        repro.set_backend("threads")
-        ctx, gate = self._blocked_stream()
-        try:
-            x = repro.array(np.zeros(64))
-            y = repro.array(np.zeros(64))
-            repro.launch(64, fill, x, 1.0, sync=False)
-            with warnings.catch_warnings():
-                warnings.simplefilter(
-                    "error", KernelVerificationWarning
-                )
-                repro.launch(64, fill, y, 1.0, sync=False)
-        finally:
-            gate.set()
-            ctx.drain()
-
-
-# ---------------------------------------------------------------------------
 # V602 / V603: program-level hazards
 # ---------------------------------------------------------------------------
 
@@ -576,8 +516,7 @@ class TestCountersAndModes:
             set_validate_mode("loud")
 
     def test_catalog_covers_new_rules_with_examples(self):
-        for rule in ("V311", "V312", "V501", "V601", "V602", "V603",
-                     "V610"):
+        for rule in ("V311", "V312", "V501", "V602", "V603", "V610"):
             assert rule in RULES
             assert rule in RULE_EXAMPLES
 

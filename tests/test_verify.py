@@ -364,8 +364,8 @@ class TestEnforcement:
 
         with verify_mode("warn"), warnings.catch_warnings():
             warnings.simplefilter("ignore", KernelVerificationWarning)
-            handle = repro.launch(8, racy_plan, np.zeros(9))
-        assert any(d.rule == "V102" for d in handle.plan.diagnostics)
+            plan = repro.launch(8, racy_plan, np.zeros(9))
+        assert any(d.rule == "V102" for d in plan.diagnostics)
 
     def test_set_verify_mode_validates(self):
         with pytest.raises(ValueError):
@@ -421,8 +421,8 @@ class TestSuppressionAndSurfaces:
 
         with verify_mode("warn"), warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            handle = repro.launch(4, untraceable, np.ones(4))
-        diags = handle.plan.diagnostics
+            plan = repro.launch(4, untraceable, np.ones(4))
+        diags = plan.diagnostics
         assert [d.rule for d in diags] == ["V901"]
         assert diags[0].severity == "info"
 

@@ -207,8 +207,13 @@ def _run(steps: list) -> dict:
                         graph = cap.graph()
                         nodes.append([node.plan.label for node in graph.nodes])
                         if graph.nodes:
-                            inst = graph.instantiate(ctx, fuse=False)
-                            results.append(_attempt(inst.replay))
+                            try:
+                                inst = graph.instantiate(ctx, fuse=False)
+                            except GraphError as exc:  # spans a backend switch
+                                inst = None
+                                results.append(str(exc))
+                            else:
+                                results.append(_attempt(inst.replay))
                         cap = None
                     continue
                 _, kernel, m, s = step
@@ -235,11 +240,11 @@ def _run(steps: list) -> dict:
 
 
 def _attempt(fn, *args):
-    """``fn(*args)``, or the error a refused launch, an exhausted retry
-    or a replay of a graph captured across a backend switch raised."""
+    """``fn(*args)``, or the error a refused launch or an exhausted
+    retry raised."""
     try:
         return fn(*args)
-    except (GraphError, KernelVerificationError, TransientDeviceError) as exc:
+    except (KernelVerificationError, TransientDeviceError) as exc:
         return type(exc).__name__, str(exc)
 
 
