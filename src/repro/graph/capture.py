@@ -1080,7 +1080,7 @@ class InstantiatedGraph:
     def _replay(self, slots: dict):
         ctx = self.ctx
         results: list[Any] = []
-        demoted = None
+        demoted, stale = None, False
         for node in self.nodes:
             plan = node.plan
             epoch = self.backend.schedule_epoch()
@@ -1134,18 +1134,22 @@ class InstantiatedGraph:
             if demoted is not None:
                 plan.backend = demoted
                 demoted.stage(plan)
+            own = plan.backend
             _execute(plan, ctx)
-            if plan.backend is not (demoted or self.backend):
+            if plan.backend is not own:
                 # The launch policy failed this node over permanently.
                 # Finish the replay on the fallback, then invalidate.
                 demoted = plan.backend
+            # A node staged before a capture-time failover runs on its
+            # own backend; the graph is invalidated after this replay.
+            stale = stale or plan.backend is not self.backend
             results.append(plan.result)
 
         self.replays += 1
         bump = _pkg()._bump
         bump("replays")
         bump("nodes_replayed", len(self.nodes))
-        if demoted is not None:
+        if demoted is not None or stale:
             self.invalidate()
 
         kind = self.return_convention[0]

@@ -103,7 +103,8 @@ small unit's compile; the instructions are those the headers gave
 (``tests/test_native_prelude.py`` compares the assembly).  Besides the
 kernels there is one fixed unit, :data:`_RUNTIME_SOURCE`: the add-fold,
 its self-check and the loop driver of :mod:`repro.graph.loop`, compiled
-once per host and loaded once per process.
+once per host (on the worker, like a kernel unit: see Tiering) and
+loaded once per process.
 
 Run-time pre-flight declines (see :class:`NativeKernel`) re-check the
 assumptions the C code bakes in — dtype/rank/contiguity, identity-access
@@ -122,7 +123,10 @@ launch's lane count — a launch of at most one tile
 (:data:`~repro.ir.vectorizer.TILE_LANES` lanes) declines ``pending`` at
 the end of the pre-flight and runs the codegen program, the same bits
 by the contract above; a larger launch waits for the unit, even when
-its chunks are smaller.
+its chunks are smaller.  The runtime unit is queued too, ahead of
+the first reduce kernel's unit (:func:`fold_in_c`), and a reduce kernel
+binds the fold when its entry point installs, by FIFO order after the
+runtime unit is built.
 """
 
 from __future__ import annotations
@@ -1280,7 +1284,11 @@ class NativeKernel:
         self._lane_apart = spec.get("lane_apart", False)
         self._lane_memo: dict = {}
         self._trace = trace
-        self._fn, self._entry, self._unit = None, 0, None
+        self._fn, self._entry, self._unit, self._c_fold = None, 0, None, 0
+        # A reduce kernel queues the runtime unit ahead of its own, and
+        # binds the fold now if it is decided, else in ``_install``.
+        if self.has_result and fold_in_c(_defer=True) is not None:
+            self._bind_fold()
         got = compile_source(self.source, _defer=_defer)
         if isinstance(got, _Unit):
             self._unit = got
@@ -1321,15 +1329,10 @@ class NativeKernel:
         )
         self._pack = struct.Struct(f"{n_words}q{len(self._fscalar)}d").pack
         self._n_words = n_words
-        # Add-reduces fold in C (``_c_fold``: the shared fold's address)
-        # unless this host's NumPy sums in another order, see fold_in_c.
         # ``_slots`` recycles the partials' out buffers: pop/append are
         # atomic, so pool threads running chunks of one kernel never
         # share a slot and a call allocates nothing.
-        self._c_fold = fold_in_c() if self.has_result else 0
         self._slots: list = []
-        if self._c_fold:
-            record_c_fold()
 
     # -- pre-flight --------------------------------------------------------
     def preflight(self, domain: IndexDomain, args: Sequence[Any]) -> list:
@@ -1425,10 +1428,22 @@ class NativeKernel:
         self._install(unit.lib.pyacc_kernel)
 
     def _install(self, fn) -> None:
-        """Set the entry point — its address before the function, whose
-        presence is what a pool thread tests."""
+        """Bind a reduce kernel's fold, then set the entry point — its
+        address before the function, whose presence is what a pool
+        thread tests."""
+        if self.has_result:
+            self._bind_fold()
         self._entry = ctypes.cast(fn, ctypes.c_void_p).value
         self._fn = fn
+
+    def _bind_fold(self) -> None:
+        """Add-reduces fold in C (``_c_fold``: the shared fold's
+        address, counted once per kernel) unless this host's NumPy sums
+        in another order, see :func:`fold_in_c`."""
+        fold = fold_in_c()
+        if fold and not self._c_fold:
+            self._c_fold = fold
+            record_c_fold()
 
     def _check_lanes(self, ranges, shapes: list, args: Sequence[Any]) -> None:
         """Decline ``lanes`` unless this call's lanes are proven
@@ -1578,8 +1593,11 @@ class NativeKernel:
     def leases_lanes(self, op: str) -> bool:
         """Whether an ``op`` reduce leases a float64 lane buffer per tile
         from the arena (:meth:`_fold_lanes`): every op but an ``add``
-        folded in C.  Graph builds reserve the buffer only when true."""
-        return op != "add" or not self._c_fold
+        folded in C.  Graph builds reserve the buffer only when true.
+        Before the kernel installs, its fold is the process's answer, C
+        while undecided: a build meanwhile keys what a warm one does."""
+        fold = self._c_fold if self._fn is not None else _FOLD
+        return op != "add" or fold == 0  # None, or the unit in flight: C
 
     def _fold_lanes(self, tile: IndexDomain, words: list, op: str, arena) -> float:
         """One tile through the lane buffer: per-lane values land in an
@@ -1599,15 +1617,16 @@ class NativeKernel:
         )
 
 
-#: :func:`fold_in_c`'s answer for this process (``None``: not yet asked).
-_FOLD: Optional[int] = None
+#: :func:`fold_in_c`'s answer for this process: ``None`` not yet asked,
+#: the runtime unit (``nativecache._Unit``) while the worker builds it.
+_FOLD: Any = None
 
 
 def _fold_reference(values: np.ndarray) -> float:
     return float(values.sum())
 
 
-def fold_in_c() -> int:
+def fold_in_c(_defer: bool = False) -> Optional[int]:
     """Address of the shared C add-fold (:data:`_FOLD_SOURCE`, in the
     runtime unit :data:`_RUNTIME_SOURCE`), or 0
     when add-reduces must not use it here.  The fold transcribes NumPy's
@@ -1615,26 +1634,45 @@ def fold_in_c() -> int:
     process it is run against ``ndarray.sum()`` on fixed vectors (both
     leaf shapes, two split levels, all ``-0.0``).  A mismatch — or a
     check that cannot run — records one ``fold`` decline and every
-    add-reduce keeps the lane-buffer path."""
+    add-reduce keeps the lane-buffer path.  With ``_defer`` (a reduce
+    kernel being built) a cold runtime unit goes to the worker like a
+    kernel unit, its failure recorded as ``fold``, and the answer is
+    ``None`` until it is built — as it is without a compiler, which the
+    kernel's own compile declines."""
     global _FOLD
-    if _FOLD is None:
-        k = np.array(range(1101), dtype=np.float64)
-        v = (k * 0.7 - 300.1) * 10.0 ** (k % 17 - 8)
-        addr = ctypes.c_int64()
+    got = _FOLD
+    if got is None:
         try:
-            check = compile_source(_RUNTIME_SOURCE, "pyacc_fold_check")
-            check.restype = ctypes.c_double
-            check.argtypes = [ctypes.c_void_p, ctypes.c_int64, ctypes.c_void_p]
-            ok = all(
-                struct.pack("d", check(_data_ptr(vec), vec.size, ctypes.byref(addr)))
-                == struct.pack("d", _fold_reference(vec))
-                for vec in (v, v[:100], v[:7], np.full(9, -0.0))
-            )
-        except NativeCompileError:  # no verdict is a failed check
-            ok = False
-        if not ok:
-            record_decline("fold")
-        _FOLD = addr.value if ok else 0
+            got = compile_source(_RUNTIME_SOURCE, "pyacc_fold_check", _defer and "fold")
+        except NativeCompileError:
+            if _defer:
+                return None
+    if isinstance(got, _Unit):
+        _FOLD = got
+        if not got.done:
+            if _defer:
+                return None
+            wait_compiles((got,))
+        # A unit that failed recorded its ``fold`` decline then.
+        got = 0 if got.lib is None else got.lib.pyacc_fold_check
+    if isinstance(got, int):
+        _FOLD = got
+        return got
+    k = np.array(range(1101), dtype=np.float64)
+    v = (k * 0.7 - 300.1) * 10.0 ** (k % 17 - 8)
+    addr = ctypes.c_int64()
+    ok = got is not None  # no verdict is a failed check
+    if ok:
+        got.restype = ctypes.c_double
+        got.argtypes = [ctypes.c_void_p, ctypes.c_int64, ctypes.c_void_p]
+        ok = all(
+            struct.pack("d", got(_data_ptr(vec), vec.size, ctypes.byref(addr)))
+            == struct.pack("d", _fold_reference(vec))
+            for vec in (v, v[:100], v[:7], np.full(9, -0.0))
+        )
+    if not ok:
+        record_decline("fold")
+    _FOLD = addr.value if ok else 0
     return _FOLD
 
 
@@ -1708,9 +1746,12 @@ _LOOP: Any = None
 def loop_driver():
     """The loop driver's ctypes entry in the runtime unit
     (:data:`_RUNTIME_SOURCE`) — or ``None`` when it cannot be built
-    here.  A failed fold self-check leaves it usable."""
+    here, or not yet: the worker still builds the unit.  A failed fold
+    self-check leaves it usable."""
     global _LOOP
     if _LOOP is None:
+        if fold_in_c(_defer=True) is None:
+            return None
         try:
             _LOOP = compile_source(_RUNTIME_SOURCE, "pyacc_loop")
         except NativeCompileError:

@@ -404,7 +404,7 @@ def _native_loops_report(ck: CompiledKernel, args) -> str:
     if nk.has_result:
         add = (
             "C pairwise sum, one partial per tile, no lane buffer"
-            if nk._c_fold
+            if not nk.leases_lanes("add")
             else "NumPy over a tile-sized lane buffer (`fold` declined: the "
             "C sum's self-check against ndarray.sum() failed on this host)"
         )

@@ -43,7 +43,9 @@ in FIFO order.  :func:`compile_source` waits for it (its contract is
 synchronous); a kernel built by ``compile_kernel`` or fusion asks for
 the deferred path instead, gets the in-flight :class:`_Unit` back and
 runs its codegen program on launches of at most one tile while ``cc``
-runs (:class:`repro.ir.cgen.NativeKernel`).  The compiler and the cache
+runs (:class:`repro.ir.cgen.NativeKernel`).  So does the runtime unit
+(:func:`repro.ir.cgen.fold_in_c`), whose failure records ``fold``: no
+first result waits for it.  The compiler and the cache
 directory are resolved at submission; in-flight units are deduplicated
 by source key, and every wait — :func:`wait_compiles` (called by
 ``repro.synchronize()``), :func:`reset_state`, interpreter exit, the
@@ -372,7 +374,7 @@ class _Unit:
 
     __slots__ = ("key", "source", "symbol", "cc", "cdir", "deferred", "lib", "reason", "detail")
 
-    def __init__(self, key: str, source: str, symbol: str, cc: str, cdir: Path, deferred: bool):
+    def __init__(self, key: str, source: str, symbol: str, cc: str, cdir: Path, deferred: bool | str):
         self.key, self.source, self.symbol = key, source, symbol
         self.cc, self.cdir, self.deferred = cc, cdir, deferred
         self.lib = self.reason = self.detail = None
@@ -412,7 +414,7 @@ def _work() -> None:
             # A unit a synchronous caller joined is no longer deferred:
             # that caller records its failure (NativeCompileError).
             if unit.reason is not None and unit.deferred:
-                record_decline(unit.reason)
+                record_decline(unit.reason if unit.deferred is True else unit.deferred)
             _COND.notify_all()
 
 
@@ -425,7 +427,7 @@ def _start() -> None:
         _WORKER.start()
 
 
-def _submit(key: str, source: str, symbol: str, cc: str, cdir: Path, deferred: bool) -> _Unit:
+def _submit(key: str, source: str, symbol: str, cc: str, cdir: Path, deferred: bool | str) -> _Unit:
     """The in-flight unit of ``key``, submitting it if there is none —
     or a built one, when the worker loaded it since the caller looked.
     A synchronous request that joins a queued deferred unit moves it to
@@ -483,7 +485,7 @@ os.register_at_fork(after_in_child=_after_fork)
 atexit.register(wait_compiles)
 
 
-def compile_source(source: str, symbol: str = "pyacc_kernel", _defer: bool = False):
+def compile_source(source: str, symbol: str = "pyacc_kernel", _defer: bool | str = False):
     """Source → loaded ctypes function ``symbol`` (a kernel's entry
     point; the caller declares the signature of any other symbol).
 
@@ -496,7 +498,9 @@ def compile_source(source: str, symbol: str = "pyacc_kernel", _defer: bool = Fal
     link/load-time decline slot).  Raises with ``"cc-missing"`` when no
     compiler resolves *and* no cached artifact exists.  With ``_defer``
     a unit that must be compiled is not waited for: its :class:`_Unit`
-    is returned instead.
+    is returned instead, and its failure is recorded as its reason — or
+    as ``_defer``, when that is a decline token (the runtime unit's
+    ``fold``).
     """
     cc = resolve_cc()
     cdir = cache_dir()

@@ -17,12 +17,14 @@ nothing: each unit loads from disk.
 The tier's two pins (kernel units compile on a worker thread while
 launches of at most one tile run codegen):
 
-* a cold solve blocks its thread on ``cc`` for the runtime unit alone —
-  every kernel unit compiles off the launch path;
-* a cold launch larger than one tile waits for its unit and leases no
-  codegen scratch, whose whole-domain temporaries are what the rule
+* a cold solve blocks its thread on ``cc`` for no unit — every kernel
+  unit and the runtime unit compile off the launch path;
+* a cold launch larger than one tile waits for its own unit and leases
+  no codegen scratch, whose whole-domain temporaries are what the rule
   keeps out of peak memory — on ``serial`` and when ``threads`` splits
-  it into chunks of less than one tile each.
+  it into chunks of less than one tile each.  A reduce finds the
+  runtime unit, ahead of its own in the worker's FIFO, built: it binds
+  the C fold and leases no lane buffer either.
 """
 
 import os
@@ -106,9 +108,9 @@ def blocked(monkeypatch):
 
 
 @pytest.mark.parametrize("solve", [_cg, _hpccg], ids=["cg", "hpccg"])
-def test_a_cold_solve_waits_on_cc_for_the_runtime_unit_only(cold, blocked, solve):
+def test_a_cold_solve_waits_on_no_unit(cold, blocked, solve):
     solve()
-    assert [u.source for u in blocked] == [cgen._RUNTIME_SOURCE]
+    assert blocked == []
     repro.synchronize()
     stats = nativecache.native_stats()
     assert stats["compiled"] == 8 and stats["declined"] == {}
@@ -136,3 +138,28 @@ def test_a_cold_launch_past_one_tile_waits_and_leases_no_scratch(cold, blocked, 
     assert len({id(u) for u in blocked}) == 1
     assert nativecache.native_stats()["pending"] == 0
     assert repro.to_host(x).tolist() == [7.0] * n
+
+
+def _dot(i, x, y):
+    return x[i] * y[i]
+
+
+@pytest.mark.parametrize("width", [1, 4], ids=["serial", "threads4"])
+def test_a_cold_reduce_past_one_tile_waits_for_its_own_unit_and_folds_in_c(
+    cold, blocked, width
+):
+    backend = "serial" if width == 1 else ThreadsBackend(width, min_parallel_size=1)
+    n = 2 * TILE_LANES
+    x, y = repro.array(np.ones(n)), repro.array(np.full(n, 2.0))
+    before = global_stats()["bytes_allocated"]
+    try:
+        with repro.use_backend(backend):
+            plan = repro.launch(n, _dot, x, y, reduce=True)
+    finally:
+        if width > 1:
+            backend.close()
+    assert global_stats()["bytes_allocated"] == before
+    assert {u.source for u in blocked} == {plan.kernel.native.source}
+    assert plan.kernel.native._c_fold
+    assert nativecache.native_stats()["pending"] == 0
+    assert plan.result == 2.0 * n

@@ -175,6 +175,30 @@ class TestCapture:
         np.testing.assert_array_equal(x, 4.0)
         assert not inst.valid
 
+    def test_capture_time_failover_replays_each_node_on_its_own_backend(self):
+        # The replay after a capture-time failover runs node 0 on the
+        # backend it was staged on and node 1 on the fallback — never
+        # node 1 back on the backend that failed it.
+        repro.set_backend("threads")
+        repro.set_launch_policy(FAST)
+        repro.set_fault_plan(
+            FaultPlan(scheduled=[InjectedFault("threads.chunk", 1, "permanent")])
+        )
+        ctx = current_context()
+        x, y = np.zeros(64), np.ones(64)
+        with ctx.capture() as cap:
+            parallel_for(64, axpy, 1.0, x, y)
+            parallel_for(64, axpy, 1.0, x, y)  # fails over to serial
+        graph = cap.graph("t")
+        inst = graph.instantiate(ctx, fuse=False)
+        backends = [node.plan.backend for node in inst.nodes]
+        launches = [b.accounting.n_kernel_launches for b in backends]
+        inst.replay()
+        assert [node.plan.backend.name for node in inst.nodes] == ["threads", "serial"]
+        assert [b.accounting.n_kernel_launches - n for b, n in zip(backends, launches)] == [1, 1]
+        np.testing.assert_array_equal(x, 4.0)
+        assert not inst.valid
+
     def test_value_specialized_slot_recompiles_on_change(self):
         # loop bound baked into the trace: rebinding it must recompile,
         # not silently reuse the stale specialization.

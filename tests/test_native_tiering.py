@@ -12,7 +12,11 @@ a sweep-style digest of them and the ``declined`` counts must agree, and
 ``pending`` moves in the held leg alone.  Cases: random SPD CG solves
 (``tests.test_graph_loop.spd_system``), HPCCG 6³, LBM 32² and Heat3D 8³,
 each on ``serial`` and ``threads``, and a ``threads`` launch of 2^15
-lanes whose two chunks straddle the switch.  The tier-1 slice is
+lanes whose two chunks straddle the switch.  The runtime unit (the C
+add-fold and the loop driver) is one of the held units: every case
+starts with it unbuilt, so a reduce's fold is undecided until its own
+unit installs, and a cold loop declines ``compiling`` (never outside a
+held leg).  The tier-1 slice is
 :data:`SEEDS`; a longer sweep of random SPD solves and ``k``::
 
     PYTHONPATH=src python -m tests.test_native_tiering --seeds 200
@@ -26,6 +30,7 @@ import sys
 import tempfile
 import threading
 import time
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -33,10 +38,12 @@ import pytest
 
 import repro
 from repro import faults
-from repro.apps import heat3d, hpccg, lbm
+from repro.apps import cg, heat3d, hpccg, lbm
 from repro.backends.threads import ThreadsBackend
+from repro.graph import graph_stats
+from repro.graph.capture import _Structure
 from repro.ir import cgen, nativecache
-from repro.ir.compile import clear_cache, compile_kernel, set_executor_mode
+from repro.ir.compile import clear_cache, compile_kernel, resolve_cache, set_executor_mode
 from repro.ir.vectorizer import TILE_LANES, IndexDomain
 
 from .test_graph_loop import spd_system
@@ -80,9 +87,6 @@ def held(k: int):
             release()
         return settle(self, lanes)
 
-    # The runtime unit is built synchronously: build it before holding.
-    cgen.fold_in_c()
-    cgen.loop_driver()
     with mock.patch.object(nativecache, "_build", gated_build), mock.patch.object(
         cgen.NativeKernel, "preflight", counting_preflight
     ), mock.patch.object(cgen.NativeKernel, "settle", releasing_settle):
@@ -95,16 +99,20 @@ def held(k: int):
 
 @contextlib.contextmanager
 def cold():
-    """Empty artifact and compile caches, no kernel or handle in memory."""
+    """Empty artifact and compile caches, no kernel or handle in memory,
+    and the runtime unit not asked for; yields the directory both caches
+    live in."""
     saved = {k: os.environ.get(k) for k in (nativecache.CACHE_ENV, "PYACC_COMPILE_CACHE")}
-    with tempfile.TemporaryDirectory(prefix="pyacc-tiering-") as tmp:
+    with tempfile.TemporaryDirectory(prefix="pyacc-tiering-") as tmp, mock.patch.object(
+        cgen, "_FOLD", None
+    ), mock.patch.object(cgen, "_LOOP", None):
         os.environ[nativecache.CACHE_ENV] = os.path.join(tmp, "native")
         os.environ["PYACC_COMPILE_CACHE"] = os.path.join(tmp, "compile")
         set_executor_mode("native")
         clear_cache()
         nativecache.reset_state(drop_counters=False)
         try:
-            yield
+            yield tmp
         finally:
             nativecache.wait_compiles()
             for key, value in saved.items():
@@ -159,18 +167,21 @@ def _digest(arrays: list) -> str:
 
 def _leg(run, backend: str) -> tuple:
     """``run()`` on ``backend``: its result bits, their digest, and what
-    moved in ``pending`` and ``declined``."""
+    moved in ``pending``, ``declined`` and the loop's ``compiling``
+    declines."""
     before = nativecache.native_stats()
+    compiling = graph_stats()["loop"]["declined"].get("compiling", 0)
     with repro.use_backend(backend):
         arrays = run()
     after = nativecache.native_stats()
+    compiling = graph_stats()["loop"]["declined"].get("compiling", 0) - compiling
     declined = {
         r: n - before["declined"].get(r, 0)
         for r, n in after["declined"].items()
         if n != before["declined"].get(r, 0)
     }
     bits = [np.asarray(a).tobytes() for a in arrays]
-    return bits, _digest(arrays), after["pending"] - before["pending"], declined
+    return bits, _digest(arrays), after["pending"] - before["pending"], declined, compiling
 
 
 def check(run, backend: str, k: int) -> int:
@@ -180,11 +191,11 @@ def check(run, backend: str, k: int) -> int:
         faults.refresh_gate()
     with cold():
         with held(k):
-            bits, digest, pending, declined = _leg(run, backend)
+            bits, digest, pending, declined, _ = _leg(run, backend)
         native = _leg(run, backend)
     assert native[:2] == (bits, digest)
     assert native[3] == declined
-    assert native[2] == 0
+    assert native[2] == native[4] == 0
     return pending
 
 
@@ -229,6 +240,95 @@ def test_two_chunks_straddle_the_switch(construct):
         assert check(run, backend, k=1) == 1
     finally:
         backend.close()
+
+
+def _dot_case():
+    rng = np.random.default_rng(9)
+    x, y = (repro.array(rng.standard_normal(3000)) for _ in range(2))
+    return [np.float64(repro.parallel_reduce(3000, _dot, x, y))]
+
+
+def _cg():
+    lower, diag, upper, b = cg.tridiagonal_system(256)
+    return _solved(cg.cg_solve(lower, diag, upper, b, max_iter=4))
+
+
+RUNTIME_CASES = {"dot": _dot_case, "cg": _cg, "hpccg": _hpccg}
+
+
+def _stored(compile_dir: str) -> tuple:
+    """What the graph builds stored: the programs on disk, each
+    structure's arena reservation, and every reduce kernel's native
+    rung (structures hold the fused ones)."""
+    cache = resolve_cache()
+    structures = [s for s in cache.structures.values() if isinstance(s, _Structure)]
+    kernels = list(cache.entries.values()) + [
+        t.plan.kernel for s in structures for t in s.nodes
+    ]
+    programs = sorted(p.name for p in Path(compile_dir).rglob("g*.pkl"))
+    reserves = sorted(repr(s.reserve) for s in structures)
+    natives = {id(k.native): k.native for k in kernels if k.native and k.native.has_result}
+    return programs, reserves, list(natives.values())
+
+
+def _graph_counts(stats=None, path=()) -> dict:
+    """``graph_stats()`` flattened to its counters, but the loop's: the
+    held leg declines ``compiling`` where a warm one drives."""
+    stats = graph_stats() if stats is None else stats
+    flat = {}
+    for name, value in stats.items():
+        if isinstance(value, dict) and name != "loop":
+            flat.update(_graph_counts(value, path + (name,)))
+        elif isinstance(value, int):
+            flat[path + (name,)] = value
+    return flat
+
+
+def _moved(before: dict, after: dict) -> dict:
+    return {name: n - before.get(name, 0) for name, n in after.items() if n != before.get(name, 0)}
+
+
+@pytest.mark.parametrize("backend", ["serial", "threads"])
+@pytest.mark.parametrize("case", RUNTIME_CASES)
+@pytest.mark.parametrize("k", [0, 1, 3])
+def test_a_held_runtime_unit_is_bitwise_the_native_run_and_a_warm_build(k, case, backend):
+    """The runtime unit held with the kernel units: the held leg is
+    bitwise the native leg; afterwards every reduce kernel folds in C and
+    a solve is one driver call; and the held leg's graph builds stored
+    what a warm build (every unit on disk, the fold decided before any
+    kernel) stores."""
+    if not os.environ.get("PYACC_FAULTS"):
+        faults.refresh_gate()
+    run = RUNTIME_CASES[case]
+    with cold() as tmp:
+        counts = _graph_counts()
+        with held(k):
+            held_leg = _leg(run, backend)
+        counts = _moved(counts, _graph_counts())
+        programs, reserves, natives = _stored(os.path.join(tmp, "compile"))
+        repro.synchronize()
+        assert natives and all(n.leases_lanes("add") is False for n in natives)
+        calls = graph_stats()["loop"]["calls"]
+        native = _leg(run, backend)
+        assert native[:2] == held_leg[:2] and native[3] == held_leg[3]
+        assert native[2] == native[4] == 0
+        if case != "dot":
+            assert graph_stats()["loop"]["calls"] == calls + 1
+        natives = _stored(os.path.join(tmp, "compile"))[2]
+        assert all(n.leases_lanes("add") is False for n in natives)
+        # A warm build: the units load from disk, the graphs build anew.
+        os.environ["PYACC_COMPILE_CACHE"] = os.path.join(tmp, "warm")
+        clear_cache()
+        nativecache.reset_state(drop_counters=False)
+        with mock.patch.object(cgen, "_FOLD", None), mock.patch.object(cgen, "_LOOP", None):
+            warm_counts = _graph_counts()
+            compiled = nativecache.native_stats()["compiled"]
+            warm = _leg(run, backend)
+            warm_counts = _moved(warm_counts, _graph_counts())
+            assert nativecache.native_stats()["compiled"] == compiled
+            assert warm[:2] == held_leg[:2] and warm[2] == warm[4] == 0
+            assert _stored(os.path.join(tmp, "warm"))[:2] == (programs, reserves)
+    assert counts == warm_counts
 
 
 # ---------------------------------------------------------------------------
