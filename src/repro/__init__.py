@@ -89,7 +89,6 @@ from .ir import (
     validate_mode,
     verify_kernel,
     verify_mode,
-    verify_reduce_op,
 )
 from . import math
 
@@ -168,6 +167,5 @@ __all__ = [
     "validate_mode",
     "verify_kernel",
     "verify_mode",
-    "verify_reduce_op",
     "zeros",
 ]

@@ -27,7 +27,8 @@ from ...core.backend import Accounting
 from ...core.exceptions import DeviceError, LaunchConfigError
 from ...core.launch import LaunchConfig, gpu_launch_config
 from ...ir.compile import CompiledKernel, compile_kernel
-from ...ir.vectorizer import IndexDomain, evaluate_values
+from ...ir.interpreter import interpret_values
+from ...ir.vectorizer import _REDUCE, IndexDomain, evaluate_values
 from ...perfmodel import PerfModel, get_profile
 from .clock import SimClock
 from .memory import DeviceArray, MemorySpace
@@ -233,6 +234,19 @@ class Device:
         )
 
     # -- the Fig. 3 two-kernel reduction, as native primitives -------------
+    def _reduce_op(self, op: str, operation: str) -> tuple:
+        """``op``'s ``(ufunc, identity)`` row of the one reduce table; the
+        vendor APIs take ``op`` from the user, so an unknown one is a
+        device error."""
+        try:
+            return _REDUCE[op]
+        except KeyError:
+            raise DeviceError(
+                f"unsupported reduction op {op!r}",
+                device_id=self.name,
+                operation=operation,
+            ) from None
+
     def map_block_partials(
         self,
         fn,
@@ -247,6 +261,7 @@ class Device:
         lane values are computed by ``fn`` and folded within each block;
         the result is a device array of ``cld(lanes, block)`` partials.
         """
+        ufunc, identity = self._reduce_op(op, "map_block_partials")
         if isinstance(dims, (int, np.integer)):
             dims = (int(dims),)
         dims = tuple(int(d) for d in dims)
@@ -277,31 +292,15 @@ class Device:
             values = evaluate_values(
                 kernel.trace, IndexDomain.full(dims), kargs
             ).reshape(-1)
-        else:  # interpreter fallback: materialize lane values scalar-ly
-            values = np.empty(lanes, dtype=np.float64)
-            flat = 0
-            import itertools
-
-            for idx in itertools.product(*(range(d) for d in dims)):
-                values[flat] = kernel.fn(*idx, *kargs)
-                flat += 1
-        boundaries = np.arange(0, lanes, block)
-        if op == "add":
-            partials = np.add.reduceat(values, boundaries)
-        elif op == "min":
-            partials = np.minimum.reduceat(values, boundaries)
-        elif op == "max":
-            partials = np.maximum.reduceat(values, boundaries)
-        else:
-            raise DeviceError(
-                f"unsupported reduction op {op!r}",
-                device_id=self.name,
-                operation="map_block_partials",
-            )
+        else:  # interpreter fallback: the oracle's lane values
+            values = interpret_values(
+                kernel.fn, IndexDomain.full(dims), kargs
+            ).reshape(-1)
+        partials = ufunc.reduceat(values, np.arange(0, lanes, block))
         self._charge_kernel(
             kernel, lanes, len(dims), getattr(fn, "__name__", "reduce") + "_partials"
         )
-        out = np.zeros(n_blocks, dtype=np.float64)
+        out = np.full(n_blocks, identity)  # an empty domain: one identity
         out[: len(partials)] = partials
         self._charge_alloc(out.nbytes, "partials")
         return DeviceArray(self, out)
@@ -310,18 +309,7 @@ class Device:
         """Second reduction kernel: fold the partials to one element."""
         _faults.probe("gpusim.fold", device_id=self.name)
         data = partials.storage(self)
-        if op == "add":
-            value = float(np.sum(data))
-        elif op == "min":
-            value = float(np.min(data))
-        elif op == "max":
-            value = float(np.max(data))
-        else:
-            raise DeviceError(
-                f"unsupported reduction op {op!r}",
-                device_id=self.name,
-                operation="fold_partials",
-            )
+        value = float(self._reduce_op(op, "fold_partials")[0].reduce(data))
         self.accounting.n_kernel_launches += 1
         self.clock.advance(
             self.profile.launch_latency

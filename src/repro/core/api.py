@@ -31,6 +31,7 @@ import numpy as np
 from .. import faults
 from ..ir import nativecache, writes
 from ..ir.compile import _fn_key, compile_kernel, executor_mode, resolve_cache
+from ..ir.vectorizer import _REDUCE
 from ..ir.verify import active_verify_mode
 from .backend import Backend, normalize_dims
 from .context import ExecutionContext, current_context, use_backend
@@ -50,9 +51,10 @@ __all__ = [
     "REDUCE_OPS",
 ]
 
-#: The reductions the portable front end accepts (paper: ``add`` only;
-#: ``min``/``max`` are the repository's documented extension).
-REDUCE_OPS = ("add", "min", "max")
+#: The reductions the portable front end accepts: the rows of the one
+#: reduce table (paper: ``add`` only; ``min``/``max`` are the
+#: repository's documented extension).
+REDUCE_OPS = tuple(_REDUCE)
 
 
 def active_backend() -> Backend:
@@ -219,7 +221,7 @@ def _validate_op(op: str) -> None:
     if op not in REDUCE_OPS:
         raise InvalidReduceOpError(
             f"unknown reduction op {op!r}; expected one of "
-            "{'add', 'min', 'max'}"
+            "{" + ", ".join(map(repr, REDUCE_OPS)) + "}"
         )
 
 

@@ -36,11 +36,7 @@ from .compile import (
 )
 from .diagnostics import Diagnostic, KernelVerificationWarning
 from .nativecache import native_stats
-from .validate import (
-    set_validate_mode,
-    validate_mode,
-    verify_reduce_op,
-)
+from .validate import set_validate_mode, validate_mode
 from .vectorizer import IndexDomain
 from .verify import (
     set_verify_mode,
@@ -84,6 +80,5 @@ __all__ = [
     "validate_mode",
     "verify_kernel",
     "verify_mode",
-    "verify_reduce_op",
     "verify_trace",
 ]

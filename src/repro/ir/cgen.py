@@ -157,7 +157,6 @@ from .shapes import Lattice, _static_identity, promote, scalar_dtype
 from .vectorizer import (
     _check_reduce,
     _fold_lanes,
-    _REDUCE_IDENTITY,
     TILE_LANES,
     IndexDomain,
     fold_partials,
@@ -1540,9 +1539,9 @@ class NativeKernel:
         SIMD order for NaN and ``-0.0`` is not ours to transcribe) and
         a host whose fold self-check failed run tile by tile through an
         arena-leased lane buffer that NumPy folds."""
-        _check_reduce(self.has_result, op)
+        identity = _check_reduce(self.has_result, op)[1]
         if domain.size == 0:
-            return _REDUCE_IDENTITY[op]
+            return identity
         words = self.preflight(domain, args)
         if not self.leases_lanes(op):
             n, table, _ = domain.tile_words

@@ -68,7 +68,6 @@ from .vectorizer import (
     _CMP_FUNCS,
     _fold_lanes,
     _gather,
-    _REDUCE_IDENTITY,
     _UN_FUNCS,
     IndexDomain,
 )
@@ -612,9 +611,9 @@ class CodegenProgram:
         op: str = "add",
         arena: Optional[ScratchArena] = None,
     ) -> float:
-        _check_reduce(self.has_result, op)
+        identity = _check_reduce(self.has_result, op)[1]
         if domain.size == 0:
-            return _REDUCE_IDENTITY[op]
+            return identity
         # The fold reads ``values`` (possibly an arena buffer) — the frame
         # is released only after the fold so no concurrent launch can
         # recycle the buffer mid-reduction.
@@ -798,9 +797,9 @@ class HoistedProgram:
         op: str = "add",
         arena: Optional[ScratchArena] = None,
     ) -> float:
-        _check_reduce(self.has_result, op)
+        identity = _check_reduce(self.has_result, op)[1]
         if domain.size == 0:
-            return _REDUCE_IDENTITY[op]
+            return identity
         pre, bufs = self._pre_for(domain, args)
         values = self._fn(args, domain, bufs, pre)
         return _fold_lanes(values, domain.shape, op)

@@ -645,9 +645,10 @@ def rebuild_kernel(payload: dict, fn: Callable):
 
     The codegen program recompiles from its stored source (an ``exec``,
     not a lowering); the native rung reloads its shared object through
-    the artifact cache and degrades to codegen if the compiler/artifact
-    is gone.  Returns ``None`` when reconstruction fails (the caller
-    treats it as a miss and rebuilds).
+    the artifact cache — a missing artifact compiles on the ``cc``
+    worker, as a cold compile's unit does — and degrades to codegen if
+    the compiler is gone.  Returns ``None`` when reconstruction fails
+    (the caller treats it as a miss and rebuilds).
     """
     from .cgen import NativeKernel
     from .codegen import CodegenProgram
@@ -668,7 +669,7 @@ def rebuild_kernel(payload: dict, fn: Callable):
         spec = payload["native"]
         if spec is not None:
             try:
-                native = NativeKernel(spec, payload["trace"])
+                native = NativeKernel(spec, payload["trace"], _defer=True)
             except NativeCompileError as exc:
                 record_decline(exc.reason)
                 mode = mode.replace("native", "codegen", 1)

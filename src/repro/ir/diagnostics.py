@@ -84,17 +84,6 @@ RULES: dict[str, tuple[str, str]] = {
         "float equality guard: branching on == / != against a float "
         "constant is fragile",
     ),
-    "V311": (
-        "error",
-        "non-associative reduce operator: the combine op fails the "
-        "associativity probe, so chunked/parallel folds diverge from "
-        "the sequential result",
-    ),
-    "V312": (
-        "error",
-        "wrong neutral element: op(neutral, x) != x for the declared "
-        "reduce identity, so empty chunks poison the fold",
-    ),
     "V501": (
         "info",
         "capture-unsafe kernel: the trace depends on the launch shape "
@@ -173,14 +162,6 @@ RULE_EXAMPLES: dict[str, str] = {
         "def k(i, x):\n"
         "    if x[i] == 0.3:   # float equality is fragile\n"
         "        x[i] = 0.0"
-    ),
-    "V311": (
-        "repro.parallel_reduce(n, lambda i, x: x[i], x,\n"
-        "                      op=lambda a, b: a - b)  # (a-b)-c != a-(b-c)"
-    ),
-    "V312": (
-        "repro.parallel_reduce(n, lambda i, x: x[i], x,\n"
-        "                      op=max_op, neutral=1.0)  # max(1.0, 0.5) != 0.5"
     ),
     "V501": (
         "def k(i, x, n):\n"

@@ -16,11 +16,7 @@ always correct.
 The same hook runs the program-level hazard analyses on the final node
 sequence — V602 (graph-level dead store spanning launches; reported to
 the user, never silently eliminated) and V603
-(reduce-into-aliased-input on a fused node) — and this module also hosts
-the V31x static reduce-operator checker (:func:`verify_reduce_op`),
-which probes a user-supplied combine op for associativity and its
-declared neutral element on exactly-representable samples, paving the
-way to opening ``REDUCE_OPS`` beyond the built-in monoids.
+(reduce-into-aliased-input on a fused node).
 
 Mode selection mirrors the kernel verifier: ``PYACC_VALIDATE`` env >
 ``validate`` preferences key > ``warn``; counters land in
@@ -30,8 +26,6 @@ Mode selection mirrors the kernel verifier: ``PYACC_VALIDATE`` env >
 from __future__ import annotations
 
 from typing import Callable, Optional
-
-import numpy as np
 
 from ..core.preferences import MODES
 from .diagnostics import Diagnostic, rule_severity
@@ -47,7 +41,6 @@ __all__ = [
     "validate_mode",
     "validate_program",
     "program_diagnostics",
-    "verify_reduce_op",
 ]
 
 
@@ -187,102 +180,4 @@ def program_diagnostics(prog) -> list:
         if summary.is_reduce:
             diags.extend(reduce_alias_hazards(summary))
     diags.extend(program_dead_stores(labeled))
-    return diags
-
-
-# ---------------------------------------------------------------------------
-# V31x: static reduce-operator checking
-# ---------------------------------------------------------------------------
-
-#: Combine ops known associative with their neutral elements — the
-#: built-in monoid table (``REDUCE_OPS``) plus their ufunc spellings.
-_KNOWN_ASSOCIATIVE = {"add", "min", "max", "mul"}
-_KNOWN_UFUNCS = {np.add, np.minimum, np.maximum, np.multiply}
-
-#: Exactly-representable probe values: sums, products, mins and maxes of
-#: these are computed without rounding, so a genuinely associative float
-#: op compares bit-equal across re-associations and the probe never
-#: reports a spurious V311.
-_SAMPLES = (0.0, 1.0, -1.5, 2.0, 0.25, -8.0, 0.5)
-
-
-def verify_reduce_op(fn, neutral=None, *, name: str = "<op>") -> list:
-    """Statically check a reduce combine op: V311 associativity, V312
-    neutral element.
-
-    ``fn`` is either a known op name (``"add"``/``"min"``/...), a known
-    ufunc, or an arbitrary binary callable; ``neutral`` is the claimed
-    identity element (``None`` skips the V312 check).  The checker
-    *probes*: it evaluates the op over triples of exactly-representable
-    samples and compares re-associations bit-for-bit — sound for every
-    op built from +, *, min, max over these values, and exactly the
-    property chunked/parallel folds rely on.  Returns the diagnostics
-    (empty = the op is fit to open up ``REDUCE_OPS``).
-    """
-    if isinstance(fn, str):
-        if fn in _KNOWN_ASSOCIATIVE:
-            return []
-        return [
-            _diag(
-                "V311",
-                name if name != "<op>" else fn,
-                f"unknown reduce op name {fn!r}: no associativity "
-                "evidence",
-            )
-        ]
-    if fn in _KNOWN_UFUNCS:
-        return []
-    diags = []
-    try:
-        for a in _SAMPLES:
-            for b in _SAMPLES:
-                for c in _SAMPLES:
-                    left = fn(fn(a, b), c)
-                    right = fn(a, fn(b, c))
-                    if left != right:
-                        diags.append(
-                            _diag(
-                                "V311",
-                                name,
-                                "combine op is not associative: "
-                                f"op(op({a}, {b}), {c}) = {left} but "
-                                f"op({a}, op({b}, {c})) = {right}; "
-                                "chunked folds would diverge",
-                            )
-                        )
-                        raise StopIteration
-    except StopIteration:
-        pass
-    except Exception as exc:
-        diags.append(
-            _diag(
-                "V311",
-                name,
-                f"combine op raised while probing associativity: {exc!r}",
-            )
-        )
-        return diags
-    if neutral is not None:
-        try:
-            for x in _SAMPLES:
-                if fn(neutral, x) != x or fn(x, neutral) != x:
-                    diags.append(
-                        _diag(
-                            "V312",
-                            name,
-                            f"{neutral!r} is not a neutral element: "
-                            f"op({neutral!r}, {x}) = {fn(neutral, x)} "
-                            f"!= {x}; empty chunks would poison the fold",
-                        )
-                    )
-                    break
-        except Exception as exc:
-            diags.append(
-                _diag(
-                    "V312",
-                    name,
-                    f"combine op raised while probing the neutral "
-                    f"element: {exc!r}",
-                )
-            )
     return diags

@@ -516,45 +516,52 @@ def evaluate_values(
     )
 
 
-#: Fold identities, matching the interpreter on empty domains.
-_REDUCE_IDENTITY = {"add": 0.0, "min": float(np.inf), "max": float(-np.inf)}
+#: The reduce ops, one row each: the ufunc that folds lanes, tiles,
+#: chunks and shards, and the identity an empty domain reduces to.
+#: Every rung and backend reads its op's row here, so the interpreter,
+#: the compiled rungs and the simulated devices fold alike.
+_REDUCE = {
+    "add": (np.add, 0.0),
+    "min": (np.minimum, float(np.inf)),
+    "max": (np.maximum, float(-np.inf)),
+}
 
 
-def _check_reduce(has_result: bool, op: str) -> None:
+def _check_reduce(has_result: bool, op: str) -> tuple:
+    """``op``'s ``(ufunc, identity)`` row, for a kernel that must return
+    a value."""
     if not has_result:
         raise KernelExecutionError(
             "parallel_reduce kernel did not return a value on any path"
         )
-    if op not in _REDUCE_IDENTITY:
+    row = _REDUCE.get(op)
+    if row is None:
         raise KernelExecutionError(f"unsupported reduction op {op!r}")
+    return row
 
 
 def _fold_lanes(values: Any, shape: tuple, op: str) -> float:
     """Fold per-lane values over a (non-empty) domain of ``shape`` — the
-    one fold every trace-based rung shares, so they agree bitwise."""
+    one fold every rung shares, so they agree bitwise: NumPy's pairwise
+    ``add`` and its NaN-propagating ``minimum`` / ``maximum``."""
     values = np.asarray(values, dtype=np.float64)
     if values.shape != shape:
         values = np.broadcast_to(values, shape)
-    if op == "add":
-        return float(values.sum())
-    return float(values.min() if op == "min" else values.max())
+    return float(_REDUCE[op][0].reduce(values, axis=None))
 
 
 def fold_partials(op: str, partials: Sequence[float]) -> float:
     """Fold per-tile / per-chunk / per-shard reduce partials with ``op``,
     left to right — the one partial fold the tile loop and every backend
-    share, so they agree bitwise.
-
-    Uses the ufunc the kernel IR itself uses for ``op``: ``np.minimum``
-    / ``np.maximum`` propagate NaN like the per-lane ``np.min`` /
-    ``np.max`` (Python's ``min``/``max`` do not).  A single partial is
-    returned unchanged.
+    share, so they agree bitwise.  A single partial is returned
+    unchanged.
     """
-    if op not in _REDUCE_IDENTITY:
+    row = _REDUCE.get(op)
+    if row is None:
         raise KernelExecutionError(f"unsupported reduction op {op!r}")
     if len(partials) == 1:
         return partials[0]
-    return float(reduce(_BIN_FUNCS[op], partials))
+    return float(reduce(row[0], partials))
 
 
 def reduce_trace(
@@ -565,9 +572,9 @@ def reduce_trace(
 ) -> float:
     """Run a ``parallel_reduce`` trace over ``domain`` and fold the
     per-lane values with ``op`` (``add``, ``min`` or ``max``)."""
-    _check_reduce(trace.result is not None, op)
+    identity = _check_reduce(trace.result is not None, op)[1]
     if domain.size == 0:
-        return _REDUCE_IDENTITY[op]
+        return identity
     ev = VectorEvaluator(domain, args)
     for store in trace.stores:
         ev.run_store(store)

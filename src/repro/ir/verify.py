@@ -58,6 +58,7 @@ from .diagnostics import (
     RULES,
     counters,
 )
+from .vectorizer import _REDUCE
 
 __all__ = [
     "verify_trace",
@@ -727,7 +728,8 @@ class _Verifier:
                 f"into {names}; move side effects to a parallel_for",
                 f"{len(self.trace.stores)} store(s)",
             )
-        if self.op in ("min", "max") and self.trace.implicit_return_paths:
+        row = _REDUCE.get(self.op)
+        if row is not None and row[1] != 0.0 and self.trace.implicit_return_paths:
             self._emit(
                 "V302",
                 f"{self.trace.implicit_return_paths} control-flow path(s) "

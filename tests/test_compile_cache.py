@@ -215,6 +215,30 @@ print(json.dumps({"disk": disk_stats(), "digest": digest, "graph": graph,
 """
 
 
+#: Child: an AXPY and a short CG solve on the native rung, every launch
+#: one tile, so a unit still compiling never has to be waited for.  The
+#: native counters are read before exit (exit waits for ``cc``).
+TIERED_CHILD = """
+import hashlib, json
+import numpy as np
+import repro
+from repro.apps.cg import cg_solve, tridiagonal_system
+from repro.ir.compilecache import disk_stats
+
+def probe_axpy(i, alpha, x, y):
+    y[i] = y[i] + alpha * x[i]
+
+x = repro.array(np.arange(512, dtype=np.float64))
+y = repro.array(np.ones(512))
+repro.parallel_for(512, probe_axpy, 2.0, x, y)
+res = cg_solve(*tridiagonal_system(384), tol=1e-10, max_iter=8)
+native = repro.cache_info()["native"]
+digest = hashlib.sha256(repro.to_host(y).tobytes() + res.x.tobytes())
+print(json.dumps({"disk": disk_stats(), "digest": digest.hexdigest(),
+                  "native": {k: native[k] for k in ("cc_wait_ms", "pending")}}))
+"""
+
+
 # ---------------------------------------------------------------------------
 # Warm start: zero re-traces / re-verifies / re-lowers
 # ---------------------------------------------------------------------------
@@ -256,6 +280,27 @@ class TestWarmStart:
         assert warm["modes"] == cold["modes"]
         assert warm["disk"]["compiles"] == 0
         assert warm["disk"]["disk_hits"] == 2
+
+    @needs_cc
+    def test_a_warm_compile_cache_compiles_its_units_on_the_worker(self, tmp_path):
+        """A warm compile cache over an empty native cache: the kernels
+        load from disk, their units compile on the ``cc`` worker, and
+        one-tile launches run codegen meanwhile, as in a cold process."""
+
+        def child(native):
+            env = {
+                "PYACC_NATIVE_CACHE": str(tmp_path / native),
+                "PYACC_EXECUTOR": "native",
+                "PYACC_BACKEND": "threads",
+            }
+            return run_child(TIERED_CHILD, tmp_path / "compile", extra_env=env)
+
+        cold = child("native-1")
+        warm = child("native-2")
+        assert warm["disk"]["disk_hits"] > 0 and warm["disk"]["compiles"] == 0
+        assert warm["native"]["cc_wait_ms"] == 0, warm
+        assert warm["native"]["pending"] > 0, warm
+        assert warm["digest"] == cold["digest"]
 
     @pytest.mark.parametrize("backend", ["serial", "threads"])
     def test_warm_bit_identical_cg_backends(self, tmp_path, backend):

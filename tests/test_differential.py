@@ -196,12 +196,16 @@ class TestReduceDifferential:
         trace = trace_kernel(kernel, 1, [x, y, alpha, N])
         got = reduce_trace(trace, dom, [x, y, alpha, N])
 
-        assert got == pytest.approx(ref, rel=1e-10, abs=1e-9)
+        # The interpreter folds its lane values as every rung does.  Its
+        # lanes may differ from the trace's in the sign of a zero
+        # (``repro.math.minimum`` on plain floats is Python's ``min``),
+        # which ``==`` ignores.
+        assert got == ref
 
         from repro.ir.optimize import optimize_trace
 
         got_opt = reduce_trace(optimize_trace(trace), dom, [x, y, alpha, N])
-        assert got_opt == pytest.approx(ref, rel=1e-10, abs=1e-9)
+        assert got_opt == ref
 
     @settings(max_examples=20, deadline=None)
     @given(expr=exprs(), alpha=finite, seed=st.integers(0, 2**16))
@@ -214,7 +218,7 @@ class TestReduceDifferential:
             ref = interpret_reduce(kernel, dom, [x, y, alpha, N], op=op)
             trace = trace_kernel(kernel, 1, [x, y, alpha, N])
             got = reduce_trace(trace, dom, [x, y, alpha, N], op=op)
-            assert got == pytest.approx(ref, rel=1e-12)
+            assert got == ref
 
 
 def make_for_kernel_2d(expr, guard):

@@ -662,6 +662,9 @@ class TestResourceInvariants:
 
         key = (id(x), id(y))
         region.run(key, body, alpha=1.0)  # capture + instantiate(reserve)
+        # Every replay runs the units the build reserved for: none is
+        # still compiling (a cold fused unit would install mid-loop).
+        repro.synchronize()
         created = arena.stats()["buffers_created"]
         for k in range(4):
             got = region.run(key, body, alpha=float(k))

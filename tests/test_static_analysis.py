@@ -7,8 +7,7 @@ Covers the three new analysis layers and their enforcement surface:
 * :mod:`repro.ir.effects` — per-plan memory-effects summaries and the
   cross-launch hazard analyses (V602/V603);
 * :mod:`repro.ir.validate` — the translation validator that re-derives
-  every applied pass rewrite from effects summaries alone (V610), plus
-  the static reduce-operator checker (V311/V312).
+  every applied pass rewrite from effects summaries alone (V610).
 
 The app-level acceptance — the validator confirms every rewrite the
 pipeline applies on the CG, HPCCG, LBM and LBM3D bodies with zero
@@ -61,7 +60,6 @@ from repro.ir.validate import (
     set_validate_mode,
     validate_mode,
     validate_program,
-    verify_reduce_op,
 )
 
 
@@ -453,37 +451,6 @@ class TestProgramHazards:
 
 
 # ---------------------------------------------------------------------------
-# V31x: static reduce-operator checking
-# ---------------------------------------------------------------------------
-
-
-class TestReduceOpChecker:
-    def test_known_names_and_ufuncs_pass(self):
-        assert verify_reduce_op("add") == []
-        assert verify_reduce_op("min") == []
-        assert verify_reduce_op(np.add) == []
-        assert verify_reduce_op(np.maximum) == []
-
-    def test_associative_callable_passes(self):
-        assert verify_reduce_op(lambda a, b: a + b, 0.0) == []
-        assert verify_reduce_op(max, float("-inf")) == []
-
-    def test_subtraction_fails_v311(self):
-        diags = verify_reduce_op(lambda a, b: a - b, name="sub")
-        assert [d.rule for d in diags] == ["V311"]
-        assert diags[0].is_error
-
-    def test_wrong_neutral_fails_v312(self):
-        diags = verify_reduce_op(max, 1.0, name="max")
-        assert [d.rule for d in diags] == ["V312"]
-        assert "neutral" in diags[0].message
-
-    def test_unknown_name_flagged(self):
-        diags = verify_reduce_op("xor")
-        assert [d.rule for d in diags] == ["V311"]
-
-
-# ---------------------------------------------------------------------------
 # Counters, mode resolution, catalog
 # ---------------------------------------------------------------------------
 
@@ -516,7 +483,7 @@ class TestCountersAndModes:
             set_validate_mode("loud")
 
     def test_catalog_covers_new_rules_with_examples(self):
-        for rule in ("V311", "V312", "V501", "V602", "V603", "V610"):
+        for rule in ("V501", "V602", "V603", "V610"):
             assert rule in RULES
             assert rule in RULE_EXAMPLES
 
