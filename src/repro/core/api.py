@@ -10,7 +10,10 @@ Underneath, every construct is now a staged pipeline over a reified
 :class:`~repro.core.context.ExecutionContext`) → ``compile`` (the
 specialization ladder, against the context's kernel cache) → ``schedule``
 (record the launch-shape/chunking decision on the plan) → ``execute``
-(the backend consumes the plan through ``Backend.execute``).
+(the backend consumes the plan through ``Backend.execute``).  A warm
+launch stops at resolve: its one look-up finds its signature's record,
+whose bound native call (:class:`~repro.core.plan.BoundCall`) stands in
+for the plan when nothing observes one (see :func:`_dispatch`).
 
 :func:`launch` exposes the plan machinery directly: it runs one
 construct, synchronously like the other two, and returns the executed
@@ -24,12 +27,13 @@ current thread/task only.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Union
+from typing import Any, Callable, Optional, Union
 
 import numpy as np
 
 from .. import faults
 from ..ir import nativecache, writes
+from ..ir.cgen import NativeDeclined
 from ..ir.compile import _fn_key, compile_kernel, executor_mode, resolve_cache
 from ..ir.vectorizer import _REDUCE
 from ..ir.verify import active_verify_mode
@@ -112,34 +116,15 @@ def synchronize() -> None:
 def _execute(plan: LaunchPlan, ctx: ExecutionContext) -> LaunchPlan:
     """Stage 4: account the dispatch, fire hooks, and hand the plan to
     the backend's narrowed ``execute`` entry point (with the launch
-    policy's permanent-failure failover ladder around it).
-
-    An inline launch on a backend whose execute is nothing but the
-    kernel call (:meth:`Backend.loop_charges` is not ``None``), in a
-    context whose fences are clear (:meth:`ExecutionContext.fence`: no
-    faults armed, so no failover either, and no hooks), makes that call
-    here, as the loop driver does: the same counters, the same
-    modeled-clock charges in the same order, the same seam
-    (:meth:`LaunchPlan.run`)."""
-    backend = plan.backend
-    accounting = backend.accounting
+    policy's permanent-failure failover ladder around it)."""
+    accounting = plan.backend.accounting
     if plan.construct == "reduce":
         accounting.n_reduce += 1
     else:
         accounting.n_for += 1
-    sim = plan.sim_time_before = accounting.sim_time
-    schedule = plan.schedule
-    charges = backend.loop_charges(plan) if schedule.inline else None
-    if charges is not None and ctx.fence() is None:
-        accounting.n_kernel_launches += 1
-        for charge in charges:
-            sim += charge
-        accounting.sim_time = plan.sim_time_after = sim
-        plan.result = plan.run(schedule.domains[0])
-        writes.note_writes(plan.written_ids)
-        return plan
+    plan.sim_time_before = accounting.sim_time
     ctx.fire_launch(plan)
-    backend.account_portable_dispatch(plan.construct, plan.dims)
+    plan.backend.account_portable_dispatch(plan.construct, plan.dims)
     plan.result = faults.execute_plan(plan, ctx)
     # Failover may have demoted plan.backend; read the clock that ran.
     plan.sim_time_after = plan.backend.accounting.sim_time
@@ -151,53 +136,56 @@ def _execute(plan: LaunchPlan, ctx: ExecutionContext) -> LaunchPlan:
     return plan
 
 
-def _stage(
-    ctx: ExecutionContext, construct: str, dims, f: Callable, args: tuple, op: str
-) -> LaunchPlan:
-    """Build a plan and run the pre-execution stages: **resolve** (bind
-    the context's backend, arena and fault-handling policy; map user
-    args to raw storage), **compile** (the specialization ladder,
-    against the context's kernel cache) and — one look-up in the
-    kernel's launch records (:meth:`Backend.stage`) — **verify** (the
-    parallel contract, enforced under the active mode) and **schedule**
-    (the backend's launch-shape/chunking decision).
+def _run(plan: LaunchPlan, ctx: ExecutionContext) -> None:
+    """Replay a staged ``plan``: its record's bound call, with the whole
+    pre-flight, when the fences are clear, else :func:`_execute`."""
+    call = plan.record.call
+    if call is not None and ctx.fence() is None:
+        accounting = plan.backend.accounting
+        plan.sim_time_before = accounting.sim_time
+        try:
+            plan.result = call(accounting, plan.resolved_args, plan.arena, keyed=False)
+            plan.sim_time_after = accounting.sim_time
+            return
+        except NativeDeclined:
+            pass  # side-effect free: the staged path declines and records it
+    _execute(plan, ctx)
 
-    A warm launch does all but resolve in one look-up: the kernel
-    cache's warm-launch table (:meth:`KernelCache.find_launch`), keyed on
-    everything the ladder and the launch record key on, returns the
-    kernel and its record together."""
-    dims = normalize_dims(dims)
-    plan = LaunchPlan(construct, dims, f, args, op)
-    backend = plan.backend = ctx.backend()
-    resolved = plan.resolved_args = backend.resolve_args(args)
-    plan.arena = ctx.arena
-    plan.policy = ctx.launch_policy
-    cache = resolve_cache(ctx.kernel_cache)
-    mode = active_verify_mode()
-    key = (
-        _fn_key(f) if getattr(f, "__closure__", None) else f,
-        dims, construct, op, executor_mode(), mode,
-        backend.token, backend.schedule_epoch(),
-        *[(a.dtype, a.shape) if isinstance(a, np.ndarray) else type(a) for a in resolved],
-    )
-    warm = cache.find_launch(key, resolved)
+
+def _stage(
+    ctx: ExecutionContext, plan: LaunchPlan, key: tuple, warm: Optional[tuple]
+) -> LaunchPlan:
+    """**Compile** a resolved plan (the ladder, against the context's
+    kernel cache), then **verify** (mode ``key[5]``) and **schedule** it
+    in one :meth:`Backend.stage` look-up; ``warm``, the table's
+    ``(kernel, record)`` for ``key``, stands in for all three."""
+    resolved = plan.resolved_args
     if warm is not None:
         kernel, record = plan.kernel, plan.record = warm
         plan.schedule = record.schedule
         plan.diagnostics = record.diagnostics
         plan.written_ids = kernel.launches.written_ids(resolved)
         return plan
+    cache = resolve_cache(ctx.kernel_cache)
     kernel = plan.kernel = compile_kernel(
-        f, len(dims), resolved, reduce=construct == "reduce", cache=cache
+        plan.fn, len(plan.dims), resolved, reduce=plan.is_reduce, cache=cache
     )
-    record = backend.stage(plan, mode)
+    record = plan.backend.stage(plan, key[5])
     plan.diagnostics = record.diagnostics
     cache.store_launch(key, kernel, record, resolved)
     return plan
 
 
-def _dispatch(construct: str, dims, f: Callable, args: tuple, op: str) -> LaunchPlan:
-    """Run a construct through the full pipeline, synchronously."""
+def _dispatch(
+    construct: str, dims, f: Callable, args: tuple, op: str, want_plan: bool = False
+) -> Any:
+    """Run a construct, synchronously; return its result (the reduce
+    value, ``None`` for a ``for``) or, ``want_plan``, the executed plan.
+    **Resolve** maps the args to raw storage and keys the launch for the
+    warm-launch table's one look-up (:meth:`KernelCache.find_launch`).
+    A hit whose record holds a bound call is that call when nothing needs
+    a plan: no capture, no :func:`launch`, no :meth:`ExecutionContext.fence`.
+    Any other launch is staged (:func:`_stage`) and executed."""
     ctx = current_context()
     cap = ctx.graph_capture
     slot_map = None
@@ -209,12 +197,32 @@ def _dispatch(construct: str, dims, f: Callable, args: tuple, op: str) -> Launch
         # the tracer and cache keys only ever see real scalars).
         args, slot_map = cap.strip_slots(args)
         if cap.dry:  # record only (repro.graph.loop's dry iteration)
-            return cap.record_dry(ctx, construct, dims, f, args, op, slot_map)
-    plan = _stage(ctx, construct, dims, f, args, op)
-    _execute(plan, ctx)
+            dry = cap.record_dry(ctx, construct, dims, f, args, op, slot_map)
+            return dry if want_plan else dry.result
+    dims = normalize_dims(dims)
+    backend = ctx.backend()
+    resolved = backend.resolve_args(args)
+    key = (
+        _fn_key(f) if getattr(f, "__closure__", None) else f,
+        dims, construct, op, executor_mode(), active_verify_mode(),
+        backend.token, backend.schedule_epoch(),
+        *[(a.dtype, a.shape) if isinstance(a, np.ndarray) else type(a) for a in resolved],
+    )
+    warm = resolve_cache(ctx.kernel_cache).find_launch(key, resolved)
+    if warm is not None and cap is None and not want_plan:
+        call = warm[1].call
+        if call is not None and ctx.fence() is None:
+            try:
+                return call(backend.accounting, resolved, ctx.arena)
+            except NativeDeclined:
+                pass  # side-effect free: the staged path declines and records it
+    plan = LaunchPlan(
+        construct, dims, f, args, op, backend, resolved, ctx.launch_policy, ctx.arena
+    )
+    _execute(_stage(ctx, plan, key, warm), ctx)
     if cap is not None:
         cap.record(plan, slot_map)
-    return plan
+    return plan if want_plan else plan.result
 
 
 def _validate_op(op: str) -> None:
@@ -247,7 +255,7 @@ def parallel_for(dims, f: Callable, *args: Any) -> None:
 
     The call returns only after the computation has completed.
     """
-    _dispatch("for", dims, f, args, op="add")
+    _dispatch("for", dims, f, args, "add")
 
 
 def parallel_reduce(dims, f: Callable, *args: Any, op: str = "add") -> float:
@@ -264,7 +272,7 @@ def parallel_reduce(dims, f: Callable, *args: Any, op: str = "add") -> float:
     DOT timing includes.)
     """
     _validate_op(op)
-    return _dispatch("reduce", dims, f, args, op=op).result
+    return _dispatch("reduce", dims, f, args, op)
 
 
 # ---------------------------------------------------------------------------
@@ -290,4 +298,4 @@ def launch(
     """
     if reduce:
         _validate_op(op)
-    return _dispatch("reduce" if reduce else "for", dims, f, args, op=op)
+    return _dispatch("reduce" if reduce else "for", dims, f, args, op, want_plan=True)

@@ -32,7 +32,7 @@ from ..ir.compile import CompiledKernel
 from ..ir.vectorizer import IndexDomain
 from ..ir.verify import verify_launch
 from .context import current_context
-from .plan import LaunchPlan, LaunchRecord, LaunchSchedule
+from .plan import BoundCall, LaunchPlan, LaunchRecord, LaunchSchedule
 
 __all__ = ["Accounting", "Backend", "host_array", "normalize_dims"]
 
@@ -198,8 +198,9 @@ class Backend(ABC):
         ``plan.kernel`` on this backend that is a function of its
         signature — verifier diagnostics under ``mode`` (enforced here:
         ``error`` raises on every offending launch, nothing is recorded
-        for it), :meth:`schedule`, :meth:`modeled_cost` — built on the
-        first such launch and looked up by every later one.  Also binds
+        for it), :meth:`schedule`, :meth:`modeled_cost` and the bound
+        native call (:meth:`BoundCall.bind`) — built on the first such
+        launch and looked up by every later one.  Also binds
         ``plan.written_ids``, the one per-argument fact execution needs.
         """
         launches = plan.kernel.launches
@@ -218,13 +219,12 @@ class Backend(ABC):
                 if mode != "off"
                 else ()
             )
-            record = launches.remember(
-                launches.records,
-                key,
-                LaunchRecord(
-                    diagnostics, self.schedule(plan), self.modeled_cost(plan)
-                ),
+            record = plan.record = LaunchRecord(
+                diagnostics, self.schedule(plan), self.modeled_cost(plan)
             )
+            plan.schedule = record.schedule
+            record.call = BoundCall.bind(plan, self.loop_charges(plan))
+            launches.remember(launches.records, key, record)
         plan.record = record
         plan.schedule = record.schedule
         plan.written_ids = launches.written_ids(args)
@@ -233,8 +233,9 @@ class Backend(ABC):
     def loop_charges(self, plan: LaunchPlan) -> Optional[tuple]:
         """The modeled-clock increments, in order, of one execution of
         ``plan`` that is nothing but its inline kernel call (which the
-        loop driver, :mod:`repro.graph.loop`, may make instead), or
-        ``None``: this backend's execute does more."""
+        loop driver, :mod:`repro.graph.loop`, and a bound call,
+        :class:`BoundCall`, may make instead), or ``None``: this
+        backend's execute does more."""
         return None
 
     @abstractmethod

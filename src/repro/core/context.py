@@ -211,8 +211,8 @@ class ExecutionContext:
         """Why a launch in this context must take the staged execute path
         — faults armed or a hook attached — or ``None``: then the inline
         kernel call alone may stand in for it (the loop driver,
-        :mod:`repro.graph.loop`, and the eager shortcut in
-        :func:`repro.core.api._execute`)."""
+        :mod:`repro.graph.loop`, and a bound call,
+        :class:`repro.core.plan.BoundCall`)."""
         return (
             "faults" if injection_possible()
             else "hooks" if self._on_launch or self._on_complete

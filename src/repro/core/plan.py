@@ -27,6 +27,8 @@ import math
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Callable, Optional
 
+from ..ir import writes
+from ..ir.cgen import NativeDeclined
 from ..ir.vectorizer import IndexDomain
 from .launch import LaunchSchedule
 
@@ -48,15 +50,69 @@ class LaunchRecord:
     once by :meth:`repro.core.backend.Backend.stage` and shared by every
     launch of that signature on that backend (see
     :class:`repro.ir.verify.LaunchRecords` for the key): the verifier's
-    ``diagnostics``, the backend's ``schedule`` and the modeled seconds
-    one execution charges (``cost``, :meth:`Backend.modeled_cost`)."""
+    ``diagnostics``, the backend's ``schedule``, the modeled seconds
+    one execution charges (``cost``, :meth:`Backend.modeled_cost`) and
+    the signature's bound native call (``call``, or ``None``)."""
 
-    __slots__ = ("diagnostics", "schedule", "cost")
+    __slots__ = ("diagnostics", "schedule", "cost", "call")
 
     def __init__(self, diagnostics: tuple, schedule: LaunchSchedule, cost: float):
         self.diagnostics = diagnostics
         self.schedule = schedule
         self.cost = cost
+        self.call: Optional[BoundCall] = None
+
+
+class BoundCall:
+    """A launch signature's execution as one native call, bound when its
+    record is staged: kernel, inline domain, modeled-clock ``charges``
+    (:meth:`Backend.loop_charges`), reduce op and written positions.  A
+    call makes the pre-flight checks the signature does not fix, then
+    accounts, calls the C loop and versions the written arrays as
+    :func:`repro.core.api._execute` would, with no :class:`LaunchPlan`.
+    A :class:`NativeDeclined` (unit not installed, a check failed) comes
+    before any side effect: the caller stages the launch instead."""
+
+    __slots__ = ("native", "domain", "charges", "op", "written")
+
+    @classmethod
+    def bind(cls, plan: "LaunchPlan", charges: Optional[tuple]) -> Optional["BoundCall"]:
+        """``plan``'s bound call, or ``None``: its backend's execute does
+        more (no ``charges``), it is chunked, not native, or fails
+        :meth:`~repro.ir.cgen.NativeKernel.check_fixed`."""
+        native, schedule = plan.kernel.native, plan.schedule
+        if charges is None or native is None or not schedule.inline or (
+            plan.is_reduce and not native.has_result  # staging raises for it
+        ):
+            return None
+        try:
+            native.check_fixed(schedule.domains[0], plan.resolved_args)
+        except NativeDeclined:
+            return None
+        call = cls()
+        call.native, call.domain, call.charges = native, schedule.domains[0], charges
+        call.op = plan.op if plan.is_reduce else None
+        call.written = plan.kernel.launches.written
+        return call
+
+    def __call__(self, accounting, args: list, arena, keyed: bool = True) -> Any:
+        """Execute over ``args``, charging ``accounting``; the reduce
+        value, or ``None``.  ``keyed``: the warm-launch key matched
+        ``args``, so only the per-call checks run; else all of them."""
+        native, domain = self.native, self.domain
+        if native._fn is None:
+            raise NativeDeclined("pending")
+        words = native.words(domain, args) if keyed else native.preflight(domain, args)
+        if self.op is None:
+            accounting.n_for += 1
+        else:
+            accounting.n_reduce += 1
+        accounting.n_kernel_launches += 1
+        for charge in self.charges:
+            accounting.sim_time += charge
+        result = native.run_words(domain, words, self.op, arena)
+        writes.note_writes(map(id, map(args.__getitem__, self.written)))
+        return result
 
 
 @dataclass

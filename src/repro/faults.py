@@ -239,6 +239,12 @@ class InjectedFault:
     device_id: Optional[str] = None
 
 
+#: The reserved ordinal of the pool chunk this thread runs (set by
+#: :func:`guarded`): a probe beneath the chunk that names no ordinal or
+#: device draws per that ordinal, so worker scheduling cannot move it.
+_CHUNK = threading.local()
+
+
 def _stable_uniform(seed: int, site: str, index: int) -> float:
     """Deterministic uniform in [0, 1) from ``(seed, site, index)``.
 
@@ -335,6 +341,8 @@ class FaultPlan:
         supplies a deterministic per-plan index instead.
         """
         _COUNTERS.bump("probes")
+        if ordinal is None and device_id is None:
+            ordinal = getattr(_CHUNK, "ordinal", None)
         with self._lock:
             k_site = self._counts.get((site,), 0)
             self._counts[(site,)] = k_site + 1
@@ -785,7 +793,13 @@ def guarded(
     def attempt():
         if probe:
             fplan.check(site, device_id=device_id, ordinal=ordinal)
-        return work(arg)
+        if ordinal is None or device_id is not None:
+            return work(arg)
+        _CHUNK.ordinal = ordinal  # a pool chunk: see FaultPlan.check
+        try:
+            return work(arg)
+        finally:
+            _CHUNK.ordinal = None
 
     return retry_transients(
         attempt,

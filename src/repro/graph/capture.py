@@ -29,7 +29,7 @@ The CUDA-Graphs model, transplanted to the staged dispatch pipeline
   of building it.
 * **replay** — :meth:`InstantiatedGraph.replay` re-executes the
   sequence through the *same* execute stage as normal dispatch
-  (:func:`repro.core.api._execute` per node: accounting, hooks, modeled
+  (:func:`repro.core.api._run` per node: accounting, hooks, modeled
   time, fault seams — all identical), skipping only the per-launch
   staging (plan construction, cache lookups, verification, schedule
   building).  Between replays only scalar slots change; nothing
@@ -51,7 +51,7 @@ from typing import TYPE_CHECKING, Any, Optional
 
 import numpy as np
 
-from ..core.api import _execute
+from ..core.api import _run
 from ..core.backend import normalize_dims
 from ..core.exceptions import GraphError
 from ..core.plan import LaunchPlan
@@ -59,6 +59,7 @@ from ..ir import compilecache, writes
 from ..ir.compile import compile_kernel, executor_mode, resolve_cache
 from ..ir.validate import active_validate_mode
 from ..ir.verify import active_verify_mode
+from ..ir.vectorizer import TILE_LANES
 
 if TYPE_CHECKING:  # pragma: no cover - types only
     from ..core.context import ExecutionContext
@@ -776,7 +777,7 @@ class _NodeTemplate:
         return node
 
 
-def _arena_reserve(templates: list[_NodeTemplate]) -> list:
+def _arena_reserve(templates: list[_NodeTemplate], pending: bool = False) -> list:
     """The arena buffers replay draws, as ``(shape, dtype)`` keys with
     repeats.
 
@@ -784,7 +785,10 @@ def _arena_reserve(templates: list[_NodeTemplate]) -> list:
     shape, one buffer per certified ``out=`` dtype of a codegen node, or
     the float64 lane buffer of a native reduce that leases one
     (NativeKernel.leases_lanes); any other native node draws nothing — C
-    has no temporaries.  A chunk's tiles run one after another and
+    has no temporaries.  With ``pending``, a native node whose unit is
+    not installed yet draws for both rungs if its launch is one tile:
+    such a launch runs codegen until the unit installs, a larger one
+    waits for it.  A chunk's tiles run one after another and
     recycle the frame's buffers, and nodes run sequentially, so the pool
     only needs the *largest* per-node requirement per (shape, dtype)
     key.
@@ -795,14 +799,12 @@ def _arena_reserve(templates: list[_NodeTemplate]) -> list:
         kernel = plan.kernel
         if kernel is None or kernel.codegen is None:
             continue
-        native = kernel.native
-        if native is None:
+        native, dtypes = kernel.native, ()
+        if native is None or (pending and native._fn is None and plan.lanes <= TILE_LANES):
             codegen = template.hoisted[0] if template.hoisted else kernel.codegen
             dtypes = codegen.out_dtypes
-        elif plan.is_reduce and native.leases_lanes(plan.op):
-            dtypes = (np.dtype(np.float64),)
-        else:
-            continue
+        if native is not None and plan.is_reduce and native.leases_lanes(plan.op):
+            dtypes += (np.dtype(np.float64),)
         per_node: dict[tuple, int] = {}
         for dom in plan.schedule.domains:
             for shape in {tile.shape for tile in dom.tiles}:
@@ -949,8 +951,11 @@ class _Structure:
                 kind,
                 tuple(self.index_map[i] for i in return_convention[1]),
             )
-        if self.reserve:
-            ctx.arena.reserve(self.reserve)
+        natives = [getattr(t.plan.kernel, "native", None) for t in self.nodes]
+        pending = any(n is not None and n._fn is None for n in natives)
+        reserve = _arena_reserve(self.nodes, pending=True) if pending else self.reserve
+        if reserve:
+            ctx.arena.reserve(reserve)
         bump = _pkg()._bump
         bump("captures")
         if self.fused_pairs:
@@ -1135,7 +1140,7 @@ class InstantiatedGraph:
                 plan.backend = demoted
                 demoted.stage(plan)
             own = plan.backend
-            _execute(plan, ctx)
+            _run(plan, ctx)
             if plan.backend is not own:
                 # The launch policy failed this node over permanently.
                 # Finish the replay on the fallback, then invalidate.

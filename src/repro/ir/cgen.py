@@ -1340,6 +1340,13 @@ class NativeKernel:
         float scalars) for :meth:`_call`; raise :class:`NativeDeclined`
         otherwise.  Side-effect free, and monotone in ``domain``: the
         words of a box that passed serve every sub-box."""
+        self.check_fixed(domain, args)
+        return self.words(domain, args)
+
+    def check_fixed(self, domain: IndexDomain, args: Sequence[Any]) -> None:
+        """The pre-flight's checks that a launch signature (dims, each
+        array's dtype and shape) decides: rank, kinds, dtypes, extents.
+        A bound call (:class:`repro.core.plan.BoundCall`) makes them once."""
         ranges = domain.ranges
         if len(ranges) != self.ndim:
             raise NativeDeclined("domain-rank")
@@ -1347,8 +1354,7 @@ class NativeKernel:
         # needs no per-axis extent walk.
         nd = self.ndim
         full = domain.shape if domain.zero_based else None
-        arrs, words, shapes = [], [], []
-        for pos, dtype, rank, written, extent, need in self._arrays:
+        for pos, dtype, rank, _, extent, need in self._arrays:
             arr = args[pos]
             if not isinstance(arr, np.ndarray):
                 raise NativeDeclined("not-an-array")
@@ -1356,11 +1362,6 @@ class NativeKernel:
                 raise NativeDeclined("dtype-drift")
             if arr.ndim != rank:
                 raise NativeDeclined("rank-drift")
-            flags = arr.flags
-            if not flags.c_contiguous:
-                raise NativeDeclined("non-contiguous")
-            if written and not flags.writeable:
-                raise NativeDeclined("read-only")
             shape = arr.shape
             if extent and shape[:nd] != full:
                 for (_, hi), n in zip(ranges, shape):
@@ -1369,9 +1370,22 @@ class NativeKernel:
             for ax, k in need:  # a constant index, or a non-empty gather axis
                 if shape[ax] <= k:
                     raise NativeDeclined("extent")
+
+    def words(self, domain: IndexDomain, args: Sequence[Any]) -> list:
+        """The rest of the pre-flight, for arguments that passed
+        :meth:`check_fixed`: contiguity, writeability, overlap, the lanes
+        proof and integer ranges; then a compiling unit settles."""
+        arrs, words, shapes = [], [], []
+        for pos, _, _, written, _, _ in self._arrays:
+            arr = args[pos]
+            flags = arr.flags
+            if not flags.c_contiguous:
+                raise NativeDeclined("non-contiguous")
+            if written and not flags.writeable:
+                raise NativeDeclined("read-only")
             arrs.append(arr)
             words.append(_data_ptr(arr) if flags.writeable else _readonly_ptr(arr))
-            shapes += shape
+            shapes += arr.shape
         for kw, ko, strict in self._alias_pairs:
             aw, ao = arrs[kw], arrs[ko]
             if (
@@ -1381,7 +1395,7 @@ class NativeKernel:
             ):
                 raise NativeDeclined("alias")
         if self._lane_scalars is not None:
-            self._check_lanes(ranges, shapes, args)
+            self._check_lanes(domain.ranges, shapes, args)
         for pos in self._narrow_i4:
             if not _I32_MIN <= int(args[pos]) <= _I32_MAX:
                 raise NativeDeclined("scalar-overflow")
@@ -1505,8 +1519,7 @@ class NativeKernel:
         args: Sequence[Any],
         arena: Optional[ScratchArena] = None,
     ) -> None:
-        head = _LANES if self.has_result else ()
-        self._call(domain, self.preflight(domain, args), None, head)
+        self.run_words(domain, self.preflight(domain, args))
 
     def evaluate_values(
         self, domain: IndexDomain, args: Sequence[Any]
@@ -1542,7 +1555,16 @@ class NativeKernel:
         identity = _check_reduce(self.has_result, op)[1]
         if domain.size == 0:
             return identity
-        words = self.preflight(domain, args)
+        return self.run_words(domain, self.preflight(domain, args), op, arena)
+
+    def run_words(
+        self, domain: IndexDomain, words: list, op: Optional[str] = None, arena=None
+    ) -> Optional[float]:
+        """:meth:`run_for` (``op`` is ``None``) or :meth:`run_reduce`
+        over ``domain`` with the call's pre-flighted ``words``."""
+        if op is None:
+            self._call(domain, words, None, _LANES if self.has_result else ())
+            return None
         if not self.leases_lanes(op):
             n, table, _ = domain.tile_words
             slots = self._slots

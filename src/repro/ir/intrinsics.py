@@ -17,6 +17,8 @@ from __future__ import annotations
 import math
 from typing import Any
 
+import numpy as np
+
 from . import nodes as N
 from .tracer import SymScalar, as_node
 
@@ -113,14 +115,16 @@ def exclusive(index: Any, at: Any = 0):
 
 
 def minimum(a: Any, b: Any):
-    """Two-argument min as a single select (non-forking)."""
+    """Two-argument min as a single select (non-forking); on plain
+    numbers ``np.minimum``, as every traced rung (NaN propagates, and
+    ``minimum(0.0, -0.0)`` is ``-0.0``), returned as a Python scalar."""
     if isinstance(a, SymScalar) or isinstance(b, SymScalar):
         return SymScalar(N.BinOp("min", as_node(a), as_node(b)))
-    return min(a, b)
+    return np.minimum(a, b).item()
 
 
 def maximum(a: Any, b: Any):
-    """Two-argument max as a single select (non-forking)."""
+    """Two-argument max, like :func:`minimum` (``np.maximum``)."""
     if isinstance(a, SymScalar) or isinstance(b, SymScalar):
         return SymScalar(N.BinOp("max", as_node(a), as_node(b)))
-    return max(a, b)
+    return np.maximum(a, b).item()

@@ -994,11 +994,16 @@ class LaunchRecords:
             tuple([args[pos] for pos in scalars]) if scalars else (),
         )
 
+    @property
+    def written(self) -> Optional[tuple]:
+        """Positions of the arrays a launch stores to (``None``: any)."""
+        return (self._static or self._positions())[1]
+
     def written_ids(self, args: Sequence[Any]) -> tuple:
         """Storage ids of the arrays a launch over ``args`` stores to
         (every ndarray for an interpreter-tier kernel) — the key space
         of :mod:`repro.ir.writes`."""
-        written = (self._static or self._positions())[1]
+        written = self.written
         if written is None:
             return tuple([id(a) for a in args if isinstance(a, np.ndarray)])
         return tuple(map(id, map(args.__getitem__, written)))

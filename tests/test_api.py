@@ -329,15 +329,14 @@ def _python_calls(fn):
 
 class TestHotPathBudget:
     """What a warm launch costs in Python function calls, pinned at the
-    number measured when the warm-launch table and the inline shortcut
-    landed, plus five: a "+1 keyword here" that no benchmark pair can
-    resolve fails here.  Lower is fine — Python 3.12 inlines
-    comprehensions, for one."""
+    number measured when warm launches became bound calls, plus five: a
+    "+1 keyword here" that no benchmark pair can resolve fails here.
+    Lower is fine — Python 3.12 inlines comprehensions, for one."""
 
     #: (eager parallel_for, eager parallel_reduce, one-node replay),
-    #: measured 28 / 32 / 26 on Python 3.11 (41 / 44 / 32 before the
-    #: warm-launch table).
-    PINNED = (28 + 5, 32 + 5, 26 + 5)
+    #: measured 21 / 24 / 26 on Python 3.11 (28 / 32 / 26 with a plan
+    #: built per warm launch, 41 / 44 / 32 before the warm-launch table).
+    PINNED = (21 + 5, 24 + 5, 26 + 5)
 
     def test_calls_per_warm_launch_and_replay(self):
         from repro import faults
@@ -379,18 +378,21 @@ class TestHotPathBudget:
             assert count <= pinned, (counts, self.PINNED)
 
     #: A warm 8³ HPCCG solve, its loop bound to a stored template and
-    #: the driver running iterations 1-11: 553 calls measured (640 before
-    #: its six set-up launches took the warm-launch table and the inline
-    #: shortcut; 1,020 when iteration 1 ran eagerly, 1,789 when every
-    #: iteration replayed region by region), plus a slack of ten.
-    SOLVE_PINNED = 553 + 10
+    #: the driver running iterations 1-11: 509 calls measured (553 while
+    #: its six set-up launches each built a plan, 640 before they took
+    #: the warm-launch table; 1,020 when iteration 1 ran eagerly, 1,789
+    #: when every iteration replayed region by region), plus a slack of
+    #: ten.
+    SOLVE_PINNED = 509 + 10
 
     def test_a_hooked_context_takes_the_staged_path(self, monkeypatch):
         """A traced run (the spine's ``--trace 1`` attaches hooks) must
-        measure the staged execute path, not the inline shortcut: every
+        measure the staged execute path, not a bound call: every
         hooked launch goes through ``faults.execute_plan``, and no
-        unhooked one does while the fences are clear."""
+        unhooked one does while the fences are clear and its kernel has
+        an installed native rung (other rungs are always staged)."""
         from repro import faults
+        from repro.ir.nativecache import resolve_cc
 
         if not os.environ.get("PYACC_FAULTS"):
             faults.refresh_gate()
@@ -414,10 +416,18 @@ class TestHotPathBudget:
         finally:
             off()
         assert staged == ["for", "reduce"] * 3
+        repro.synchronize()  # a unit that compiled meanwhile installs
+        repro.parallel_for(n, axpy, 1.0, x, y)  # at its next launch
+        repro.parallel_reduce(n, dot, x, y)
         del staged[:]
         repro.parallel_for(n, axpy, 1.0, x, y)
         repro.parallel_reduce(n, dot, x, y)
-        assert staged == ([] if not faults.injection_possible() else ["for", "reduce"])
+        bound = (
+            repro.executor_mode() == "native"
+            and resolve_cc() is not None
+            and not faults.injection_possible()
+        )
+        assert staged == ([] if bound else ["for", "reduce"])
 
     def test_calls_per_warm_hpccg_solve(self):
         from repro import faults
@@ -445,14 +455,15 @@ class TestHotPathBudget:
         assert count <= self.SOLVE_PINNED, count
 
     def test_warm_hpccg_solve_stages_only_its_set_up(self, monkeypatch):
-        """A warm 8³ solve stages its set-up's six launches and nothing
-        else: iteration 1 is recorded dry and driven with the rest, so
-        no region instantiates a graph — its three stored structures are
-        rebound through the loop template, none built — and one driver
-        call runs it all."""
+        """A warm 8³ solve launches its set-up's six launches and nothing
+        else, each one a bound call (none staged): iteration 1 is
+        recorded dry and driven with the rest, so no region instantiates
+        a graph — its three stored structures are rebound through the
+        loop template, none built — and one driver call runs it all."""
         from repro import faults
         from repro.apps.hpccg import build_27pt_problem, hpccg_solve
         from repro.core import api
+        from repro.core.plan import BoundCall
         from repro.graph import capture, graph_stats
         from repro.ir.compile import set_executor_mode
         from repro.ir.nativecache import resolve_cc
@@ -463,7 +474,7 @@ class TestHotPathBudget:
         repro.set_backend("threads")
         repro.set_graph_mode("on")
         a, b, _ = build_27pt_problem(8, 8, 8)
-        staged, instantiated = [], []
+        staged, bound, instantiated = [], [], []
 
         def spy(real, log):
             def counting(*args, **kwargs):
@@ -478,6 +489,7 @@ class TestHotPathBudget:
                 repro.synchronize()
             before = graph_stats()
             monkeypatch.setattr(api, "_stage", spy(api._stage, staged))
+            monkeypatch.setattr(BoundCall, "__call__", spy(BoundCall.__call__, bound))
             monkeypatch.setattr(
                 capture._Structure, "bind", spy(capture._Structure.bind, instantiated)
             )
@@ -488,6 +500,7 @@ class TestHotPathBudget:
             repro.set_graph_mode(None)
         moved = {
             "staged": len(staged),
+            "bound": len(bound),
             "instantiated": len(instantiated),
             "captures": after["captures"] - before["captures"],
             "rebinds": after["rebinds"] - before["rebinds"],
@@ -495,9 +508,9 @@ class TestHotPathBudget:
             "loop bound": after["loop"]["bound"] - before["loop"]["bound"],
         }
         assert moved == {
-            "staged": 6, "instantiated": 0, "captures": 3, "rebinds": 3,
-            "loop calls": 1, "loop bound": 1,
-        }, [args[3].__name__ for args in staged]
+            "staged": 0, "bound": 6, "instantiated": 0, "captures": 3,
+            "rebinds": 3, "loop calls": 1, "loop bound": 1,
+        }, [args[1].fn.__name__ for args in staged]
         assert after["loop"]["declined"] == before["loop"]["declined"]
 
 
@@ -629,7 +642,7 @@ class TestLaunchRecord:
         from repro.ir.compile import clear_cache
 
         # A fault plan installed earlier leaves the injection gate open,
-        # and an open gate fences every launch off the inline shortcut.
+        # and an open gate fences every launch off its bound call.
         if not os.environ.get("PYACC_FAULTS"):
             faults.refresh_gate()
         clear_cache()

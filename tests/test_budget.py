@@ -25,16 +25,21 @@ launches of at most one tile run codegen):
   it into chunks of less than one tile each.  A reduce finds the
   runtime unit, ahead of its own in the worker's FIFO, built: it binds
   the C fold and leases no lane buffer either.
+
+And a warm budget: the bytes a warm op allocates at its peak
+(``tracemalloc``), so per-launch garbage that no benchmark pair can
+resolve fails here.
 """
 
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import repro
 from repro import faults
-from repro.apps import cg, hpccg
+from repro.apps import blas, cg, hpccg
 from repro.backends.threads import ThreadsBackend
 from repro.ir import cgen, nativecache
 from repro.ir.arena import global_stats
@@ -163,3 +168,76 @@ def test_a_cold_reduce_past_one_tile_waits_for_its_own_unit_and_folds_in_c(
     assert plan.kernel.native._c_fold
     assert nativecache.native_stats()["pending"] == 0
     assert plan.result == 2.0 * n
+
+
+#: Peak bytes a warm op allocates over what it started with, on the
+#: native rung where every launch is a bound call, measured on Python
+#: 3.11 with NumPy 2.4: an AXPY+DOT pair at 2^10 lanes 840–904 (1,600–
+#: 1,752 while each launch built a plan), an 8³ HPCCG solve
+#: 97,191–97,287 (mostly its result arrays and residual history).  The
+#: slack is half the pair's bytes, and 4 KiB on the solve.
+PAIR_BYTES = 904 + 452
+SOLVE_BYTES = 97_287 + 4_096
+
+
+def _peak_bytes(op) -> int:
+    """The least, over three warm runs, of ``op``'s peak traced bytes
+    above the bytes traced when it started."""
+    peaks = []
+    tracemalloc.start()
+    try:
+        for _ in range(3):
+            start = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            op()
+            peaks.append(tracemalloc.get_traced_memory()[1] - start)
+    finally:
+        tracemalloc.stop()
+    return min(peaks)
+
+
+@pytest.fixture
+def warm_native():
+    if nativecache.resolve_cc() is None:
+        pytest.skip("the budget is the native rung's")
+    if not os.environ.get("PYACC_FAULTS"):
+        faults.refresh_gate()
+    if faults.injection_possible():
+        pytest.skip("an armed fault plan stages every launch")
+    set_executor_mode("native")
+    repro.set_graph_mode("on")
+    try:
+        with repro.use_backend("threads"):
+            yield
+    finally:
+        set_executor_mode(None)
+        repro.set_graph_mode(None)
+
+
+def _warm(op) -> None:
+    for _ in range(3):
+        op()
+        repro.synchronize()  # a unit that compiled installs at its next launch
+    op()
+
+
+def test_a_warm_axpy_dot_pair_allocates_its_budget(warm_native):
+    n = 1 << 10
+    x, y = repro.array(np.ones(n)), repro.array(np.full(n, 0.5))
+
+    def op():
+        blas.axpy(n, 1e-3, x, y)
+        blas.dot(n, x, y)
+
+    _warm(op)
+    assert _peak_bytes(op) <= PAIR_BYTES
+
+
+def test_a_warm_hpccg_solve_allocates_its_budget(warm_native):
+    a, b, _ = hpccg.build_27pt_problem(8, 8, 8)
+
+    def op():
+        hpccg.hpccg_solve(a, b, tol=1e-8)
+
+    _warm(op)
+    assert _peak_bytes(op) <= SOLVE_BYTES

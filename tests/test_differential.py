@@ -183,6 +183,10 @@ class TestForDifferential:
         np.testing.assert_allclose(x2, x1, rtol=1e-12, atol=1e-12)
 
 
+def _bits(v) -> bytes:
+    return np.float64(v).tobytes()
+
+
 class TestReduceDifferential:
     @settings(max_examples=60, deadline=None)
     @given(expr=exprs(), guard=st.none() | conds(), alpha=finite, seed=st.integers(0, 2**16))
@@ -196,16 +200,15 @@ class TestReduceDifferential:
         trace = trace_kernel(kernel, 1, [x, y, alpha, N])
         got = reduce_trace(trace, dom, [x, y, alpha, N])
 
-        # The interpreter folds its lane values as every rung does.  Its
-        # lanes may differ from the trace's in the sign of a zero
-        # (``repro.math.minimum`` on plain floats is Python's ``min``),
-        # which ``==`` ignores.
-        assert got == ref
+        # The interpreter folds its lane values as every rung does, and
+        # its lanes are the trace's (``repro.math.minimum`` on plain
+        # floats is ``np.minimum``): equal bits.
+        assert _bits(got) == _bits(ref)
 
         from repro.ir.optimize import optimize_trace
 
         got_opt = reduce_trace(optimize_trace(trace), dom, [x, y, alpha, N])
-        assert got_opt == ref
+        assert _bits(got_opt) == _bits(ref)
 
     @settings(max_examples=20, deadline=None)
     @given(expr=exprs(), alpha=finite, seed=st.integers(0, 2**16))
@@ -218,7 +221,7 @@ class TestReduceDifferential:
             ref = interpret_reduce(kernel, dom, [x, y, alpha, N], op=op)
             trace = trace_kernel(kernel, 1, [x, y, alpha, N])
             got = reduce_trace(trace, dom, [x, y, alpha, N], op=op)
-            assert got == ref
+            assert _bits(got) == _bits(ref), op
 
 
 def make_for_kernel_2d(expr, guard):

@@ -12,6 +12,12 @@ Three layers of guarantees:
   arena (zero pool growth) and never churn the kernel cache.
 """
 
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -32,6 +38,8 @@ from repro.ir.compile import (
 from repro.ir.nativecache import resolve_cc
 
 FAST = LaunchPolicy(max_retries=3, backoff_base=0.0)
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 #: Backend families the differential suite sweeps (ISSUE 5 acceptance).
 BACKENDS = ["serial", "threads", "cuda-sim", "multi-sim"]
@@ -671,6 +679,70 @@ class TestResourceInvariants:
         assert region.stats()["replays"] == 4
         assert arena.stats()["buffers_created"] == created
         assert got == (n * 7.0 if op == "add" else 7.0)
+
+    #: The ``[native-min]`` case of the test above, in a child on an
+    #: empty native cache: two eager warm-ups, and no
+    #: ``repro.synchronize()`` after the capture.
+    PENDING_CHILD = """
+import json
+import numpy as np
+import repro
+from repro import parallel_for, parallel_reduce
+from repro.core import current_context
+from repro.graph import GraphRegion
+from repro.ir.compile import set_executor_mode
+
+def axpy(i, alpha, x, y):
+    x[i] += alpha * y[i]
+
+def dot(i, x, y):
+    return x[i] * y[i]
+
+set_executor_mode("native")
+repro.set_backend("threads")
+repro.set_graph_mode("on")
+arena = current_context().arena
+region = GraphRegion("t.lease.pending")
+n = 1 << 15
+x, y = repro.array(np.zeros(n)), repro.array(np.ones(n))
+
+def body(alpha):
+    parallel_for(n, axpy, alpha, x, y)
+    return parallel_reduce(n, dot, x, y, op="min")
+
+for _ in range(2):
+    body(1.0)
+key = (id(x), id(y))
+region.run(key, body, alpha=1.0)
+created = arena.stats()["buffers_created"]
+for k in range(4):
+    got = region.run(key, body, alpha=float(k))
+print(json.dumps([created, arena.stats()["buffers_created"], region.stats()["replays"], got]))
+"""
+
+    @pytest.mark.skipif(resolve_cc() is None, reason="no C compiler on host")
+    def test_a_graph_built_while_its_fused_unit_compiles_replays_with_zero_arena_growth(
+        self, tmp_path
+    ):
+        """The region's fused unit is still compiling when the graph is
+        built: replays run its codegen program until it installs, then
+        the C loop, and the build reserved what either rung draws."""
+        env = dict(
+            os.environ,
+            PYTHONPATH=SRC,
+            PYACC_EXECUTOR="codegen",
+            PYACC_NATIVE_CACHE=str(tmp_path / "native"),
+            PYACC_COMPILE_CACHE=str(tmp_path / "compile"),
+        )
+        env.pop("PYACC_FAULTS", None)  # an armed plan turns fusion off
+        proc = subprocess.run(
+            [sys.executable, "-c", self.PENDING_CHILD],
+            capture_output=True, text=True, env=env, timeout=300,
+        )
+        assert proc.returncode == 0, proc.stderr
+        created, after, replays, got = json.loads(proc.stdout.splitlines()[-1])
+        assert replays == 4 and got == 9.0
+        assert after == created
 
     def test_replay_causes_zero_cache_misses(self):
         repro.set_backend("threads")

@@ -18,6 +18,8 @@ An empty domain reduces to the row's identity, and an unknown op is
 refused by every entry point.
 """
 
+import math
+
 import numpy as np
 import pytest
 
@@ -28,6 +30,7 @@ from repro.ir.compile import compile_kernel, set_executor_mode
 from repro.ir.nativecache import resolve_cc
 from repro.ir.vectorizer import TILE_LANES as T
 from repro.ir.vectorizer import IndexDomain
+from repro.math import maximum, minimum
 
 RUNGS = ("interpreter", "vector", "codegen", "native")
 OPS = ("add", "min", "max")
@@ -109,6 +112,40 @@ def test_every_rung_folds_every_op_bitwise(shape, kind):
     if resolve_cc() is not None:
         ck = compile_kernel(fn, len(shape), [x], reduce=True, executor="native")
         assert ck.mode.startswith("native")
+
+
+def min_nan(i, x):
+    return minimum(x[i], math.nan)
+
+
+def max_nan(i, x):
+    return maximum(x[i], math.nan)
+
+
+def min_zero(i, x):
+    return minimum(x[i], -0.0)
+
+
+@pytest.mark.parametrize(
+    "fn, values, op, want",
+    [
+        (min_nan, [1.0, 2.0, 3.5], "add", math.nan),  # Python's min reads 6.5
+        (max_nan, [1.0, 2.0, 3.5], "add", math.nan),  # and max 6.5
+        (min_zero, [0.0, 0.0, 0.0], "max", -0.0),  # Python's min reads 0.0
+    ],
+    ids=["minimum-nan", "maximum-nan", "minimum-signed-zero"],
+)
+def test_minimum_and_maximum_lanes_are_numpys_on_every_rung(fn, values, op, want):
+    """The interpreter's ``minimum``/``maximum`` on plain numbers are
+    ``np.minimum``/``np.maximum``: its lane values, and so its reduce,
+    equal the traced rungs' bit for bit."""
+    x = np.array(values)
+    dom = IndexDomain.full(x.shape)
+    got = {}
+    for rung in RUNGS:
+        ck = compile_kernel(fn, 1, [x], reduce=True, executor=rung)
+        got[rung] = _bits(_settled(lambda: ck.run_reduce(dom, [x], op)))
+    assert set(got.values()) == {_bits(want)}, got
 
 
 def test_nan_propagates_through_min_and_max_on_the_interpreter():

@@ -1,25 +1,30 @@
 """Warm launches, bit for bit: the warm-launch table
-(``KernelCache.launches``) and the inline shortcut in
-``repro.core.api._execute`` change no result, counter or clock.
+(``KernelCache.launches``) and the bound native calls its records hold
+(``repro.core.plan.BoundCall``) change no result, counter or clock.
 
 A seeded generator draws a sequence of launches over AXPY, DOT, a
 guarded reduce whose bound the verifier reads, a guarded ``for``, and a
 2-D ``for`` and reduce, at sizes on both sides of the threads backend's
-pool cutoff.  Between launches it interleaves the switches a warm
-launch must notice: the executor, the verify mode (``error`` raises on
-every racy launch), the backend, its schedule epoch and performance
-model, ``clear_cache()``, a closure cell rebound on the same function
-object, a launch hook, a fault plan, and a graph capture that is
-instantiated and replayed when it closes and again later, after eager
-launches may have written the arrays it hoisted loads of.
+pool cutoff.  Some launches hit a warm key but must decline the native
+call on their own arguments: an overlapping view of a written array, a
+strided view, a read-only array in a written position, and an integer
+scalar outside int32 where the kernel narrows it.  Between launches it
+interleaves the switches a warm launch must notice: the executor, the
+verify mode (``error`` raises on every racy launch), the backend, its
+schedule epoch and performance model, ``clear_cache()``, a closure cell
+rebound on the same function object, a launch hook, a fault plan, and a
+graph capture that is instantiated and replayed when it closes and
+again later, after eager launches may have written the arrays it
+hoisted loads of.
 
 Each sequence runs three times in a private context: as shipped, with
 the table emptied before every launch, and with the table emptied and
-every launch fenced off the inline shortcut, so it is staged and
-executed in full.  Results, array bytes, every backend's accounting
+every launch fenced off the bound call, so it is staged and executed
+in full.  Results, array bytes, every backend's accounting
 (``sim_time`` to the bit), the kernel cache's size/hits/misses, the
-hook log, the fault events and the captured nodes must be equal.  The
-tier-1 slice is :data:`SEEDS`; a longer sweep::
+native declines by reason (one per declined launch), the hook log, the
+fault events and the captured nodes must be equal.  The tier-1 slice is
+:data:`SEEDS`; a longer sweep::
 
     PYTHONPATH=src python -m tests.test_warm_launch --seeds 200
 """
@@ -44,6 +49,7 @@ from repro.core.exceptions import (
     TransientDeviceError,
 )
 from repro.ir.compile import KernelCache, clear_cache, set_executor_mode
+from repro.ir.nativecache import native_stats
 from repro.ir.verify import active_verify_mode
 from repro.perfmodel import PerfModel, get_profile
 
@@ -93,6 +99,10 @@ def racy(i, x):
     x[i] = x[i + 1]
 
 
+def bump(i, s, z):
+    z[i] = z[i] + s  # ``s`` is narrowed to z's int32
+
+
 def _scaled(c):
     def scaled(i, x, y):
         x[i] = c * y[i]
@@ -109,7 +119,10 @@ def sequence(seed: int, steps: int = STEPS) -> list:
     """A seeded list of ``("launch", kernel, n, scalar)`` and
     ``("switch", name, choice)`` steps."""
     rng = np.random.default_rng([seed, 37])
-    kernels = ("axpy", "dot", "bounded", "clip", "mix", "axpy2", "sum2", "racy", "scaled")
+    kernels = (
+        "axpy", "dot", "bounded", "clip", "mix", "axpy2", "sum2", "racy", "scaled",
+        "alias", "strided", "readonly", "narrow",
+    )
     switches = (
         "executor", "verify", "backend", "epoch", "model", "clear",
         "hooks", "faults", "capture", "capture", "replay", "replay", "cell",
@@ -134,7 +147,7 @@ def sequence(seed: int, steps: int = STEPS) -> list:
 def run(steps: list, emptied: bool = False, staged: bool = False) -> dict:
     """Everything observable after ``steps``; ``emptied`` empties the
     warm-launch table before every launch, ``staged`` also fences every
-    launch off the inline shortcut."""
+    launch off the bound call."""
     with contextlib.ExitStack() as stack:
         if emptied:
             real = KernelCache.find_launch
@@ -162,6 +175,12 @@ def _run(steps: list) -> dict:
     x, y = rng.standard_normal(n), rng.standard_normal(n)
     u, v = rng.standard_normal((32, 32)), rng.standard_normal((32, 32))
     w = np.zeros(n + 1)
+    # The declining arguments: a buffer a strided view of x's shape is
+    # cut from, a read-only array of x's shape, and the narrow kernel's
+    # int32 array.
+    big, ro, z = rng.standard_normal(2 * n), rng.standard_normal(n), np.zeros(n, np.int32)
+    ro.flags.writeable = False
+    declined = dict(native_stats()["declined"])
     results, hooks, nodes = [], [], []
     unhook = fplan = cap = inst = None
     scaled.__closure__[0].cell_contents = 1.0
@@ -217,10 +236,15 @@ def _run(steps: list) -> dict:
                         cap = None
                     continue
                 _, kernel, m, s = step
-                results.append(_attempt(_launch, kernel, m, s, x, y, u, v, w))
+                results.append(_attempt(_launch, kernel, m, s, x, y, u, v, w, big, ro, z))
             if cap is not None:
                 cap.__exit__(None, None, None)
             info = cache.stats()
+            declined = {
+                k: count - declined.get(k, 0)
+                for k, count in native_stats()["declined"].items()
+                if count != declined.get(k, 0)
+            }
             events = [(e.site, e.action, e.attempt) for e in ctx.fault_events]
     finally:
         set_executor_mode(None)
@@ -230,9 +254,10 @@ def _run(steps: list) -> dict:
             faults.refresh_gate()
     return {
         "results": results,
-        "arrays": [a.tobytes() for a in (x, y, u, v, w)],
+        "arrays": [a.tobytes() for a in (x, y, u, v, w, big, z)],
         "accounting": [b.accounting.snapshot() for b in backends],
         "cache": info,
+        "declined": declined,
         "hooks": hooks,
         "events": events,
         "nodes": nodes,
@@ -240,17 +265,19 @@ def _run(steps: list) -> dict:
 
 
 def _attempt(fn, *args):
-    """``fn(*args)``, or the error a refused launch or an exhausted
-    retry raised."""
+    """``fn(*args)``, or the error a refused launch, an exhausted retry
+    or a store into a read-only array or past int32 raised."""
     try:
         return fn(*args)
-    except (KernelVerificationError, TransientDeviceError) as exc:
+    except (KernelVerificationError, TransientDeviceError, ValueError, OverflowError) as exc:
         return type(exc).__name__, str(exc)
 
 
-def _launch(kernel, m, s, x, y, u, v, w):
+def _launch(kernel, m, s, x, y, u, v, w, big, ro, z):
     """One launch of ``kernel`` over ``m`` lanes (2-D: ``m // 32`` rows);
-    the values a reduce returns, ``None`` for a ``for``."""
+    the values a reduce returns, ``None`` for a ``for``.  ``alias``,
+    ``strided`` and ``readonly`` key like ``mix`` and ``axpy``; ``narrow``
+    passes an int32-overflowing scalar for ``s > 2``."""
     if kernel == "axpy":
         return repro.parallel_for(m, axpy, 0.25 * s, x, y)
     if kernel == "dot":
@@ -269,6 +296,14 @@ def _launch(kernel, m, s, x, y, u, v, w):
         return repro.parallel_reduce((rows, 32), sum2, u, op=op).hex()
     if kernel == "scaled":
         return repro.parallel_for(m, scaled, x, y)
+    if kernel == "alias":  # lane-wise, so any chunking agrees
+        return repro.parallel_for(m, mix, y.view(), y)
+    if kernel == "strided":
+        return repro.parallel_for(m, axpy, 0.25 * s, big[::2], y)
+    if kernel == "readonly":
+        return repro.parallel_for(m, axpy, 0.25 * s, ro, y)
+    if kernel == "narrow":
+        return repro.parallel_for(m, bump, s if s <= 2 else 2**31 + s, z)
     if active_verify_mode() != "error" and repro.active_backend().name != "serial":
         return None  # chunks would race: racy runs serially or is refused
     return repro.parallel_for(m, racy, w)
